@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke baseline baseline-serve doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke baseline-serve loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile
 
 all: build vet fmt-check doc-check test
 
@@ -24,12 +24,12 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# Race gate over the packages with concurrent code paths (the sharded engine
-# fan-out and the filter phases it drives, the continuous runner, and the
-# serving layer's ingest/snapshot concurrency). This also runs the alloc-gate
-# and determinism property tests under the race detector: the zero-allocation
-# assertions themselves are skipped (race instrumentation allocates) but the
-# arena-backed hot path is still exercised for data races.
+# Race gate over the packages with concurrent code paths (the engine's
+# per-shard fan-out and the filter phases it drives, the continuous runner,
+# and the serving layer's ingest/snapshot concurrency). This also runs the
+# alloc-gate and determinism property tests under the race detector: the
+# zero-allocation assertions themselves are skipped (race instrumentation
+# allocates) but the arena-backed hot path is still exercised for data races.
 race:
 	$(GO) test -race ./internal/core ./internal/factored ./internal/stats ./internal/serve ./rfid ./rfid/client ./rfid/wire ./internal/wal ./internal/checkpoint ./internal/metrics ./internal/trace
 
@@ -41,7 +41,7 @@ race:
 # record path (on every request).
 alloc-gate:
 	$(GO) test -run 'TestStepObjectsZeroAlloc|TestEpochPrologueAllocBound' -v ./internal/factored
-	$(GO) test -run 'TestShardedEpochAllocsNoWorseThanSerial' -v ./internal/core
+	$(GO) test -run 'TestEpochAllocsIndependentOfWorkers' -v ./internal/core
 	$(GO) test -run 'TestStreamDecodeZeroAlloc' -v ./internal/serve
 	$(GO) test -run 'TestTraceRecorderZeroAlloc' -v ./internal/trace
 	$(GO) test -run 'TestHistogramObserveZeroAlloc' -v ./internal/metrics
@@ -159,24 +159,25 @@ replica-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# CI smoke: every benchmark must still compile and complete one iteration,
-# and the committed baseline snapshot must carry the machine context (cores,
-# GOMAXPROCS) without which its speedup figure cannot be interpreted.
+# CI smoke: every benchmark must still compile and complete one iteration.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	@grep -q '"cores"' BENCH_baseline.json || { echo "bench-smoke: BENCH_baseline.json lacks \"cores\" (regenerate with make baseline)"; exit 1; }
-	@grep -q '"gomaxprocs"' BENCH_baseline.json || { echo "bench-smoke: BENCH_baseline.json lacks \"gomaxprocs\" (regenerate with make baseline)"; exit 1; }
 
-# Profile the hot path: a CPU and heap profile of the parallel benchmark
-# workload, ready for `go tool pprof cpu.prof`.
+# Profile the hot path: a CPU and heap profile of the worker-scaling
+# benchmark, ready for `go tool pprof cpu.prof`.
 profile:
-	$(GO) run ./cmd/rfidbench -par -workers 4 -cpuprofile cpu.prof -memprofile mem.prof
-	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof cpu.prof"
+	$(GO) test -run='^$$' -bench='^BenchmarkEngineWorkers$$' -benchtime=1x -cpuprofile cpu.prof -memprofile mem.prof -o repro.test .
+	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof repro.test cpu.prof"
 
-# Refresh the committed parallel-vs-serial baseline snapshot (4 workers, the
-# configuration the acceptance numbers are quoted at).
-baseline:
-	$(GO) run ./cmd/rfidbench -par -workers 4 -json BENCH_baseline.json
+# Non-test Go lines per top-level package (benchmark/ excluded) and their
+# total: the number ROADMAP aim 2 wants to trend down.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 \
+	| xargs -0 wc -l | awk '$$2 != "total" { \
+		n = split($$2, p, "/"); \
+		pkg = (n == 2) ? "." : ((p[2] == "internal" || p[2] == "cmd") ? p[2] "/" p[3] : p[2]); \
+		loc[pkg] += $$1; total += $$1 } \
+	END { for (k in loc) printf "%7d  %s\n", loc[k], k | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'
 
 # Refresh the committed serving-path baseline: both data planes (JSON-over-
 # HTTP and the binary stream) at 1 vs 4 sessions, over the control-heavy

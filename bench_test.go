@@ -74,7 +74,8 @@ func BenchmarkHeadline(b *testing.B) { runExperimentBench(b, "headline") }
 
 // ---------------------------------------------------------------------------
 // Per-reading micro benchmarks: the processing cost of one reading under each
-// system variant (the quantity plotted in Fig. 5(j)), measured directly.
+// system variant (the quantity plotted in Fig. 5(j)), measured directly on one
+// worker.
 
 // benchParams mirrors the warehouse inference parameters used by the
 // experiments.
@@ -98,7 +99,7 @@ func benchTrace(b *testing.B, objects int) *sim.Trace {
 	return trace
 }
 
-func benchEngineVariant(b *testing.B, objects int, factored, index, compression bool, particles int) {
+func benchEngineVariant(b *testing.B, objects int, factored, index, compression bool, particles, workers int) {
 	trace := benchTrace(b, objects)
 	readings := trace.NumReadings()
 	b.ResetTimer()
@@ -110,6 +111,7 @@ func benchEngineVariant(b *testing.B, objects int, factored, index, compression 
 		cfg.NumObjectParticles = particles
 		cfg.NumBasicParticles = 2000
 		cfg.NumReaderParticles = 50
+		cfg.Workers = workers
 		cfg.Seed = 7
 		eng, err := core.New(cfg)
 		if err != nil {
@@ -130,20 +132,24 @@ func benchEngineVariant(b *testing.B, objects int, factored, index, compression 
 
 // BenchmarkPerReadingBasic measures the basic (unfactorized) filter on a tiny
 // warehouse; this is the paper's slowest configuration.
-func BenchmarkPerReadingBasic(b *testing.B) { benchEngineVariant(b, 10, false, false, false, 0) }
+func BenchmarkPerReadingBasic(b *testing.B) { benchEngineVariant(b, 10, false, false, false, 0, 1) }
 
 // BenchmarkPerReadingFactored measures the factored filter without spatial
 // indexing or compression.
-func BenchmarkPerReadingFactored(b *testing.B) { benchEngineVariant(b, 100, true, false, false, 200) }
+func BenchmarkPerReadingFactored(b *testing.B) {
+	benchEngineVariant(b, 100, true, false, false, 200, 1)
+}
 
 // BenchmarkPerReadingFactoredIndex adds the spatial index.
 func BenchmarkPerReadingFactoredIndex(b *testing.B) {
-	benchEngineVariant(b, 100, true, true, false, 200)
+	benchEngineVariant(b, 100, true, true, false, 200, 1)
 }
 
 // BenchmarkPerReadingFullSystem adds belief compression (the configuration
 // the paper reports at over 1500 readings per second).
-func BenchmarkPerReadingFullSystem(b *testing.B) { benchEngineVariant(b, 100, true, true, true, 200) }
+func BenchmarkPerReadingFullSystem(b *testing.B) {
+	benchEngineVariant(b, 100, true, true, true, 200, 1)
+}
 
 // ---------------------------------------------------------------------------
 // Ablation benchmarks for the design choices listed in DESIGN.md.
@@ -154,7 +160,7 @@ func BenchmarkAblationObjectParticles(b *testing.B) {
 	for _, particles := range []int{100, 300, 1000} {
 		particles := particles
 		b.Run(benchName("particles", particles), func(b *testing.B) {
-			benchEngineVariant(b, 50, true, true, false, particles)
+			benchEngineVariant(b, 50, true, true, false, particles, 1)
 		})
 	}
 }
@@ -171,6 +177,7 @@ func BenchmarkAblationDecompressParticles(b *testing.B) {
 				cfg.NumObjectParticles = 200
 				cfg.NumReaderParticles = 50
 				cfg.NumDecompressParticles = n
+				cfg.Workers = 1
 				cfg.Seed = 7
 				eng, err := core.New(cfg)
 				if err != nil {
@@ -197,7 +204,7 @@ func BenchmarkAblationSpatialIndexOnly(b *testing.B) {
 			name = "index-on"
 		}
 		b.Run(name, func(b *testing.B) {
-			benchEngineVariant(b, 400, true, indexed, false, 150)
+			benchEngineVariant(b, 400, true, indexed, false, 150, 1)
 		})
 	}
 }
@@ -207,55 +214,21 @@ func benchName(prefix string, v int) string {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel-vs-serial benchmarks for the sharded engine. The serial baseline
-// and the Workers=1 sharded run bound the sharding overhead; the
-// Workers=GOMAXPROCS run shows the speedup (a no-op on single-CPU machines).
+// Worker scaling of the per-object fan-out. Workers=1 runs the shards inline;
+// the Workers=GOMAXPROCS run shows the speedup (a no-op on single-CPU
+// machines).
 
-func benchShardedVariant(b *testing.B, objects, workers int) {
-	trace := benchTrace(b, objects)
-	readings := trace.NumReadings()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(benchParams(), trace.World)
-		cfg.Compression = false // keep beliefs particle-backed: maximum per-object work
-		cfg.NumObjectParticles = 150
-		cfg.NumReaderParticles = 50
-		cfg.Workers = workers
-		cfg.Seed = 7
-		eng, err := core.NewSharded(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, ep := range trace.Epochs {
-			if _, err := eng.ProcessEpoch(ep); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	if readings > 0 {
-		perReading := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(readings)
-		b.ReportMetric(perReading, "ns/reading")
-	}
-}
-
-// BenchmarkShardedVsSerial compares the serial engine against the sharded
-// engine at 1, 2 and GOMAXPROCS workers on the scalability workload.
-func BenchmarkShardedVsSerial(b *testing.B) {
-	const objects = 300
-	b.Run("serial", func(b *testing.B) {
-		benchEngineVariant(b, objects, true, true, false, 150)
-	})
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
+// BenchmarkEngineWorkers runs the scalability workload at 1, 2 and GOMAXPROCS
+// workers.
+func BenchmarkEngineWorkers(b *testing.B) {
 	seen := map[int]bool{}
-	for _, w := range workerCounts {
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		if seen[w] {
 			continue
 		}
 		seen[w] = true
-		w := w
 		b.Run(benchName("workers", w), func(b *testing.B) {
-			benchShardedVariant(b, objects, w)
+			benchEngineVariant(b, 300, true, true, false, 150, w)
 		})
 	}
 }

@@ -1,50 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/wal"
 )
-
-// TestParallelBenchSmoke runs the parallel-vs-serial comparison at a tiny
-// scale. On a 1-CPU runner the speedup is ~1.0x; the signal here is the
-// built-in oracle (identical event streams) and that every reported number
-// is populated and renders.
-func TestParallelBenchSmoke(t *testing.T) {
-	res, err := runParallelBench(12, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.EventsOK {
-		t.Fatal("sharded engine output diverged from the serial engine")
-	}
-	if res.Objects != 12 || res.Workers != 2 || res.Epochs <= 0 || res.Readings <= 0 {
-		t.Fatalf("bad workload record: %+v", res)
-	}
-	if res.SerialRPS <= 0 || res.ShardedRPS <= 0 || res.Speedup <= 0 {
-		t.Fatalf("empty throughput record: %+v", res)
-	}
-	printParResult(res)
-
-	path := filepath.Join(t.TempDir(), "par.json")
-	if err := writeParResultJSON(res, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back parResult
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("snapshot does not round-trip: %v", err)
-	}
-	if back.Objects != res.Objects || back.EventsOK != res.EventsOK {
-		t.Fatalf("snapshot round-trip lost fields: %+v", back)
-	}
-}
 
 // TestDurableBenchSmoke runs the durability-overhead comparison at a tiny
 // scale: the durable run must write WAL records and checkpoints and still

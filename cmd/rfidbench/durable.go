@@ -88,7 +88,7 @@ func runDurableBench(objects, workers int, seed int64, fsync wal.SyncPolicy, ckp
 
 	res := durableResult{Epochs: maxT + 1}
 
-	plain, err := rfid.NewRunner(engCfg, rfid.RunnerConfig{Sharded: true})
+	plain, err := rfid.NewRunner(engCfg, rfid.RunnerConfig{})
 	if err != nil {
 		return res, err
 	}
@@ -108,7 +108,7 @@ func runDurableBench(objects, workers int, seed int64, fsync wal.SyncPolicy, ckp
 	if err != nil {
 		return res, err
 	}
-	durable, err := rfid.NewRunner(engCfg, rfid.RunnerConfig{Sharded: true})
+	durable, err := rfid.NewRunner(engCfg, rfid.RunnerConfig{})
 	if err != nil {
 		return res, err
 	}

@@ -8,8 +8,6 @@
 //	rfidbench -exp table6b -scale 0.5
 //	rfidbench -exp all -scale 0.25
 //	rfidbench -art            # ASCII heat maps of the true and learned sensor models
-//	rfidbench -par -workers 8 # parallel-vs-serial sharded-engine benchmark
-//	rfidbench -par -json BENCH_baseline.json
 //	rfidbench -serve -sessions 1,4 -json BENCH_serve.json  # HTTP serving-path bench
 package main
 
@@ -79,10 +77,9 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		list    = flag.Bool("list", false, "list available experiments")
 		art     = flag.Bool("art", false, "render the sensor models of Fig. 5(a)-(b) as ASCII heat maps")
-		par     = flag.Bool("par", false, "run the parallel-vs-serial sharded-engine benchmark")
-		workers = flag.Int("workers", 0, "worker goroutines for -par (0 = GOMAXPROCS)")
-		objects = flag.Int("objects", 300, "number of objects for -par")
-		jsonOut = flag.String("json", "", "write -par results as JSON to this file (e.g. BENCH_baseline.json)")
+		workers = flag.Int("workers", 0, "engine worker goroutines for -durable (0 = GOMAXPROCS)")
+		objects = flag.Int("objects", 300, "number of objects for -durable")
+		jsonOut = flag.String("json", "", "write -serve results as JSON to this file (e.g. BENCH_serve.json)")
 
 		serveBench = flag.Bool("serve", false, "run the serving-path benchmark (HTTP ingest -> long-polled result latency/throughput per session count)")
 		stream     = flag.Bool("stream", false, "also run -serve over the persistent binary stream (client.StreamIngester, send->ack latency)")
@@ -193,24 +190,6 @@ func main() {
 		printDurableResult(res)
 		if !res.EventsIdentical {
 			log.Fatal("durable run output diverged from the in-memory run")
-		}
-		return
-	}
-
-	if *par {
-		res, err := runParallelBench(*objects, *workers, *seed)
-		if err != nil {
-			log.Fatalf("parallel benchmark: %v", err)
-		}
-		printParResult(res)
-		if !res.EventsOK {
-			log.Fatal("sharded engine output diverged from the serial engine")
-		}
-		if *jsonOut != "" {
-			if err := writeParResultJSON(res, *jsonOut); err != nil {
-				log.Fatalf("write %s: %v", *jsonOut, err)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
 		}
 		return
 	}

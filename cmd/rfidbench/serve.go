@@ -108,7 +108,7 @@ func runServeBenchOne(mode string, n, epochs int, wl serveWorkload, seed int64) 
 	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
 	cfg.Seed = seed
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		return serveBenchResult{}, err
 	}
@@ -346,7 +346,7 @@ func runDensityBenchOne(n, epochs, maxResident int, seed int64) (serveBenchResul
 	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
 	cfg.Seed = seed
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		return serveBenchResult{}, err
 	}

@@ -127,7 +127,7 @@ func main() {
 		shelfDepth  = flag.Float64("shelf-depth", 1.0, "synthesized shelf depth when shelves.csv is absent")
 		particles   = flag.Int("particles", 1000, "particles per object")
 		readerParts = flag.Int("reader-particles", 100, "reader particles")
-		workers     = flag.Int("workers", 0, "worker goroutines for the sharded engine (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "engine worker goroutines per epoch (0 = GOMAXPROCS, 1 = inline)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		queue       = flag.Int("queue", 64, "ingest queue bound, in batches (backpressure threshold)")
 		hold        = flag.Int("hold", 0, "epochs of lateness slack before an epoch is sealed")
@@ -217,7 +217,6 @@ func main() {
 	runnerFactory := func() (*rfid.Runner, error) {
 		return rfid.NewRunner(cfg, rfid.RunnerConfig{
 			HoldEpochs:    *hold,
-			Sharded:       true,
 			HistoryEpochs: *history,
 			TraceEpochs:   *traceEpochs,
 		})

@@ -12,14 +12,14 @@
 //
 // Beyond the paper, the engine scales out: because the factored distribution
 // makes per-object inference independent given the reader particles, the
-// sharded engine (internal/core.ShardedEngine, reachable through
-// rfid.Config.Workers) partitions objects across worker goroutines by a
-// stable hash of their tag id and fans each epoch's per-object
-// predict/update/resample work out to a pool, with a barrier before report
+// engine (internal/core.Engine) partitions objects into shards by a stable
+// hash of their tag id and fans each epoch's per-object
+// predict/update/resample work out to rfid.Config.Workers goroutines (0 = one
+// per CPU, 1 = inline on the calling goroutine), with a barrier before report
 // emission. Per-object random streams derived from (seed, tag id) make the
-// parallel output byte-identical to the serial engine's for any worker or
-// shard count. See ARCHITECTURE.md for the shard/worker model, the epoch
-// barrier and the reproducibility argument.
+// output byte-identical for any worker or shard count. See ARCHITECTURE.md
+// for the shard/worker model, the epoch barrier and the reproducibility
+// argument.
 //
 // The engine also runs online: rfid.Runner drives the pipeline continuously
 // from incrementally ingested raw streams (epochs sealed by the ingest

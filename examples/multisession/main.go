@@ -32,7 +32,7 @@ func main() {
 	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
 	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		log.Fatalf("runner: %v", err)
 	}

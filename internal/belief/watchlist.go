@@ -9,7 +9,7 @@ import (
 // by the stable tag hash: during the parallel phase of an epoch each worker
 // marks only tags belonging to its own shard, so no locking is needed, and at
 // the epoch barrier the engine reads the merged view to run the compression
-// policy. A serial engine simply uses a single shard.
+// policy.
 type Watchlist struct {
 	shards []map[stream.TagID]bool
 }
@@ -34,7 +34,7 @@ func (w *Watchlist) shardOf(id stream.TagID) int { return id.Shard(len(w.shards)
 
 // Mark adds the tag to its shard. Concurrent Mark calls are safe as long as
 // each goroutine only marks tags of a single distinct shard — the invariant
-// the sharded engine maintains by partitioning the active set with the same
+// the engine maintains by partitioning the active set with the same
 // hash.
 func (w *Watchlist) Mark(id stream.TagID) {
 	w.shards[w.shardOf(id)][id] = true

@@ -6,11 +6,12 @@ import (
 	"repro/internal/stream"
 )
 
-// steadyEngines builds a serial and a sharded engine with identical
-// configuration, warms both over the same fixed-seed trace prefix (so every
-// belief exists and every scratch buffer has reached capacity) and returns
-// them together with a representative steady-state epoch to replay.
-func steadyEngines(t *testing.T, workers, shards int) (*Engine, *ShardedEngine, *stream.Epoch) {
+// steadyEngines builds an inline single-worker engine and a fanned-out one
+// with otherwise identical configuration, warms both over the same
+// fixed-seed trace prefix (so every belief exists and every scratch buffer
+// has reached capacity) and returns them together with a representative
+// steady-state epoch to replay.
+func steadyEngines(t *testing.T, workers, shards int) (inline, fanned *Engine, ep *stream.Epoch) {
 	t.Helper()
 	trace, err := generateWarehouse(smallTraceConfig(16, 11))
 	if err != nil {
@@ -21,72 +22,63 @@ func steadyEngines(t *testing.T, workers, shards int) (*Engine, *ShardedEngine, 
 	cfg.NumObjectParticles = 120
 	cfg.NumReaderParticles = 25
 	cfg.Seed = 17
-	cfg.Workers = workers
-	cfg.ShardCount = shards
 
-	serial, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	sharded, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
+	inline = newEngine(t, cfg, 1, shards)
+	fanned = newEngine(t, cfg, workers, shards)
 	warm := len(trace.Epochs) - 1
 	if warm < 40 {
 		t.Fatalf("trace too short: %d epochs", len(trace.Epochs))
 	}
 	for _, ep := range trace.Epochs[:warm] {
-		if _, err := serial.ProcessEpoch(ep); err != nil {
-			t.Fatalf("serial ProcessEpoch: %v", err)
+		if _, err := inline.ProcessEpoch(ep); err != nil {
+			t.Fatalf("inline ProcessEpoch: %v", err)
 		}
-		if _, err := sharded.ProcessEpoch(ep); err != nil {
-			t.Fatalf("sharded ProcessEpoch: %v", err)
+		if _, err := fanned.ProcessEpoch(ep); err != nil {
+			t.Fatalf("fanned-out ProcessEpoch: %v", err)
 		}
 	}
-	return serial, sharded, trace.Epochs[warm]
+	return inline, fanned, trace.Epochs[warm]
 }
 
-// TestShardedEpochAllocsNoWorseThanSerial is the regression gate for the
-// sharded fan-out's allocation behaviour: dispatching an epoch across shards
-// and workers must not allocate more than the serial engine processing the
-// same epoch. This pins the persistent work channel and the field-published
-// fan-out state — the earlier closure-based dispatcher allocated a fresh
-// channel plus one closure per worker every epoch, which made the parallel
-// path allocate strictly more per reading than the serial one.
-func TestShardedEpochAllocsNoWorseThanSerial(t *testing.T) {
+// TestEpochAllocsIndependentOfWorkers is the regression gate for the
+// fan-out's allocation behaviour: dispatching an epoch across workers must
+// not allocate more than running the same shards inline on one. This pins
+// the persistent work channel and the field-published fan-out state — a
+// closure-based dispatcher allocates a fresh channel plus one closure per
+// worker every epoch.
+func TestEpochAllocsIndependentOfWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
 	}
-	serial, sharded, ep := steadyEngines(t, 4, 16)
+	inline, fanned, ep := steadyEngines(t, 4, 16)
 
 	// One unmeasured pass each so lazily grown buffers reach capacity.
-	if _, err := serial.ProcessEpoch(ep); err != nil {
-		t.Fatalf("serial ProcessEpoch: %v", err)
+	if _, err := inline.ProcessEpoch(ep); err != nil {
+		t.Fatalf("inline ProcessEpoch: %v", err)
 	}
-	if _, err := sharded.ProcessEpoch(ep); err != nil {
-		t.Fatalf("sharded ProcessEpoch: %v", err)
+	if _, err := fanned.ProcessEpoch(ep); err != nil {
+		t.Fatalf("fanned-out ProcessEpoch: %v", err)
 	}
 
-	serialAllocs := testing.AllocsPerRun(30, func() {
-		if _, err := serial.ProcessEpoch(ep); err != nil {
-			t.Errorf("serial ProcessEpoch: %v", err)
+	inlineAllocs := testing.AllocsPerRun(30, func() {
+		if _, err := inline.ProcessEpoch(ep); err != nil {
+			t.Errorf("inline ProcessEpoch: %v", err)
 		}
 	})
-	shardedAllocs := testing.AllocsPerRun(30, func() {
-		if _, err := sharded.ProcessEpoch(ep); err != nil {
-			t.Errorf("sharded ProcessEpoch: %v", err)
+	fannedAllocs := testing.AllocsPerRun(30, func() {
+		if _, err := fanned.ProcessEpoch(ep); err != nil {
+			t.Errorf("fanned-out ProcessEpoch: %v", err)
 		}
 	})
-	if shardedAllocs > serialAllocs {
-		t.Errorf("sharded epoch allocates %.2f times, serial %.2f; sharded must not allocate more",
-			shardedAllocs, serialAllocs)
+	if fannedAllocs > inlineAllocs {
+		t.Errorf("Workers=4 epoch allocates %.2f times, Workers=1 %.2f; fan-out must not allocate more",
+			fannedAllocs, inlineAllocs)
 	}
-	// Absolute backstop: the steady-state epoch allocates at most the serial
+	// Absolute backstop: the steady-state epoch allocates at most the
 	// prologue's small constant (observed-list and index temporaries), never
 	// per-worker or per-shard churn.
 	const maxEpochAllocs = 16
-	if shardedAllocs > maxEpochAllocs {
-		t.Errorf("sharded epoch allocates %.2f times; want <= %d", shardedAllocs, maxEpochAllocs)
+	if fannedAllocs > maxEpochAllocs {
+		t.Errorf("Workers=4 epoch allocates %.2f times; want <= %d", fannedAllocs, maxEpochAllocs)
 	}
 }

@@ -62,8 +62,9 @@ func (tol Tolerance) withinVec(a, b geom.Vec3) bool {
 //
 // This is the equivalence mode for runs that are deterministic but not
 // byte-identical — in particular comparing a Config.FastMath run against the
-// exact default (use FastMathTolerance). Byte-identity claims (serial vs
-// sharded within the same numerics mode) should keep using exact comparison.
+// exact default (use FastMathTolerance). Byte-identity claims (across
+// Workers/ShardCount within the same numerics mode) should keep using exact
+// comparison.
 func CompareTolerance(got, want []stream.Event, tol Tolerance) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("core: event count mismatch: got %d, want %d", len(got), len(want))

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/belief"
 	"repro/internal/model"
@@ -74,16 +75,17 @@ type Config struct {
 	// reading counts as a new scan visit (default 30).
 	ScopeGapEpochs int
 
-	// Workers is the number of worker goroutines the sharded engine
-	// (NewSharded) fans the per-object phase of each epoch out to; zero
-	// selects runtime.GOMAXPROCS(0). The serial Engine ignores it. Output is
-	// independent of the worker count: a Workers=8 run is byte-identical to
-	// a Workers=1 run and to the serial Engine.
+	// Workers is the number of worker goroutines the per-object phase of each
+	// epoch is fanned out to: zero selects one per CPU
+	// (runtime.GOMAXPROCS(0)), one runs the phase inline on the calling
+	// goroutine. The basic filter has no per-object phase and ignores it.
+	// Output is independent of the worker count: a Workers=8 run is
+	// byte-identical to a Workers=1 run.
 	Workers int
-	// ShardCount is the number of object shards for the sharded engine;
-	// objects are assigned to shards by a stable hash of their tag id, so an
-	// object stays on the same shard for the lifetime of a run. Zero selects
-	// max(8, 4*Workers). Output is independent of the shard count.
+	// ShardCount is the number of object shards; objects are assigned to
+	// shards by a stable hash of their tag id, so an object stays on the same
+	// shard for the lifetime of a run. Zero selects max(8, 4*Workers). Output
+	// is independent of the shard count.
 	ShardCount int
 
 	// FastMath selects the bounded-error approximate numeric kernels
@@ -134,6 +136,12 @@ func (c *Config) applyDefaults() {
 	}
 	if c.ScopeGapEpochs <= 0 {
 		c.ScopeGapEpochs = 30
+	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.ShardCount <= 0 {
+		c.ShardCount = max(8, 4*c.Workers)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/belief"
@@ -18,17 +19,18 @@ import (
 // with object locations. It encapsulates the factored particle filter (or the
 // basic filter for baseline runs), the spatial index over sensing regions and
 // the belief-compression policy.
+//
+// The factored filter makes objects conditionally independent given the
+// reader particles, so each epoch partitions objects across Config.ShardCount
+// shards by a stable hash of their tag id and fans the per-object work out to
+// Config.Workers goroutines (stepSharded); one worker runs the shards inline.
+// Output is byte-identical for any Workers and ShardCount.
 type Engine struct {
 	cfg     Config
 	profile sensor.Profile
 
 	fact  *factored.Filter
 	basic *pf.Filter
-
-	// stepFact runs the factored pipeline for one epoch. New installs the
-	// serial stepFactored; NewSharded swaps in the parallel stepSharded, so
-	// every epoch-driving method (ProcessEpoch, Run) serves both engines.
-	stepFact func(*stream.Epoch, []stream.TagID)
 
 	index     *spatial.SensingIndex
 	beliefMgr *belief.Manager
@@ -39,8 +41,7 @@ type Engine struct {
 	inScope  map[stream.TagID]bool
 
 	// Compression watchlist: objects recently in scope whose beliefs may
-	// become compression candidates. The serial engine uses a single shard;
-	// the sharded engine replaces it with one shard per object partition so
+	// become compression candidates, one watchlist shard per object shard so
 	// workers can mark entries without locks.
 	watch *belief.Watchlist
 
@@ -54,6 +55,39 @@ type Engine struct {
 	case2Buf    []stream.TagID
 	mergedBuf   []stream.TagID
 	candBuf     []belief.Candidate
+
+	// arenas[w] is worker w's private scratch arena: all scratch memory of
+	// the per-object hot path (resampling indices, gather double buffers)
+	// lives there, so the fan-out performs zero steady-state heap allocations
+	// and workers never contend on shared scratch.
+	arenas []*factored.Arena
+
+	// Reusable per-epoch fan-out scratch (written in the prologue, read-only
+	// or disjointly indexed during the fan-out, reset at the next prologue).
+	stepsBuf [][]stream.TagID
+	watchBuf [][]stream.TagID
+	hasBuf   []bool
+	posBuf   [][]int
+	assocBuf []stream.TagID
+
+	// Fan-out plumbing. The work channel is created once (buffered to hold a
+	// full epoch's shard indices plus one termination sentinel per worker) and
+	// the per-epoch fan-out state lives in fields, so dispatching an epoch
+	// allocates nothing: no fresh channel, no closures capturing epoch
+	// variables, and workerFns[w] is worker w's goroutine body built once so
+	// that starting it allocates no per-epoch closure either. Workers are
+	// spawned per epoch and exit on the -1 sentinel, so the engine needs no
+	// Close lifecycle and never leaks goroutines.
+	work      chan int
+	wg        sync.WaitGroup
+	workerFns []func()
+
+	// Per-epoch fan-out state, written by the prologue before workers start
+	// and read-only (or disjointly indexed) during the fan-out.
+	curEp     *stream.Epoch
+	curActive []stream.TagID
+	curBox    geom.BBox
+	curAssoc  bool
 
 	stats     Stats
 	lastEpoch int
@@ -77,10 +111,9 @@ func New(cfg Config) (*Engine, error) {
 		lastSeen:   make(map[stream.TagID]int),
 		pending:    make(map[stream.TagID]int),
 		inScope:    make(map[stream.TagID]bool),
-		watch:      belief.NewWatchlist(1),
+		watch:      belief.NewWatchlist(cfg.ShardCount),
 		activeSeen: make(map[stream.TagID]bool),
 	}
-	e.stepFact = e.stepFactored
 	if cfg.Factored {
 		e.fact = factored.New(factored.Config{
 			NumReaderParticles:     cfg.NumReaderParticles,
@@ -101,6 +134,15 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Compression {
 			e.beliefMgr = belief.NewManager(cfg.CompressionPolicy)
 		}
+		e.arenas = make([]*factored.Arena, cfg.Workers)
+		e.workerFns = make([]func(), cfg.Workers)
+		for w := range e.arenas {
+			e.arenas[w] = factored.NewArena()
+			e.workerFns[w] = func() { e.shardWorker(w) }
+		}
+		// Sized so a full epoch (every shard index plus one sentinel per
+		// worker) enqueues without blocking — the dispatcher never parks.
+		e.work = make(chan int, cfg.ShardCount+cfg.Workers)
 	} else {
 		e.basic = pf.New(pf.Config{
 			NumParticles:      cfg.NumBasicParticles,
@@ -120,8 +162,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Config() Config { return e.cfg }
 
 // SetTraceRecorder installs (or, with nil, removes) the per-epoch stage
-// recorder. The sharded engine inherits this through embedding, so one call
-// covers both step paths.
+// recorder.
 func (e *Engine) SetTraceRecorder(r *trace.Recorder) { e.rec = r }
 
 // Stats returns the cumulative work counters.
@@ -151,8 +192,8 @@ func (e *Engine) ProcessEpoch(ep *stream.Epoch) ([]stream.Event, error) {
 		rec.Add(trace.StagePrologue, time.Since(t))
 	}
 	if e.cfg.Factored {
-		// stepFact (serial or sharded) splits its own prologue/step timing.
-		e.stepFact(ep, observed)
+		// stepSharded splits its own prologue/step timing.
+		e.stepSharded(ep, observed)
 	} else {
 		if rec != nil {
 			t = time.Now()
@@ -202,10 +243,8 @@ func (e *Engine) countPendingDecompressions(observed []stream.TagID) {
 // selectActive computes the epoch's active object set through the spatial
 // index: the observed tags (Case 1) plus the indexed tags with particles near
 // the current sensing region (Case 2), de-duplicated in that order, skipping
-// compressed Case-2 beliefs (they are only touched when read again). The
-// serial and sharded engines share this selection, which keeps their active
-// sets — and therefore their outputs — identical. Only valid when the
-// spatial index is enabled.
+// compressed Case-2 beliefs (they are only touched when read again). Only
+// valid when the spatial index is enabled.
 func (e *Engine) selectActive(ep *stream.Epoch, observed []stream.TagID) ([]stream.TagID, geom.BBox) {
 	box := e.sensingBox(ep)
 	e.case2Buf = e.index.QueryInto(box, e.case2Buf[:0])
@@ -230,63 +269,6 @@ func (e *Engine) selectActive(ep *stream.Epoch, observed []stream.TagID) ([]stre
 	}
 	e.activeBuf = active
 	return active, box
-}
-
-// stepFactored runs one epoch of the factored pipeline: Case-1/Case-2 object
-// selection through the spatial index, the factored filter update, index
-// maintenance and belief compression.
-func (e *Engine) stepFactored(ep *stream.Epoch, observed []stream.TagID) {
-	rec := e.rec
-	var t time.Time
-	if rec != nil {
-		t = time.Now()
-	}
-	e.countPendingDecompressions(observed)
-
-	var active []stream.TagID
-	var box geom.BBox
-	if e.index != nil {
-		active, box = e.selectActive(ep, observed)
-		if rec != nil {
-			rec.Add(trace.StagePrologue, time.Since(t))
-			t = time.Now()
-		}
-		e.fact.Step(ep, active)
-		e.stats.ObjectsProcessed += len(active)
-	} else {
-		if rec != nil {
-			rec.Add(trace.StagePrologue, time.Since(t))
-			t = time.Now()
-		}
-		e.fact.Step(ep, nil)
-		e.stats.ObjectsProcessed += e.fact.NumTracked()
-		active = observed
-	}
-
-	// Maintain the sensing-region index: associate the current bounding box
-	// with the processed objects that have particles inside it. The
-	// association list is built once and handed to the index (InsertOwned),
-	// which stores it without a second copy.
-	if e.index != nil && !box.IsEmpty() {
-		var assoc []stream.TagID
-		for _, id := range active {
-			if b := e.fact.Belief(id); b != nil && b.HasParticleIn(box) {
-				assoc = append(assoc, id)
-			}
-		}
-		e.index.InsertOwned(box, assoc)
-	}
-
-	// Belief compression.
-	if e.beliefMgr != nil {
-		for _, id := range active {
-			e.watch.Mark(id)
-		}
-		e.runCompression(ep.Time)
-	}
-	if rec != nil {
-		rec.Add(trace.StageStep, time.Since(t))
-	}
 }
 
 // sensingBox returns the bounding box of the current sensing region, centered

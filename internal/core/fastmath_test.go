@@ -11,8 +11,8 @@ import (
 // approximate numerics mode: over a seeded matrix of traces and pipeline
 // variants, a Config.FastMath run must produce the same event schedule as
 // the exact run with every location within the documented
-// FastMathTolerance bound — and, within the fast mode, the sharded engine
-// must remain byte-identical to the serial one for every worker and shard
+// FastMathTolerance bound — and, within the fast mode, output must remain
+// byte-identical to the inline single-shard run for every worker and shard
 // count (determinism and schedule-independence are per-mode properties,
 // unaffected by which kernels compute the weights).
 func TestPropertyFastMathWithinTolerance(t *testing.T) {
@@ -38,11 +38,7 @@ func TestPropertyFastMathWithinTolerance(t *testing.T) {
 			cfg.Compression = pick.Bernoulli(0.5)
 			cfg.Seed = seed*7 + 1
 
-			exact, err := New(cfg)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			want, err := exact.Run(trace.Epochs)
+			want, err := newEngine(t, cfg, 1, 1).Run(trace.Epochs)
 			if err != nil {
 				t.Fatalf("exact Run: %v", err)
 			}
@@ -52,11 +48,7 @@ func TestPropertyFastMathWithinTolerance(t *testing.T) {
 
 			fcfg := cfg
 			fcfg.FastMath = true
-			fast, err := New(fcfg)
-			if err != nil {
-				t.Fatalf("New(fast): %v", err)
-			}
-			got, err := fast.Run(trace.Epochs)
+			got, err := newEngine(t, fcfg, 1, 1).Run(trace.Epochs)
 			if err != nil {
 				t.Fatalf("fast Run: %v", err)
 			}
@@ -68,19 +60,12 @@ func TestPropertyFastMathWithinTolerance(t *testing.T) {
 
 			for _, workers := range []int{2, 4} {
 				for _, shards := range []int{3, 16} {
-					scfg := fcfg
-					scfg.Workers = workers
-					scfg.ShardCount = shards
-					se, err := NewSharded(scfg)
+					sgot, err := newEngine(t, fcfg, workers, shards).Run(trace.Epochs)
 					if err != nil {
-						t.Fatalf("NewSharded(workers=%d,shards=%d): %v", workers, shards, err)
-					}
-					sgot, err := se.Run(trace.Epochs)
-					if err != nil {
-						t.Fatalf("fast sharded Run(workers=%d,shards=%d): %v", workers, shards, err)
+						t.Fatalf("fast Run(workers=%d,shards=%d): %v", workers, shards, err)
 					}
 					if !bytes.Equal(encodeEvents(t, sgot), fastBytes) {
-						t.Errorf("seed=%d workers=%d shards=%d: fast-math sharded events differ from fast-math serial (must be byte-identical within a mode)",
+						t.Errorf("seed=%d workers=%d shards=%d: fast-math events differ from the fast-math inline run (must be byte-identical within a mode)",
 							seed, workers, shards)
 					}
 				}

@@ -8,16 +8,16 @@ import (
 	"repro/internal/rng"
 )
 
-// TestPropertyShardedMatchesSerialMatrix is the randomized determinism
+// TestPropertyOutputIndependentOfParallelism is the randomized determinism
 // property suite: for a seeded matrix of traces and engine configurations,
-// the sharded engine's event stream must be byte-identical to the serial
-// engine's for every combination of Workers in {1,2,4,8} and ShardCount in
-// {1,3,8,32}. Each seed draws a different trace and a different pipeline
+// the engine's event stream must be byte-identical to its inline
+// single-shard run (Workers=1, ShardCount=1) for every combination of
+// Workers in {1,2,4,8} and ShardCount in {1,3,8,32}. Each seed draws a different trace and a different pipeline
 // variant (spatial index on/off, compression on/off, report policy) from its
 // own deterministic stream, so the property is exercised well beyond the one
 // fixed golden trace — yet failures reproduce exactly from the seed printed
 // in the subtest name.
-func TestPropertyShardedMatchesSerialMatrix(t *testing.T) {
+func TestPropertyOutputIndependentOfParallelism(t *testing.T) {
 	seeds := []int64{101, 202, 303}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -43,37 +43,28 @@ func TestPropertyShardedMatchesSerialMatrix(t *testing.T) {
 			cfg.Compression = pick.Bernoulli(0.5)
 			cfg.Seed = seed*7 + 1
 
-			serial, err := New(cfg)
+			inline := newEngine(t, cfg, 1, 1)
+			want, err := inline.Run(trace.Epochs)
 			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			want, err := serial.Run(trace.Epochs)
-			if err != nil {
-				t.Fatalf("serial Run: %v", err)
+				t.Fatalf("inline Run: %v", err)
 			}
 			wantBytes := encodeEvents(t, want)
-			wantStats := serial.Stats()
+			wantStats := inline.Stats()
 
 			for _, workers := range workersList {
 				for _, shards := range shardList {
-					scfg := cfg
-					scfg.Workers = workers
-					scfg.ShardCount = shards
-					se, err := NewSharded(scfg)
+					eng := newEngine(t, cfg, workers, shards)
+					got, err := eng.Run(trace.Epochs)
 					if err != nil {
-						t.Fatalf("NewSharded(workers=%d,shards=%d): %v", workers, shards, err)
-					}
-					got, err := se.Run(trace.Epochs)
-					if err != nil {
-						t.Fatalf("sharded Run(workers=%d,shards=%d): %v", workers, shards, err)
+						t.Fatalf("Run(workers=%d,shards=%d): %v", workers, shards, err)
 					}
 					if !bytes.Equal(encodeEvents(t, got), wantBytes) {
-						t.Errorf("seed=%d workers=%d shards=%d (index=%v compression=%v): events differ from serial engine",
+						t.Errorf("seed=%d workers=%d shards=%d (index=%v compression=%v): events differ from the inline run",
 							seed, workers, shards, cfg.SpatialIndex, cfg.Compression)
 					}
-					if se.Stats() != wantStats {
-						t.Errorf("seed=%d workers=%d shards=%d: stats %+v != serial %+v",
-							seed, workers, shards, se.Stats(), wantStats)
+					if eng.Stats() != wantStats {
+						t.Errorf("seed=%d workers=%d shards=%d: stats %+v != inline %+v",
+							seed, workers, shards, eng.Stats(), wantStats)
 					}
 				}
 			}
@@ -81,11 +72,11 @@ func TestPropertyShardedMatchesSerialMatrix(t *testing.T) {
 	}
 }
 
-// TestPropertyShardedStreamingMatchesBatch checks, for one seeded draw, that
-// the per-epoch emissions (the streaming entry point the serving layer uses)
-// also match between serial and sharded engines — the matrix above only
-// compares whole runs.
-func TestPropertyShardedStreamingMatchesBatch(t *testing.T) {
+// TestPropertyStreamingIndependentOfParallelism checks, for one seeded draw,
+// that the per-epoch emissions (the streaming entry point the serving layer
+// uses) also match between the inline and a fanned-out run — the matrix
+// above only compares whole runs.
+func TestPropertyStreamingIndependentOfParallelism(t *testing.T) {
 	const seed = 404
 	trace, err := generateWarehouse(smallTraceConfig(8, seed))
 	if err != nil {
@@ -96,31 +87,22 @@ func TestPropertyShardedStreamingMatchesBatch(t *testing.T) {
 	cfg.NumReaderParticles = 20
 	cfg.Seed = seed
 
-	serial, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	scfg := cfg
-	scfg.Workers = 4
-	scfg.ShardCount = 32
-	se, err := NewSharded(scfg)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
+	inline := newEngine(t, cfg, 1, 1)
+	fanned := newEngine(t, cfg, 4, 32)
 	for _, ep := range trace.Epochs {
-		want, err := serial.ProcessEpoch(ep)
+		want, err := inline.ProcessEpoch(ep)
 		if err != nil {
-			t.Fatalf("serial ProcessEpoch: %v", err)
+			t.Fatalf("inline ProcessEpoch: %v", err)
 		}
-		got, err := se.ProcessEpoch(ep)
+		got, err := fanned.ProcessEpoch(ep)
 		if err != nil {
-			t.Fatalf("sharded ProcessEpoch: %v", err)
+			t.Fatalf("fanned-out ProcessEpoch: %v", err)
 		}
 		if !bytes.Equal(encodeEvents(t, got), encodeEvents(t, want)) {
 			t.Fatalf("epoch %d: emissions differ", ep.Time)
 		}
 	}
-	if !bytes.Equal(encodeEvents(t, se.Finish()), encodeEvents(t, serial.Finish())) {
+	if !bytes.Equal(encodeEvents(t, fanned.Finish()), encodeEvents(t, inline.Finish())) {
 		t.Error("final flush differs")
 	}
 }

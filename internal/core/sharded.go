@@ -1,133 +1,28 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
-	"repro/internal/belief"
-	"repro/internal/factored"
 	"repro/internal/geom"
 	"repro/internal/scratch"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
-// ShardedEngine is the parallel variant of Engine: it partitions objects
-// across shards by a stable hash of their tag id and fans the per-object
-// predict/update/resample work of each epoch out to a pool of workers, with a
-// barrier before report emission.
-//
-// The epoch pipeline is
+// stepSharded runs one epoch of the factored pipeline:
 //
 //	prologue (sequential): reader particle step, Case-1/Case-2 selection,
-//	    fresh-belief creation
+//	    fresh-belief creation, shard partition
 //	fan-out (parallel):    per-shard object steps, per-shard sensing-region
 //	    membership tests, shard-local compression watchlist marking
 //	barrier (sequential):  reader resampling, spatial-index maintenance,
-//	    belief compression, report emission
+//	    belief compression
 //
 // Because every per-object stochastic operation draws from a private random
-// stream derived from (seed, tag id), the output is byte-identical to the
-// serial Engine for any Workers and ShardCount — parallelism changes only
-// wall-clock time, never results.
-//
-// Each worker owns a factored.Arena: all scratch memory of the per-object
-// hot path (resampling indices, gather double buffers) lives there, so the
-// fan-out performs zero steady-state heap allocations and workers never
-// contend on shared scratch. The engine-level per-epoch buffers (shard
-// partitions, membership flags, watch batches) are likewise reused across
-// epochs.
-type ShardedEngine struct {
-	*Engine
-	workers    int
-	shardCount int
-
-	// arenas[w] is worker w's private scratch arena.
-	arenas []*factored.Arena
-
-	// Reusable per-epoch scratch (written in the prologue, read-only or
-	// disjointly indexed during the fan-out, reset at the next prologue).
-	stepsBuf [][]stream.TagID
-	watchBuf [][]stream.TagID
-	hasBuf   []bool
-	posBuf   [][]int
-	assocBuf []stream.TagID
-
-	// Fan-out plumbing. The work channel is created once (buffered to hold a
-	// full epoch's shard indices plus one termination sentinel per worker) and
-	// the per-epoch fan-out state lives in fields, so dispatching an epoch
-	// allocates nothing: no fresh channel, no closures capturing epoch
-	// variables. Workers are spawned per epoch and exit on the -1 sentinel, so
-	// the engine needs no Close lifecycle and never leaks goroutines.
-	work chan int
-	wg   sync.WaitGroup
-
-	// Per-epoch fan-out state, written by the prologue before workers start
-	// and read-only (or disjointly indexed) during the fan-out.
-	curEp     *stream.Epoch
-	curActive []stream.TagID
-	curBox    geom.BBox
-	curAssoc  bool
-}
-
-// NewSharded returns a configured ShardedEngine. Sharding parallelizes the
-// per-object updates of the factored filter, so the configuration must have
-// Factored set.
-func NewSharded(cfg Config) (*ShardedEngine, error) {
-	if !cfg.Factored {
-		return nil, fmt.Errorf("core: sharded engine requires the factored filter")
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards := cfg.ShardCount
-	if shards <= 0 {
-		shards = 4 * workers
-		if shards < 8 {
-			shards = 8
-		}
-	}
-	cfg.Workers, cfg.ShardCount = workers, shards
-	eng, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// One watchlist shard per object shard, so workers mark without locks.
-	eng.watch = belief.NewWatchlist(shards)
-	se := &ShardedEngine{
-		Engine:     eng,
-		workers:    workers,
-		shardCount: shards,
-		// Sized so a full epoch (every shard index plus one sentinel per
-		// worker) enqueues without blocking — the dispatcher never parks.
-		work: make(chan int, shards+workers),
-	}
-	se.arenas = make([]*factored.Arena, workers)
-	for w := range se.arenas {
-		se.arenas[w] = factored.NewArena()
-	}
-	// Route every epoch-driving method (ProcessEpoch, Run) through the
-	// parallel step.
-	eng.stepFact = se.stepSharded
-	return se, nil
-}
-
-// Workers returns the effective worker count.
-func (se *ShardedEngine) Workers() int { return se.workers }
-
-// ShardCount returns the effective shard count.
-func (se *ShardedEngine) ShardCount() int { return se.shardCount }
-
-// stepSharded is the parallel counterpart of Engine.stepFactored. The
-// sequential prologue and epilogue share the serial engine's code
-// (countPendingDecompressions, selectActive, runCompression); only the
-// per-object middle phase is fanned out.
-func (se *ShardedEngine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
-	e := se.Engine
-
+// stream derived from (seed, tag id), the output is byte-identical for any
+// Workers and ShardCount — parallelism changes only wall-clock time, never
+// results.
+func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 	rec := e.rec
 	var t time.Time
 	if rec != nil {
@@ -153,32 +48,32 @@ func (se *ShardedEngine) stepSharded(ep *stream.Epoch, observed []stream.TagID) 
 		stepIDs = e.fact.BeginEpoch(ep, nil)
 		active = observed
 	}
-	se.stepsBuf = stream.PartitionTagsInto(se.stepsBuf, stepIDs, se.shardCount)
+	e.stepsBuf = stream.PartitionTagsInto(e.stepsBuf, stepIDs, e.cfg.ShardCount)
 
 	// Sensing-region membership is tested per shard during the fan-out so
 	// the O(active x particles) scans are amortized across workers; results
 	// land in a position-indexed slice and are merged in active order at the
-	// barrier, keeping index contents identical to a serial run.
+	// barrier, keeping index contents independent of the shard layout.
 	assocNeeded := useIndex && !box.IsEmpty()
 	if assocNeeded {
-		se.hasBuf = scratch.Grow(se.hasBuf, len(active))
-		for i := range se.hasBuf {
-			se.hasBuf[i] = false
+		e.hasBuf = scratch.Grow(e.hasBuf, len(active))
+		for i := range e.hasBuf {
+			e.hasBuf[i] = false
 		}
-		se.posBuf = scratch.Grow(se.posBuf, se.shardCount)
-		for s := range se.posBuf {
-			se.posBuf[s] = se.posBuf[s][:0]
+		e.posBuf = scratch.Grow(e.posBuf, e.cfg.ShardCount)
+		for s := range e.posBuf {
+			e.posBuf[s] = e.posBuf[s][:0]
 		}
 		for i, id := range active {
-			s := id.Shard(se.shardCount)
-			se.posBuf[s] = append(se.posBuf[s], i)
+			s := id.Shard(e.cfg.ShardCount)
+			e.posBuf[s] = append(e.posBuf[s], i)
 		}
 	}
 
 	// Watch marking is shard-local: each worker touches only its own
 	// watchlist shard, merged at the barrier by runCompression.
 	if e.beliefMgr != nil {
-		se.watchBuf = stream.PartitionTagsInto(se.watchBuf, active, se.shardCount)
+		e.watchBuf = stream.PartitionTagsInto(e.watchBuf, active, e.cfg.ShardCount)
 	}
 	if rec != nil {
 		// Prologue ends where the parallel fan-out begins; everything from
@@ -192,9 +87,9 @@ func (se *ShardedEngine) stepSharded(ep *stream.Epoch, observed []stream.TagID) 
 	// filter state that no one writes during this phase. The epoch's fan-out
 	// inputs are published as fields (not closure captures) so dispatching an
 	// epoch performs no heap allocations.
-	se.curEp, se.curActive, se.curBox, se.curAssoc = ep, active, box, assocNeeded
-	se.forEachShard()
-	se.curEp, se.curActive = nil, nil
+	e.curEp, e.curActive, e.curBox, e.curAssoc = ep, active, box, assocNeeded
+	e.forEachShard()
+	e.curEp, e.curActive = nil, nil
 
 	// Barrier: reader resampling and all shared-state maintenance.
 	e.fact.EndEpoch()
@@ -205,13 +100,13 @@ func (se *ShardedEngine) stepSharded(ep *stream.Epoch, observed []stream.TagID) 
 	}
 
 	if assocNeeded {
-		assoc := se.assocBuf[:0]
+		assoc := e.assocBuf[:0]
 		for i, id := range active {
-			if se.hasBuf[i] {
+			if e.hasBuf[i] {
 				assoc = append(assoc, id)
 			}
 		}
-		se.assocBuf = assoc
+		e.assocBuf = assoc
 		if len(assoc) > 0 {
 			// The index takes ownership, so hand it a copy and keep the
 			// scratch buffer for the next epoch.
@@ -230,69 +125,68 @@ func (se *ShardedEngine) stepSharded(ep *stream.Epoch, observed []stream.TagID) 
 }
 
 // forEachShard runs shardTask(worker, shard) for every shard on up to
-// se.workers goroutines; the worker index selects the goroutine-private
+// e.cfg.Workers goroutines; the worker index selects the goroutine-private
 // arena. With a single worker it runs inline, adding no synchronization
 // overhead. The persistent buffered work channel holds the whole epoch
 // (shard indices plus one -1 sentinel per worker), so the dispatcher
 // enqueues everything up front without blocking and each worker drains
 // shards until it takes a sentinel and exits — per epoch this allocates
-// nothing beyond the goroutine starts themselves.
-func (se *ShardedEngine) forEachShard() {
-	n := se.shardCount
-	w := se.workers
+// nothing.
+func (e *Engine) forEachShard() {
+	n := e.cfg.ShardCount
+	w := e.cfg.Workers
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
 		for s := 0; s < n; s++ {
-			se.shardTask(0, s)
+			e.shardTask(0, s)
 		}
 		return
 	}
 	for s := 0; s < n; s++ {
-		se.work <- s
+		e.work <- s
 	}
 	for i := 0; i < w; i++ {
-		se.work <- -1
+		e.work <- -1
 	}
-	se.wg.Add(w)
+	e.wg.Add(w)
 	for i := 0; i < w; i++ {
-		go se.shardWorker(i)
+		go e.workerFns[i]()
 	}
-	se.wg.Wait()
+	e.wg.Wait()
 }
 
 // shardWorker drains shard indices from the work channel until it consumes a
 // termination sentinel. Exactly w sentinels are enqueued per epoch and each
 // worker exits on the first one it takes, so every goroutine terminates by
 // the time wg.Wait returns and none survives the epoch.
-func (se *ShardedEngine) shardWorker(worker int) {
-	defer se.wg.Done()
+func (e *Engine) shardWorker(worker int) {
+	defer e.wg.Done()
 	for {
-		s := <-se.work
+		s := <-e.work
 		if s < 0 {
 			return
 		}
-		se.shardTask(worker, s)
+		e.shardTask(worker, s)
 	}
 }
 
 // shardTask is the per-shard body of the epoch fan-out, reading the epoch's
 // inputs from the fields published by stepSharded.
-func (se *ShardedEngine) shardTask(worker, s int) {
-	e := se.Engine
-	if len(se.stepsBuf) > s {
-		e.fact.StepObjectsWith(se.arenas[worker], se.curEp, se.stepsBuf[s])
+func (e *Engine) shardTask(worker, s int) {
+	if len(e.stepsBuf) > s {
+		e.fact.StepObjectsWith(e.arenas[worker], e.curEp, e.stepsBuf[s])
 	}
-	if se.curAssoc {
-		for _, i := range se.posBuf[s] {
-			if b := e.fact.Belief(se.curActive[i]); b != nil && b.HasParticleIn(se.curBox) {
-				se.hasBuf[i] = true
+	if e.curAssoc {
+		for _, i := range e.posBuf[s] {
+			if b := e.fact.Belief(e.curActive[i]); b != nil && b.HasParticleIn(e.curBox) {
+				e.hasBuf[i] = true
 			}
 		}
 	}
-	if e.beliefMgr != nil && len(se.watchBuf) > s {
-		for _, id := range se.watchBuf[s] {
+	if e.beliefMgr != nil && len(e.watchBuf) > s {
+		for _, id := range e.watchBuf[s] {
 			e.watch.Mark(id)
 		}
 	}

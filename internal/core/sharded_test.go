@@ -2,10 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/stream"
 )
@@ -34,200 +35,139 @@ func encodeEvents(t *testing.T, events []stream.Event) []byte {
 	return buf
 }
 
-// TestShardedEngineMatchesSerialGolden is the golden-trace determinism test:
-// the sharded engine must produce byte-identical reports to the serial engine
-// on a fixed-seed trace for every worker and shard count, including at the
-// per-epoch granularity (ProcessEpoch emissions, not just the final stream).
-func TestShardedEngineMatchesSerialGolden(t *testing.T) {
-	epochs, cfg := goldenTrace(t, 25)
-
-	serial, err := New(cfg)
+// newEngine builds an engine from cfg with the given parallelism.
+func newEngine(t *testing.T, cfg Config, workers, shards int) *Engine {
+	t.Helper()
+	cfg.Workers, cfg.ShardCount = workers, shards
+	eng, err := New(cfg)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("New(workers=%d,shards=%d): %v", workers, shards, err)
 	}
-	want, err := serial.Run(epochs)
-	if err != nil {
-		t.Fatalf("serial Run: %v", err)
-	}
-	if len(want) == 0 {
-		t.Fatal("golden trace produced no events")
-	}
-	wantBytes := encodeEvents(t, want)
-	wantStats := serial.Stats()
-
-	for _, workers := range []int{1, 2, 3, 4} {
-		for _, shards := range []int{1, 5, 16} {
-			scfg := cfg
-			scfg.Workers = workers
-			scfg.ShardCount = shards
-			se, err := NewSharded(scfg)
-			if err != nil {
-				t.Fatalf("NewSharded(workers=%d,shards=%d): %v", workers, shards, err)
-			}
-			got, err := se.Run(epochs)
-			if err != nil {
-				t.Fatalf("sharded Run(workers=%d,shards=%d): %v", workers, shards, err)
-			}
-			if !bytes.Equal(encodeEvents(t, got), wantBytes) {
-				t.Errorf("workers=%d shards=%d: events differ from serial engine", workers, shards)
-			}
-			if se.Stats() != wantStats {
-				t.Errorf("workers=%d shards=%d: stats %+v != serial %+v", workers, shards, se.Stats(), wantStats)
-			}
-		}
-	}
+	return eng
 }
 
-// TestShardedEngineMatchesSerialPerEpoch checks equivalence of the streaming
-// entry point: every epoch's emissions must match, not only the aggregate.
-func TestShardedEngineMatchesSerialPerEpoch(t *testing.T) {
-	epochs, cfg := goldenTrace(t, 12)
-	serial, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	scfg := cfg
-	scfg.Workers = 4
-	scfg.ShardCount = 7
-	se, err := NewSharded(scfg)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	for _, ep := range epochs {
-		want, err := serial.ProcessEpoch(ep)
-		if err != nil {
-			t.Fatalf("serial ProcessEpoch: %v", err)
-		}
-		got, err := se.ProcessEpoch(ep)
-		if err != nil {
-			t.Fatalf("sharded ProcessEpoch: %v", err)
-		}
-		if !bytes.Equal(encodeEvents(t, got), encodeEvents(t, want)) {
-			t.Fatalf("epoch %d: emissions differ", ep.Time)
-		}
-	}
-	if !bytes.Equal(encodeEvents(t, se.Finish()), encodeEvents(t, serial.Finish())) {
-		t.Error("final flush differs")
-	}
+// serialGoldens are the reference outputs of the serial epoch body this
+// engine replaced: the sha256 of the canonical event bytes plus Stats of
+// core.New(cfg).Run over goldenTrace, captured at commit 6b21af3 (the last
+// one carrying the serial body) on GOARCH=amd64. Other architectures may
+// fuse multiply-adds and round differently, so the digests are asserted on
+// amd64 only; the workers x shards identity below holds everywhere.
+var serialGoldens = []struct {
+	name    string
+	objects int
+	mutate  func(*Config)
+	sha256  string
+	stats   Stats
+}{
+	{"full", 25, func(*Config) {},
+		"7480f9b17fa9bad2215987f02a68aae962730cedf00278f4e1c7b1d3e1534f15",
+		Stats{Epochs: 126, Readings: 352, ObjectsProcessed: 756, EventsEmitted: 39, Compressions: 20, TrackedObjects: 25}},
+	{"no-index", 10, func(c *Config) { c.SpatialIndex, c.Compression = false, false },
+		"f0cd28ec256fe7dc703072db4189d12a27c2ecd6578e32d255816a7ba697e9d1",
+		Stats{Epochs: 81, Readings: 173, ObjectsProcessed: 611, EventsEmitted: 15, TrackedObjects: 10}},
+	{"index-only", 10, func(c *Config) { c.SpatialIndex, c.Compression = true, false },
+		"f0cd28ec256fe7dc703072db4189d12a27c2ecd6578e32d255816a7ba697e9d1",
+		Stats{Epochs: 81, Readings: 173, ObjectsProcessed: 611, EventsEmitted: 15, TrackedObjects: 10}},
+	{"compression-only", 10, func(c *Config) { c.SpatialIndex, c.Compression = false, true },
+		"f83a5719efcec97cc06b0b4b0dc62efafe947e198f4b6340ae6e0b517d4096b5",
+		Stats{Epochs: 81, Readings: 173, ObjectsProcessed: 611, EventsEmitted: 15, Compressions: 10, TrackedObjects: 10}},
+	{"no-motion-model", 10, func(c *Config) { c.DisableMotionModel = true },
+		"5c00b612c3ed1b26aa725f40576e8a388725daff13cfe477e84995bdaeddb963",
+		Stats{Epochs: 81, Readings: 173, ObjectsProcessed: 327, EventsEmitted: 15, Compressions: 10, TrackedObjects: 10}},
 }
 
-// TestShardedEngineVariantsMatchSerial covers the non-default pipelines: no
-// spatial index (every tracked object stepped each epoch) and no compression.
-func TestShardedEngineVariantsMatchSerial(t *testing.T) {
-	cases := []struct {
-		name               string
-		index, compression bool
-	}{
-		{"no-index", false, false},
-		{"index-only", true, false},
-		{"compression-only", false, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			epochs, cfg := goldenTrace(t, 10)
-			cfg.SpatialIndex = tc.index
-			cfg.Compression = tc.compression
-			serial, err := New(cfg)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			want, err := serial.Run(epochs)
-			if err != nil {
-				t.Fatalf("serial Run: %v", err)
-			}
-			scfg := cfg
-			scfg.Workers = 3
-			scfg.ShardCount = 5
-			se, err := NewSharded(scfg)
-			if err != nil {
-				t.Fatalf("NewSharded: %v", err)
-			}
-			got, err := se.Run(epochs)
-			if err != nil {
-				t.Fatalf("sharded Run: %v", err)
-			}
-			if !bytes.Equal(encodeEvents(t, got), encodeEvents(t, want)) {
-				t.Error("events differ from serial engine")
-			}
-			if se.Stats() != serial.Stats() {
-				t.Errorf("stats %+v != serial %+v", se.Stats(), serial.Stats())
+// TestEngineMatchesSerialGolden is the golden-trace determinism test: on the
+// fixed-seed trace and each non-default pipeline variant (no spatial index,
+// no compression, no motion model) the engine must reproduce the recorded
+// serial reference byte for byte, with identical work counters, for every
+// worker and shard count.
+func TestEngineMatchesSerialGolden(t *testing.T) {
+	for _, g := range serialGoldens {
+		t.Run(g.name, func(t *testing.T) {
+			epochs, cfg := goldenTrace(t, g.objects)
+			g.mutate(&cfg)
+			var want []byte
+			var wantStats Stats
+			for _, workers := range []int{1, 2, 3, 4} {
+				for _, shards := range []int{1, 5, 16} {
+					eng := newEngine(t, cfg, workers, shards)
+					events, err := eng.Run(epochs)
+					if err != nil {
+						t.Fatalf("Run(workers=%d,shards=%d): %v", workers, shards, err)
+					}
+					got := encodeEvents(t, events)
+					if want == nil {
+						// The inline single-shard cell is pinned to the golden;
+						// every other cell must equal it.
+						want, wantStats = got, eng.Stats()
+						sum := fmt.Sprintf("%x", sha256.Sum256(got))
+						if runtime.GOARCH == "amd64" && (sum != g.sha256 || wantStats != g.stats) {
+							t.Fatalf("sha256 %s, stats %+v; serial golden %s, %+v", sum, wantStats, g.sha256, g.stats)
+						}
+						continue
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("workers=%d shards=%d: events differ from the workers=1 shards=1 run", workers, shards)
+					}
+					if eng.Stats() != wantStats {
+						t.Errorf("workers=%d shards=%d: stats %+v != %+v", workers, shards, eng.Stats(), wantStats)
+					}
+				}
 			}
 		})
 	}
 }
 
-// TestShardedEngineDefaults checks worker/shard resolution and the
-// factored-only restriction.
-func TestShardedEngineDefaults(t *testing.T) {
-	_, cfg := goldenTrace(t, 2)
-
-	cfg.Workers = 0
-	cfg.ShardCount = 0
-	se, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+// TestEngineStreamingMatchesAcrossParallelism checks the streaming entry
+// point: every epoch's emissions must match between an inline single-shard
+// run and a fanned-out one, not only the aggregate.
+func TestEngineStreamingMatchesAcrossParallelism(t *testing.T) {
+	epochs, cfg := goldenTrace(t, 12)
+	inline := newEngine(t, cfg, 1, 1)
+	fanned := newEngine(t, cfg, 4, 7)
+	for _, ep := range epochs {
+		want, err := inline.ProcessEpoch(ep)
+		if err != nil {
+			t.Fatalf("inline ProcessEpoch: %v", err)
+		}
+		got, err := fanned.ProcessEpoch(ep)
+		if err != nil {
+			t.Fatalf("fanned-out ProcessEpoch: %v", err)
+		}
+		if !bytes.Equal(encodeEvents(t, got), encodeEvents(t, want)) {
+			t.Fatalf("epoch %d: emissions differ", ep.Time)
+		}
 	}
-	if se.Workers() != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers() = %d, want GOMAXPROCS = %d", se.Workers(), runtime.GOMAXPROCS(0))
-	}
-	if se.ShardCount() < 8 || se.ShardCount() < 4*se.Workers() {
-		t.Errorf("ShardCount() = %d too small for %d workers", se.ShardCount(), se.Workers())
-	}
-	if se.Config().Workers != se.Workers() || se.Config().ShardCount != se.ShardCount() {
-		t.Error("resolved Workers/ShardCount not reflected in Config()")
-	}
-
-	cfg.Factored = false
-	cfg.SpatialIndex = false
-	cfg.Compression = false
-	if _, err := NewSharded(cfg); err == nil {
-		t.Error("NewSharded should reject non-factored configurations")
+	if !bytes.Equal(encodeEvents(t, fanned.Finish()), encodeEvents(t, inline.Finish())) {
+		t.Error("final flush differs")
 	}
 }
 
-// TestShardedEngineSpeedup measures the parallel speedup on the scalability
-// workload. It only runs on machines with enough cores for a meaningful
-// comparison; single-core CI runners skip it (the race-mode golden tests
-// above still exercise the concurrent path there).
-func TestShardedEngineSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// TestEngineParallelismDefaults checks worker/shard resolution, and that the
+// basic filter — which has no per-object phase — accepts and ignores Workers.
+func TestEngineParallelismDefaults(t *testing.T) {
+	epochs, cfg := goldenTrace(t, 2)
+
+	eng := newEngine(t, cfg, 0, 0)
+	got := eng.Config()
+	if got.Workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("Config().Workers = %d, want GOMAXPROCS = %d", got.Workers, runtime.GOMAXPROCS(0))
 	}
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 2 {
-		t.Skipf("needs >= 2 CPUs, have %d", procs)
+	if got.ShardCount < 8 || got.ShardCount < 4*got.Workers {
+		t.Errorf("Config().ShardCount = %d too small for %d workers", got.ShardCount, got.Workers)
 	}
 
-	trace, err := generateWarehouse(smallTraceConfig(300, 11))
+	cfg.Factored, cfg.SpatialIndex, cfg.Compression = false, false, false
+	cfg.NumBasicParticles = 300
+	want, err := newEngine(t, cfg, 1, 0).Run(epochs)
 	if err != nil {
-		t.Fatalf("GenerateWarehouse: %v", err)
+		t.Fatalf("basic Run(workers=1): %v", err)
 	}
-	cfg := DefaultConfig(defaultTestParams(), trace.World)
-	cfg.Compression = false // keep every belief particle-backed: maximum per-object work
-	cfg.NumObjectParticles = 200
-	cfg.NumReaderParticles = 30
-	cfg.Seed = 17
-
-	run := func(workers int) time.Duration {
-		scfg := cfg
-		scfg.Workers = workers
-		se, err := NewSharded(scfg)
-		if err != nil {
-			t.Fatalf("NewSharded: %v", err)
-		}
-		start := time.Now()
-		if _, err := se.Run(trace.Epochs); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return time.Since(start)
+	events, err := newEngine(t, cfg, 4, 0).Run(epochs)
+	if err != nil {
+		t.Fatalf("basic Run(workers=4): %v", err)
 	}
-
-	run(procs) // warm-up: page in the trace and JIT the branch predictors
-	serial := run(1)
-	parallel := run(procs)
-	speedup := float64(serial) / float64(parallel)
-	t.Logf("workers=1: %v, workers=%d: %v, speedup %.2fx", serial, procs, parallel, speedup)
-	if procs >= 4 && speedup < 1.5 {
-		t.Errorf("speedup %.2fx < 1.5x with %d workers", speedup, procs)
+	if !bytes.Equal(encodeEvents(t, events), encodeEvents(t, want)) {
+		t.Error("basic filter output depends on Workers")
 	}
 }

@@ -12,10 +12,9 @@ import (
 // The engine's checkpoint codec. SaveState serializes the engine's own
 // bookkeeping (work counters, report scheduling maps, the compression
 // watchlist and the sensing-region index) and delegates the filter state to
-// the factored or basic filter's codec. The sharded engine shares this code
-// via its embedded Engine: all sharding structures are either configuration
-// (worker count) or per-epoch scratch, so a checkpoint written by a sharded
-// engine restores into a serial one and vice versa.
+// the factored or basic filter's codec. All sharding structures are either
+// configuration (worker and shard counts) or per-epoch scratch, so a
+// checkpoint restores into an engine with any Workers/ShardCount.
 
 const engineSection = "core.Engine"
 

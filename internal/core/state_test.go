@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/geom"
 	"repro/internal/stream"
 )
 
@@ -26,32 +25,6 @@ func durableTestConfig(t *testing.T, nObjects int) (Config, []*stream.Epoch) {
 	cfg.ReportDelay = 10
 	cfg.Seed = 5
 	return cfg, trace.Epochs
-}
-
-// newEngineForTest builds a serial or sharded engine from cfg.
-func newEngineForTest(t *testing.T, cfg Config, workers, shards int) interface {
-	ProcessEpoch(*stream.Epoch) ([]stream.Event, error)
-	Finish() []stream.Event
-	Estimate(stream.TagID) (geom.Vec3, stream.EventStats, bool)
-	TrackedObjects() []stream.TagID
-	SaveState(*checkpoint.Encoder)
-	RestoreState(*checkpoint.Decoder) error
-	Stats() Stats
-} {
-	t.Helper()
-	if workers == 0 {
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return eng
-	}
-	cfg.Workers, cfg.ShardCount = workers, shards
-	eng, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	return eng
 }
 
 // eventsEqual compares event streams for bit-exact equality.
@@ -76,8 +49,8 @@ func eventsEqual(a, b []stream.Event) bool {
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	cfg, epochs := durableTestConfig(t, 12)
 
-	// Reference: one uninterrupted serial run.
-	ref := newEngineForTest(t, cfg, 0, 0)
+	// Reference: one uninterrupted inline single-shard run.
+	ref := newEngine(t, cfg, 1, 1)
 	var refEvents []stream.Event
 	for _, ep := range epochs {
 		evs, err := ref.ProcessEpoch(ep)
@@ -94,14 +67,14 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 		restoreWorkers, restoreShards int
 	}
 	variants := []variant{
-		{"serial-to-serial", 0, 0, 0, 0},
-		{"serial-to-sharded", 0, 0, 4, 8},
-		{"sharded-to-serial", 4, 8, 0, 0},
-		{"sharded-to-sharded-reshard", 1, 1, 4, 8},
+		{"inline-to-inline", 1, 1, 1, 1},
+		{"inline-to-fanned", 1, 1, 4, 8},
+		{"fanned-to-inline", 4, 8, 1, 1},
+		{"default-shards-to-fanned-reshard", 1, 0, 4, 16},
 	}
 	for _, v := range variants {
 		for _, split := range []int{1, len(epochs) / 3, 2 * len(epochs) / 3} {
-			a := newEngineForTest(t, cfg, v.saveWorkers, v.saveShards)
+			a := newEngine(t, cfg, v.saveWorkers, v.saveShards)
 			var got []stream.Event
 			for _, ep := range epochs[:split] {
 				evs, err := a.ProcessEpoch(ep)
@@ -114,7 +87,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			enc := checkpoint.NewEncoder()
 			a.SaveState(enc)
 
-			b := newEngineForTest(t, cfg, v.restoreWorkers, v.restoreShards)
+			b := newEngine(t, cfg, v.restoreWorkers, v.restoreShards)
 			dec := checkpoint.NewDecoder(enc.Bytes())
 			if err := b.RestoreState(dec); err != nil {
 				t.Fatalf("%s split %d: restore: %v", v.name, split, err)
@@ -149,7 +122,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 }
 
 // TestCheckpointRestoreBasicFilter covers the basic (unfactorized) filter's
-// codec through the serial engine.
+// codec through the engine.
 func TestCheckpointRestoreBasicFilter(t *testing.T) {
 	cfg, epochs := durableTestConfig(t, 4)
 	cfg.Factored = false
@@ -158,7 +131,7 @@ func TestCheckpointRestoreBasicFilter(t *testing.T) {
 	cfg.NumBasicParticles = 200
 	epochs = epochs[:40]
 
-	ref := newEngineForTest(t, cfg, 0, 0)
+	ref := newEngine(t, cfg, 1, 1)
 	var refEvents []stream.Event
 	for _, ep := range epochs {
 		evs, err := ref.ProcessEpoch(ep)
@@ -170,7 +143,7 @@ func TestCheckpointRestoreBasicFilter(t *testing.T) {
 	refEvents = append(refEvents, ref.Finish()...)
 
 	split := len(epochs) / 2
-	a := newEngineForTest(t, cfg, 0, 0)
+	a := newEngine(t, cfg, 1, 1)
 	var got []stream.Event
 	for _, ep := range epochs[:split] {
 		evs, err := a.ProcessEpoch(ep)
@@ -181,7 +154,7 @@ func TestCheckpointRestoreBasicFilter(t *testing.T) {
 	}
 	enc := checkpoint.NewEncoder()
 	a.SaveState(enc)
-	b := newEngineForTest(t, cfg, 0, 0)
+	b := newEngine(t, cfg, 1, 1)
 	if err := b.RestoreState(checkpoint.NewDecoder(enc.Bytes())); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -202,7 +175,7 @@ func TestCheckpointRestoreBasicFilter(t *testing.T) {
 // engine level: truncated and bit-flipped payloads error, never panic.
 func TestRestoreRejectsCorruptPayload(t *testing.T) {
 	cfg, epochs := durableTestConfig(t, 5)
-	a := newEngineForTest(t, cfg, 0, 0)
+	a := newEngine(t, cfg, 1, 1)
 	for _, ep := range epochs[:30] {
 		if _, err := a.ProcessEpoch(ep); err != nil {
 			t.Fatal(err)
@@ -213,7 +186,7 @@ func TestRestoreRejectsCorruptPayload(t *testing.T) {
 	payload := enc.Bytes()
 
 	for _, cut := range []int{0, 1, len(payload) / 4, len(payload) / 2, len(payload) - 1} {
-		b := newEngineForTest(t, cfg, 0, 0)
+		b := newEngine(t, cfg, 1, 1)
 		if err := b.RestoreState(checkpoint.NewDecoder(payload[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
@@ -222,7 +195,7 @@ func TestRestoreRejectsCorruptPayload(t *testing.T) {
 	// index-carrying payload.
 	cfgNoIndex := cfg
 	cfgNoIndex.SpatialIndex = false
-	b := newEngineForTest(t, cfgNoIndex, 0, 0)
+	b := newEngine(t, cfgNoIndex, 1, 1)
 	if err := b.RestoreState(checkpoint.NewDecoder(payload)); err == nil {
 		t.Fatal("index-shape mismatch accepted")
 	}

@@ -161,8 +161,11 @@ type runResult struct {
 }
 
 // runEngine builds an engine from the config and runs it over the trace,
-// scoring the resulting events against the trace's ground truth.
+// scoring the resulting events against the trace's ground truth. Experiments
+// run on one worker so their timings are single-thread numbers comparable to
+// the paper's.
 func runEngine(trace *sim.Trace, cfg core.Config) (runResult, error) {
+	cfg.Workers = 1
 	eng, err := core.New(cfg)
 	if err != nil {
 		return runResult{}, err

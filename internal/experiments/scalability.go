@@ -139,6 +139,9 @@ func runScalabilityVariant(opts Options, trace *sim.Trace, v engineVariant) (Sca
 	// The basic filter needs a very large joint particle count to approach
 	// comparable accuracy; this is exactly why it cannot scale.
 	cfg.NumBasicParticles = opts.scaleInt(100000, 2000)
+	// One worker: Fig. 5(j) and the ">1500 readings/s" claim are
+	// single-thread numbers.
+	cfg.Workers = 1
 
 	eng, err := core.New(cfg)
 	if err != nil {

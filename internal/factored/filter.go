@@ -266,7 +266,7 @@ func (f *Filter) currentReaderPos(ep *stream.Epoch) geom.Vec3 {
 // ones (the behaviour without a spatial index).
 //
 // Step is the serial composition of the three epoch phases BeginEpoch /
-// StepObjects / EndEpoch; the sharded engine calls the phases directly and
+// StepObjects / EndEpoch; the engine calls the phases directly and
 // fans StepObjects out across workers. Because every per-object stochastic
 // operation draws from the object's private random stream, the serial and
 // sharded compositions produce byte-identical results.

@@ -12,7 +12,7 @@ import (
 // resampling indices and the double-buffer columns the gather step writes
 // into. Buffers grow to the largest particle set they have seen and are then
 // reused forever, so steady-state resampling performs zero allocations. An
-// arena is not safe for concurrent use — the sharded engine creates one per
+// arena is not safe for concurrent use — the engine creates one per
 // worker, the serial filter owns a single one.
 type Arena struct {
 	idx    []int

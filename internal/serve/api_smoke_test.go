@@ -39,7 +39,7 @@ func TestAPISmokeChild(t *testing.T) {
 	cfg.NumObjectParticles = 100
 	cfg.Seed = 6
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		t.Fatalf("runner: %v", err)
 	}

@@ -214,7 +214,7 @@ func buildRunner(req api.CreateSessionRequest, traceEpochs int) (*rfid.Runner, e
 	// Continuous queries want a continuous clean stream, not delayed batch
 	// reports.
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	rc := rfid.RunnerConfig{Sharded: true, TraceEpochs: traceEpochs}
+	rc := rfid.RunnerConfig{TraceEpochs: traceEpochs}
 	if eng := req.Engine; eng != nil {
 		switch {
 		case eng.ObjectParticles < 0 || eng.ObjectParticles > maxObjectParticles:

@@ -49,7 +49,7 @@ func TestDensitySmokeChild(t *testing.T) {
 	cfg.NumObjectParticles = 20
 	cfg.Seed = 5
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		t.Fatalf("runner: %v", err)
 	}

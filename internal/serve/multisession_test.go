@@ -273,7 +273,7 @@ func TestRestoreIgnoresSessionLimit(t *testing.T) {
 	tsA.Close()
 	srvA.Close()
 
-	runner, err := rfid.NewRunner(recoveryConfig(trace, 1, 1), rfid.RunnerConfig{Sharded: true, HistoryEpochs: 256})
+	runner, err := rfid.NewRunner(recoveryConfig(trace, 1, 1), rfid.RunnerConfig{HistoryEpochs: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

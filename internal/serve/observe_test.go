@@ -32,7 +32,7 @@ func newTracedServer(t *testing.T, traceEpochs int) (*Server, *httptest.Server, 
 	cfg.NumReaderParticles = 40
 	cfg.Seed = 9
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true, TraceEpochs: traceEpochs})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{TraceEpochs: traceEpochs})
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}

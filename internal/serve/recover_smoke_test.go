@@ -41,7 +41,7 @@ func TestRecoverSmokeChild(t *testing.T) {
 	cfg.NumObjectParticles = 200
 	cfg.Seed = 4
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true, HistoryEpochs: 128})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{HistoryEpochs: 128})
 	if err != nil {
 		t.Fatalf("runner: %v", err)
 	}

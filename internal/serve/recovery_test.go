@@ -68,7 +68,7 @@ func recoveryConfig(trace *rfid.Trace, workers, shards int) rfid.Config {
 func startRecoveryServer(t *testing.T, trace *rfid.Trace, workers, shards int, dataDir string) (*Server, *httptest.Server) {
 	t.Helper()
 	runner, err := rfid.NewRunner(recoveryConfig(trace, workers, shards),
-		rfid.RunnerConfig{Sharded: true, HistoryEpochs: 256})
+		rfid.RunnerConfig{HistoryEpochs: 256})
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestRecoveryRejectsForeignCheckpoint(t *testing.T) {
 	// A runner with a different seed has a different fingerprint.
 	cfg := recoveryConfig(trace, 1, 1)
 	cfg.Seed++
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestRecoveryDetectsWALGap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runner, err := rfid.NewRunner(recoveryConfig(trace, 1, 1), rfid.RunnerConfig{Sharded: true, HistoryEpochs: 256})
+	runner, err := rfid.NewRunner(recoveryConfig(trace, 1, 1), rfid.RunnerConfig{HistoryEpochs: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestReplicaSmokeChild(t *testing.T) {
 		cfg.NumObjectParticles = 200
 		cfg.Seed = 4
 		cfg.ReportPolicy = rfid.ReportEveryEpoch
-		return rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true, HistoryEpochs: 128})
+		return rfid.NewRunner(cfg, rfid.RunnerConfig{HistoryEpochs: 128})
 	}
 	runner, err := factory()
 	if err != nil {

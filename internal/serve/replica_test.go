@@ -37,7 +37,7 @@ func buildReplRunner(t *testing.T, workers, shards int) (*rfid.Runner, func() (*
 	cfg.Workers = workers
 	cfg.ShardCount = shards
 	factory := func() (*rfid.Runner, error) {
-		return rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true, HoldEpochs: 1, HistoryEpochs: 64})
+		return rfid.NewRunner(cfg, rfid.RunnerConfig{HoldEpochs: 1, HistoryEpochs: 64})
 	}
 	runner, err := factory()
 	if err != nil {

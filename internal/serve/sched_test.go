@@ -47,7 +47,7 @@ func startDensityServer(t *testing.T, dataDir string, schedWorkers, maxResident 
 	cfg.NumReaderParticles = 10
 	cfg.Seed = 1
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}

@@ -33,7 +33,7 @@ func newTestServer(t *testing.T, queue int) (*Server, *httptest.Server, []rfid.R
 	cfg.NumReaderParticles = 40
 	cfg.Seed = 9
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}

@@ -43,7 +43,7 @@ func TestStreamSmokeChild(t *testing.T) {
 	// HoldEpochs 1 makes the final state a function of the record stream
 	// alone, independent of where batch boundaries land (see the note on
 	// newStreamTestServer).
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true, HoldEpochs: 1})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{HoldEpochs: 1})
 	if err != nil {
 		t.Fatalf("runner: %v", err)
 	}

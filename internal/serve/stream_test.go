@@ -42,7 +42,7 @@ func newStreamTestServer(t *testing.T) (*Server, *httptest.Server, []rfid.Readin
 	cfg.NumReaderParticles = 40
 	cfg.Seed = 9
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true, HoldEpochs: 1})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{HoldEpochs: 1})
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}

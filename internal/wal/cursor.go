@@ -15,9 +15,13 @@ package wal
 // NEWEST segment as "not yet": it stays put and returns io.EOF so the caller
 // retries later. The same signature in a finished (non-newest) segment is the
 // torn tail of a crashed previous life — the writer never appends past a tear,
-// so skipping to the next segment skips only garbage. A missing segment, or a
-// gap in the sequence, means garbage collection outran this cursor and the
-// follower must re-bootstrap from a checkpoint: ErrSegmentGone.
+// so skipping to the next segment skips only garbage. "Finished" has to be
+// established before the read it explains: the writer can complete the frame
+// and rotate between a stalled read and the directory scan, so once the scan
+// reports a newer segment the (now immutable) frame is read again and only a
+// second stall crosses. A missing segment, or a gap in the sequence, means
+// garbage collection outran this cursor and the follower must re-bootstrap
+// from a checkpoint: ErrSegmentGone.
 
 import (
 	"encoding/binary"
@@ -68,6 +72,10 @@ type Cursor struct {
 	magicOK bool
 	hdr     [8]byte
 	buf     []byte
+
+	// segments lists the directory's segments (Segments); a field so tests can
+	// interleave writer activity with the scan deterministically.
+	segments func(dir string) ([]uint64, error)
 }
 
 // OpenCursor positions a cursor at (seg, off) in dir. Offsets inside the
@@ -78,7 +86,7 @@ func OpenCursor(dir string, seg uint64, off int64) (*Cursor, error) {
 	if off < int64(len(segMagic)) {
 		off = int64(len(segMagic))
 	}
-	return &Cursor{dir: dir, seg: seg, off: off}, nil
+	return &Cursor{dir: dir, seg: seg, off: off, segments: Segments}, nil
 }
 
 // Pos returns the position of the next unread byte: the resume point to carry
@@ -123,7 +131,7 @@ func (c *Cursor) Next() (Record, []byte, error) {
 func (c *Cursor) nextFrame() ([]byte, error) {
 	for {
 		if c.seg == 0 {
-			segs, err := Segments(c.dir)
+			segs, err := c.segments(c.dir)
 			if err != nil {
 				return nil, err
 			}
@@ -154,6 +162,23 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 		}
 		start := c.off
 		payload, err := c.readFrameAt()
+		var next uint64
+		if err == errStall {
+			// No whole valid frame at c.off. In the newest segment that is a
+			// write in flight (or simply the end of the log): wait.
+			hasNewer, newer, serr := c.newerSegment()
+			if serr != nil {
+				return nil, serr
+			}
+			if !hasNewer {
+				return nil, io.EOF
+			}
+			next = newer
+			// A newer segment exists, so this one is immutable from here on —
+			// but the stalled read may predate the writer finishing this very
+			// frame and rotating. Read it again now that it cannot change.
+			payload, err = c.readFrameAt()
+		}
 		if err == nil {
 			c.recSeg, c.recOff = c.seg, start
 			return payload, nil
@@ -161,17 +186,8 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 		if err != errStall {
 			return nil, err
 		}
-		// No whole valid frame at c.off. In the newest segment that is a
-		// write in flight (or simply the end of the log): wait. In a finished
-		// segment it is the previous life's torn tail and the next segment
-		// continues the log — unless GC opened a gap.
-		hasNewer, next, serr := c.newerSegment()
-		if serr != nil {
-			return nil, serr
-		}
-		if !hasNewer {
-			return nil, io.EOF
-		}
+		// Still no whole frame in a finished segment: the previous life's torn
+		// tail. The next segment continues the log — unless GC opened a gap.
 		if next != c.seg+1 {
 			return nil, ErrSegmentGone
 		}
@@ -184,7 +200,7 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 // newerSegment scans the directory for the smallest segment above the
 // cursor's.
 func (c *Cursor) newerSegment() (ok bool, next uint64, err error) {
-	segs, err := Segments(c.dir)
+	segs, err := c.segments(c.dir)
 	if err != nil {
 		return false, 0, err
 	}

@@ -332,6 +332,79 @@ func TestCursorConcurrentAppendTail(t *testing.T) {
 	}
 }
 
+// TestCursorRotationBetweenStallAndScan replays, deterministically, the
+// interleaving behind the concurrent-tail flake: the cursor stalls at the end
+// of segment N, and before its directory scan runs the writer finishes a
+// frame in N, rotates, and appends to N+1. The scan then reports a newer
+// segment; the cursor must still deliver N's last frame before crossing. The
+// shipped stream is mirrored too: a skipped segment tail is position-valid
+// for a Mirror (the next append lands on the next segment's first frame
+// boundary), so the only loud signal is the byte comparison made here.
+func TestCursorRotationBetweenStallAndScan(t *testing.T) {
+	src, dst := t.TempDir(), t.TempDir()
+	l, err := Open(src, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMirror(dst, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCursor(src, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	appendAll(t, l, []Record{sealRecord(0), sealRecord(1)})
+	interleaved := false
+	c.segments = func(dir string) ([]uint64, error) {
+		// Runs between the stalled read and the scan, once the cursor has
+		// caught up with the two records above.
+		if c.off > int64(len(segMagic)) && !interleaved {
+			interleaved = true
+			appendAll(t, l, []Record{sealRecord(2)})
+			if _, err := l.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, []Record{sealRecord(3)})
+		}
+		return Segments(dir)
+	}
+
+	var got []Record
+	for {
+		rec, payload, err := c.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("cursor next: %v", err)
+		}
+		got = append(got, rec)
+		seg, off := c.RecordPos()
+		if err := m.Append(seg, off, payload); err != nil {
+			t.Fatalf("mirror append: %v", err)
+		}
+	}
+	if !interleaved {
+		t.Fatal("the rotation was never interleaved with a stalled read")
+	}
+	want := []Record{sealRecord(0), sealRecord(1), sealRecord(2), sealRecord(3)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cursor delivered %+v, want %+v", got, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(readSegments(t, dst), readSegments(t, src)) {
+		t.Fatal("mirrored segments differ from the source log")
+	}
+}
+
 // readSegments returns the concatenated bytes of every segment in dir, keyed
 // by sequence number.
 func readSegments(t *testing.T, dir string) map[uint64][]byte {

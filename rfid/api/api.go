@@ -155,8 +155,9 @@ type EngineConfig struct {
 	ObjectParticles int `json:"object_particles,omitempty"`
 	// ReaderParticles is the number of reader-pose particles.
 	ReaderParticles int `json:"reader_particles,omitempty"`
-	// Workers is the sharded engine's worker-goroutine count (0 = one per
-	// CPU). The output is byte-identical for any worker count.
+	// Workers is the number of goroutines the engine fans each epoch's
+	// per-object work out to (0 = one per CPU, 1 = inline). The output is
+	// byte-identical for any worker count.
 	Workers int `json:"workers,omitempty"`
 	// ShardCount is the number of object shards the engine partitions its
 	// particles into (0 = engine default). Like Workers, it changes only how

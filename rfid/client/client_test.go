@@ -27,7 +27,7 @@ func newTestServer(t *testing.T) *client.Client {
 	cfg.NumReaderParticles = 20
 	cfg.Seed = 11
 	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true, HistoryEpochs: 64})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{HistoryEpochs: 64})
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}

@@ -27,7 +27,7 @@ func newStreamTestServer(t *testing.T) (*client.Client, string) {
 	cfg.NumObjectParticles = 60
 	cfg.NumReaderParticles = 20
 	cfg.Seed = 13
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{Sharded: true})
+	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}

@@ -125,24 +125,6 @@ func Synchronize(readings []Reading, locations []LocationReport) []*Epoch {
 	return stream.Synchronize(readings, locations)
 }
 
-// engine is the method set shared by the serial core.Engine and the
-// sharded core.ShardedEngine; Pipeline delegates to whichever the Config
-// selected.
-type engine interface {
-	ProcessEpoch(*stream.Epoch) ([]stream.Event, error)
-	Finish() []stream.Event
-	Run([]*stream.Epoch) ([]stream.Event, error)
-	Estimate(stream.TagID) (geom.Vec3, stream.EventStats, bool)
-	ReaderEstimate() geom.Pose
-	TrackedObjects() []stream.TagID
-	Stats() core.Stats
-	ParticleCount() int
-	Config() core.Config
-	SaveState(*checkpoint.Encoder)
-	RestoreState(*checkpoint.Decoder) error
-	SetTraceRecorder(*trace.Recorder)
-}
-
 // Epoch-stage tracing: a TraceRecorder threaded into a Pipeline (usually via
 // RunnerConfig.TraceEpochs) timestamps the stages of every processed epoch
 // into a bounded ring with zero allocations on the record path. Tracing is
@@ -185,32 +167,18 @@ func TraceStageNames() []string { return trace.StageNames() }
 // epochs allocation-free), so ProcessEpoch/Run and the read-side methods
 // (Estimate, ReaderEstimate, Particles) must be serialized by the caller.
 // The Runner and the serving layer already do this — the Runner under its
-// mutex, the server on its single engine goroutine. Parallelism belongs
-// inside an epoch (Config.Workers), where each worker has its own arena.
+// mutex, the server by pinning a session to at most one scheduler worker at
+// a time. Parallelism belongs inside an epoch (Config.Workers), where each
+// worker has its own arena.
 type Pipeline struct {
-	eng engine
+	eng *core.Engine
 }
 
-// NewPipeline builds a Pipeline from a Config. Setting Config.Workers to a
-// value greater than one (or to zero with NewShardedPipeline) selects the
-// sharded parallel engine, which partitions objects across worker goroutines
-// per epoch; its output is byte-identical to the serial engine's.
+// NewPipeline builds a Pipeline from a Config. Config.Workers sets how many
+// goroutines the per-object phase of each epoch fans out to (zero: one per
+// CPU, one: inline); output is byte-identical for any value.
 func NewPipeline(cfg Config) (*Pipeline, error) {
-	if cfg.Workers > 1 {
-		return NewShardedPipeline(cfg)
-	}
 	eng, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{eng: eng}, nil
-}
-
-// NewShardedPipeline builds a Pipeline backed by the sharded parallel engine
-// regardless of Config.Workers (zero means one worker per CPU). It requires a
-// factored configuration.
-func NewShardedPipeline(cfg Config) (*Pipeline, error) {
-	eng, err := core.NewSharded(cfg)
 	if err != nil {
 		return nil, err
 	}

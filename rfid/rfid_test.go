@@ -2,6 +2,7 @@ package rfid_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/rfid"
@@ -184,56 +185,39 @@ func TestPublicWorldConstruction(t *testing.T) {
 	}
 }
 
-// TestPublicShardedPipeline verifies the parallel engine through the public
-// API: Config.Workers > 1 routes to the sharded engine and its output is
-// identical to the serial pipeline's.
-func TestPublicShardedPipeline(t *testing.T) {
+// TestPublicPipelineWorkers verifies per-epoch parallelism through the public
+// API: output does not depend on Config.Workers, for the factored system and
+// for the basic filter (which has no per-object phase and ignores it).
+func TestPublicPipelineWorkers(t *testing.T) {
 	trace := simulateSmall(t, 8, 9)
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), trace.World)
-	cfg.NumObjectParticles = 150
-	cfg.Seed = 9
+	factored := rfid.DefaultConfig(rfid.DefaultParams(), trace.World)
+	factored.NumObjectParticles = 150
+	factored.Seed = 9
+	basic := factored
+	basic.Factored, basic.SpatialIndex, basic.Compression = false, false, false
+	basic.NumBasicParticles = 500
 
-	serial, err := rfid.NewPipeline(cfg)
-	if err != nil {
-		t.Fatalf("NewPipeline: %v", err)
-	}
-	want, err := serial.Run(trace.Epochs)
-	if err != nil {
-		t.Fatalf("serial Run: %v", err)
-	}
-
-	cfg.Workers = 4
-	par, err := rfid.NewPipeline(cfg)
-	if err != nil {
-		t.Fatalf("NewPipeline(Workers=4): %v", err)
-	}
-	got, err := par.Run(trace.Epochs)
-	if err != nil {
-		t.Fatalf("parallel Run: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("event counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("event %d differs: %v vs %v", i, got[i], want[i])
+	for name, cfg := range map[string]rfid.Config{"factored": factored, "basic": basic} {
+		run := func(workers int) []rfid.Event {
+			cfg.Workers = workers
+			p, err := rfid.NewPipeline(cfg)
+			if err != nil {
+				t.Fatalf("%s: NewPipeline(Workers=%d): %v", name, workers, err)
+			}
+			events, err := p.Run(trace.Epochs)
+			if err != nil {
+				t.Fatalf("%s: Run(Workers=%d): %v", name, workers, err)
+			}
+			return events
 		}
-	}
-
-	// NewShardedPipeline with default workers also works.
-	sp, err := rfid.NewShardedPipeline(cfg)
-	if err != nil {
-		t.Fatalf("NewShardedPipeline: %v", err)
-	}
-	if _, err := sp.Run(trace.Epochs); err != nil {
-		t.Fatalf("sharded Run: %v", err)
-	}
-	// The sharded pipeline rejects non-factored configurations.
-	bad := cfg
-	bad.Factored = false
-	bad.SpatialIndex = false
-	bad.Compression = false
-	if _, err := rfid.NewShardedPipeline(bad); err == nil {
-		t.Error("NewShardedPipeline should reject non-factored configs")
+		want := run(1)
+		if len(want) == 0 {
+			t.Fatalf("%s: no events", name)
+		}
+		for _, workers := range []int{0, 4} {
+			if got := run(workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Workers=%d output differs from Workers=1", name, workers)
+			}
+		}
 	}
 }

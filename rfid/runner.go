@@ -18,10 +18,6 @@ type RunnerConfig struct {
 	// epochs; use one or more when a single epoch's readings may be split
 	// across batches.
 	HoldEpochs int
-	// Sharded selects the sharded parallel engine even when Config.Workers
-	// is zero or one (zero then means one worker per CPU), exactly like
-	// NewShardedPipeline; serving deployments want this.
-	Sharded bool
 	// HistoryEpochs, when positive, keeps a bounded ring of per-epoch MAP
 	// location snapshots: after each sealed epoch the runner records every
 	// tracked object's posterior-mean location, retaining the newest
@@ -106,18 +102,9 @@ type epochSnapshot struct {
 	events []Event
 }
 
-// NewRunner builds a Runner around a new Pipeline for cfg (Config.Workers
-// selects the sharded engine exactly as in NewPipeline).
+// NewRunner builds a Runner around a new Pipeline for cfg.
 func NewRunner(cfg Config, rc RunnerConfig) (*Runner, error) {
-	var (
-		pipe *Pipeline
-		err  error
-	)
-	if rc.Sharded {
-		pipe, err = NewShardedPipeline(cfg)
-	} else {
-		pipe, err = NewPipeline(cfg)
-	}
+	pipe, err := NewPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}

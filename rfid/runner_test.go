@@ -93,16 +93,16 @@ func TestRunnerMatchesBatchPipeline(t *testing.T) {
 	}
 }
 
-// TestRunnerShardedMatchesSerial pins that the continuous driver preserves
-// the sharded engine's serial-equivalence guarantee.
-func TestRunnerShardedMatchesSerial(t *testing.T) {
+// TestRunnerOutputIndependentOfWorkers pins that the continuous driver
+// preserves the engine's guarantee that output does not depend on Workers.
+func TestRunnerOutputIndependentOfWorkers(t *testing.T) {
 	trace := simulateSmall(t, 8, 12)
 	readings, locations := rfid.RawStreams(trace)
 
-	run := func(rc rfid.RunnerConfig, workers int) []rfid.Event {
+	run := func(workers int) []rfid.Event {
 		cfg := runnerConfig(trace)
 		cfg.Workers = workers
-		runner, err := rfid.NewRunner(cfg, rc)
+		runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
 		if err != nil {
 			t.Fatalf("NewRunner: %v", err)
 		}
@@ -114,10 +114,8 @@ func TestRunnerShardedMatchesSerial(t *testing.T) {
 		return events
 	}
 
-	serial := run(rfid.RunnerConfig{}, 1)
-	sharded := run(rfid.RunnerConfig{Sharded: true}, 2)
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatal("sharded continuous run diverged from serial continuous run")
+	if !reflect.DeepEqual(run(1), run(2)) {
+		t.Fatal("Workers=2 continuous run diverged from the Workers=1 run")
 	}
 }
 
