@@ -14,7 +14,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/wal"
-	"repro/rfid"
 	"repro/rfid/api"
 	"repro/rfid/client"
 )
@@ -103,16 +102,7 @@ func runServeBench(sessionCounts []int, epochs int, workloads []serveWorkload, s
 // runServeBenchOne starts one in-process server, creates n sessions and
 // drives them concurrently over real loopback HTTP.
 func runServeBenchOne(mode string, n, epochs int, wl serveWorkload, seed int64) (serveBenchResult, error) {
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	cfg.Seed = seed
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
-	if err != nil {
-		return serveBenchResult{}, err
-	}
-	srv, err := serve.New(serve.Config{Runner: runner, MaxSessions: n + 1, TraceEpochs: 64})
+	srv, err := serve.New(serve.Config{MaxSessions: n, TraceEpochs: 64})
 	if err != nil {
 		return serveBenchResult{}, err
 	}
@@ -341,26 +331,16 @@ func runDensityBench(sessionCounts []int, epochs, maxResident int, seed int64) (
 // resident sessions, creates n durable sessions and drives them all
 // concurrently, epoch by epoch.
 func runDensityBenchOne(n, epochs, maxResident int, seed int64) (serveBenchResult, error) {
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	cfg.Seed = seed
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
-	if err != nil {
-		return serveBenchResult{}, err
-	}
 	dataDir, err := os.MkdirTemp("", "rfidbench-density-")
 	if err != nil {
 		return serveBenchResult{}, err
 	}
 	defer os.RemoveAll(dataDir)
 	srv, err := serve.New(serve.Config{
-		Runner:          runner,
 		DataDir:         dataDir,
 		CheckpointEvery: 16,
 		Fsync:           wal.SyncNever, // measuring density scaling, not fsync
-		MaxSessions:     n + 1,
+		MaxSessions:     n,
 		MaxResident:     maxResident,
 		TraceEpochs:     64,
 	})
@@ -463,7 +443,7 @@ func runDensityBenchOne(n, epochs, maxResident int, seed int64) (serveBenchResul
 // stageSeconds reads the server's cumulative per-stage epoch breakdown from
 // the JSON metrics endpoint, summed across sessions and keyed by stage name.
 func stageSeconds(base string) (map[string]float64, error) {
-	resp, err := http.Get(base + "/metrics?format=json")
+	resp, err := http.Get(base + "/v1/metrics?format=json")
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +473,7 @@ func stageSeconds(base string) (map[string]float64, error) {
 
 // metricValue reads one metric from the server's JSON metrics endpoint.
 func metricValue(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics?format=json")
+	resp, err := http.Get(base + "/v1/metrics?format=json")
 	if err != nil {
 		return 0, err
 	}

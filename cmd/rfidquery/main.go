@@ -48,7 +48,7 @@ func main() {
 		limit      = flag.Int("limit", 50, "maximum number of rows to print (0 = all)")
 
 		server  = flag.String("server", "", "rfidserve base URL; when set, run the query against a live session instead of a local CSV")
-		session = flag.String("session", "default", "session id to register the query on (with -server)")
+		session = flag.String("session", "default", "session id to register the query on (with -server); the default names the session rfidserve -trace creates")
 		wait    = flag.Duration("wait", 5*time.Second, "long-poll wait per results request (with -server)")
 		follow  = flag.Bool("follow", false, "keep long-polling for new results until interrupted (with -server)")
 	)

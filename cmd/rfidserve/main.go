@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	rfidserve -addr :8080                            # empty world, default params
-//	rfidserve -addr :8080 -trace trace/ -calibrate   # world + params from a trace dir
+//	rfidserve -addr :8080                            # no sessions; clients POST /v1/sessions
+//	rfidserve -addr :8080 -trace trace/ -calibrate   # one session "default": world + params from a trace dir
 //	rfidserve -addr :8080 -data-dir /var/lib/rfid    # durable: WAL + checkpoints + recovery
 //
 // With -data-dir set, every ingested batch is written to a CRC-checked
@@ -19,9 +19,13 @@
 //
 // The service is multi-session: the v1 API exposes sessions as resources,
 // each an isolated inference world with its own engine, queries, metrics
-// labels and (with -data-dir) durability subdirectory. The flags configure
-// the reserved "default" session, which the legacy unversioned routes
-// (POST /ingest, GET /snapshot, ...) alias onto.
+// labels and (with -data-dir) durability subdirectory. A server starts with
+// the sessions persisted under -data-dir and nothing else; -trace DIR
+// additionally creates one ordinary session named "default" through the same
+// create call POST /v1/sessions makes, its world (and, with -calibrate, model
+// parameters) taken from the trace directory and its engine block from
+// -particles, -reader-particles, -workers, -seed, -hold and -history. On a
+// durable restart the session already exists and its persisted manifest wins.
 //
 // High-volume producers use the streaming data plane instead of per-batch
 // HTTP: POST /v1/sessions/{sid}/stream upgrades the connection to a
@@ -47,7 +51,7 @@
 // Observability: every sealed epoch's per-stage timings (decode, prologue,
 // step, estimate, query-eval, WAL append, seal) are retained in a bounded
 // per-session ring served by GET /v1/sessions/{sid}/trace (-trace-epochs
-// sizes it; 0 disables tracing). /metrics exposes latency histograms for
+// sizes it; 0 disables tracing). /v1/metrics exposes latency histograms for
 // ingest acks, long-poll delivery, WAL fsyncs, checkpoint writes, hydrations
 // and epoch wall time, plus the cumulative per-stage breakdown. Logs are
 // structured (-log-format text|json, -log-level), and -debug-addr serves
@@ -65,8 +69,8 @@
 //	curl 'localhost:8080/v1/sessions/s1/queries/q1/results?after=-1&wait=30s'  # long-poll
 //	curl 'localhost:8080/v1/sessions/s1/trace?epochs=16'    # per-stage epoch timings
 //	curl localhost:8080/v1/sessions/s1/stats                # live debug stats
-//	curl localhost:8080/metrics
-//	curl localhost:8080/healthz                      # state: recovering|serving|...
+//	curl localhost:8080/v1/metrics
+//	curl localhost:8080/v1/healthz                   # state: recovering|serving|...
 //
 // See API.md for the full endpoint reference and rfid/client for the typed
 // Go SDK.
@@ -89,7 +93,95 @@ import (
 	"repro/internal/traceio"
 	"repro/internal/wal"
 	"repro/rfid"
+	"repro/rfid/api"
 )
+
+// traceSessionID names the session -trace creates; cmd/rfidquery's -session
+// flag defaults to it.
+const traceSessionID = "default"
+
+// sessionFlags are the flags that shape the session -trace creates.
+type sessionFlags struct {
+	replicaOf       string
+	calibrate       bool
+	shelfDepth      float64
+	particles       int
+	readerParticles int
+	workers         int
+	seed            int64
+	hold            int
+	history         int
+}
+
+// sessionRequest builds the create request for the -trace session: the world
+// (and, when calibrating, the model parameters) from the trace directory, the
+// engine block from the flags.
+func sessionRequest(traceDir string, f sessionFlags) (api.CreateSessionRequest, error) {
+	if f.replicaOf != "" {
+		return api.CreateSessionRequest{}, errors.New("-trace cannot be combined with -replica-of: a replica's sessions come from its primary")
+	}
+	dir, err := traceio.Read(traceDir, f.shelfDepth)
+	if err != nil {
+		return api.CreateSessionRequest{}, fmt.Errorf("loading trace %s: %w", traceDir, err)
+	}
+	req := api.CreateSessionRequest{
+		ID:    traceSessionID,
+		World: worldToAPI(dir.World),
+		Engine: &api.EngineConfig{
+			ObjectParticles: f.particles,
+			ReaderParticles: f.readerParticles,
+			Workers:         f.workers,
+			Seed:            f.seed,
+			HoldEpochs:      f.hold,
+			HistoryEpochs:   f.history,
+		},
+	}
+	if f.calibrate && len(dir.World.ShelfTags) > 0 {
+		calCfg := rfid.DefaultCalibrationConfig()
+		calCfg.Seed = f.seed
+		res, err := rfid.Calibrate(rfid.Synchronize(dir.Readings, dir.Locations), dir.World, rfid.DefaultParams(), calCfg)
+		if err != nil {
+			slog.Warn("calibration failed; continuing with default parameters", "err", err)
+		} else {
+			slog.Info("calibrated sensor model", "sensor", fmt.Sprintf("%v", res.Params.Sensor))
+			req.Params = paramsToAPI(res.Params)
+		}
+	}
+	return req, nil
+}
+
+func vec3ToAPI(v rfid.Vec3) api.Vec3 { return api.Vec3{X: v.X, Y: v.Y, Z: v.Z} }
+
+// worldToAPI converts a trace's world into the create request's wire form.
+func worldToAPI(w *rfid.World) *api.World {
+	out := &api.World{}
+	for _, sh := range w.Shelves {
+		out.Shelves = append(out.Shelves, api.Shelf{ID: sh.ID, Min: vec3ToAPI(sh.Region.Min), Max: vec3ToAPI(sh.Region.Max)})
+	}
+	for _, id := range w.ShelfTagIDs() {
+		out.ShelfTags = append(out.ShelfTags, api.ShelfTag{Tag: string(id), Loc: vec3ToAPI(w.ShelfTags[id])})
+	}
+	return out
+}
+
+// paramsToAPI converts calibrated model parameters into the wire form.
+func paramsToAPI(p rfid.Params) *api.Params {
+	return &api.Params{
+		Sensor: &api.SensorParams{
+			A0: p.Sensor.A0, A1: p.Sensor.A1, A2: p.Sensor.A2,
+			B1: p.Sensor.B1, B2: p.Sensor.B2,
+			MaxRange: p.Sensor.MaxRange,
+		},
+		Motion: &api.MotionParams{
+			Velocity:    vec3ToAPI(p.Motion.Velocity),
+			Noise:       vec3ToAPI(p.Motion.Noise),
+			PhiNoise:    p.Motion.PhiNoise,
+			PhiVelocity: p.Motion.PhiVelocity,
+		},
+		Sensing: &api.SensingParams{Bias: vec3ToAPI(p.Sensing.Bias), Noise: vec3ToAPI(p.Sensing.Noise)},
+		Object:  &api.ObjectParams{MoveProb: p.Object.MoveProb},
+	}
+}
 
 // buildLogger constructs the process logger from the -log-level and
 // -log-format flags and installs it as the slog default.
@@ -122,21 +214,18 @@ func fatal(logger *slog.Logger, msg string, args ...any) {
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
-		traceDir    = flag.String("trace", "", "optional trace directory supplying the world (shelves, shelf tags)")
-		calibrate   = flag.Bool("calibrate", false, "calibrate model parameters from the trace before serving (requires -trace)")
-		shelfDepth  = flag.Float64("shelf-depth", 1.0, "synthesized shelf depth when shelves.csv is absent")
-		particles   = flag.Int("particles", 1000, "particles per object")
-		readerParts = flag.Int("reader-particles", 100, "reader particles")
-		workers     = flag.Int("workers", 0, "engine worker goroutines per epoch (0 = GOMAXPROCS, 1 = inline)")
-		seed        = flag.Int64("seed", 1, "random seed")
-		queue       = flag.Int("queue", 64, "ingest queue bound, in batches (backpressure threshold)")
-		hold        = flag.Int("hold", 0, "epochs of lateness slack before an epoch is sealed")
-		ingestWait  = flag.Duration("ingest-wait", 2*time.Second, "how long POST /ingest blocks when the queue is full before failing with 503")
-		floorX      = flag.Float64("floor-x", 40, "default open-floor extent in x (ft), used when no -trace world is given")
-		floorY      = flag.Float64("floor-y", 40, "default open-floor extent in y (ft)")
-		floorZ      = flag.Float64("floor-z", 8, "default open-floor extent in z (ft)")
+		traceDir    = flag.String("trace", "", "trace directory; creates the session \"default\" with its world (shelves, shelf tags)")
+		calibrate   = flag.Bool("calibrate", false, "calibrate the -trace session's model parameters from the trace before serving")
+		shelfDepth  = flag.Float64("shelf-depth", 1.0, "synthesized shelf depth when the -trace directory has no shelves.csv")
+		particles   = flag.Int("particles", 1000, "particles per object in the -trace session")
+		readerParts = flag.Int("reader-particles", 100, "reader particles in the -trace session")
+		workers     = flag.Int("workers", 0, "the -trace session's engine worker goroutines per epoch (0 = GOMAXPROCS, 1 = inline)")
+		seed        = flag.Int64("seed", 1, "random seed of the -trace session")
+		queue       = flag.Int("queue", 64, "per-session ingest queue bound, in batches (backpressure threshold)")
+		hold        = flag.Int("hold", 0, "epochs of lateness slack before the -trace session seals an epoch")
+		ingestWait  = flag.Duration("ingest-wait", 2*time.Second, "how long POST .../ingest blocks when the queue is full before failing with 503")
 
-		maxSessions  = flag.Int("max-sessions", 32, "maximum concurrently live sessions (the default session included)")
+		maxSessions  = flag.Int("max-sessions", 32, "maximum concurrently live sessions")
 		maxWait      = flag.Duration("max-poll-wait", 60*time.Second, "cap on the results endpoint's ?wait= long-poll duration")
 		maxResident  = flag.Int("max-resident", 0, "maximum durable sessions kept resident in memory; idle sessions past the LRU threshold are evicted to their checkpoint and restored on first touch (0 = unlimited, requires -data-dir)")
 		schedWorkers = flag.Int("sched-workers", 0, "worker pool size shared by every session's op queue (0 = GOMAXPROCS)")
@@ -149,7 +238,7 @@ func main() {
 		keepCkpts  = flag.Int("keep-checkpoints", 3, "checkpoint files to retain (with -data-dir)")
 		fsyncMode  = flag.String("fsync", "always", "WAL fsync policy: always (durable acks), interval, or never")
 		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync period for -fsync=interval")
-		history    = flag.Int("history", 0, "epochs of MAP-snapshot history to retain for time-travel reads (0 disables)")
+		history    = flag.Int("history", 0, "epochs of MAP-snapshot history the -trace session retains for time-travel reads (0 disables)")
 
 		traceEpochs = flag.Int("trace-epochs", 64, "sealed epochs of per-stage timing retained per session for GET .../trace (0 disables tracing)")
 		slowEpoch   = flag.Duration("slow-epoch", 0, "log a warning when a sealed epoch's wall time exceeds this (0 disables; needs -trace-epochs > 0)")
@@ -176,58 +265,20 @@ func main() {
 		fatal(logger, "-max-resident requires -data-dir (evicted sessions restore from their on-disk checkpoint)")
 	}
 
-	world := rfid.NewWorld()
-	// The engine requires at least one shelf region; without a trace
-	// directory, serve a generic open floor so ad-hoc ingest works out of
-	// the box.
-	world.AddShelf(rfid.Shelf{
-		ID:     "floor",
-		Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: *floorX, Y: *floorY, Z: *floorZ}),
-	})
-	params := rfid.DefaultParams()
+	var traceReq *api.CreateSessionRequest
 	if *traceDir != "" {
-		dir, err := traceio.Read(*traceDir, *shelfDepth)
-		if err != nil {
-			fatal(logger, "loading trace failed", "dir", *traceDir, "err", err)
-		}
-		world = dir.World
-		if *calibrate && len(world.ShelfTags) > 0 {
-			epochs := rfid.Synchronize(dir.Readings, dir.Locations)
-			calCfg := rfid.DefaultCalibrationConfig()
-			calCfg.Seed = *seed
-			res, err := rfid.Calibrate(epochs, world, params, calCfg)
-			if err != nil {
-				logger.Warn("calibration failed; continuing with default parameters", "err", err)
-			} else {
-				params = res.Params
-				logger.Info("calibrated sensor model", "sensor", fmt.Sprintf("%v", params.Sensor))
-			}
-		}
-	}
-
-	cfg := rfid.DefaultConfig(params, world)
-	cfg.NumObjectParticles = *particles
-	cfg.NumReaderParticles = *readerParts
-	cfg.Workers = *workers
-	cfg.Seed = *seed
-	// Continuous queries want a continuous clean stream, not delayed batch
-	// reports.
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-
-	runnerFactory := func() (*rfid.Runner, error) {
-		return rfid.NewRunner(cfg, rfid.RunnerConfig{
-			HoldEpochs:    *hold,
-			HistoryEpochs: *history,
-			TraceEpochs:   *traceEpochs,
+		req, err := sessionRequest(*traceDir, sessionFlags{
+			replicaOf: *replicaOf, calibrate: *calibrate, shelfDepth: *shelfDepth,
+			particles: *particles, readerParticles: *readerParts, workers: *workers,
+			seed: *seed, hold: *hold, history: *history,
 		})
+		if err != nil {
+			fatal(logger, "building the -trace session failed", "err", err)
+		}
+		traceReq = &req
 	}
-	runner, err := runnerFactory()
-	if err != nil {
-		fatal(logger, "building runner failed", "err", err)
-	}
+
 	srv, err := serve.New(serve.Config{
-		Runner:          runner,
-		RunnerFactory:   runnerFactory,
 		ReplicaOf:       *replicaOf,
 		ReplicaName:     *replicaName,
 		QueueSize:       *queue,
@@ -249,8 +300,19 @@ func main() {
 	if err != nil {
 		fatal(logger, "building server failed", "err", err)
 	}
+	if traceReq != nil {
+		if _, err := srv.CreateSession(context.Background(), *traceReq); err != nil {
+			var apiErr *api.Error
+			if !errors.As(err, &apiErr) || apiErr.Code != api.ErrConflict {
+				fatal(logger, "creating the -trace session failed", "err", err)
+			}
+			// A durable restart: the session was restored from -data-dir and
+			// its persisted manifest wins over the flags.
+			logger.Info("the -trace session already exists; keeping its persisted manifest", "session", traceSessionID)
+		}
+	}
 	// Surface recovery progress/failure without delaying the listener:
-	// /healthz answers "recovering" while the WAL tail replays.
+	// /v1/healthz answers "recovering" while the WAL tails replay.
 	go func() {
 		if err := srv.WaitReady(context.Background()); err != nil {
 			fatal(logger, "recovery failed", "err", err)
@@ -318,9 +380,7 @@ func main() {
 		logger.Info("shutdown complete")
 	}()
 
-	logger.Info("serving",
-		"addr", *addr, "queue", *queue, "workers", *workers,
-		"particles", *particles, "trace_epochs", *traceEpochs)
+	logger.Info("serving", "addr", *addr, "queue", *queue, "trace_epochs", *traceEpochs)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(logger, "listener failed", "err", err)
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/rfid"
 	"repro/rfid/api"
 	"repro/rfid/client"
 )
@@ -25,18 +24,9 @@ func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	// 1. Start a serving process. The flags-configured runner becomes the
-	//    reserved "default" session; the sessions we create next are fully
-	//    isolated from it and from each other.
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
-	if err != nil {
-		log.Fatalf("runner: %v", err)
-	}
-	srv, err := serve.New(serve.Config{Runner: runner})
+	// 1. Start a serving process. It hosts no session until one is created;
+	//    the sessions we create next are fully isolated from each other.
+	srv, err := serve.New(serve.Config{})
 	if err != nil {
 		log.Fatalf("server: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/wal"
-	"repro/rfid"
 	"repro/rfid/api"
 	"repro/rfid/client"
 )
@@ -33,18 +32,7 @@ func TestAPISmokeChild(t *testing.T) {
 	if os.Getenv(apiSmokeChildEnv) == "" {
 		t.Skip("not an api-smoke child")
 	}
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.NumObjectParticles = 100
-	cfg.Seed = 6
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
-	if err != nil {
-		t.Fatalf("runner: %v", err)
-	}
 	srv, err := New(Config{
-		Runner:          runner,
 		DataDir:         os.Getenv("RFIDSERVE_APISMOKE_DIR"),
 		CheckpointEvery: 4,
 		Fsync:           wal.SyncAlways,
@@ -208,8 +196,8 @@ func TestAPISmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sessions after recovery: %v", err)
 	}
-	if len(sessions) != 3 {
-		t.Fatalf("%d sessions after recovery, want 3", len(sessions))
+	if len(sessions) != 2 {
+		t.Fatalf("%d sessions after recovery, want 2", len(sessions))
 	}
 	for _, sid := range []string{"site-a", "site-b"} {
 		snap, err := c.Session(sid).SnapshotTag(ctx, sid+"-1")

@@ -131,7 +131,7 @@ func TestEnvelopeMiddleware(t *testing.T) {
 	// Unknown path: the mux's own 404.
 	check(http.MethodGet, "/no/such/path", http.StatusNotFound, api.ErrNotFound)
 	// Method mismatch: the mux's own 405.
-	check(http.MethodDelete, "/ingest", http.StatusMethodNotAllowed, api.ErrBadRequest)
+	check(http.MethodDelete, sessPath+"/ingest", http.StatusMethodNotAllowed, api.ErrBadRequest)
 	// Handler-level errors keep their specific envelope.
 	check(http.MethodGet, "/v1/sessions/ghost", http.StatusNotFound, api.ErrNotFound)
 	check(http.MethodPost, "/v1/sessions/ghost/flush", http.StatusNotFound, api.ErrNotFound)

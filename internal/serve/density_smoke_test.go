@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/wal"
-	"repro/rfid"
 	"repro/rfid/api"
 	"repro/rfid/client"
 )
@@ -43,22 +42,11 @@ func TestDensitySmokeChild(t *testing.T) {
 	if os.Getenv(densitySmokeChildEnv) == "" {
 		t.Skip("not a density-smoke child")
 	}
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.NumObjectParticles = 20
-	cfg.Seed = 5
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
-	if err != nil {
-		t.Fatalf("runner: %v", err)
-	}
 	maxResident, err := strconv.Atoi(os.Getenv("RFIDSERVE_DENSITYSMOKE_MAXRES"))
 	if err != nil {
 		t.Fatalf("bad max-resident env: %v", err)
 	}
 	srv, err := New(Config{
-		Runner:          runner,
 		DataDir:         os.Getenv("RFIDSERVE_DENSITYSMOKE_DIR"),
 		CheckpointEvery: 4,
 		Fsync:           wal.SyncAlways,
@@ -253,7 +241,7 @@ func TestDensitySmoke(t *testing.T) {
 	// The capped run must actually have been density-stressed: the cap held
 	// and the LRU evicted/hydrated continuously.
 	var m map[string]float64
-	getJSON(t, base+"/metrics?format=json", &m)
+	getJSON(t, base+"/v1/metrics?format=json", &m)
 	if m["rfidserve_evictions_total"] < densitySessions-densityMaxResident {
 		t.Fatalf("evictions_total = %v, want >= %d", m["rfidserve_evictions_total"], densitySessions-densityMaxResident)
 	}
@@ -266,7 +254,7 @@ func TestDensitySmoke(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		getJSON(t, base+"/v1/sessions/"+densitySessionID(0)+"/snapshot", nil)
-		getJSON(t, base+"/metrics?format=json", &m)
+		getJSON(t, base+"/v1/metrics?format=json", &m)
 		if m["rfidserve_resident_sessions"] <= densityMaxResident+1 {
 			break
 		}

@@ -22,7 +22,8 @@ import (
 // session's first dispatch, appends and checkpoints happen between ops), so
 // the WAL and checkpoint files have exactly one writer and no locking.
 
-// serverState is the lifecycle reported by /healthz.
+// serverState is a session's lifecycle, and — derived from the sessions'
+// (see Server.state) — the one /v1/healthz reports for the server.
 type serverState int32
 
 const (
@@ -94,12 +95,7 @@ func (s *session) startup() error {
 		s.state.Store(int32(stateServing))
 		return nil
 	}
-	lg, err := wal.Open(s.cfg.DataDir, wal.Options{
-		SegmentBytes: s.cfg.WALSegmentBytes,
-		Sync:         s.cfg.Fsync,
-		SyncEvery:    s.cfg.FsyncInterval,
-		SyncObserver: s.walFsyncHist.ObserveDuration,
-	})
+	lg, err := wal.Open(s.cfg.DataDir, s.walOptions())
 	if err != nil {
 		s.readyErr = fmt.Errorf("serve: session %q open wal: %w", s.id, err)
 		s.fail(s.readyErr)
@@ -108,6 +104,17 @@ func (s *session) startup() error {
 	s.wal = lg
 	s.state.Store(int32(stateServing))
 	return nil
+}
+
+// walOptions are the options the session opens its log (or, on a replica, its
+// mirror) with.
+func (s *session) walOptions() wal.Options {
+	return wal.Options{
+		SegmentBytes: s.cfg.WALSegmentBytes,
+		Sync:         s.cfg.Fsync,
+		SyncEvery:    s.cfg.FsyncInterval,
+		SyncObserver: s.walFsyncHist.ObserveDuration,
+	}
 }
 
 // recoverLocked restores the newest valid checkpoint (if any) and replays the
@@ -148,7 +155,6 @@ func (s *session) recoverLocked() error {
 		fromSeg = snap.WALSegment
 		s.lastCkptEpoch.Store(int64(snap.Epoch))
 		s.lastCkptNanos.Store(time.Now().UnixNano())
-		s.recoveredEpoch.Store(int64(snap.Epoch))
 	}
 
 	// The checkpoint GC deletes every WAL segment older than the newest
@@ -340,20 +346,47 @@ func (s *session) maybeCheckpoint() {
 // covered WAL segments are garbage-collected. Pinned worker only.
 func (s *session) writeCheckpoint() error {
 	t0 := time.Now()
-	r, reg := s.eng.Load(), s.reg.Load()
 	seg, err := s.wal.Rotate()
 	if err != nil {
 		return err
 	}
+	epoch := s.eng.Load().Stats().NextEpoch - 1
+	if epoch < 0 {
+		epoch = 0
+	}
+	if err := s.persistCheckpoint(t0, epoch, seg); err != nil {
+		return err
+	}
+	// Best-effort bookkeeping: a marker in the new segment and GC of what the
+	// checkpoint supersedes.
+	_ = s.wal.Append(wal.Record{Type: wal.RecCheckpoint, Epoch: epoch})
+	// Replication slot: segments a connected follower has not acknowledged yet
+	// are held back from GC, so a briefly-lagging follower keeps tailing
+	// instead of being forced through a full re-bootstrap. A disconnected
+	// follower holds nothing back (it re-bootstraps from this checkpoint).
+	gcSeg := seg
+	if min, ok := s.repl.minAckedSegment(s.id); ok && min < gcSeg {
+		gcSeg = min
+	}
+	if err := s.wal.RemoveSegmentsBefore(gcSeg); err != nil {
+		s.log.Warn("pruning covered wal segments failed", "err", err)
+	}
+	return nil
+}
+
+// persistCheckpoint snapshots the runner, the registry and the stream resume
+// point as the checkpoint of epoch whose replay starts at WAL segment seg,
+// writes it atomically and prunes older checkpoints. A primary calls it when
+// it checkpoints and a replica at the shipped marker of that moment; the
+// engine states are equal then and the encoder is deterministic, so the two
+// files are byte-identical. Pinned worker only.
+func (s *session) persistCheckpoint(t0 time.Time, epoch int, seg uint64) error {
+	r, reg := s.eng.Load(), s.reg.Load()
 	enc := checkpoint.NewEncoder()
 	r.SaveState(enc)
 	reg.SaveState(enc)
 	enc.Section(serveStreamSection)
 	enc.Uvarint(s.lastStreamSeq.Load())
-	epoch := r.Stats().NextEpoch - 1
-	if epoch < 0 {
-		epoch = 0
-	}
 	snap := checkpoint.Snapshot{
 		Version:     checkpoint.Version,
 		Fingerprint: r.Fingerprint(),
@@ -369,24 +402,8 @@ func (s *session) writeCheckpoint() error {
 	s.lastCkptEpoch.Store(int64(epoch))
 	s.lastCkptNanos.Store(time.Now().UnixNano())
 	s.checkpoints.Inc()
-	// Best-effort bookkeeping: a marker in the new segment and GC of what the
-	// checkpoint supersedes.
-	_ = s.wal.Append(wal.Record{Type: wal.RecCheckpoint, Epoch: epoch})
 	if err := checkpoint.Prune(s.cfg.DataDir, s.cfg.KeepCheckpoints); err != nil {
 		s.log.Warn("pruning old checkpoints failed", "err", err)
-	}
-	// Replication slot: segments a connected follower has not acknowledged yet
-	// are held back from GC, so a briefly-lagging follower keeps tailing
-	// instead of being forced through a full re-bootstrap. A disconnected
-	// follower holds nothing back (it re-bootstraps from this checkpoint).
-	gcSeg := seg
-	if s.repl != nil {
-		if min, ok := s.repl.minAckedSegment(wireSID(s.id)); ok && min < gcSeg {
-			gcSeg = min
-		}
-	}
-	if err := s.wal.RemoveSegmentsBefore(gcSeg); err != nil {
-		s.log.Warn("pruning covered wal segments failed", "err", err)
 	}
 	return nil
 }
@@ -442,13 +459,19 @@ func (s *session) shutdownDurable() {
 	s.state.Store(int32(stateClosed))
 }
 
-// syncWALMetrics mirrors the WAL's counters into the metric set (counters
-// take deltas so they stay monotone). Pinned worker only.
+// syncWALMetrics mirrors the counters of the WAL — on a replica, of the mirror
+// that stands in for it — into the metric set (counters take deltas so they
+// stay monotone). Pinned worker only.
 func (s *session) syncWALMetrics() {
-	if s.wal == nil {
+	var st wal.Stats
+	switch {
+	case s.wal != nil:
+		st = s.wal.Stats()
+	case s.mirror != nil:
+		st = s.mirror.Stats()
+	default:
 		return
 	}
-	st := s.wal.Stats()
 	s.walRecords.Add(int(st.AppendedRecords - s.lastWal.AppendedRecords))
 	s.walBytes.Add(int(st.AppendedBytes - s.lastWal.AppendedBytes))
 	s.walFsyncs.Add(int(st.Fsyncs - s.lastWal.Fsyncs))

@@ -65,13 +65,12 @@ func newResidency(max int, set *metrics.Set) *residency {
 }
 
 // hydratable reports whether the session can be evicted and restored: it
-// needs a manifest to rebuild its engine from and a durable directory to
-// checkpoint into. The default session (flag-built, no manifest) and
-// non-durable sessions are never evicted, and neither are replica sessions —
-// a follower must keep its apply cursor live, and eviction would write a
-// checkpoint the primary never shipped.
+// needs a durable directory to checkpoint into. Non-durable sessions are never
+// evicted, and neither are replica sessions — a follower must keep its apply
+// cursor live, and eviction would write a checkpoint the primary never
+// shipped.
 func (s *session) hydratable() bool {
-	return s.manifest != nil && s.durable() && !s.replica.Load()
+	return s.durable() && !s.replica.Load()
 }
 
 func (rs *residency) gaugesLocked() {
@@ -247,23 +246,14 @@ func (s *session) handleEvictOp() opResult {
 func (s *session) hydrate() error {
 	start := time.Now()
 	s.state.Store(int32(stateRecovering))
-	runner, err := buildRunner(*s.manifest, s.cfg.TraceEpochs)
+	runner, err := buildRunner(s.manifest, s.cfg.TraceEpochs)
 	if err == nil {
-		s.observeRunner(runner)
-		reg := query.NewRegistry(s.cfg.MaxBufferedResults)
-		reg.SetHistorySource(runner)
-		s.eng.Store(runner)
-		s.reg.Store(reg)
+		s.install(runner)
 		err = s.recoverLocked()
 	}
 	var lg *wal.Log
 	if err == nil {
-		lg, err = wal.Open(s.cfg.DataDir, wal.Options{
-			SegmentBytes: s.cfg.WALSegmentBytes,
-			Sync:         s.cfg.Fsync,
-			SyncEvery:    s.cfg.FsyncInterval,
-			SyncObserver: s.walFsyncHist.ObserveDuration,
-		})
+		lg, err = wal.Open(s.cfg.DataDir, s.walOptions())
 	}
 	if err != nil {
 		err = fmt.Errorf("serve: session %q hydration failed: %w", s.id, err)
@@ -282,16 +272,24 @@ func (s *session) hydrate() error {
 	return nil
 }
 
+// readable reports whether direct reads may use the resident engine and
+// registry. While the session recovers (startup, hydration, replica
+// re-bootstrap) both pointers are already set but hold a half-replayed state,
+// and after a failed recovery they keep it; such reads go through a fence
+// instead, which queues behind the recovery (or reports its failure).
+func (s *session) readable() bool {
+	st := serverState(s.state.Load())
+	return st != stateRecovering && st != stateFailed
+}
+
 // residentEngine returns the session's engine for a direct read, hydrating
 // first when the session is evicted (a fence op through the queue, so the
 // pinned worker performs the restore). The retry loop covers the window where
 // an already-queued evict op lands right after the fence.
 func (s *session) residentEngine(cancel <-chan struct{}) (*rfid.Runner, error) {
 	for tries := 0; tries < 4; tries++ {
-		if r := s.eng.Load(); r != nil {
-			if s.res != nil {
-				s.res.touch(s)
-			}
+		if r := s.eng.Load(); r != nil && s.readable() {
+			s.res.touch(s)
 			return r, nil
 		}
 		if err := s.fenceWait(cancel); err != nil {
@@ -304,10 +302,8 @@ func (s *session) residentEngine(cancel <-chan struct{}) (*rfid.Runner, error) {
 // residentRegistry is residentEngine for the query registry.
 func (s *session) residentRegistry(cancel <-chan struct{}) (*query.Registry, error) {
 	for tries := 0; tries < 4; tries++ {
-		if reg := s.reg.Load(); reg != nil {
-			if s.res != nil {
-				s.res.touch(s)
-			}
+		if reg := s.reg.Load(); reg != nil && s.readable() {
+			s.res.touch(s)
 			return reg, nil
 		}
 		if err := s.fenceWait(cancel); err != nil {

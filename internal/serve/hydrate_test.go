@@ -115,7 +115,7 @@ func TestHydrationChurn(t *testing.T) {
 	// how many evict→hydrate cycles the session went through (recovery replay
 	// does not re-count).
 	var m map[string]float64
-	getJSON(t, ts.URL+"/metrics?format=json", &m)
+	getJSON(t, ts.URL+"/v1/metrics?format=json", &m)
 	for i := 0; i < numSessions; i++ {
 		key := fmt.Sprintf(`rfidserve_readings_total{session=%q}`, churnSessionID(i))
 		if got := m[key]; got != float64(expected[i]) {
@@ -185,7 +185,7 @@ func TestDeleteEvictedSessionSkipsHydration(t *testing.T) {
 		t.Fatalf("session dir %s missing before delete: %v", dir, err)
 	}
 	var before map[string]float64
-	getJSON(t, ts.URL+"/metrics?format=json", &before)
+	getJSON(t, ts.URL+"/v1/metrics?format=json", &before)
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+sid, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -198,7 +198,7 @@ func TestDeleteEvictedSessionSkipsHydration(t *testing.T) {
 	}
 
 	var after map[string]float64
-	getJSON(t, ts.URL+"/metrics?format=json", &after)
+	getJSON(t, ts.URL+"/v1/metrics?format=json", &after)
 	if got, want := after["rfidserve_hydrations_total"], before["rfidserve_hydrations_total"]; got != want {
 		t.Fatalf("DELETE hydrated the session: hydrations_total %v -> %v", want, got)
 	}

@@ -60,7 +60,7 @@ func createTwoSessions(t *testing.T, url string, trace *rfid.Trace) {
 		if code := postJSON(t, url+"/v1/sessions", req, &sess); code != http.StatusCreated {
 			t.Fatalf("create session %q: status %d", req.ID, code)
 		}
-		if sess.ID != req.ID || sess.Default {
+		if sess.ID != req.ID {
 			t.Fatalf("created session = %+v, want id %q", sess, req.ID)
 		}
 	}
@@ -273,11 +273,7 @@ func TestRestoreIgnoresSessionLimit(t *testing.T) {
 	tsA.Close()
 	srvA.Close()
 
-	runner, err := rfid.NewRunner(recoveryConfig(trace, 1, 1), rfid.RunnerConfig{HistoryEpochs: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB, err := New(Config{Runner: runner, DataDir: dataDir, Fsync: wal.SyncAlways, MaxSessions: 2})
+	srvB, err := New(Config{DataDir: dataDir, Fsync: wal.SyncAlways, MaxSessions: 2})
 	if err != nil {
 		t.Fatalf("server with MaxSessions below persisted count failed to boot: %v", err)
 	}
@@ -303,10 +299,10 @@ func TestLongPollServerSide(t *testing.T) {
 	var info struct {
 		ID string `json:"id"`
 	}
-	if code := postJSON(t, ts.URL+"/queries", map[string]any{"kind": "location-updates"}, &info); code != http.StatusCreated {
+	if code := postJSON(t, ts.URL+sessPath+"/queries", map[string]any{"kind": "location-updates"}, &info); code != http.StatusCreated {
 		t.Fatalf("register: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/queries/"+info.ID+"/results?wait=bogus", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+sessPath+"/queries/"+info.ID+"/results?wait=bogus", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad wait: status %d, want 400", code)
 	}
 
@@ -330,7 +326,7 @@ func TestLongPollServerSide(t *testing.T) {
 			ingested <- err
 			return
 		}
-		resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+sessPath+"/ingest", "application/json", bytes.NewReader(body))
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -344,7 +340,7 @@ func TestLongPollServerSide(t *testing.T) {
 			Seq int `json:"seq"`
 		} `json:"results"`
 	}
-	if code := getJSON(t, ts.URL+"/queries/"+info.ID+"/results?after=-1&wait=30s", &page); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+sessPath+"/queries/"+info.ID+"/results?after=-1&wait=30s", &page); code != http.StatusOK {
 		t.Fatalf("long poll: status %d", code)
 	}
 	if err := <-ingested; err != nil {

@@ -55,13 +55,9 @@ func (sv *Server) handleTrace(w http.ResponseWriter, r *http.Request, sess *sess
 		Epochs:   []api.TraceEpoch{},
 	}
 	// An evicted session keeps the configured capacity in the response but
-	// has no ring to read; the default session's runner is process-built, so
-	// its recorder (not the server config) is authoritative when resident.
+	// has no ring to read.
 	if runner := sess.engine(); runner != nil {
-		rec := runner.TraceRecorder()
-		resp.Enabled = rec.Enabled()
-		resp.Capacity = rec.Capacity()
-		resp.Epochs = tracesToAPI(rec.Snapshot(n))
+		resp.Epochs = tracesToAPI(runner.TraceRecorder().Snapshot(n))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

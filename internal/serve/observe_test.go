@@ -15,41 +15,13 @@ import (
 )
 
 // newTracedServer is newTestServer with epoch-stage tracing enabled: the
-// default session's runner keeps a trace ring of traceEpochs entries and the
-// server config propagates the same capacity to API-created sessions.
+// server config gives every session a trace ring of traceEpochs entries.
 func newTracedServer(t *testing.T, traceEpochs int) (*Server, *httptest.Server, []rfid.Reading, []rfid.LocationReport) {
 	t.Helper()
-	simCfg := rfid.DefaultWarehouseConfig()
-	simCfg.NumObjects = 6
-	simCfg.NumShelfTags = 4
-	simCfg.Seed = 9
-	trace, err := rfid.SimulateWarehouse(simCfg)
-	if err != nil {
-		t.Fatalf("SimulateWarehouse: %v", err)
-	}
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), trace.World)
-	cfg.NumObjectParticles = 150
-	cfg.NumReaderParticles = 40
-	cfg.Seed = 9
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{TraceEpochs: traceEpochs})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	srv, err := New(Config{Runner: runner, QueueSize: 64, IngestWait: 5 * time.Second, TraceEpochs: traceEpochs})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	readings, locations := rfid.RawStreams(trace)
-	return srv, ts, readings, locations
+	return newTestServerWith(t, Config{QueueSize: 64, IngestWait: 5 * time.Second, TraceEpochs: traceEpochs}, testEngine)
 }
 
-// ingestAndFlush pushes the whole raw stream through the default session and
+// ingestAndFlush pushes the whole raw stream through the session at base and
 // flushes, so every epoch is sealed (and traced) when it returns.
 func ingestAndFlush(t *testing.T, base string, readings []rfid.Reading, locations []rfid.LocationReport) {
 	t.Helper()
@@ -67,7 +39,7 @@ func ingestAndFlush(t *testing.T, base string, readings []rfid.Reading, location
 func TestServerTraceEndpoint(t *testing.T) {
 	const capacity = 4
 	_, ts, readings, locations := newTracedServer(t, capacity)
-	ingestAndFlush(t, ts.URL, readings, locations)
+	ingestAndFlush(t, ts.URL+sessPath, readings, locations)
 
 	var stats api.SessionDebugStats
 	if code := getJSON(t, ts.URL+"/v1/sessions/default/stats", &stats); code != http.StatusOK {
@@ -128,7 +100,7 @@ func TestServerTraceEndpoint(t *testing.T) {
 // otherwise fully functional.
 func TestServerTraceKillSwitch(t *testing.T) {
 	_, ts, readings, locations := newTestServer(t, 64) // TraceEpochs zero
-	ingestAndFlush(t, ts.URL, readings, locations)
+	ingestAndFlush(t, ts.URL+sessPath, readings, locations)
 
 	var tr api.TraceResponse
 	if code := getJSON(t, ts.URL+"/v1/sessions/default/trace", &tr); code != http.StatusOK {
@@ -153,7 +125,7 @@ func TestServerTraceKillSwitch(t *testing.T) {
 // resident session.
 func TestServerStatsEndpoint(t *testing.T) {
 	_, ts, readings, locations := newTracedServer(t, 64)
-	ingestAndFlush(t, ts.URL, readings, locations)
+	ingestAndFlush(t, ts.URL+sessPath, readings, locations)
 
 	var st api.SessionDebugStats
 	if code := getJSON(t, ts.URL+"/v1/sessions/default/stats", &st); code != http.StatusOK {
@@ -319,10 +291,10 @@ func TestServerMetricsPromValid(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/sessions", api.CreateSessionRequest{ID: "obs"}, nil); code != http.StatusCreated {
 		t.Fatalf("create session: status %d", code)
 	}
-	ingestAndFlush(t, ts.URL, readings, locations)
+	ingestAndFlush(t, ts.URL+sessPath, readings, locations)
 	ingestAndFlush(t, ts.URL+"/v1/sessions/obs", readings, locations)
 
-	body := getRaw(t, ts.URL+"/metrics")
+	body := getRaw(t, ts.URL+"/v1/metrics")
 	histograms := validateProm(t, body)
 
 	// The tentpole histogram families, all present regardless of traffic (a
@@ -346,9 +318,9 @@ func TestServerMetricsPromValid(t *testing.T) {
 
 	// Real traffic landed in the ingest and epoch histograms of both sessions.
 	for _, series := range []string{
-		`rfidserve_ingest_seconds_count `,
+		`rfidserve_ingest_seconds_count{session="default"} `,
 		`rfidserve_ingest_seconds_count{session="obs"} `,
-		`rfidserve_epoch_seconds_count `,
+		`rfidserve_epoch_seconds_count{session="default"} `,
 		`rfidserve_epoch_seconds_count{session="obs"} `,
 	} {
 		found := false
@@ -366,7 +338,7 @@ func TestServerMetricsPromValid(t *testing.T) {
 	// The cumulative per-stage counters are exposed for both sessions, stage
 	// label first so the session label stays the suffix DropSeries matches.
 	for _, series := range []string{
-		`rfidserve_epoch_stage_seconds_total{stage="step"} `,
+		`rfidserve_epoch_stage_seconds_total{stage="step",session="default"} `,
 		`rfidserve_epoch_stage_seconds_total{stage="step",session="obs"} `,
 	} {
 		found := false
@@ -400,7 +372,7 @@ func TestServerMetricsDropOnDelete(t *testing.T) {
 		t.Fatalf("create session: status %d", code)
 	}
 	ingestAndFlush(t, ts.URL+"/v1/sessions/gone", readings, locations)
-	if !strings.Contains(getRaw(t, ts.URL+"/metrics"), `session="gone"`) {
+	if !strings.Contains(getRaw(t, ts.URL+"/v1/metrics"), `session="gone"`) {
 		t.Fatal("labelled series never appeared")
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/gone", nil)
@@ -412,7 +384,7 @@ func TestServerMetricsDropOnDelete(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: status %d", resp.StatusCode)
 	}
-	if body := getRaw(t, ts.URL+"/metrics"); strings.Contains(body, `session="gone"`) {
+	if body := getRaw(t, ts.URL+"/v1/metrics"); strings.Contains(body, `session="gone"`) {
 		for _, line := range strings.Split(body, "\n") {
 			if strings.Contains(line, `session="gone"`) {
 				t.Errorf("stale series after delete: %s", line)

@@ -44,7 +44,8 @@ func TestSessionListPagination(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/sessions?limit=frog", &env); code != http.StatusBadRequest {
 		t.Fatalf("limit=frog: status %d, want 400", code)
 	}
-	// Page through with limit 2: default-first order, 3 pages (5 sessions).
+	// Page through with limit 2: ascending id order ("default" sorts like any
+	// other id), 3 pages (5 sessions).
 	var ids []string
 	token := ""
 	pages := 0
@@ -66,7 +67,7 @@ func TestSessionListPagination(t *testing.T) {
 		}
 		token = page.NextPageToken
 	}
-	want := []string{"default", "alpha", "bravo", "charlie", "delta"}
+	want := []string{"alpha", "bravo", "charlie", "default", "delta"}
 	if fmt.Sprint(ids) != fmt.Sprint(want) || pages != 3 {
 		t.Fatalf("paged walk = %v over %d pages, want %v over 3", ids, pages, want)
 	}
@@ -76,8 +77,8 @@ func TestSessionListPagination(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/sessions?limit=10&page_token=bzzz", &page); code != http.StatusOK {
 		t.Fatalf("unknown token: status %d", code)
 	}
-	if len(page.Sessions) != 2 || page.Sessions[0].ID != "charlie" {
-		t.Fatalf("resume after unknown token = %+v, want charlie+delta", page.Sessions)
+	if len(page.Sessions) != 3 || page.Sessions[0].ID != "charlie" {
+		t.Fatalf("resume after unknown token = %+v, want charlie+default+delta", page.Sessions)
 	}
 	// An unpaginated list is unchanged: every session, no token.
 	var all api.SessionList
@@ -170,7 +171,7 @@ func TestCreateLocationHeaders(t *testing.T) {
 // limit), plus the retryAfterMS derivation used by backpressure paths.
 func TestRetryAfterHint(t *testing.T) {
 	srv, ts, _, _ := newTestServer(t, 8)
-	srv.cfg.MaxSessions = 1 // the default session holds the only slot
+	srv.cfg.MaxSessions = 1 // newTestServer's session holds the only slot
 	resp := postRaw(t, ts.URL+"/v1/sessions", api.CreateSessionRequest{ID: "overflow"})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {

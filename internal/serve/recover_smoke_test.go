@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/wal"
-	"repro/rfid"
+	"repro/rfid/api"
 )
 
 // The recover-smoke test exercises a REAL process kill: a child process (this
@@ -26,6 +26,12 @@ import (
 
 const smokeChildEnv = "RFIDSERVE_SMOKE_CHILD"
 
+// smokeSession is the session the recover- and replica-smoke children host.
+var smokeSession = api.CreateSessionRequest{
+	ID: "default", Source: api.SourceSynthetic,
+	Engine: &api.EngineConfig{ObjectParticles: 200, Seed: 4, HistoryEpochs: 128},
+}
+
 // TestRecoverSmokeChild is the child-process body; it only runs when
 // re-executed by TestRecoverSmoke.
 func TestRecoverSmokeChild(t *testing.T) {
@@ -35,18 +41,7 @@ func TestRecoverSmokeChild(t *testing.T) {
 	dataDir := os.Getenv("RFIDSERVE_SMOKE_DIR")
 	addr := os.Getenv("RFIDSERVE_SMOKE_ADDR")
 
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.NumObjectParticles = 200
-	cfg.Seed = 4
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{HistoryEpochs: 128})
-	if err != nil {
-		t.Fatalf("runner: %v", err)
-	}
 	srv, err := New(Config{
-		Runner:          runner,
 		DataDir:         dataDir,
 		CheckpointEvery: 5,
 		Fsync:           wal.SyncAlways,
@@ -54,13 +49,15 @@ func TestRecoverSmokeChild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
+	// First life creates the session; the second finds it restored.
+	openSession(t, srv, smokeSession)
 	// Serve until killed. ListenAndServe never returns on the happy path;
 	// the parent ends this process with SIGKILL (first life) or SIGTERM-less
 	// hard exit via test timeout (second life, after verification).
 	t.Fatal(http.ListenAndServe(addr, srv.Handler()))
 }
 
-// spawnSmokeChild starts the child and waits until its /healthz reports
+// spawnSmokeChild starts the child and waits until its /v1/healthz reports
 // serving.
 func spawnSmokeChild(t *testing.T, dataDir, addr string) *exec.Cmd {
 	t.Helper()
@@ -80,7 +77,7 @@ func spawnSmokeChild(t *testing.T, dataDir, addr string) *exec.Cmd {
 		var hz struct {
 			State string `json:"state"`
 		}
-		resp, err := http.Get("http://" + addr + "/healthz")
+		resp, err := http.Get("http://" + addr + "/v1/healthz")
 		if err == nil {
 			code := resp.StatusCode
 			_ = json.NewDecoder(resp.Body).Decode(&hz)
@@ -112,7 +109,7 @@ func TestRecoverSmoke(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-	base := "http://" + addr
+	base := "http://" + addr + sessPath
 
 	// First life: ingest 12 epochs of synthetic readings, snapshot a tag.
 	child := spawnSmokeChild(t, dataDir, addr)

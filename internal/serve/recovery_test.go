@@ -51,29 +51,26 @@ func recoveryTrace(t *testing.T) (*rfid.Trace, map[int][]rfid.Reading, map[int][
 	return trace, rByT, lByT, maxT
 }
 
-// recoveryConfig is the engine config the recovery tests share.
-func recoveryConfig(trace *rfid.Trace, workers, shards int) rfid.Config {
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), trace.World)
-	cfg.NumObjectParticles = 120
-	cfg.NumReaderParticles = 30
-	cfg.Seed = 21
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	cfg.Workers = workers
-	cfg.ShardCount = shards
-	return cfg
+// recoveryRequest is the session the recovery tests share.
+func recoveryRequest(trace *rfid.Trace, workers, shards int) api.CreateSessionRequest {
+	return sessionRequest(trace.World, api.EngineConfig{
+		ObjectParticles: 120, ReaderParticles: 30, Seed: 21, HistoryEpochs: 256,
+		Workers: workers, ShardCount: shards,
+	})
 }
 
-// startRecoveryServer builds a runner + server (durable when dataDir is
-// non-empty) and waits for it to be ready.
+// startRecoveryServer builds a server (durable when dataDir is non-empty)
+// hosting the recovery session and waits for it to be ready. On a restart the
+// session's manifest is first rewritten to the requested parallelism, so the
+// recovered engine is free to differ from the crashed one in Workers and
+// ShardCount.
 func startRecoveryServer(t *testing.T, trace *rfid.Trace, workers, shards int, dataDir string) (*Server, *httptest.Server) {
 	t.Helper()
-	runner, err := rfid.NewRunner(recoveryConfig(trace, workers, shards),
-		rfid.RunnerConfig{HistoryEpochs: 256})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
+	req := recoveryRequest(trace, workers, shards)
+	if sessionPersisted(dataDir, req.ID) {
+		putManifest(t, dataDir, req)
 	}
 	srv, err := New(Config{
-		Runner:          runner,
 		IngestWait:      10 * time.Second,
 		DataDir:         dataDir,
 		CheckpointEvery: 7,
@@ -87,6 +84,7 @@ func startRecoveryServer(t *testing.T, trace *rfid.Trace, workers, shards int, d
 	if err := srv.WaitReady(ctx); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
+	openSession(t, srv, req)
 	return srv, httptest.NewServer(srv.Handler())
 }
 
@@ -101,7 +99,7 @@ func ingestEpochs(t *testing.T, url string, rByT map[int][]rfid.Reading, lByT ma
 		for _, l := range lByT[tt] {
 			req.Locations = append(req.Locations, api.LocationReport{Time: l.Time, X: l.Pos.X, Y: l.Pos.Y, Z: l.Pos.Z, Phi: l.Phi, HasPhi: l.HasPhi})
 		}
-		if code := postJSON(t, url+"/ingest", req, nil); code != http.StatusAccepted {
+		if code := postJSON(t, url+sessPath+"/ingest", req, nil); code != http.StatusAccepted {
 			t.Fatalf("ingest epoch %d: status %d", tt, code)
 		}
 	}
@@ -115,7 +113,7 @@ func registerRecoveryQueries(t *testing.T, url string) {
 		`{"kind":"location-updates","min_change":0.05}`,
 		`{"kind":"windowed-aggregate","window_epochs":3,"op":"sum-weight","group_by":"area"}`,
 	} {
-		resp, err := http.Post(url+"/queries", "application/json", strings.NewReader(spec))
+		resp, err := http.Post(url+sessPath+"/queries", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatalf("register query: %v", err)
 		}
@@ -136,15 +134,15 @@ func observedOutputs(t *testing.T, url string) map[string]string {
 	var all struct {
 		Tracked []string `json:"tracked"`
 	}
-	getJSON(t, url+"/snapshot", &all)
+	getJSON(t, url+sessPath+"/snapshot", &all)
 	for _, tag := range all.Tracked {
-		out["snapshot:"+tag] = getRaw(t, url+"/snapshot/"+tag)
+		out["snapshot:"+tag] = getRaw(t, url+sessPath+"/snapshot/"+tag)
 	}
 	for _, q := range []string{"q1", "q2"} {
-		out["results:"+q] = getRaw(t, fmt.Sprintf("%s/queries/%s/results?after=-1", url, q))
+		out["results:"+q] = getRaw(t, fmt.Sprintf("%s/queries/%s/results?after=-1", url+sessPath, q))
 	}
 	for _, ep := range []int{5, 12, 20} {
-		out[fmt.Sprintf("history:%d", ep)] = getRaw(t, fmt.Sprintf("%s/snapshot?epoch=%d", url, ep))
+		out[fmt.Sprintf("history:%d", ep)] = getRaw(t, fmt.Sprintf("%s/snapshot?epoch=%d", url+sessPath, ep))
 	}
 	return out
 }
@@ -178,7 +176,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	defer refTS.Close()
 	registerRecoveryQueries(t, refTS.URL)
 	ingestEpochs(t, refTS.URL, rByT, lByT, 0, maxT+1)
-	if code := postJSON(t, refTS.URL+"/flush", map[string]any{}, nil); code != http.StatusOK {
+	if code := postJSON(t, refTS.URL+sessPath+"/flush", map[string]any{}, nil); code != http.StatusOK {
 		t.Fatalf("reference flush: status %d", code)
 	}
 	want := observedOutputs(t, refTS.URL)
@@ -203,7 +201,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			// are portable across Workers/ShardCount.
 			srvB, tsB := startRecoveryServer(t, trace, par.shards, par.workers, dataDir)
 			ingestEpochs(t, tsB.URL, rByT, lByT, kill, maxT+1)
-			if code := postJSON(t, tsB.URL+"/flush", map[string]any{}, nil); code != http.StatusOK {
+			if code := postJSON(t, tsB.URL+sessPath+"/flush", map[string]any{}, nil); code != http.StatusOK {
 				t.Fatalf("%s: flush: status %d", name, code)
 			}
 			got := observedOutputs(t, tsB.URL)
@@ -214,11 +212,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 						name, key, got[key], wantBody)
 				}
 			}
-			var hz struct {
-				State     string `json:"state"`
-				Recovered *int   `json:"recovered_from_epoch"`
-			}
-			getJSON(t, tsB.URL+"/healthz", &hz)
+			var hz api.Health
+			getJSON(t, tsB.URL+"/v1/healthz", &hz)
 			if hz.State != "serving" {
 				t.Fatalf("%s: healthz state %q after recovery", name, hz.State)
 			}
@@ -227,7 +222,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 
 			// The graceful close wrote a final checkpoint; it must be
 			// loadable and cover the last processed epoch.
-			_, snap, ok, err := checkpoint.Latest(dataDir)
+			_, snap, ok, err := checkpoint.Latest(filepath.Join(dataDir, "sessions", "default"))
 			if err != nil || !ok {
 				t.Fatalf("%s: no checkpoint after graceful close (err %v)", name, err)
 			}
@@ -249,14 +244,11 @@ func TestRecoveryRejectsForeignCheckpoint(t *testing.T) {
 	tsA.Close()
 	srvA.Close() // graceful: writes a checkpoint
 
-	// A runner with a different seed has a different fingerprint.
-	cfg := recoveryConfig(trace, 1, 1)
-	cfg.Seed++
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB, err := New(Config{Runner: runner, DataDir: dataDir, Fsync: wal.SyncAlways})
+	// A session rebuilt under a different seed has a different fingerprint.
+	foreign := recoveryRequest(trace, 1, 1)
+	foreign.Engine.Seed++
+	putManifest(t, dataDir, foreign)
+	srvB, err := New(Config{DataDir: dataDir, Fsync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +263,11 @@ func TestRecoveryRejectsForeignCheckpoint(t *testing.T) {
 	var hz struct {
 		State string `json:"state"`
 	}
-	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusServiceUnavailable || hz.State != "failed" {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &hz); code != http.StatusServiceUnavailable || hz.State != "failed" {
 		t.Fatalf("failed server healthz: code %d state %q", code, hz.State)
 	}
 	// Ops are rejected, not hung.
-	if code := postJSON(t, ts.URL+"/flush", map[string]any{}, nil); code == http.StatusOK {
+	if code := postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil); code == http.StatusOK {
 		t.Fatal("flush succeeded on a failed server")
 	}
 }
@@ -287,7 +279,7 @@ func TestHistoryEndpointsAndQueries(t *testing.T) {
 	_, ts := startRecoveryServer(t, trace, 1, 1, "")
 	defer ts.Close()
 	ingestEpochs(t, ts.URL, rByT, lByT, 0, maxT+1)
-	postJSON(t, ts.URL+"/flush", map[string]any{}, nil)
+	postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil)
 
 	var snap struct {
 		Epoch   int `json:"epoch"`
@@ -295,16 +287,16 @@ func TestHistoryEndpointsAndQueries(t *testing.T) {
 			Tag string `json:"tag"`
 		} `json:"objects"`
 	}
-	if code := getJSON(t, ts.URL+"/snapshot?epoch=10", &snap); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+sessPath+"/snapshot?epoch=10", &snap); code != http.StatusOK {
 		t.Fatalf("snapshot?epoch=10: status %d", code)
 	}
 	if snap.Epoch != 10 || len(snap.Objects) == 0 {
 		t.Fatalf("time-travel snapshot empty: %+v", snap)
 	}
-	if code := getJSON(t, ts.URL+"/snapshot?epoch=99999", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+sessPath+"/snapshot?epoch=99999", nil); code != http.StatusNotFound {
 		t.Fatalf("out-of-window epoch: status %d, want 404", code)
 	}
-	if code := getJSON(t, ts.URL+"/snapshot?epoch=bogus", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+sessPath+"/snapshot?epoch=bogus", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad epoch: status %d, want 400", code)
 	}
 
@@ -313,7 +305,7 @@ func TestHistoryEndpointsAndQueries(t *testing.T) {
 		ID       string `json:"id"`
 		Finished bool   `json:"finished"`
 	}
-	resp, err := http.Post(ts.URL+"/queries", "application/json",
+	resp, err := http.Post(ts.URL+sessPath+"/queries", "application/json",
 		strings.NewReader(`{"kind":"windowed-aggregate","mode":"history","from_epoch":5,"to_epoch":15,"window_epochs":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +320,7 @@ func TestHistoryEndpointsAndQueries(t *testing.T) {
 	var results struct {
 		Results []json.RawMessage `json:"results"`
 	}
-	getJSON(t, fmt.Sprintf("%s/queries/%s/results?after=-1", ts.URL, info.ID), &results)
+	getJSON(t, fmt.Sprintf("%s/queries/%s/results?after=-1", ts.URL+sessPath, info.ID), &results)
 	if len(results.Results) != 11 { // one aggregate row per epoch 5..15
 		t.Fatalf("history query produced %d rows, want 11", len(results.Results))
 	}
@@ -342,9 +334,9 @@ func TestDurableMetricsExposed(t *testing.T) {
 	srv, ts := startRecoveryServer(t, trace, 1, 1, dataDir)
 	defer func() { ts.Close(); srv.Close() }()
 	ingestEpochs(t, ts.URL, rByT, lByT, 0, 10)
-	postJSON(t, ts.URL+"/flush", map[string]any{}, nil)
+	postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil)
 
-	body := getRaw(t, ts.URL+"/metrics")
+	body := getRaw(t, ts.URL+"/v1/metrics")
 	for _, name := range []string{
 		"rfidserve_wal_records_total",
 		"rfidserve_wal_appended_bytes_total",
@@ -360,21 +352,19 @@ func TestDurableMetricsExposed(t *testing.T) {
 		}
 	}
 	var m map[string]float64
-	getJSON(t, ts.URL+"/metrics?format=json", &m)
-	if m["rfidserve_wal_records_total"] < 10 {
-		t.Fatalf("wal records metric = %v, want >= 10", m["rfidserve_wal_records_total"])
+	getJSON(t, ts.URL+"/v1/metrics?format=json", &m)
+	if v := m[`rfidserve_wal_records_total{session="default"}`]; v < 10 {
+		t.Fatalf("wal records metric = %v, want >= 10", v)
 	}
-	if m["rfidserve_checkpoints_total"] < 1 {
-		t.Fatalf("checkpoints metric = %v, want >= 1", m["rfidserve_checkpoints_total"])
+	if v := m[`rfidserve_checkpoints_total{session="default"}`]; v < 1 {
+		t.Fatalf("checkpoints metric = %v, want >= 1", v)
 	}
-	// The WAL directory must hold segments; checkpoints appear under the
-	// same data dir.
-	segs, err := wal.Segments(dataDir)
+	// The session's directory must hold segments; checkpoints appear beside
+	// them.
+	sessDir := filepath.Join(dataDir, "sessions", "default")
+	segs, err := wal.Segments(sessDir)
 	if err != nil || len(segs) == 0 {
-		t.Fatalf("no wal segments in %s (err %v)", dataDir, err)
-	}
-	if _, err := os.Stat(dataDir); err != nil {
-		t.Fatal(err)
+		t.Fatalf("no wal segments in %s (err %v)", sessDir, err)
 	}
 }
 
@@ -387,7 +377,7 @@ func TestFlushWindowsReplay(t *testing.T) {
 	sequence := func(url string) {
 		registerRecoveryQueries(t, url)
 		ingestEpochs(t, url, rByT, lByT, 0, 6)
-		if code := postJSON(t, url+"/flush?windows=true", map[string]any{}, nil); code != http.StatusOK {
+		if code := postJSON(t, url+sessPath+"/flush?windows=true", map[string]any{}, nil); code != http.StatusOK {
 			t.Fatalf("windows flush: status %d", code)
 		}
 	}
@@ -396,7 +386,7 @@ func TestFlushWindowsReplay(t *testing.T) {
 	_, refTS := startRecoveryServer(t, trace, 1, 1, "")
 	defer refTS.Close()
 	sequence(refTS.URL)
-	want := getRaw(t, refTS.URL+"/queries/q2/results?after=-1")
+	want := getRaw(t, refTS.URL+sessPath+"/queries/q2/results?after=-1")
 
 	// Durable run: crash immediately after the windows flush, then recover.
 	dataDir := t.TempDir()
@@ -407,7 +397,7 @@ func TestFlushWindowsReplay(t *testing.T) {
 
 	srvB, tsB := startRecoveryServer(t, trace, 1, 1, dataDir)
 	defer func() { tsB.Close(); srvB.Close() }()
-	got := getRaw(t, tsB.URL+"/queries/q2/results?after=-1")
+	got := getRaw(t, tsB.URL+sessPath+"/queries/q2/results?after=-1")
 	if got != want {
 		t.Fatalf("windows-flush state lost across crash:\n got %s\nwant %s", got, want)
 	}
@@ -426,7 +416,7 @@ func TestRecoveryDetectsWALGap(t *testing.T) {
 	tsA.Close()
 	srvA.CloseNow()
 
-	ckpts, err := checkpoint.List(dataDir)
+	ckpts, err := checkpoint.List(filepath.Join(dataDir, "sessions", "default"))
 	if err != nil || len(ckpts) < 2 {
 		t.Fatalf("want >= 2 checkpoints, got %v (err %v)", ckpts, err)
 	}
@@ -436,11 +426,7 @@ func TestRecoveryDetectsWALGap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runner, err := rfid.NewRunner(recoveryConfig(trace, 1, 1), rfid.RunnerConfig{HistoryEpochs: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB, err := New(Config{Runner: runner, DataDir: dataDir, CheckpointEvery: 7, Fsync: wal.SyncAlways})
+	srvB, err := New(Config{DataDir: dataDir, CheckpointEvery: 7, Fsync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,5 +439,110 @@ func TestRecoveryDetectsWALGap(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("gap error does not name the missing segments: %v", err)
+	}
+
+	// The failure is the server's health: a boot-restored session that could
+	// not recover turns /v1/healthz into a 503 "failed", and its half-replayed
+	// state is not readable.
+	ts := httptest.NewServer(srvB.Handler())
+	defer ts.Close()
+	var hz api.Health
+	if code := getJSON(t, ts.URL+"/v1/healthz", &hz); code != http.StatusServiceUnavailable || hz.OK || hz.State != "failed" || hz.Sessions != 1 {
+		t.Fatalf("healthz after a failed recovery: status %d, %+v, want 503 failed", code, hz)
+	}
+	if code := getJSON(t, ts.URL+sessPath+"/snapshot", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("snapshot of a session that failed recovery: status %d, want 503", code)
+	}
+}
+
+// TestNewChecksDataDirLayout pins what New accepts under DataDir: an empty
+// directory boots a serving server with no sessions; log or checkpoint files
+// directly under it — the layout of a server that predates sessions, which
+// would otherwise be skipped and its acknowledged data lost from view — are
+// refused with an error that names them and where they belong.
+func TestNewChecksDataDirLayout(t *testing.T) {
+	for _, tc := range []struct{ name, stale string }{
+		{"empty dir", ""},
+		{"root-level wal segment", "wal-0000000000000001.seg"},
+		{"root-level checkpoint", "checkpoint-0000000000000007.ckpt"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dataDir := t.TempDir()
+			if tc.stale != "" {
+				if err := os.WriteFile(filepath.Join(dataDir, tc.stale), []byte("old"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := New(Config{DataDir: dataDir})
+			if tc.stale != "" {
+				if err == nil {
+					srv.Close()
+					t.Fatalf("New booted past %s", tc.stale)
+				}
+				for _, want := range []string{tc.stale, filepath.Join("sessions", "default"), manifestName} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("refusal %q does not mention %q", err, want)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New on an empty data dir: %v", err)
+			}
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			var hz api.Health
+			if code := getJSON(t, ts.URL+"/v1/healthz", &hz); code != http.StatusOK || !hz.OK || hz.State != "serving" || hz.Sessions != 0 || !hz.Durable {
+				t.Fatalf("healthz with zero sessions: status %d, %+v, want 200 serving", code, hz)
+			}
+		})
+	}
+}
+
+// TestReadsWaitForRecovery pins that a session still replaying its WAL never
+// answers a read from the half-replayed engine: a snapshot issued the instant
+// New returns — before recovery had a chance to finish — queues behind the
+// replay and equals the fully recovered state, and so does every read until
+// the session reports serving.
+func TestReadsWaitForRecovery(t *testing.T) {
+	trace, rByT, lByT, _ := recoveryTrace(t)
+	dataDir := t.TempDir()
+
+	// Kill at epoch 12: a checkpoint at CheckpointEvery=7 plus a WAL tail.
+	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	ingestEpochs(t, tsA.URL, rByT, lByT, 0, 12)
+	want := getRaw(t, tsA.URL+sessPath+"/snapshot")
+	var over api.SnapshotOverview
+	getJSON(t, tsA.URL+sessPath+"/snapshot", &over)
+	if over.Epochs == 0 || len(over.Tracked) == 0 {
+		t.Fatalf("nothing to recover: %+v", over)
+	}
+	wantTag := getRaw(t, tsA.URL+sessPath+"/snapshot/"+over.Tracked[0])
+	tsA.Close()
+	srvA.CloseNow()
+
+	srvB, err := New(Config{DataDir: dataDir, CheckpointEvery: 7, Fsync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Close()
+	read := func(path string) string {
+		rec := httptest.NewRecorder()
+		srvB.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, sessPath+path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s during recovery: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	sess, _ := srvB.session("default")
+	for done := false; !done; {
+		done = serverState(sess.state.Load()) == stateServing
+		if got := read("/snapshot"); got != want {
+			t.Fatalf("read during recovery exposed partial state:\n got %s\nwant %s", got, want)
+		}
+		if got := read("/snapshot/" + over.Tracked[0]); got != wantTag {
+			t.Fatalf("tag read during recovery exposed partial state:\n got %s\nwant %s", got, wantTag)
+		}
 	}
 }

@@ -49,32 +49,11 @@ type replOp struct {
 	promote bool
 }
 
-// wireSID maps a server session id onto the wire ("" is the default session).
-func wireSID(id string) string {
-	if id == DefaultSessionID {
-		return ""
-	}
-	return id
-}
-
-// serveSID maps a wire session id onto the server's.
-func serveSID(sid string) string {
-	if sid == "" {
-		return DefaultSessionID
-	}
-	return sid
-}
-
 // openMirrorLocked opens the session's WAL mirror positioned at the end of the
 // last whole mirrored frame and publishes the resume cursor. Pinned worker
 // only, after recoverLocked.
 func (s *session) openMirrorLocked() error {
-	m, err := wal.OpenMirror(s.cfg.DataDir, wal.Options{
-		SegmentBytes: s.cfg.WALSegmentBytes,
-		Sync:         s.cfg.Fsync,
-		SyncEvery:    s.cfg.FsyncInterval,
-		SyncObserver: s.walFsyncHist.ObserveDuration,
-	})
+	m, err := wal.OpenMirror(s.cfg.DataDir, s.walOptions())
 	if err != nil {
 		return err
 	}
@@ -111,6 +90,12 @@ func (s *session) handleReplOp(o op) opResult {
 	default:
 		return s.handleReplApply(o.repl)
 	}
+}
+
+// failOp marks the session failed and returns the op result carrying err.
+func (s *session) failOp(err error) opResult {
+	s.fail(err)
+	return opResult{err: err}
 }
 
 // handleReplApply mirrors one shipped record (write-ahead, like live ingest)
@@ -162,44 +147,19 @@ func (s *session) handleReplApply(ro *replOp) opResult {
 	s.replSeg.Store(seg)
 	s.replOff.Store(off)
 	s.appliedEpoch.Store(lastSealedEpoch(r))
-	if s.repl != nil {
-		s.repl.noteApplied(len(ro.payload), ro.shipNanos)
-	}
-	s.syncMirrorMetrics()
+	s.repl.noteApplied(len(ro.payload), ro.shipNanos)
+	s.syncWALMetrics()
 	return opResult{}
 }
 
 // replicaCheckpoint writes the replica's checkpoint at a shipped RecCheckpoint
 // marker. The marker is the first record of the segment the primary rotated
-// into, so the mirror has just finished the previous segment; the replica's
-// engine state at this instant equals the primary's at its checkpoint, and the
-// deterministic encoder makes the resulting file byte-identical. GC mirrors
-// the primary's: old checkpoints pruned, covered segments removed.
+// into, so the mirror has just finished the previous segment and the replica's
+// engine state at this instant equals the primary's at its checkpoint. GC
+// mirrors the primary's: old checkpoints pruned, covered segments removed.
 func (s *session) replicaCheckpoint(epoch int, seg uint64) error {
-	t0 := time.Now()
-	r, reg := s.eng.Load(), s.reg.Load()
-	enc := checkpoint.NewEncoder()
-	r.SaveState(enc)
-	reg.SaveState(enc)
-	enc.Section(serveStreamSection)
-	enc.Uvarint(s.lastStreamSeq.Load())
-	snap := checkpoint.Snapshot{
-		Version:     checkpoint.Version,
-		Fingerprint: r.Fingerprint(),
-		Epoch:       epoch,
-		WALSegment:  seg,
-		Payload:     enc.Bytes(),
-	}
-	if _, err := checkpoint.Write(s.cfg.DataDir, snap); err != nil {
+	if err := s.persistCheckpoint(time.Now(), epoch, seg); err != nil {
 		return err
-	}
-	s.ckptHist.ObserveDuration(time.Since(t0))
-	s.epochsAtCkpt = int64(r.Stats().Epochs)
-	s.lastCkptEpoch.Store(int64(epoch))
-	s.lastCkptNanos.Store(time.Now().UnixNano())
-	s.checkpoints.Inc()
-	if err := checkpoint.Prune(s.cfg.DataDir, s.cfg.KeepCheckpoints); err != nil {
-		s.log.Warn("pruning old checkpoints failed", "err", err)
 	}
 	if err := s.mirror.RemoveSegmentsBefore(seg); err != nil {
 		s.log.Warn("pruning covered wal segments failed", "err", err)
@@ -224,15 +184,12 @@ func (s *session) handleReplBootstrap(ro *replOp) opResult {
 		}
 		s.mirror = nil
 	}
-	// Only the log and checkpoints are replaced; the directory also holds the
-	// manifest (and, for the default session, sessions/), which stay.
-	for _, pat := range []string{"wal-*.seg", "checkpoint-*.ckpt"} {
+	// Only the log and checkpoints are replaced; the manifest stays.
+	for _, pat := range durableFilePatterns {
 		matches, _ := filepath.Glob(filepath.Join(s.cfg.DataDir, pat))
 		for _, m := range matches {
 			if err := os.Remove(m); err != nil {
-				res := opResult{err: fmt.Errorf("wipe stale durable state: %w", err)}
-				s.fail(res.err)
-				return res
+				return s.failOp(fmt.Errorf("wipe stale durable state: %w", err))
 			}
 		}
 	}
@@ -240,49 +197,26 @@ func (s *session) handleReplBootstrap(ro *replOp) opResult {
 	if ro.image != nil {
 		snap, err := checkpoint.Decode(ro.image)
 		if err != nil {
-			res := opResult{err: fmt.Errorf("bootstrap image: %w", err)}
-			s.fail(res.err)
-			return res
+			return s.failOp(fmt.Errorf("bootstrap image: %w", err))
 		}
 		if err := checkpoint.WriteFileAtomic(s.cfg.DataDir, checkpoint.FileName(snap.Epoch), ro.image); err != nil {
-			res := opResult{err: fmt.Errorf("write bootstrap checkpoint: %w", err)}
-			s.fail(res.err)
-			return res
+			return s.failOp(fmt.Errorf("write bootstrap checkpoint: %w", err))
 		}
 	}
-	var runner *rfid.Runner
-	var err error
-	switch {
-	case s.manifest != nil:
-		runner, err = buildRunner(*s.manifest, s.cfg.TraceEpochs)
-	case s.cfg.RunnerFactory != nil:
-		runner, err = s.cfg.RunnerFactory()
-	default:
-		err = fmt.Errorf("no manifest and no runner factory to rebuild the engine from")
-	}
+	runner, err := buildRunner(s.manifest, s.cfg.TraceEpochs)
 	if err != nil {
-		res := opResult{err: fmt.Errorf("rebuild engine: %w", err)}
-		s.fail(res.err)
-		return res
+		return s.failOp(fmt.Errorf("rebuild engine: %w", err))
 	}
-	s.observeRunner(runner)
-	reg := query.NewRegistry(s.cfg.MaxBufferedResults)
-	reg.SetHistorySource(runner)
-	s.eng.Store(runner)
-	s.reg.Store(reg)
+	s.install(runner)
 	// Replica-local history queries evaluated against the old engine are gone
 	// with it.
 	s.histReg.Store(nil)
 	s.lastStreamSeq.Store(0)
 	if err := s.recoverLocked(); err != nil {
-		res := opResult{err: fmt.Errorf("recover from bootstrap image: %w", err)}
-		s.fail(res.err)
-		return res
+		return s.failOp(fmt.Errorf("recover from bootstrap image: %w", err))
 	}
 	if err := s.openMirrorLocked(); err != nil {
-		res := opResult{err: fmt.Errorf("reopen mirror: %w", err)}
-		s.fail(res.err)
-		return res
+		return s.failOp(fmt.Errorf("reopen mirror: %w", err))
 	}
 	// An image-bootstrapped mirror is empty; the ack cursor must name the
 	// announced shipping start, not (0,0), so the primary's GC holdback and a
@@ -322,22 +256,13 @@ func (s *session) handleReplPromote() opResult {
 	s.replReady.Store(false)
 	if s.mirror != nil {
 		if err := s.mirror.Close(); err != nil {
-			res := opResult{err: fmt.Errorf("close mirror at promotion: %w", err)}
-			s.fail(res.err)
-			return res
+			return s.failOp(fmt.Errorf("close mirror at promotion: %w", err))
 		}
 		s.mirror = nil
 	}
-	lg, err := wal.Open(s.cfg.DataDir, wal.Options{
-		SegmentBytes: s.cfg.WALSegmentBytes,
-		Sync:         s.cfg.Fsync,
-		SyncEvery:    s.cfg.FsyncInterval,
-		SyncObserver: s.walFsyncHist.ObserveDuration,
-	})
+	lg, err := wal.Open(s.cfg.DataDir, s.walOptions())
 	if err != nil {
-		res := opResult{err: fmt.Errorf("open wal at promotion: %w", err)}
-		s.fail(res.err)
-		return res
+		return s.failOp(fmt.Errorf("open wal at promotion: %w", err))
 	}
 	s.wal = lg
 	s.lastWal = wal.Stats{}
@@ -346,22 +271,6 @@ func (s *session) handleReplPromote() opResult {
 	s.histReg.Store(nil)
 	s.replica.Store(false)
 	return opResult{}
-}
-
-// syncMirrorMetrics mirrors the Mirror's counters into the session's WAL
-// metric series (same series as a primary's log — the mirror IS the WAL on a
-// replica). Pinned worker only.
-func (s *session) syncMirrorMetrics() {
-	if s.mirror == nil {
-		return
-	}
-	st := s.mirror.Stats()
-	s.walRecords.Add(int(st.AppendedRecords - s.lastWal.AppendedRecords))
-	s.walBytes.Add(int(st.AppendedBytes - s.lastWal.AppendedBytes))
-	s.walFsyncs.Add(int(st.Fsyncs - s.lastWal.Fsyncs))
-	s.walFsyncMax.Set(st.MaxFsyncLatency.Seconds())
-	s.walSegment.Set(float64(st.Segment))
-	s.lastWal = st
 }
 
 // historyRegistry returns the session's replica-local query registry, creating
@@ -384,6 +293,12 @@ func (s *session) historyRegistry() *query.Registry {
 
 // --- server-side follower target (the replica node's end of the protocol) ---
 
+// errReplNoSID refuses a shipped frame that names no session. A session's wire
+// id is its id; an empty one comes from a primary this node cannot follow (one
+// that still hosts an unnamed session) or a corrupt frame, and guessing a
+// target would apply records to the wrong world.
+var errReplNoSID = fmt.Errorf("replication frame carries an empty session id; refusing to guess a session")
+
 // replCursors reports every session's resume cursor for the follower hello.
 func (sv *Server) replCursors() []wire.ReplCursor {
 	var out []wire.ReplCursor
@@ -392,7 +307,7 @@ func (sv *Server) replCursors() []wire.ReplCursor {
 			continue
 		}
 		out = append(out, wire.ReplCursor{
-			SID:          wireSID(s.id),
+			SID:          s.id,
 			Seg:          s.replSeg.Load(),
 			Off:          s.replOff.Load(),
 			AppliedEpoch: s.appliedEpoch.Load(),
@@ -405,8 +320,10 @@ func (sv *Server) replCursors() []wire.ReplCursor {
 // unknown session is created from the shipped manifest — its directory seeded
 // with the image before the normal restore path builds and recovers it; an
 // existing session re-bootstraps through its op queue.
-func (sv *Server) replBootstrap(sid, manifest string, image []byte, seg uint64, off int64) error {
-	id := serveSID(sid)
+func (sv *Server) replBootstrap(id, manifest string, image []byte, seg uint64, off int64) error {
+	if id == "" {
+		return errReplNoSID
+	}
 	if sess, ok := sv.session(id); ok {
 		done := make(chan opResult, 1)
 		o := op{repl: &replOp{bootstrap: true, image: image, seg: seg, off: off}, done: done}
@@ -456,7 +373,10 @@ func (sv *Server) replBootstrap(sid, manifest string, image []byte, seg uint64, 
 // for the pinned worker to mirror + apply it, returning the post-apply cursor
 // the follower acks with.
 func (sv *Server) replApply(rec wire.ReplRecord) (wire.ReplCursor, error) {
-	id := serveSID(rec.SID)
+	id := rec.SID
+	if id == "" {
+		return wire.ReplCursor{}, errReplNoSID
+	}
 	sess, ok := sv.session(id)
 	if !ok {
 		return wire.ReplCursor{}, fmt.Errorf("record for unknown session %q", id)
@@ -493,9 +413,7 @@ func (sv *Server) replApply(rec wire.ReplRecord) (wire.ReplCursor, error) {
 // replHeartbeat records the primary's clock from an idle-gap heartbeat: the
 // staleness estimate while fully caught up.
 func (sv *Server) replHeartbeat(nanos int64) {
-	if sv.repl != nil {
-		sv.repl.noteLag(nanos)
-	}
+	sv.repl.noteLag(nanos)
 }
 
 // --- replica-served reads ---

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/wal"
-	"repro/rfid"
 )
 
 // The replica-smoke test exercises real failover across process boundaries: a
@@ -36,22 +35,7 @@ func TestReplicaSmokeChild(t *testing.T) {
 	addr := os.Getenv("RFIDSERVE_REPL_SMOKE_ADDR")
 	primary := os.Getenv("RFIDSERVE_REPL_SMOKE_PRIMARY")
 
-	factory := func() (*rfid.Runner, error) {
-		world := rfid.NewWorld()
-		world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-		cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-		cfg.NumObjectParticles = 200
-		cfg.Seed = 4
-		cfg.ReportPolicy = rfid.ReportEveryEpoch
-		return rfid.NewRunner(cfg, rfid.RunnerConfig{HistoryEpochs: 128})
-	}
-	runner, err := factory()
-	if err != nil {
-		t.Fatalf("runner: %v", err)
-	}
 	srv, err := New(Config{
-		Runner:          runner,
-		RunnerFactory:   factory,
 		DataDir:         dataDir,
 		CheckpointEvery: 5,
 		Fsync:           wal.SyncAlways,
@@ -61,11 +45,15 @@ func TestReplicaSmokeChild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
+	if primary == "" {
+		// A replica's session arrives from its primary instead.
+		openSession(t, srv, smokeSession)
+	}
 	// Serve until the parent kills this process.
 	t.Fatal(http.ListenAndServe(addr, srv.Handler()))
 }
 
-// spawnReplSmokeChild starts a child and waits until its /healthz reports
+// spawnReplSmokeChild starts a child and waits until its /v1/healthz reports
 // serving. primary == "" spawns a primary, otherwise a replica of that addr.
 func spawnReplSmokeChild(t *testing.T, dataDir, addr, primary string) *exec.Cmd {
 	t.Helper()
@@ -83,7 +71,7 @@ func spawnReplSmokeChild(t *testing.T, dataDir, addr, primary string) *exec.Cmd 
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/healthz")
+		resp, err := http.Get("http://" + addr + "/v1/healthz")
 		if err == nil {
 			code := resp.StatusCode
 			resp.Body.Close()
@@ -117,7 +105,7 @@ func replSmokeIngest(t *testing.T, base string, from, to int) {
 	for ep := from; ep < to; ep++ {
 		body := fmt.Sprintf(`{"readings":[{"time":%d,"tag":"obj-A"},{"time":%d,"tag":"obj-B"}],`+
 			`"locations":[{"time":%d,"x":%g,"y":%g,"z":3}]}`, ep, ep, ep, 1.0+0.1*float64(ep), 2.0)
-		resp, err := http.Post(base+"/ingest", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+sessPath+"/ingest", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("ingest epoch %d: %v", ep, err)
 		}
@@ -135,7 +123,7 @@ func replSmokeRegisterQuery(t *testing.T, base string) string {
 	var info struct {
 		ID string `json:"id"`
 	}
-	if code := postJSON(t, base+"/v1/sessions/default/queries",
+	if code := postJSON(t, base+sessPath+"/queries",
 		map[string]any{"kind": "location-updates", "min_change": 0.1}, &info); code != http.StatusCreated {
 		t.Fatalf("register query: status %d", code)
 	}
@@ -148,10 +136,10 @@ func replSmokeRegisterQuery(t *testing.T, base string) string {
 func replSmokeFingerprint(t *testing.T, base, queryID string) string {
 	t.Helper()
 	var b strings.Builder
-	b.WriteString(httpGetBody(t, base+"/snapshot"))
-	b.WriteString(httpGetBody(t, base+"/snapshot/obj-A"))
-	b.WriteString(httpGetBody(t, base+"/snapshot/obj-B"))
-	b.WriteString(httpGetBody(t, base+"/v1/sessions/default/queries/"+queryID+"/results?after=-1&limit=10000"))
+	b.WriteString(httpGetBody(t, base+sessPath+"/snapshot"))
+	b.WriteString(httpGetBody(t, base+sessPath+"/snapshot/obj-A"))
+	b.WriteString(httpGetBody(t, base+sessPath+"/snapshot/obj-B"))
+	b.WriteString(httpGetBody(t, base+sessPath+"/queries/"+queryID+"/results?after=-1&limit=10000"))
 	return b.String()
 }
 
@@ -185,7 +173,7 @@ func TestReplicaSmoke(t *testing.T) {
 		_, _ = replica.Process.Wait()
 	}()
 	replSmokeIngest(t, pBase, 6, 12)
-	resp, err := http.Post(pBase+"/flush", "application/json", strings.NewReader(`{}`))
+	resp, err := http.Post(pBase+sessPath+"/flush", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +233,7 @@ func TestReplicaSmoke(t *testing.T) {
 		t.Fatalf("reference query id %q != primary query id %q", refQueryID, queryID)
 	}
 	replSmokeIngest(t, refBase, 0, 12)
-	resp, err = http.Post(refBase+"/flush", "application/json", strings.NewReader(`{}`))
+	resp, err = http.Post(refBase+sessPath+"/flush", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +243,7 @@ func TestReplicaSmoke(t *testing.T) {
 	}
 
 	// The promoted node is a real primary: it accepts writes and advances.
-	resp, err = http.Post(rBase+"/ingest", "application/json",
+	resp, err = http.Post(rBase+sessPath+"/ingest", "application/json",
 		strings.NewReader(`{"readings":[{"time":12,"tag":"obj-A"}],"locations":[{"time":12,"x":2.2,"y":2,"z":3}]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +252,7 @@ func TestReplicaSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-promotion ingest: status %d", resp.StatusCode)
 	}
-	resp, err = http.Post(rBase+"/flush", "application/json", strings.NewReader(`{}`))
+	resp, err = http.Post(rBase+sessPath+"/flush", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,14 @@ import (
 	"repro/internal/wal"
 	"repro/rfid"
 	"repro/rfid/api"
+	"repro/rfid/wire"
 )
 
-// buildReplRunner builds the fixed engine every node in the replication tests
+// replRequest describes the fixed session every node in the replication tests
 // runs — only the parallelism knobs (Workers, ShardCount) vary, which the
-// state fingerprint and checkpoint encoding are deliberately independent of.
-func buildReplRunner(t *testing.T, workers, shards int) (*rfid.Runner, func() (*rfid.Runner, error), []rfid.Reading, []rfid.LocationReport) {
+// state fingerprint and checkpoint encoding are deliberately independent of —
+// and returns it with the raw streams the primary ingests.
+func replRequest(t *testing.T, workers, shards int) (api.CreateSessionRequest, []rfid.Reading, []rfid.LocationReport) {
 	t.Helper()
 	simCfg := rfid.DefaultWarehouseConfig()
 	simCfg.NumObjects = 6
@@ -29,22 +31,12 @@ func buildReplRunner(t *testing.T, workers, shards int) (*rfid.Runner, func() (*
 	if err != nil {
 		t.Fatalf("SimulateWarehouse: %v", err)
 	}
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), trace.World)
-	cfg.NumObjectParticles = 150
-	cfg.NumReaderParticles = 40
-	cfg.Seed = 9
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	cfg.Workers = workers
-	cfg.ShardCount = shards
-	factory := func() (*rfid.Runner, error) {
-		return rfid.NewRunner(cfg, rfid.RunnerConfig{HoldEpochs: 1, HistoryEpochs: 64})
-	}
-	runner, err := factory()
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
+	req := sessionRequest(trace.World, api.EngineConfig{
+		ObjectParticles: 150, ReaderParticles: 40, Seed: 9, HoldEpochs: 1, HistoryEpochs: 64,
+		Workers: workers, ShardCount: shards,
+	})
 	readings, locations := rfid.RawStreams(trace)
-	return runner, factory, readings, locations
+	return req, readings, locations
 }
 
 // TestReplicaConvergesAcrossTransposition is the tentpole property: a fresh
@@ -56,15 +48,15 @@ func buildReplRunner(t *testing.T, workers, shards int) (*rfid.Runner, func() (*
 func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	pDir, rDir := t.TempDir(), t.TempDir()
 
-	pRunner, pFactory, readings, locations := buildReplRunner(t, 1, 2)
+	pReq, readings, locations := replRequest(t, 1, 2)
 	psv, err := New(Config{
-		Runner: pRunner, RunnerFactory: pFactory,
 		DataDir: pDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
 		IngestWait: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("primary New: %v", err)
 	}
+	openSession(t, psv, pReq)
 	pts := httptest.NewServer(psv.Handler())
 	defer func() {
 		pts.Close()
@@ -81,10 +73,13 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 		t.Fatalf("first-half flush: status %d", code)
 	}
 
-	// The replica runs the transposed parallelism configuration.
-	rRunner, rFactory, _, _ := buildReplRunner(t, 4, 8)
+	// The replica runs the transposed parallelism configuration: it already
+	// holds the session's manifest under its own knobs, so the primary's
+	// announcement re-bootstraps the existing session instead of creating it
+	// from the shipped manifest.
+	rReq, _, _ := replRequest(t, 4, 8)
+	putManifest(t, rDir, rReq)
 	rsv, err := New(Config{
-		Runner: rRunner, RunnerFactory: rFactory,
 		DataDir: rDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
 		ReplicaOf: pts.Listener.Addr().String(),
 	})
@@ -115,6 +110,21 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	// present on both nodes must match exactly.
 	compareReplicaDirs(t, pDir, rDir)
 
+	// A session's wire id is its id — "default" like any other — and a frame
+	// that names no session is refused loudly, never mapped onto one.
+	if cur := rsv.replCursors(); len(cur) != 1 || cur[0].SID != "default" {
+		t.Fatalf("replica hello cursors = %+v, want one for session %q", cur, "default")
+	}
+	if _, err := rsv.replApply(wire.ReplRecord{SID: "", Seg: 1, Off: walHeaderLen}); err == nil || !strings.Contains(err.Error(), "empty session id") {
+		t.Fatalf("record with an empty session id: err = %v, want a refusal naming it", err)
+	}
+	if err := rsv.replBootstrap("", `{"source":"synthetic"}`, nil, 1, walHeaderLen); err == nil || !strings.Contains(err.Error(), "empty session id") {
+		t.Fatalf("bootstrap with an empty session id: err = %v, want a refusal naming it", err)
+	}
+	if n := len(rsv.snapshotSessions()); n != 1 {
+		t.Fatalf("replica hosts %d sessions after refusing the unnamed frames, want 1", n)
+	}
+
 	// The replica read surface declares itself: role/staleness headers on
 	// reads, role + lag in healthz, writes refused with the stable code.
 	resp, err := http.Get(rts.URL + "/v1/sessions/default/snapshot")
@@ -132,7 +142,7 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	if code := getJSON(t, rts.URL+"/v1/healthz", &hz); code != http.StatusOK {
 		t.Fatalf("replica healthz: status %d", code)
 	}
-	if hz.Role != api.RoleReplica || hz.AppliedEpoch == nil || hz.ReplicationLagSeconds == nil {
+	if hz.Role != api.RoleReplica || hz.ReplicationLagSeconds == nil {
 		t.Fatalf("replica healthz lacks replication fields: %+v", hz)
 	}
 	var env api.ErrorEnvelope
@@ -188,15 +198,15 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 // converging again without a fresh bootstrap wiping what it already holds.
 func TestReplicaResumeAfterRestart(t *testing.T) {
 	pDir, rDir := t.TempDir(), t.TempDir()
-	pRunner, pFactory, readings, locations := buildReplRunner(t, 2, 4)
+	pReq, readings, locations := replRequest(t, 2, 4)
 	psv, err := New(Config{
-		Runner: pRunner, RunnerFactory: pFactory,
 		DataDir: pDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
 		IngestWait: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("primary New: %v", err)
 	}
+	openSession(t, psv, pReq)
 	pts := httptest.NewServer(psv.Handler())
 	defer func() {
 		pts.Close()
@@ -205,9 +215,9 @@ func TestReplicaResumeAfterRestart(t *testing.T) {
 	primaryAddr := pts.Listener.Addr().String()
 
 	newReplica := func() (*Server, *httptest.Server) {
-		rRunner, rFactory, _, _ := buildReplRunner(t, 1, 2)
+		rReq, _, _ := replRequest(t, 1, 2)
+		putManifest(t, rDir, rReq)
 		rsv, err := New(Config{
-			Runner: rRunner, RunnerFactory: rFactory,
 			DataDir: rDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
 			ReplicaOf: primaryAddr,
 		})
@@ -254,6 +264,7 @@ func TestReplicaResumeAfterRestart(t *testing.T) {
 // equality alone would race the on-disk comparison).
 func waitReplicaConverged(t *testing.T, primaryURL, replicaURL, pDir, rDir, want string) {
 	t.Helper()
+	pDir, rDir = filepath.Join(pDir, "sessions", "default"), filepath.Join(rDir, "sessions", "default")
 	deadline := time.Now().Add(60 * time.Second)
 	var got string
 	for time.Now().Before(deadline) {
@@ -274,6 +285,7 @@ func waitReplicaConverged(t *testing.T, primaryURL, replicaURL, pDir, rDir, want
 // of every WAL segment present in both directories.
 func compareReplicaDirs(t *testing.T, pDir, rDir string) {
 	t.Helper()
+	pDir, rDir = filepath.Join(pDir, "sessions", "default"), filepath.Join(rDir, "sessions", "default")
 	pPath, pSnap, pOK, err := checkpoint.Latest(pDir)
 	if err != nil {
 		t.Fatalf("primary Latest: %v", err)

@@ -172,7 +172,7 @@ func (t *replTracker) lagSeconds() float64 {
 
 // shipState is one session's shipping position on one follower connection.
 type shipState struct {
-	sid  string // wire session id ("" = default)
+	sid  string
 	sess *session
 	dir  string
 	cur  *wal.Cursor
@@ -314,14 +314,13 @@ func (sv *Server) shipLoop(conn net.Conn, hello wire.ReplHello, stop <-chan stru
 			if !s.durable() {
 				continue
 			}
-			sid := wireSID(s.id)
-			if _, ok := states[sid]; !ok {
-				states[sid] = &shipState{sid: sid, sess: s, dir: s.cfg.DataDir}
+			if _, ok := states[s.id]; !ok {
+				states[s.id] = &shipState{sid: s.id, sess: s, dir: s.cfg.DataDir}
 			}
 		}
 		shipped := 0
 		for sid, st := range states {
-			if _, ok := sv.session(serveSID(sid)); !ok {
+			if _, ok := sv.session(sid); !ok {
 				if st.cur != nil {
 					st.cur.Close()
 				}
@@ -334,7 +333,7 @@ func (sv *Server) shipLoop(conn net.Conn, hello wire.ReplHello, stop <-chan stru
 					if os.IsNotExist(err) {
 						continue // session being torn down; the map cleanup catches it
 					}
-					log.Warn("replication announce failed", "session", serveSID(sid), "err", err)
+					log.Warn("replication announce failed", "session", sid, "err", err)
 					return
 				}
 				if !ok {
@@ -347,7 +346,7 @@ func (sv *Server) shipLoop(conn net.Conn, hello wire.ReplHello, stop <-chan stru
 				if os.IsNotExist(err) {
 					continue
 				}
-				log.Warn("replication shipping failed", "session", serveSID(sid), "err", err)
+				log.Warn("replication shipping failed", "session", sid, "err", err)
 				return
 			}
 		}
@@ -394,14 +393,11 @@ func (sv *Server) announceSession(enc *wire.Encoder, writeFrame func() error, st
 		st.cur = cur
 		return true, nil
 	}
-	manifest := ""
-	if st.sess.manifest != nil {
-		b, err := json.Marshal(st.sess.manifest)
-		if err != nil {
-			return false, err
-		}
-		manifest = string(b)
+	b, err := json.Marshal(st.sess.manifest)
+	if err != nil {
+		return false, err
 	}
+	manifest := string(b)
 	// Bootstrap from the newest checkpoint: ship the raw file bytes (the
 	// follower writes them verbatim, keeping the image byte-identical) and
 	// start the cursor at the checkpoint's replay position.

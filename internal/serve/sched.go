@@ -158,7 +158,7 @@ func (s *session) dispatch() {
 	}
 	touched := false
 	defer func() {
-		if touched && s.res != nil {
+		if touched {
 			s.res.touch(s)
 		}
 	}()

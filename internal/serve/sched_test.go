@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/wal"
-	"repro/rfid"
 	"repro/rfid/api"
 )
 
@@ -25,7 +24,9 @@ import (
 // Workers × ShardCount parallelism matrix.
 
 // matrixSessions is the session matrix the determinism tests create: one
-// durable synthetic-floor session per engine (Workers, ShardCount) cell.
+// durable synthetic-floor session per engine (Workers, ShardCount) cell, plus
+// one whose id is "default" — evicted and hydrated like the rest, where older
+// servers kept a built-in session of that name resident forever.
 var matrixSessions = []struct {
 	id              string
 	workers, shards int
@@ -34,25 +35,14 @@ var matrixSessions = []struct {
 	{"m-w1-s8", 1, 8},
 	{"m-w4-s1", 4, 1},
 	{"m-w4-s8", 4, 8},
+	{"default", 2, 4},
 }
 
-// startDensityServer boots a durable server with a tiny default engine and
-// the given scheduler pool size / resident cap.
+// startDensityServer boots a durable server with the given scheduler pool
+// size / resident cap.
 func startDensityServer(t *testing.T, dataDir string, schedWorkers, maxResident int) (*Server, *httptest.Server) {
 	t.Helper()
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 20, Y: 20, Z: 6})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.NumObjectParticles = 30
-	cfg.NumReaderParticles = 10
-	cfg.Seed = 1
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
 	srv, err := New(Config{
-		Runner:          runner,
 		IngestWait:      10 * time.Second,
 		DataDir:         dataDir,
 		CheckpointEvery: 5,
@@ -226,6 +216,10 @@ func TestSchedulerEvictionDeterminism(t *testing.T) {
 					evictions++
 				}
 			}
+			// Whatever the rng picked, "default" is spilled mid-stream once.
+			if ep == epochs/2 && forceEvict(t, sv, "default") {
+				evictions++
+			}
 		}
 		flushMatrix(t, ts.URL)
 		got := matrixOutputs(t, ts.URL)
@@ -239,7 +233,7 @@ func TestSchedulerEvictionDeterminism(t *testing.T) {
 			t.Fatalf("%s: %d output keys, reference has %d", name, len(got), len(want))
 		}
 		var m map[string]float64
-		getJSON(t, ts.URL+"/metrics?format=json", &m)
+		getJSON(t, ts.URL+"/v1/metrics?format=json", &m)
 		if evictions == 0 {
 			t.Fatalf("%s: rng produced no evictions; widen the eviction schedule", name)
 		}

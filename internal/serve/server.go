@@ -29,11 +29,6 @@
 //	DELETE /v1/sessions/{sid}/queries/{id} unregister a query
 //	GET    /v1/healthz, GET /v1/metrics    service health and metrics
 //
-// The legacy unversioned routes (POST /ingest, GET /snapshot, /queries, ...)
-// remain as thin aliases onto the reserved "default" session, whose engine is
-// configured by the process (Config.Runner), so single-tenant deployments and
-// old clients keep working unchanged.
-//
 // Sessions are work-items on a shared run-queue scheduler (see sched.go): a
 // fixed worker pool drains each session's bounded op queue with the session
 // pinned to at most one worker at a time, which preserves the per-session
@@ -41,12 +36,10 @@
 // Config.MaxResident set, idle durable sessions past the LRU threshold are
 // evicted to their checkpoint + manifest on disk and transparently restored
 // on first touch (see hydrate.go). Each session owns its own Prometheus
-// series (label session="<id>" on the shared /metrics endpoint) and — when
-// Config.DataDir is set — its own WAL/checkpoint subdirectory: the default
-// session directly under DataDir (the pre-session layout), API-created
-// sessions under DataDir/sessions/<id>/ together with a manifest.json
-// recording their creation request, from which they are rebuilt and
-// recovered on boot.
+// series (label session="<id>" on the shared /v1/metrics endpoint) and — when
+// Config.DataDir is set — its own WAL/checkpoint subdirectory
+// DataDir/sessions/<id>/, together with a manifest.json recording its
+// creation request, from which it is rebuilt and recovered on boot.
 package serve
 
 import (
@@ -79,11 +72,9 @@ import (
 )
 
 // Config configures a Server. The queue/durability fields double as the
-// defaults every API-created session inherits (overridable per session
-// through api.EngineConfig).
+// defaults every session inherits (overridable per session through
+// api.EngineConfig).
 type Config struct {
-	// Runner is the default session's continuous pipeline driver; required.
-	Runner *rfid.Runner
 	// QueueSize bounds each session's ingest queue, in batches (default 64).
 	// A full queue is the backpressure signal.
 	QueueSize int
@@ -101,9 +92,8 @@ type Config struct {
 	// session: each ingested batch is written to a segmented WAL before the
 	// engine applies it, full engine + query-registry state is checkpointed
 	// periodically, and startup recovers from the newest checkpoint plus the
-	// WAL tail. The default session persists directly under DataDir;
-	// API-created sessions persist under DataDir/sessions/<id>/ and are
-	// rebuilt from their manifest.json on boot. Recovery is byte-exact.
+	// WAL tail. Sessions persist under DataDir/sessions/<id>/ and are rebuilt
+	// from their manifest.json on boot. Recovery is byte-exact.
 	DataDir string
 	// CheckpointEvery is the number of processed epochs between checkpoints
 	// (default 64).
@@ -118,8 +108,7 @@ type Config struct {
 	// WALSegmentBytes is the WAL segment rotation threshold (default 64 MiB).
 	WALSegmentBytes int64
 
-	// MaxSessions caps the number of concurrently live sessions, the default
-	// session included (default 32).
+	// MaxSessions caps the number of concurrently live sessions (default 32).
 	MaxSessions int
 	// MaxLongPollWait caps the ?wait= long-poll duration on the results
 	// endpoint (default 60s).
@@ -134,7 +123,7 @@ type Config struct {
 	// each sealed epoch's per-stage timings (decode, prologue, step, estimate,
 	// query-eval, WAL append, seal) are retained in a bounded per-session ring
 	// served by GET /v1/sessions/{sid}/trace, and the cumulative per-stage
-	// breakdown is exposed on /metrics. Zero disables tracing entirely — the
+	// breakdown is exposed on /v1/metrics. Zero disables tracing entirely — the
 	// kill switch; tracing never changes results.
 	TraceEpochs int
 	// SlowEpoch, when > 0, logs a warning whenever a sealed epoch's wall time
@@ -147,12 +136,11 @@ type Config struct {
 	// uses slog.Default(). Every session-scoped record carries a "session"
 	// attribute.
 	Logger *slog.Logger
-	// MaxResident, when > 0, bounds how many durable API-created sessions keep
-	// their engine resident in memory: idle sessions past the LRU threshold
-	// are evicted to their checkpoint + manifest on disk and transparently
+	// MaxResident, when > 0, bounds how many durable sessions keep their
+	// engine resident in memory: idle sessions past the LRU threshold are
+	// evicted to their checkpoint + manifest on disk and transparently
 	// restored on first touch (ingest, stream attach, snapshot, query poll).
-	// The default session and non-durable sessions are never evicted. 0 keeps
-	// everything resident.
+	// Non-durable sessions are never evicted. 0 keeps everything resident.
 	MaxResident int
 
 	// ReplicaOf, when non-empty, boots the server as a read-only replica of
@@ -163,13 +151,6 @@ type Config struct {
 	// ReplicaName identifies this follower in the primary's logs and the
 	// replication hello (default: the process hostname).
 	ReplicaName string
-	// RunnerFactory rebuilds the default session's engine from scratch; a
-	// replica needs it to re-bootstrap the default session (which has no
-	// manifest) from a shipped checkpoint, because RestoreState requires a
-	// freshly constructed runner. Must build the same engine as Runner.
-	// Optional on a primary; a replica without it can only bootstrap the
-	// default session once, at boot.
-	RunnerFactory func() (*rfid.Runner, error)
 }
 
 func (c *Config) applyDefaults() {
@@ -198,10 +179,6 @@ func (c *Config) applyDefaults() {
 		c.Logger = slog.Default()
 	}
 }
-
-// DefaultSessionID is the reserved id of the session the legacy unversioned
-// routes alias onto.
-const DefaultSessionID = "default"
 
 // Server hosts the sessions and the HTTP surface. Create it with New, expose
 // Handler on an http.Server, and Close it to stop every session's engine
@@ -269,18 +246,36 @@ func (t followerTarget) Apply(rec wire.ReplRecord) (wire.ReplCursor, error) {
 }
 func (t followerTarget) Heartbeat(nanos int64) { t.sv.replHeartbeat(nanos) }
 
-// New returns a started Server: the shared worker pool is running, the
-// default session's startup is scheduled on it, and with durability enabled
-// every session persisted under DataDir/sessions has been rebuilt from its
-// manifest — eagerly up to MaxResident, lazily (evicted, restored on first
-// touch) past it. Recovery itself runs asynchronously on the pool; WaitReady
-// blocks until it finished.
+// durableFilePatterns match the files a session's durability directory holds
+// besides its manifest: WAL segments and checkpoints.
+var durableFilePatterns = []string{"wal-*.seg", "checkpoint-*.ckpt"}
+
+// New returns a started Server: the shared worker pool is running and, with
+// durability enabled, every session persisted under DataDir/sessions has been
+// rebuilt from its manifest — eagerly up to MaxResident, lazily (evicted,
+// restored on first touch) past it. Recovery itself runs asynchronously on
+// the pool; WaitReady blocks until it finished. A server without persisted
+// sessions starts empty; sessions are made with CreateSession.
 func New(cfg Config) (*Server, error) {
-	if cfg.Runner == nil {
-		return nil, fmt.Errorf("serve: Config.Runner is required")
-	}
 	if cfg.ReplicaOf != "" && cfg.DataDir == "" {
 		return nil, fmt.Errorf("serve: replica mode requires a data dir (the replica mirrors the primary's WAL and checkpoints on disk)")
+	}
+	if cfg.DataDir != "" {
+		// Every session lives under sessions/<id>/. Log files directly under
+		// DataDir are the layout of a server that predates sessions; booting
+		// past them would hide their acknowledged data without a word.
+		var stale []string
+		for _, pat := range durableFilePatterns {
+			m, err := filepath.Glob(filepath.Join(cfg.DataDir, pat))
+			if err != nil {
+				return nil, fmt.Errorf("serve: scan data dir: %w", err)
+			}
+			stale = append(stale, m...)
+		}
+		if len(stale) > 0 {
+			return nil, fmt.Errorf("serve: data dir holds session files outside sessions/ (%s): move them to %s/sessions/default/ next to a %s describing the session",
+				strings.Join(stale, ", "), cfg.DataDir, manifestName)
+		}
 	}
 	cfg.applyDefaults()
 	sv := &Server{
@@ -292,27 +287,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReplicaOf != "" {
 		sv.role.Store(roleReplica)
 	}
-	sv.sessionsLive = sv.set.Gauge("rfidserve_sessions", "live sessions, the default session included")
+	sv.sessionsLive = sv.set.Gauge("rfidserve_sessions", "live sessions")
 	sv.sessionsCreated = sv.set.Counter("rfidserve_sessions_created_total", "sessions created over the server's lifetime (boot-recovered sessions included)")
 	sv.sessionsDeleted = sv.set.Counter("rfidserve_sessions_deleted_total", "sessions deleted")
 	sv.sched = newScheduler(cfg.SchedWorkers)
 	sv.res = newResidency(cfg.MaxResident, sv.set)
 	sv.repl = newReplTracker(sv.set)
 
-	// The default session keeps the pre-session durable layout: its WAL and
-	// checkpoints live directly under DataDir.
-	def, err := newSession(DefaultSessionID, "", cfg, sv.deps(), nil)
-	if err != nil {
-		sv.sched.stop()
-		return nil, err
-	}
-	sv.sessions[DefaultSessionID] = def
-
 	if err := sv.restoreSessions(); err != nil {
-		// Tear down everything that already started (the default session AND
-		// any session restored before the failure): a caller that retries
-		// New on the same DataDir must not race leaked workers or open WAL
-		// writers. closeNow leaves the on-disk state untouched.
+		// Tear down every session restored before the failure: a caller that
+		// retries New on the same DataDir must not race leaked workers or
+		// open WAL writers. closeNow leaves the on-disk state untouched.
 		for _, s := range sv.snapshotSessions() {
 			s.closeNow()
 		}
@@ -354,9 +339,8 @@ func (sv *Server) deps() sessionDeps {
 
 // sessionConfig derives one session's effective Config from the server
 // defaults, the session's durability directory and its engine overrides.
-func (sv *Server) sessionConfig(runner *rfid.Runner, dataDir string, eng *api.EngineConfig) Config {
+func (sv *Server) sessionConfig(dataDir string, eng *api.EngineConfig) Config {
 	cfg := sv.cfg
-	cfg.Runner = runner
 	cfg.DataDir = dataDir
 	if eng != nil && eng.QueueSize > 0 {
 		cfg.QueueSize = eng.QueueSize
@@ -364,7 +348,7 @@ func (sv *Server) sessionConfig(runner *rfid.Runner, dataDir string, eng *api.En
 	return cfg
 }
 
-// sessionsRoot is the directory API-created sessions persist under.
+// sessionsRoot is the directory sessions persist under.
 func (sv *Server) sessionsRoot() string { return filepath.Join(sv.cfg.DataDir, "sessions") }
 
 // sessionDir returns a session's durability directory ("" when the server is
@@ -427,7 +411,7 @@ const manifestName = "manifest.json"
 var sessionIDPattern = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]{0,63}$`)
 
 // checkCreateLocked runs the cheap admission checks: session limit,
-// reserved/invalid/duplicate ids, and ids whose durable state is still being
+// invalid/duplicate ids, and ids whose durable state is still being
 // torn down by a concurrent delete. Boot restore skips the limit check —
 // lowering -max-sessions below the persisted count must degrade new creates,
 // not make the whole server unbootable. Caller holds sv.mu.
@@ -445,9 +429,6 @@ func (sv *Server) checkCreateLocked(id string, restoring bool) error {
 	if id == "" {
 		return nil
 	}
-	if id == DefaultSessionID {
-		return &api.Error{Code: api.ErrConflict, Message: `session id "default" is reserved`, HTTPStatus: http.StatusConflict}
-	}
 	if !sessionIDPattern.MatchString(id) {
 		return &api.Error{Code: api.ErrBadRequest, Message: fmt.Sprintf("invalid session id %q (want lowercase letters, digits, '-' or '_', at most 64 chars)", id), HTTPStatus: http.StatusBadRequest}
 	}
@@ -461,7 +442,7 @@ func (sv *Server) checkCreateLocked(id string, restoring bool) error {
 }
 
 // addSession validates a creation request, reserves its id, builds the runner
-// and starts the session. Used by both POST /v1/sessions and boot restore
+// and starts the session. Used by both CreateSession and boot restore
 // (restore passes the manifest verbatim, so both paths build identical
 // engines — which is what makes recovered fingerprints match). Once boot
 // restore has filled the resident set to MaxResident, further persisted
@@ -515,17 +496,15 @@ func (sv *Server) addSession(req api.CreateSessionRequest, restoring bool) (*ses
 			return nil, err
 		}
 	}
-	label := fmt.Sprintf(`{session=%q}`, id)
-	manifest := req // copied after ID assignment: hydration must rebuild this exact session
+	// req carries the assigned id from here on: hydration must rebuild this
+	// exact session.
 	var sess *session
 	if lazy {
-		sess, err = newEvictedSession(id, label, sv.sessionConfig(nil, dir, req.Engine), sv.deps(), &manifest)
+		sess = newEvictedSession(id, sv.sessionConfig(dir, req.Engine), sv.deps(), req)
 	} else {
-		sess, err = newSession(id, label, sv.sessionConfig(runner, dir, req.Engine), sv.deps(), &manifest)
+		sess = newSession(id, sv.sessionConfig(dir, req.Engine), sv.deps(), req, runner)
 	}
-	if err != nil {
-		return nil, err
-	}
+	sess.restored = restoring
 	sess.source = req.Source
 	if sess.source == "" {
 		if req.World != nil {
@@ -568,9 +547,6 @@ func writeManifest(dir string, req api.CreateSessionRequest) error {
 // stays reserved in sv.deleting, so a concurrent re-create of the same id
 // cannot have its fresh manifest and WAL wiped by this teardown.
 func (sv *Server) removeSession(id string) error {
-	if id == DefaultSessionID {
-		return &api.Error{Code: api.ErrConflict, Message: "the default session cannot be deleted", HTTPStatus: http.StatusConflict}
-	}
 	sv.mu.Lock()
 	sess, ok := sv.sessions[id]
 	if ok {
@@ -606,7 +582,7 @@ func (sv *Server) removeSession(id string) error {
 		}
 	}
 	// Retire the session's metric series: stale series must not linger on
-	// /metrics, and a re-created session with the same id must start its
+	// /v1/metrics, and a re-created session with the same id must start its
 	// counters from zero rather than inheriting the dead session's values.
 	// The leading brace is stripped so the suffix also matches series that
 	// carry an extra label before the session label (the per-stage counters).
@@ -625,13 +601,8 @@ func (sv *Server) session(id string) (*session, bool) {
 	return s, ok
 }
 
-// defaultSession returns the session the legacy routes alias onto.
-func (sv *Server) defaultSession() *session {
-	s, _ := sv.session(DefaultSessionID)
-	return s
-}
-
-// snapshotSessions returns the live sessions sorted by id (default first).
+// snapshotSessions returns the live sessions sorted by id, the stable order
+// listings use and pagination tokens are compared in.
 func (sv *Server) snapshotSessions() []*session {
 	sv.mu.Lock()
 	out := make([]*session, 0, len(sv.sessions))
@@ -639,29 +610,14 @@ func (sv *Server) snapshotSessions() []*session {
 		out = append(out, s)
 	}
 	sv.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return sessionIDLess(out[i].id, out[j].id) })
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
-}
-
-// sessionIDLess is the stable order session listings use (and the order
-// pagination tokens are compared in): the default session first, then ids
-// ascending.
-func sessionIDLess(a, b string) bool {
-	if (a == DefaultSessionID) != (b == DefaultSessionID) {
-		return a == DefaultSessionID
-	}
-	return a < b
 }
 
 // Handler returns the HTTP handler serving the API. Error responses produced
 // by the mux itself (unknown paths, method mismatches) are rewritten into the
 // structured JSON envelope, so every error on the surface has one shape.
 func (sv *Server) Handler() http.Handler { return envelopeErrors(sv.mux) }
-
-// Registry exposes the default session's query registry (used by embedders to
-// pre-register queries). The default session is never evicted, so this is
-// always non-nil.
-func (sv *Server) Registry() *query.Registry { return sv.defaultSession().registry() }
 
 // WaitReady blocks until every session finished starting up (for durable
 // sessions: until recovery completed) and returns the first startup error, if
@@ -681,24 +637,17 @@ func (sv *Server) WaitReady(ctx context.Context) error {
 
 // Close shuts every session down gracefully (seal, final checkpoint, WAL
 // close) and stops the server. Close is idempotent.
-func (sv *Server) Close() {
-	if !sv.closed.CompareAndSwap(false, true) {
-		return
-	}
-	if sv.follower != nil {
-		sv.follower.Stop()
-	}
-	for _, s := range sv.snapshotSessions() {
-		s.close()
-	}
-	sv.sched.stop()
-}
+func (sv *Server) Close() { sv.shutdown((*session).close) }
 
 // CloseNow stops every session WITHOUT the graceful durable shutdown: no
 // final seal, no final checkpoint, the WALs are left exactly as the last
 // append left them. This is the crash-simulation hook the recovery tests use
 // — the on-disk state afterwards is what a kill -9 would leave behind.
-func (sv *Server) CloseNow() {
+func (sv *Server) CloseNow() { sv.shutdown((*session).closeNow) }
+
+// shutdown stops the follower link, closes every session with closeSession
+// and stops the worker pool; only the first call does anything.
+func (sv *Server) shutdown(closeSession func(*session)) {
 	if !sv.closed.CompareAndSwap(false, true) {
 		return
 	}
@@ -706,7 +655,7 @@ func (sv *Server) CloseNow() {
 		sv.follower.Stop()
 	}
 	for _, s := range sv.snapshotSessions() {
-		s.closeNow()
+		closeSession(s)
 	}
 	sv.sched.stop()
 }
@@ -779,19 +728,28 @@ func (sv *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// refuseReadOnly answers writes with the stable read_only error while the
-// node is not a primary; reports whether the request was refused.
-func (sv *Server) refuseReadOnly(w http.ResponseWriter) bool {
+// readOnlyErr is the stable read_only error writes get while the node is not
+// a primary (nil on a primary).
+func (sv *Server) readOnlyErr() error {
 	if sv.role.Load() == rolePrimary {
-		return false
+		return nil
 	}
-	writeError(w, http.StatusConflict, api.ErrReadOnly, "node is a %s: writes must go to the primary", sv.roleName())
-	return true
+	return &api.Error{Code: api.ErrReadOnly, Message: fmt.Sprintf("node is a %s: writes must go to the primary", sv.roleName()), HTTPStatus: http.StatusConflict}
 }
 
-// routes wires the v1 resource surface and the legacy aliases onto the mux.
+// refuseReadOnly answers a write with readOnlyErr; reports whether the
+// request was refused.
+func (sv *Server) refuseReadOnly(w http.ResponseWriter) bool {
+	err := sv.readOnlyErr()
+	if err != nil {
+		writeAPIError(w, err)
+	}
+	return err != nil
+}
+
+// routes wires the v1 resource surface onto the mux.
 func (sv *Server) routes() {
-	// v1: sessions as resources.
+	// Sessions as resources.
 	sv.mux.HandleFunc("POST /v1/sessions", sv.handleCreateSession)
 	sv.mux.HandleFunc("GET /v1/sessions", sv.handleListSessions)
 	sv.mux.HandleFunc("GET /v1/sessions/{sid}", sv.withSession(sv.handleGetSession))
@@ -814,22 +772,6 @@ func (sv *Server) routes() {
 	// see replicate.go) and a replica is promoted here.
 	sv.mux.HandleFunc("POST /v1/replicate", sv.handleReplicate)
 	sv.mux.HandleFunc("POST /v1/promote", sv.handlePromote)
-
-	// Legacy unversioned aliases: the same handlers, pinned to the default
-	// session, so pre-v1 clients and tooling keep working byte-for-byte.
-	def := func(h func(http.ResponseWriter, *http.Request, *session)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) { h(w, r, sv.defaultSession()) }
-	}
-	sv.mux.HandleFunc("POST /ingest", def(sv.handleIngest))
-	sv.mux.HandleFunc("POST /flush", def(sv.handleFlush))
-	sv.mux.HandleFunc("GET /snapshot", def(sv.handleSnapshotAll))
-	sv.mux.HandleFunc("GET /snapshot/{tag}", def(sv.handleSnapshot))
-	sv.mux.HandleFunc("POST /queries", def(sv.handleRegister))
-	sv.mux.HandleFunc("GET /queries", def(sv.handleList))
-	sv.mux.HandleFunc("GET /queries/{id}/results", def(sv.handleResults))
-	sv.mux.HandleFunc("DELETE /queries/{id}", def(sv.handleUnregister))
-	sv.mux.HandleFunc("GET /metrics", sv.handleMetrics)
-	sv.mux.HandleFunc("GET /healthz", sv.handleHealthz)
 }
 
 // withSession resolves the {sid} path value into a live session.
@@ -853,8 +795,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError writes the structured error envelope every endpoint (v1 and
-// legacy alike) uses.
+// writeError writes the structured error envelope every endpoint uses.
 func writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
 	writeJSON(w, status, api.ErrorEnvelope{Error: &api.Error{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
@@ -880,41 +821,49 @@ func writeAPIError(w http.ResponseWriter, err error) {
 
 // --- session resource handlers ---
 
-// handleCreateSession answers POST /v1/sessions.
-func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	if sv.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "server is shutting down")
-		return
-	}
-	if sv.refuseReadOnly(w) {
-		return
-	}
-	var req api.CreateSessionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad session body: %v", err)
-		return
+// CreateSession creates and starts a session: the one way a session comes
+// into being outside boot restore. POST /v1/sessions is this call behind a
+// JSON codec; embedders and cmd/rfidserve's -trace bootstrap call it
+// directly. Failures are *api.Error values (conflict for an id that exists,
+// bad_request for an invalid world or engine block, ...).
+func (sv *Server) CreateSession(ctx context.Context, req api.CreateSessionRequest) (api.Session, error) {
+	if err := sv.readOnlyErr(); err != nil {
+		return api.Session{}, err
 	}
 	sess, err := sv.addSession(req, false)
 	if err != nil {
-		writeAPIError(w, err)
-		return
+		return api.Session{}, err
 	}
 	// A freshly created session starts against an empty (or no) data
-	// directory, so its startup is quick; waiting here means the 201 body
-	// reports a session that is actually serving, and a startup failure
-	// surfaces on the create call instead of on the first ingest.
-	if err := sess.waitReady(r.Context().Done()); err != nil {
+	// directory, so its startup is quick; waiting here means the caller gets
+	// a session that is actually serving, and a startup failure surfaces on
+	// the create call instead of on the first ingest.
+	if err := sess.waitReady(ctx.Done()); err != nil {
 		// Roll the registration back: a create the client was told failed
 		// must not keep occupying its id and a MaxSessions slot (a retry
 		// would otherwise 409 against a session that "was never created").
 		if rerr := sv.removeSession(sess.id); rerr != nil {
 			sess.log.Error("rollback of failed create left the session registered", "err", rerr)
 		}
-		writeError(w, http.StatusInternalServerError, api.ErrInternal, "session failed to start: %v", err)
+		return api.Session{}, &api.Error{Code: api.ErrInternal, Message: fmt.Sprintf("session failed to start: %v", err), HTTPStatus: http.StatusInternalServerError}
+	}
+	return sv.sessionToAPI(sess), nil
+}
+
+// handleCreateSession answers POST /v1/sessions.
+func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+	var req api.CreateSessionRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad session body: %v", err)
 		return
 	}
-	w.Header().Set("Location", "/v1/sessions/"+sess.id)
-	writeJSON(w, http.StatusCreated, sv.sessionToAPI(sess))
+	sess, err := sv.CreateSession(r.Context(), req)
+	if err != nil {
+		writeAPIError(w, err)
+		return
+	}
+	w.Header().Set("Location", "/v1/sessions/"+sess.ID)
+	writeJSON(w, http.StatusCreated, sess)
 }
 
 // maxPageLimit caps ?limit= on the paginated list endpoints (and is the
@@ -945,10 +894,9 @@ func pageParams(r *http.Request) (limit int, token string, paged bool, err error
 }
 
 // handleListSessions answers GET /v1/sessions, optionally paginated with
-// ?limit= and ?page_token=. The order is stable (default session first, then
-// ids ascending) and the token is the last id of the previous page, so a
-// session created or deleted between pages never makes the walk skip or
-// repeat an unrelated id.
+// ?limit= and ?page_token=. The order is stable (ids ascending) and the token
+// is the last id of the previous page, so a session created or deleted
+// between pages never makes the walk skip or repeat an unrelated id.
 func (sv *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	limit, token, _, err := pageParams(r)
 	if err != nil {
@@ -957,7 +905,7 @@ func (sv *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	list := api.SessionList{Sessions: []api.Session{}}
 	for _, s := range sv.snapshotSessions() {
-		if token != "" && !sessionIDLess(token, s.id) {
+		if token != "" && s.id <= token {
 			continue
 		}
 		if len(list.Sessions) == limit {
@@ -997,7 +945,6 @@ func (sv *Server) sessionToAPI(s *session) api.Session {
 		ID:      s.id,
 		State:   serverState(s.state.Load()).String(),
 		Durable: s.durable(),
-		Default: s.id == DefaultSessionID,
 		Source:  s.source,
 		Stats: api.SessionStats{
 			Epochs:         st.Epochs,
@@ -1012,7 +959,7 @@ func (sv *Server) sessionToAPI(s *session) api.Session {
 	}
 }
 
-// --- data-plane handlers (shared by v1 and the legacy aliases) ---
+// --- data-plane handlers ---
 
 // handleIngest enqueues a batch on the session's bounded queue, blocking up
 // to IngestWait for space; 503 signals backpressure and the client should
@@ -1448,9 +1395,9 @@ func (sv *Server) runOp(w http.ResponseWriter, r *http.Request, sess *session, o
 	}
 }
 
-// handleMetrics answers GET /metrics in the Prometheus text format, or as a
-// flat JSON object with ?format=json. Every session's series share the one
-// set; non-default sessions are distinguished by the session label.
+// handleMetrics answers GET /v1/metrics in the Prometheus text format, or as
+// a flat JSON object with ?format=json. Every session's series share the one
+// set, distinguished by the session label.
 func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sessions := sv.snapshotSessions()
 	for _, s := range sessions {
@@ -1465,38 +1412,53 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = sv.set.WriteProm(w)
 }
 
-// handleHealthz answers GET /healthz and /v1/healthz. The state field is the
-// default session's durability lifecycle: "recovering" while a checkpoint is
-// restored and the WAL replays, "serving" in normal operation, "failed" when
-// recovery could not complete and "closed" after a graceful shutdown.
+// state derives the server-level lifecycle /v1/healthz reports from the
+// startup outcome of the sessions boot restore (or a replica bootstrap) built
+// — the condition WaitReady blocks on: "recovering" while one of them is
+// still restoring its checkpoint and replaying its WAL, "failed" when one
+// could not, "serving" otherwise (a server with no sessions is serving) and
+// "closed" after Close.
+func (sv *Server) state() serverState {
+	if sv.closed.Load() {
+		return stateClosed
+	}
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	state := stateServing
+	for _, s := range sv.sessions {
+		if !s.restored {
+			continue
+		}
+		select {
+		case <-s.ready:
+			if s.readyErr != nil {
+				return stateFailed
+			}
+		default:
+			state = stateRecovering
+		}
+	}
+	return state
+}
+
+// handleHealthz answers GET /v1/healthz.
 func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	def := sv.defaultSession()
-	state := serverState(def.state.Load())
+	state := sv.state()
 	sv.mu.Lock()
 	n := len(sv.sessions)
 	sv.mu.Unlock()
 	body := api.Health{
 		OK:            state == stateServing,
 		State:         state.String(),
-		Durable:       def.durable(),
+		Durable:       sv.cfg.DataDir != "",
 		UptimeSeconds: time.Since(sv.start).Seconds(),
 		Sessions:      n,
 		Role:          sv.roleName(),
-	}
-	if def.durable() {
-		ckpt := int(def.lastCkptEpoch.Load())
-		body.LastCheckpointEpoch = &ckpt
-		if ep := def.recoveredEpoch.Load(); ep >= 0 {
-			rec := int(ep)
-			body.RecoveredFromEpoch = &rec
-		}
 	}
 	if sv.role.Load() == rolePrimary {
 		followers := sv.repl.followerCount()
 		body.Followers = &followers
 	} else {
-		applied := def.appliedEpoch.Load()
-		body.AppliedEpoch = &applied
 		lag := sv.repl.lagSeconds()
 		body.ReplicationLagSeconds = &lag
 	}

@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,9 +20,65 @@ import (
 	"repro/rfid/api"
 )
 
-// newTestServer builds a server over a small simulated warehouse and returns
-// it with the trace's raw streams so tests can ingest real data.
+// sessPath is the resource path of the one session the single-session tests
+// drive. The id is deliberately "default": the name carries no special
+// treatment, and these tests would notice if it grew one.
+const sessPath = "/v1/sessions/default"
+
+// sessionRequest describes that session: the given world under the given
+// engine block.
+func sessionRequest(world *rfid.World, eng api.EngineConfig) api.CreateSessionRequest {
+	return api.CreateSessionRequest{ID: "default", World: apiWorld(world), Engine: &eng}
+}
+
+// openSession makes req's session exist on srv: created through the one
+// create path on a fresh server, left as boot restore rebuilt it on a durable
+// restart (the persisted manifest wins, as it does for rfidserve -trace).
+func openSession(t *testing.T, srv *Server, req api.CreateSessionRequest) {
+	t.Helper()
+	_, err := srv.CreateSession(context.Background(), req)
+	var apiErr *api.Error
+	if err != nil && !(errors.As(err, &apiErr) && apiErr.Code == api.ErrConflict) {
+		t.Fatalf("create session %q: %v", req.ID, err)
+	}
+}
+
+// putManifest writes req as its session's persisted manifest under dataDir, so
+// the next boot builds the session's engine from it. Tests use it to restart a
+// session under different parallelism knobs (which the state fingerprint and
+// checkpoint encoding are deliberately independent of) and to hand a replica
+// its own engine configuration for a session the primary will ship.
+func putManifest(t *testing.T, dataDir string, req api.CreateSessionRequest) {
+	t.Helper()
+	dir := filepath.Join(dataDir, "sessions", req.ID)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeManifest(dir, req); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sessionPersisted reports whether dataDir already holds the session.
+func sessionPersisted(dataDir, id string) bool {
+	_, err := os.Stat(filepath.Join(dataDir, "sessions", id, manifestName))
+	return err == nil
+}
+
+// newTestServer builds a server hosting one session over a small simulated
+// warehouse and returns it with the trace's raw streams so tests can ingest
+// real data.
 func newTestServer(t *testing.T, queue int) (*Server, *httptest.Server, []rfid.Reading, []rfid.LocationReport) {
+	t.Helper()
+	return newTestServerWith(t, Config{QueueSize: queue, IngestWait: 5 * time.Second}, testEngine)
+}
+
+// testEngine is the engine block of newTestServer's session.
+var testEngine = api.EngineConfig{ObjectParticles: 150, ReaderParticles: 40, Seed: 9}
+
+// newTestServerWith is newTestServer under an arbitrary server config and
+// engine block.
+func newTestServerWith(t *testing.T, cfg Config, eng api.EngineConfig) (*Server, *httptest.Server, []rfid.Reading, []rfid.LocationReport) {
 	t.Helper()
 	simCfg := rfid.DefaultWarehouseConfig()
 	simCfg.NumObjects = 6
@@ -28,19 +88,11 @@ func newTestServer(t *testing.T, queue int) (*Server, *httptest.Server, []rfid.R
 	if err != nil {
 		t.Fatalf("SimulateWarehouse: %v", err)
 	}
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), trace.World)
-	cfg.NumObjectParticles = 150
-	cfg.NumReaderParticles = 40
-	cfg.Seed = 9
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	srv, err := New(Config{Runner: runner, QueueSize: queue, IngestWait: 5 * time.Second})
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	openSession(t, srv, sessionRequest(trace.World, eng))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -112,18 +164,18 @@ func TestServerEndToEnd(t *testing.T) {
 	var locInfo struct {
 		ID string `json:"id"`
 	}
-	if code := postJSON(t, ts.URL+"/queries", map[string]any{"kind": "location-updates", "min_change": 0.1}, &locInfo); code != http.StatusCreated {
+	if code := postJSON(t, ts.URL+sessPath+"/queries", map[string]any{"kind": "location-updates", "min_change": 0.1}, &locInfo); code != http.StatusCreated {
 		t.Fatalf("register location-updates: status %d", code)
 	}
 	var aggInfo struct {
 		ID string `json:"id"`
 	}
-	if code := postJSON(t, ts.URL+"/queries", map[string]any{
+	if code := postJSON(t, ts.URL+sessPath+"/queries", map[string]any{
 		"kind": "windowed-aggregate", "op": "count", "group_by": "none", "window_epochs": 10,
 	}, &aggInfo); code != http.StatusCreated {
 		t.Fatalf("register windowed-aggregate: status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/queries", map[string]any{"kind": "bogus"}, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, ts.URL+sessPath+"/queries", map[string]any{"kind": "bogus"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bogus spec: status %d, want 400", code)
 	}
 
@@ -153,7 +205,7 @@ func TestServerEndToEnd(t *testing.T) {
 		var ack struct {
 			Queued bool `json:"queued"`
 		}
-		if code := postJSON(t, ts.URL+"/ingest", ingestBody(rs, locs), &ack); code != http.StatusAccepted || !ack.Queued {
+		if code := postJSON(t, ts.URL+sessPath+"/ingest", ingestBody(rs, locs), &ack); code != http.StatusAccepted || !ack.Queued {
 			t.Fatalf("ingest batch %d: status %d ack %+v", i, code, ack)
 		}
 	}
@@ -163,7 +215,7 @@ func TestServerEndToEnd(t *testing.T) {
 		Events  int `json:"events"`
 		Results int `json:"results"`
 	}
-	if code := postJSON(t, ts.URL+"/flush?windows=true", map[string]any{}, &flushed); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+sessPath+"/flush?windows=true", map[string]any{}, &flushed); code != http.StatusOK {
 		t.Fatalf("flush: status %d", code)
 	}
 	// Ingest ops already advanced the pipeline (hold=0), so the flush is a
@@ -178,20 +230,20 @@ func TestServerEndToEnd(t *testing.T) {
 		Epochs  int      `json:"epochs"`
 		Tracked []string `json:"tracked"`
 	}
-	if code := getJSON(t, ts.URL+"/snapshot", &overview); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+sessPath+"/snapshot", &overview); code != http.StatusOK {
 		t.Fatalf("snapshot overview: status %d", code)
 	}
 	if overview.Epochs == 0 || len(overview.Tracked) != 6 {
 		t.Fatalf("overview %+v, want 6 tracked tags", overview)
 	}
 	var snap api.TagSnapshot
-	if code := getJSON(t, ts.URL+"/snapshot/"+overview.Tracked[0], &snap); code != http.StatusOK || !snap.Found {
+	if code := getJSON(t, ts.URL+sessPath+"/snapshot/"+overview.Tracked[0], &snap); code != http.StatusOK || !snap.Found {
 		t.Fatalf("snapshot %s: status %d found=%v", overview.Tracked[0], code, snap.Found)
 	}
 	if snap.X == 0 && snap.Y == 0 && snap.Z == 0 {
 		t.Errorf("snapshot location is the origin: %+v", snap)
 	}
-	if code := getJSON(t, ts.URL+"/snapshot/nope", &snap); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+sessPath+"/snapshot/nope", &snap); code != http.StatusNotFound {
 		t.Fatalf("unknown snapshot: status %d, want 404", code)
 	}
 
@@ -204,7 +256,7 @@ func TestServerEndToEnd(t *testing.T) {
 				Row json.RawMessage `json:"row"`
 			} `json:"results"`
 		}
-		if code := getJSON(t, fmt.Sprintf("%s/queries/%s/results?after=-1", ts.URL, id), &res); code != http.StatusOK {
+		if code := getJSON(t, fmt.Sprintf("%s/queries/%s/results?after=-1", ts.URL+sessPath, id), &res); code != http.StatusOK {
 			t.Fatalf("results %s: status %d", id, code)
 		}
 		if len(res.Results) == 0 {
@@ -216,10 +268,10 @@ func TestServerEndToEnd(t *testing.T) {
 	var list []struct {
 		ID string `json:"id"`
 	}
-	if code := getJSON(t, ts.URL+"/queries", &list); code != http.StatusOK || len(list) != 2 {
+	if code := getJSON(t, ts.URL+sessPath+"/queries", &list); code != http.StatusOK || len(list) != 2 {
 		t.Fatalf("list: status %d, %d entries", code, len(list))
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/queries/"+aggInfo.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+sessPath+"/queries/"+aggInfo.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("DELETE: %v", err)
@@ -230,9 +282,9 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Metrics: the Prometheus exposition carries non-zero core counters.
-	mresp, err := http.Get(ts.URL + "/metrics")
+	mresp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatalf("GET /v1/metrics: %v", err)
 	}
 	promText, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
@@ -242,19 +294,19 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 	var snapMetrics map[string]float64
-	if code := getJSON(t, ts.URL+"/metrics?format=json", &snapMetrics); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/metrics?format=json", &snapMetrics); code != http.StatusOK {
 		t.Fatalf("metrics json: status %d", code)
 	}
-	if snapMetrics["rfidserve_epochs_total"] == 0 {
+	if snapMetrics[`rfidserve_epochs_total{session="default"}`] == 0 {
 		t.Error("epochs counter is zero after processing")
 	}
-	if snapMetrics["rfidserve_readings_total"] == 0 {
+	if snapMetrics[`rfidserve_readings_total{session="default"}`] == 0 {
 		t.Error("readings counter is zero after processing")
 	}
-	if snapMetrics["rfidserve_particles"] == 0 {
+	if snapMetrics[`rfidserve_particles{session="default"}`] == 0 {
 		t.Error("particles gauge is zero after processing")
 	}
-	if snapMetrics["rfidserve_query_results_total"] == 0 {
+	if snapMetrics[`rfidserve_query_results_total{session="default"}`] == 0 {
 		t.Error("query results counter is zero")
 	}
 
@@ -262,7 +314,7 @@ func TestServerEndToEnd(t *testing.T) {
 	var health struct {
 		OK bool `json:"ok"`
 	}
-	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || !health.OK {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &health); code != http.StatusOK || !health.OK {
 		t.Fatalf("healthz: status %d %+v", code, health)
 	}
 }
@@ -313,9 +365,9 @@ func TestServerConcurrentIngestAndSnapshot(t *testing.T) {
 			if lo == 0 {
 				locs = locations
 			}
-			post(ts.URL+"/ingest", ingestBody(readings[lo:hi], locs))
+			post(ts.URL+sessPath+"/ingest", ingestBody(readings[lo:hi], locs))
 		}
-		post(ts.URL+"/flush", map[string]any{})
+		post(ts.URL+sessPath+"/flush", map[string]any{})
 	}()
 	// Readers: snapshots and metrics while ingestion runs.
 	for i := 0; i < 4; i++ {
@@ -323,9 +375,9 @@ func TestServerConcurrentIngestAndSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 25; j++ {
-				get(ts.URL + "/snapshot")
-				get(ts.URL + "/snapshot/obj-000")
-				get(ts.URL + "/metrics?format=json")
+				get(ts.URL + sessPath + "/snapshot")
+				get(ts.URL + sessPath + "/snapshot/obj-000")
+				get(ts.URL + "/v1/metrics?format=json")
 			}
 		}()
 	}
@@ -335,14 +387,14 @@ func TestServerConcurrentIngestAndSnapshot(t *testing.T) {
 	var flushed struct {
 		Events int `json:"events"`
 	}
-	if code := postJSON(t, ts.URL+"/flush", map[string]any{}, &flushed); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, &flushed); code != http.StatusOK {
 		t.Fatalf("final flush: status %d", code)
 	}
 	var overview struct {
 		Buffered int `json:"buffered_epochs"`
 		Epochs   int `json:"epochs"`
 	}
-	getJSON(t, ts.URL+"/snapshot", &overview)
+	getJSON(t, ts.URL+sessPath+"/snapshot", &overview)
 	if overview.Buffered != 0 {
 		t.Errorf("epochs still buffered after flush: %d", overview.Buffered)
 	}
@@ -356,7 +408,8 @@ func TestServerConcurrentIngestAndSnapshot(t *testing.T) {
 // never blocks forever or panics.
 func TestServerBackpressure(t *testing.T) {
 	srv, ts, readings, _ := newTestServer(t, 1)
-	srv.defaultSession().cfg.IngestWait = 10 * time.Millisecond
+	sess, _ := srv.session("default")
+	sess.cfg.IngestWait = 10 * time.Millisecond
 
 	batch := readings
 	if len(batch) > 100 {
@@ -365,7 +418,7 @@ func TestServerBackpressure(t *testing.T) {
 	saw503 := false
 	for i := 0; i < 30; i++ {
 		body, _ := json.Marshal(ingestBody(batch, nil))
-		resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+sessPath+"/ingest", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST: %v", err)
 		}
@@ -380,7 +433,7 @@ func TestServerBackpressure(t *testing.T) {
 		}
 	}
 	// Drain; the server must stay usable after backpressure.
-	if code := postJSON(t, ts.URL+"/flush", map[string]any{}, nil); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil); code != http.StatusOK {
 		t.Fatalf("flush after backpressure: status %d", code)
 	}
 	_ = saw503 // bursty queue pressure is timing-dependent; 202-only runs are fine
@@ -390,7 +443,7 @@ func TestServerBackpressure(t *testing.T) {
 func TestServerCloseRejectsIngest(t *testing.T) {
 	srv, ts, readings, _ := newTestServer(t, 4)
 	srv.Close()
-	if code := postJSON(t, ts.URL+"/ingest", ingestBody(readings[:1], nil), nil); code != http.StatusServiceUnavailable {
+	if code := postJSON(t, ts.URL+sessPath+"/ingest", ingestBody(readings[:1], nil), nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("ingest after close: status %d, want 503", code)
 	}
 	srv.Close() // idempotent

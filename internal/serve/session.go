@@ -79,8 +79,7 @@ type sessionDeps struct {
 	sched *scheduler
 	res   *residency
 	// repl is the server-level replication tracker (follower acks on a
-	// primary, apply metrics on a replica); nil only in tests that build
-	// sessions directly.
+	// primary, apply metrics on a replica).
 	repl *replTracker
 	// replicaMode marks sessions built on a follower node: they mirror a
 	// primary's WAL instead of appending their own.
@@ -91,8 +90,7 @@ type sessionDeps struct {
 // Runner, query registry, bounded op queue drained by the shared scheduler's
 // worker pool, per-session metric series and (when the server is durable) its
 // own WAL/checkpoint directory. The v1 API exposes sessions as resources
-// under /v1/sessions/{id}; the legacy unversioned routes alias the "default"
-// session.
+// under /v1/sessions/{id}.
 //
 // Concurrency model: all ingest and flush work funnels through one bounded
 // channel drained under the session pin (see sched.go), so epochs are
@@ -105,14 +103,17 @@ type sessionDeps struct {
 // fence through the queue.
 type session struct {
 	id     string
-	label  string // metric-series label suffix ("" for the default session)
-	source string // normalized world source ("" for the flag-built default)
+	label  string // metric-series label suffix, {session="<id>"}
+	source string // normalized world source
 	cfg    Config // effective config; DataDir is THIS session's directory
+	// restored marks a session built by boot restore or a replica bootstrap
+	// rather than a create call: the ones /v1/healthz waits on.
+	restored bool
 
-	// manifest is the api.CreateSessionRequest the session was built from
-	// (nil for the flag-built default session). Hydration rebuilds the engine
-	// from it, which is what makes the checkpoint fingerprint match.
-	manifest *api.CreateSessionRequest
+	// manifest is the api.CreateSessionRequest the session was built from.
+	// Hydration rebuilds the engine from it, which is what makes the
+	// checkpoint fingerprint match.
+	manifest api.CreateSessionRequest
 
 	// eng and reg are the resident engine and query registry; both are nil
 	// while the session is evicted. Swapped only under the session pin; read
@@ -166,9 +167,8 @@ type session struct {
 	// Replication (see replica.go). replica is set at construction on a
 	// follower node and cleared by promotion; mirror replaces wal while the
 	// session follows a primary (pinned worker only). repl is the server-level
-	// follower tracker (nil unless the server participates in replication);
-	// replSeg/replOff/appliedEpoch are the atomically published apply cursor
-	// HTTP handlers and ack senders read without the pin.
+	// follower tracker; replSeg/replOff/appliedEpoch are the atomically
+	// published apply cursor HTTP handlers and ack senders read without the pin.
 	replica      atomic.Bool
 	mirror       *wal.Mirror
 	repl         *replTracker
@@ -183,16 +183,15 @@ type session struct {
 
 	// Durability (nil / zero when cfg.DataDir is empty). The WAL and the
 	// checkpoint writer run exclusively under the session pin.
-	wal            *wal.Log
-	state          atomic.Int32 // serverState
-	ready          chan struct{}
-	readyErr       error                 // written before ready closes, read after
-	failErr        atomic.Pointer[error] // why the session is stateFailed
-	lastCkptEpoch  atomic.Int64
-	lastCkptNanos  atomic.Int64
-	recoveredEpoch atomic.Int64
-	epochsAtCkpt   int64     // pinned-worker-local
-	lastWal        wal.Stats // pinned-worker-local metric mirror
+	wal           *wal.Log
+	state         atomic.Int32 // serverState
+	ready         chan struct{}
+	readyErr      error                 // written before ready closes, read after
+	failErr       atomic.Pointer[error] // why the session is stateFailed
+	lastCkptEpoch atomic.Int64
+	lastCkptNanos atomic.Int64
+	epochsAtCkpt  int64     // pinned-worker-local
+	lastWal       wal.Stats // pinned-worker-local metric mirror
 
 	// op-processing counters (written only under the pin)
 	engineErrs  *metrics.Counter
@@ -240,15 +239,11 @@ type session struct {
 }
 
 // series suffixes a metric name with the session's label so every session
-// owns its own Prometheus series while sharing the server's Set. The default
-// session uses bare names, preserving the pre-session metric surface.
+// owns its own Prometheus series while sharing the server's Set.
 func (s *session) series(name string) string { return name + s.label }
 
 // engine returns the resident runner (nil while evicted).
 func (s *session) engine() *rfid.Runner { return s.eng.Load() }
-
-// registry returns the resident query registry (nil while evicted).
-func (s *session) registry() *query.Registry { return s.reg.Load() }
 
 // runnerStats returns live engine stats when resident, the eviction-time
 // cache otherwise (zeros for a lazily-restored session before first touch).
@@ -287,51 +282,51 @@ func (s *session) failure() error {
 	return s.readyErr
 }
 
-// newSession builds a session with a resident engine and schedules its
+// newSession builds a session around its resident engine and schedules its
 // startup on the shared worker pool. cfg must already carry the session's
-// effective settings (its own DataDir, queue size, ...); label is the
-// Prometheus label suffix (empty for the default session); manifest is the
-// creation request API sessions hydrate from (nil for the default session).
-func newSession(id, label string, cfg Config, deps sessionDeps, manifest *api.CreateSessionRequest) (*session, error) {
-	if cfg.Runner == nil {
-		return nil, fmt.Errorf("serve: session %q has no runner", id)
-	}
-	s := buildSession(id, label, cfg, deps, manifest)
-	s.observeRunner(cfg.Runner)
-	s.eng.Store(cfg.Runner)
-	reg := query.NewRegistry(cfg.MaxBufferedResults)
-	// History-mode queries evaluate over the runner's time-travel ring (it
-	// reports "no history" when RunnerConfig.HistoryEpochs is zero).
-	reg.SetHistorySource(cfg.Runner)
-	s.reg.Store(reg)
+// effective settings (its own DataDir, queue size, ...); manifest is the
+// creation request runner was built from, which hydration rebuilds it from.
+func newSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest, runner *rfid.Runner) *session {
+	s := buildSession(id, cfg, deps, manifest)
+	s.install(runner)
 	// Schedule startup (recovery for durable sessions) on the worker pool.
 	s.sched.wake(s)
-	return s, nil
+	return s
+}
+
+// install makes a freshly built runner the resident engine, with an empty
+// query registry beside it. Wherever a runner becomes resident (creation,
+// hydration, replica re-bootstrap) recovery then restores both from disk.
+func (s *session) install(runner *rfid.Runner) {
+	s.observeRunner(runner)
+	reg := query.NewRegistry(s.cfg.MaxBufferedResults)
+	// History-mode queries evaluate over the runner's time-travel ring (it
+	// reports "no history" when RunnerConfig.HistoryEpochs is zero).
+	reg.SetHistorySource(runner)
+	s.eng.Store(runner)
+	s.reg.Store(reg)
 }
 
 // newEvictedSession builds a session that boots directly in the evicted
 // state: no engine, no registry, no WAL replay — just the manifest and the
 // metric series. The first touch hydrates it. Used by boot restore once the
 // resident set is full, which is what keeps a 10k-session restart from
-// rebuilding 10k particle filters up front.
-func newEvictedSession(id, label string, cfg Config, deps sessionDeps, manifest *api.CreateSessionRequest) (*session, error) {
-	if manifest == nil || cfg.DataDir == "" {
-		return nil, fmt.Errorf("serve: session %q cannot boot evicted without a manifest and data dir", id)
-	}
-	s := buildSession(id, label, cfg, deps, manifest)
+// rebuilding 10k particle filters up front. cfg.DataDir must be set: the
+// session restores from it.
+func newEvictedSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest) *session {
+	s := buildSession(id, cfg, deps, manifest)
 	s.started.Store(true)
 	s.state.Store(int32(stateEvicted))
 	close(s.ready)
 	deps.res.addEvicted()
-	return s, nil
+	return s
 }
 
 // buildSession is the shared construction: struct, channels, metric series.
-func buildSession(id, label string, cfg Config, deps sessionDeps, manifest *api.CreateSessionRequest) *session {
-	cfg.applyDefaults()
+func buildSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest) *session {
 	s := &session{
 		id:           id,
-		label:        label,
+		label:        fmt.Sprintf(`{session=%q}`, id),
 		cfg:          cfg,
 		manifest:     manifest,
 		ops:          make(chan op, cfg.QueueSize),
@@ -345,7 +340,6 @@ func buildSession(id, label string, cfg Config, deps sessionDeps, manifest *api.
 	}
 	s.log = cfg.Logger.With("session", id)
 	s.lastCkptEpoch.Store(-1)
-	s.recoveredEpoch.Store(-1)
 	s.repl = deps.repl
 	s.replica.Store(deps.replicaMode)
 	s.appliedEpoch.Store(-1)
@@ -401,16 +395,12 @@ func (s *session) histogram(name, help string) *metrics.Histogram {
 // FIRST so every series of a session keeps the `session="id"}` suffix that
 // removeSession drops by.
 func (s *session) stageSeries(stage string) string {
-	if s.label == "" {
-		return fmt.Sprintf(`rfidserve_epoch_stage_seconds_total{stage=%q}`, stage)
-	}
 	return fmt.Sprintf(`rfidserve_epoch_stage_seconds_total{stage=%q,%s`, stage, s.label[1:])
 }
 
 // observeRunner wires a freshly resident runner's trace recorder into the
 // session's metric surface: every committed epoch lands in the epoch-latency
-// histogram and epochs slower than cfg.SlowEpoch are logged. Called wherever
-// a runner becomes resident (creation, recovery, hydration). The hook runs
+// histogram and epochs slower than cfg.SlowEpoch are logged. The hook runs
 // under the runner's mutex on the pinned worker, so it must stay cheap and
 // must not call back into the runner.
 func (s *session) observeRunner(r *rfid.Runner) {
@@ -496,9 +486,7 @@ func (s *session) close() {
 		s.state.Store(int32(stateClosed))
 		s.pinMu.Unlock()
 		close(s.quit)
-		if s.res != nil {
-			s.res.drop(s, true)
-		}
+		s.res.drop(s, true)
 		return
 	}
 	s.pinMu.Unlock()
@@ -528,9 +516,7 @@ func (s *session) close() {
 		}
 		s.wal = nil
 	}
-	if s.res != nil {
-		s.res.drop(s, false)
-	}
+	s.res.drop(s, false)
 }
 
 // closeNow stops the session WITHOUT the graceful durable shutdown: no final
@@ -555,9 +541,7 @@ func (s *session) closeNow() {
 		_ = s.wal.Close()
 		s.wal = nil
 	}
-	if s.res != nil {
-		s.res.drop(s, serverState(s.state.Load()) == stateEvicted)
-	}
+	s.res.drop(s, serverState(s.state.Load()) == stateEvicted)
 }
 
 // handleOp runs one op under the session pin.

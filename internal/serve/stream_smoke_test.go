@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/wal"
-	"repro/rfid"
 	"repro/rfid/api"
 	"repro/rfid/client"
 )
@@ -34,21 +33,7 @@ func TestStreamSmokeChild(t *testing.T) {
 	if os.Getenv(streamSmokeChildEnv) == "" {
 		t.Skip("not a stream-smoke child")
 	}
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.NumObjectParticles = 100
-	cfg.Seed = 17
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	// HoldEpochs 1 makes the final state a function of the record stream
-	// alone, independent of where batch boundaries land (see the note on
-	// newStreamTestServer).
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{HoldEpochs: 1})
-	if err != nil {
-		t.Fatalf("runner: %v", err)
-	}
 	srv, err := New(Config{
-		Runner:          runner,
 		DataDir:         os.Getenv("RFIDSERVE_STREAMSMOKE_DIR"),
 		CheckpointEvery: 4,
 		Fsync:           wal.SyncAlways,

@@ -29,34 +29,9 @@ import (
 // byte for byte.
 func newStreamTestServer(t *testing.T) (*Server, *httptest.Server, []rfid.Reading, []rfid.LocationReport) {
 	t.Helper()
-	simCfg := rfid.DefaultWarehouseConfig()
-	simCfg.NumObjects = 6
-	simCfg.NumShelfTags = 4
-	simCfg.Seed = 9
-	trace, err := rfid.SimulateWarehouse(simCfg)
-	if err != nil {
-		t.Fatalf("SimulateWarehouse: %v", err)
-	}
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), trace.World)
-	cfg.NumObjectParticles = 150
-	cfg.NumReaderParticles = 40
-	cfg.Seed = 9
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{HoldEpochs: 1})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	srv, err := New(Config{Runner: runner, QueueSize: 64, IngestWait: 5 * time.Second})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	readings, locations := rfid.RawStreams(trace)
-	return srv, ts, readings, locations
+	eng := testEngine
+	eng.HoldEpochs = 1
+	return newTestServerWith(t, Config{QueueSize: 64, IngestWait: 5 * time.Second}, eng)
 }
 
 // stateFingerprint renders a session's externally visible state (overview +
@@ -136,7 +111,7 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var acks int
-	st := client.New(ts.URL).Default().Stream(client.StreamOptions{
+	st := client.New(ts.URL).Session("default").Stream(client.StreamOptions{
 		BatchSize: 64,
 		OnAck:     func(api.StreamAck) { acks++ },
 	})
@@ -159,7 +134,7 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 	if got := stateFingerprint(t, ts.URL, "default"); got != want {
 		t.Errorf("streamed state differs from HTTP reference run:\n got %q\nwant %q", got, want)
 	}
-	sess, _ := srv.session(DefaultSessionID)
+	sess, _ := srv.session("default")
 	if n := sess.streamConns.Value(); n != 1 {
 		t.Errorf("stream connections = %d, want 1", n)
 	}
@@ -172,10 +147,10 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 func TestStreamReconnectResume(t *testing.T) {
 	srv, ts, readings, locations := newStreamTestServer(t)
 	want := referenceRun(t, readings, locations)
-	sess, _ := srv.session(DefaultSessionID)
+	sess, _ := srv.session("default")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st := client.New(ts.URL).Default().Stream(client.StreamOptions{
+	st := client.New(ts.URL).Session("default").Stream(client.StreamOptions{
 		BatchSize:     16,
 		FlushInterval: 5 * time.Millisecond,
 		ReconnectWait: 10 * time.Millisecond,

@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -36,7 +41,8 @@ func TestV1SessionSurface(t *testing.T) {
 		t.Fatalf("created = %+v, want s1/serving/non-durable", created)
 	}
 
-	// Invalid client-chosen ids and reserved/duplicate ids.
+	// Invalid client-chosen ids and duplicate ids ("default" is taken by the
+	// session newTestServer created, not reserved).
 	for _, tc := range []struct {
 		id   string
 		want int
@@ -74,11 +80,11 @@ func TestV1SessionSurface(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/sessions", &list); code != http.StatusOK || len(list.Sessions) != 3 {
 		t.Fatalf("list: status %d, %d sessions, want 3", code, len(list.Sessions))
 	}
-	if !list.Sessions[0].Default {
-		t.Fatalf("list is not default-first: %+v", list.Sessions)
+	if !sort.SliceIsSorted(list.Sessions, func(i, j int) bool { return list.Sessions[i].ID < list.Sessions[j].ID }) {
+		t.Fatalf("list is not in ascending id order: %+v", list.Sessions)
 	}
 
-	// Deletes: unknown 404, default 409, real 204 (and frees a limit slot).
+	// Deletes: unknown 404, real 204 (and frees a limit slot).
 	del := func(id string) int {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
 		resp, err := http.DefaultClient.Do(req)
@@ -91,15 +97,12 @@ func TestV1SessionSurface(t *testing.T) {
 	if code := del("ghost"); code != http.StatusNotFound {
 		t.Fatalf("delete ghost: status %d", code)
 	}
-	if code := del("default"); code != http.StatusConflict {
-		t.Fatalf("delete default: status %d", code)
-	}
 	if code := del("roomy"); code != http.StatusNoContent {
 		t.Fatalf("delete roomy: status %d", code)
 	}
 	// The deleted session's labelled metric series are retired with it.
 	var mm map[string]float64
-	getJSON(t, ts.URL+"/metrics?format=json", &mm)
+	getJSON(t, ts.URL+"/v1/metrics?format=json", &mm)
 	for name := range mm {
 		if strings.Contains(name, `session="roomy"`) {
 			t.Fatalf("deleted session's series %q still exposed", name)
@@ -127,9 +130,9 @@ func TestV1SessionSurface(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/sessions/s1/snapshot/v1-obj", &snap); code != http.StatusOK || !snap.Found {
 		t.Fatalf("v1 snapshot: status %d found=%v", code, snap.Found)
 	}
-	// The default session never saw that tag — isolation through the alias.
-	if code := getJSON(t, ts.URL+"/snapshot/v1-obj", nil); code != http.StatusNotFound {
-		t.Fatalf("default saw v1 session's tag: status %d", code)
+	// The other session never saw that tag.
+	if code := getJSON(t, ts.URL+sessPath+"/snapshot/v1-obj", nil); code != http.StatusNotFound {
+		t.Fatalf("session default saw session s1's tag: status %d", code)
 	}
 
 	// Query surface on the v1 path.
@@ -155,7 +158,7 @@ func TestV1SessionSurface(t *testing.T) {
 		t.Fatalf("v1 unregister: status %d", resp.StatusCode)
 	}
 
-	// v1 health + metrics mirror the legacy endpoints.
+	// Server-level health and metrics.
 	var hz api.Health
 	if code := getJSON(t, ts.URL+"/v1/healthz", &hz); code != http.StatusOK || !hz.OK || hz.Sessions != 3 {
 		t.Fatalf("v1 healthz: status %d %+v", code, hz)
@@ -171,9 +174,15 @@ func TestV1SessionSurface(t *testing.T) {
 		t.Fatalf("rfidserve_sessions = %v, want 3", m["rfidserve_sessions"])
 	}
 
-	// Registry() exposes the default session's registry.
-	if srv.Registry() == nil {
-		t.Fatal("Registry() returned nil")
+	// A session named "default" is deleted and re-created like any other.
+	if code := del("default"); code != http.StatusNoContent {
+		t.Fatalf("delete default: status %d, want 204", code)
+	}
+	if code := getJSON(t, ts.URL+sessPath, nil); code != http.StatusNotFound {
+		t.Fatalf("deleted session default still addressable: status %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/sessions", api.CreateSessionRequest{ID: "default", Source: api.SourceSynthetic}, &created); code != http.StatusCreated || created.ID != "default" {
+		t.Fatalf("re-create default: status %d, %+v", code, created)
 	}
 
 	// After Close, session creation is refused — both at the handler gate
@@ -188,21 +197,73 @@ func TestV1SessionSurface(t *testing.T) {
 	}
 }
 
-// TestPromExpositionWithLabels pins the Prometheus text format: labelled and
-// bare series of one base name share a single HELP/TYPE header.
+// TestPromExpositionWithLabels pins the Prometheus text format: every
+// session's series of one base name share a single HELP/TYPE header, and no
+// session exports bare, unlabelled series.
 func TestPromExpositionWithLabels(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, 8)
 	if code := postJSON(t, ts.URL+"/v1/sessions", api.CreateSessionRequest{ID: "labelled"}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
-	body := getRaw(t, ts.URL+"/metrics")
+	body := getRaw(t, ts.URL+"/v1/metrics")
 	if got := strings.Count(body, "# TYPE rfidserve_epochs_total "); got != 1 {
 		t.Fatalf("TYPE header for rfidserve_epochs_total appears %d times, want exactly 1", got)
 	}
 	if !strings.Contains(body, `rfidserve_epochs_total{session="labelled"} `) {
 		t.Fatalf("labelled series missing from exposition:\n%s", body)
 	}
-	if !strings.Contains(body, "\nrfidserve_epochs_total 0") {
-		t.Fatalf("bare default-session series missing from exposition")
+	if !strings.Contains(body, `rfidserve_epochs_total{session="default"} `) {
+		t.Fatalf("session default's series missing from exposition:\n%s", body)
+	}
+	if strings.Contains(body, "\nrfidserve_epochs_total ") {
+		t.Fatalf("a session exports an unlabelled series:\n%s", body)
+	}
+}
+
+// TestRoutesAreVersioned pins the one-surface rule: every pattern registered
+// on the mux starts with /v1/, and the unversioned paths older servers
+// aliased onto a built-in session answer the 404 envelope.
+func TestRoutesAreVersioned(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := regexp.MustCompile(`HandleFunc\("([^"]+)"`)
+	seen := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range pattern.FindAllStringSubmatch(string(src), -1) {
+			seen++
+			if _, path, _ := strings.Cut(m[1], " "); !strings.HasPrefix(path, "/v1/") {
+				t.Errorf("%s registers unversioned route %q", f, m[1])
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("found no route registrations to check")
+	}
+
+	_, ts, _, _ := newTestServer(t, 8)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/ingest"},
+		{http.MethodGet, "/healthz"},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader("{}"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		var env api.ErrorEnvelope
+		derr := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || derr != nil || env.Error == nil || env.Error.Code != api.ErrNotFound {
+			t.Errorf("%s %s: status %d, envelope %+v (decode err %v), want the 404 envelope", tc.method, tc.path, resp.StatusCode, env.Error, derr)
+		}
 	}
 }

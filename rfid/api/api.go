@@ -1,6 +1,5 @@
 // Package api is the stable public wire schema of the serving layer: the
-// JSON request/response bodies of every /v1 endpoint (and of the legacy
-// unversioned aliases, which share the same shapes), plus the structured
+// JSON request/response bodies of every /v1 endpoint, plus the structured
 // error envelope. It is deliberately decoupled from the engine's internal
 // types — the serving layer converts at the boundary — so internal refactors
 // never change what goes over the wire.
@@ -14,7 +13,11 @@
 // Every type in this package belongs to the v1 surface. Fields are only ever
 // added (with omitempty semantics for new optional fields); renaming or
 // removing a field, or changing a field's JSON type, requires a new API
-// version under a new path prefix.
+// version under a new path prefix. The one removal so far went with the thing
+// it described: Session.Default and Health.LastCheckpointEpoch /
+// RecoveredFromEpoch / AppliedEpoch reported on the built-in session older
+// servers hosted beside the created ones, which no longer exists (see
+// "Removed in this revision" in API.md).
 package api
 
 import "fmt"
@@ -54,7 +57,7 @@ const (
 	// ErrNotFound: the addressed session, query or tag does not exist.
 	ErrNotFound = "not_found"
 	// ErrConflict: the request contradicts current state (duplicate session
-	// id, deleting the default session).
+	// id, a second promotion while one is in progress).
 	ErrConflict = "conflict"
 	// ErrUnavailable: backpressure or shutdown; the request may be retried.
 	ErrUnavailable = "unavailable"
@@ -198,8 +201,7 @@ type SyntheticWorld struct {
 // needs to run an isolated inference world.
 type CreateSessionRequest struct {
 	// ID optionally names the session (lowercase letters, digits, '-' and
-	// '_', at most 64 chars). Empty lets the server assign s1, s2, ...; the
-	// id "default" is reserved for the process-level legacy session.
+	// '_', at most 64 chars). Empty lets the server assign s1, s2, ....
 	ID string `json:"id,omitempty"`
 	// Source selects where the world comes from: "world" (the default) reads
 	// the World field, "synthetic" synthesizes an open floor.
@@ -236,17 +238,14 @@ type Session struct {
 	// restores it transparently.
 	State string `json:"state"`
 	// Durable reports whether the session persists a WAL and checkpoints.
-	Durable bool `json:"durable"`
-	// Default marks the process-level session the legacy unversioned routes
-	// alias onto.
-	Default bool   `json:"default,omitempty"`
+	Durable bool   `json:"durable"`
 	Source  string `json:"source,omitempty"`
 	// Stats is the session's live progress.
 	Stats SessionStats `json:"stats"`
 }
 
-// SessionList is the GET /v1/sessions body. The listing is ordered stably
-// (the default session first, then by id ascending) and paginates with
+// SessionList is the GET /v1/sessions body. The listing is ordered stably (by
+// id ascending) and paginates with
 // ?limit=N&page_token=T: NextPageToken is non-empty when more sessions
 // follow, and passes back verbatim as the next request's page_token.
 type SessionList struct {

@@ -178,26 +178,25 @@ type ResultsPage struct {
 	Results []QueryResult `json:"results"`
 }
 
-// Health is the GET /healthz and /v1/healthz body.
+// Health is the GET /v1/healthz body. It describes the server, not any one
+// session: per-session durable progress is on GET /v1/sessions/{sid}/stats
+// and a replica's applied epoch on the Rfid-Applied-Epoch read header.
 type Health struct {
+	// OK is true exactly when State is "serving".
 	OK bool `json:"ok"`
-	// State is the default session's durability lifecycle: recovering |
-	// serving | failed | closed.
-	State         string  `json:"state"`
+	// State is the server lifecycle: "recovering" until every session
+	// restored at boot finished replaying its log, then "serving" (a server
+	// with no sessions is serving); "failed" (HTTP 503) when one of them
+	// could not recover; "closed" after shutdown.
+	State string `json:"state"`
+	// Durable reports whether the server persists sessions (-data-dir).
 	Durable       bool    `json:"durable"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Sessions is the number of live sessions.
 	Sessions int `json:"sessions"`
-	// LastCheckpointEpoch and RecoveredFromEpoch describe the default
-	// session's durable progress (durable servers only).
-	LastCheckpointEpoch *int `json:"last_checkpoint_epoch,omitempty"`
-	RecoveredFromEpoch  *int `json:"recovered_from_epoch,omitempty"`
 	// Role is the node's replication role: primary | replica | promoting
 	// (empty on servers predating replication, meaning primary).
 	Role string `json:"role,omitempty"`
-	// AppliedEpoch is a replica's applied engine epoch on the default
-	// session (-1 before any epoch is sealed; absent on primaries).
-	AppliedEpoch *int64 `json:"applied_epoch,omitempty"`
 	// ReplicationLagSeconds is a replica's staleness estimate: seconds
 	// between the primary shipping the newest applied record (or heartbeat)
 	// and the replica applying it. Absent on primaries.

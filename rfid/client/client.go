@@ -211,10 +211,6 @@ func (c *Client) Session(id string) *Session {
 	return &Session{c: c, id: id, prefix: "/v1/sessions/" + url.PathEscape(id)}
 }
 
-// Default returns the handle for the reserved "default" session the legacy
-// unversioned routes alias onto.
-func (c *Client) Default() *Session { return c.Session("default") }
-
 // do performs one JSON round-trip. Non-2xx responses are decoded from the
 // structured error envelope into *api.Error (with HTTPStatus filled in); a
 // body that is not an envelope becomes an *api.Error with the raw text.

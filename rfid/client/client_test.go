@@ -9,31 +9,25 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/rfid"
 	"repro/rfid/api"
 	"repro/rfid/client"
 )
 
-// newTestServer starts a real serve.Server (default session over a small
-// synthetic floor) behind httptest and returns a client pointed at it. The
+// newTestServer starts a real serve.Server (hosting one session, "default",
+// over a small synthetic floor) behind httptest and returns a client pointed at it. The
 // SDK itself depends only on rfid/api; the server side of the round-trip
 // lives here, in the test binary.
 func newTestServer(t *testing.T) *client.Client {
 	t.Helper()
-	world := rfid.NewWorld()
-	world.AddShelf(rfid.Shelf{ID: "floor", Region: rfid.NewBBox(rfid.Vec3{}, rfid.Vec3{X: 40, Y: 40, Z: 8})})
-	cfg := rfid.DefaultConfig(rfid.DefaultParams(), world)
-	cfg.NumObjectParticles = 80
-	cfg.NumReaderParticles = 20
-	cfg.Seed = 11
-	cfg.ReportPolicy = rfid.ReportEveryEpoch
-	runner, err := rfid.NewRunner(cfg, rfid.RunnerConfig{HistoryEpochs: 64})
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	srv, err := serve.New(serve.Config{Runner: runner, IngestWait: 5 * time.Second})
+	srv, err := serve.New(serve.Config{IngestWait: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
+	}
+	if _, err := srv.CreateSession(context.Background(), api.CreateSessionRequest{
+		ID: "default", Source: api.SourceSynthetic,
+		Engine: &api.EngineConfig{ObjectParticles: 80, ReaderParticles: 20, Seed: 11, HistoryEpochs: 64},
+	}); err != nil {
+		t.Fatalf("create session default: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -67,8 +61,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	if created.ID == "" || created.Default {
-		t.Fatalf("created session %+v, want non-default with assigned id", created)
+	if created.ID == "" {
+		t.Fatalf("created session %+v, want an assigned id", created)
 	}
 	if created.Source != api.SourceSynthetic {
 		t.Fatalf("created session source %q, want %q", created.Source, api.SourceSynthetic)
@@ -78,7 +72,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sessions: %v", err)
 	}
-	if len(sessions) != 2 || !sessions[0].Default || sessions[1].ID != created.ID {
+	if len(sessions) != 2 || sessions[0].ID != "default" || sessions[1].ID != created.ID {
 		t.Fatalf("Sessions = %+v, want [default, %s]", sessions, created.ID)
 	}
 
@@ -110,13 +104,13 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("snapshot at origin: %+v", tag)
 	}
 
-	// The default session is isolated from the created one.
-	defOver, err := c.Default().Snapshot(ctx)
+	// The other session is isolated from the created one.
+	defOver, err := c.Session("default").Snapshot(ctx)
 	if err != nil {
 		t.Fatalf("default Snapshot: %v", err)
 	}
 	if len(defOver.Tracked) != 0 || defOver.Epochs != 0 {
-		t.Fatalf("default session saw the other session's data: %+v", defOver)
+		t.Fatalf("session default saw the other session's data: %+v", defOver)
 	}
 
 	// Time travel: the session was created without history.
@@ -176,7 +170,7 @@ func TestStructuredErrors(t *testing.T) {
 		t.Fatalf("GetSession(nope) = %v, want *api.Error{not_found, 404}", err)
 	}
 
-	// Reserved id: conflict.
+	// An id that is taken: conflict.
 	_, err = c.CreateSession(ctx, api.CreateSessionRequest{ID: "default"})
 	if !errors.As(err, &apiErr) || apiErr.Code != api.ErrConflict || apiErr.HTTPStatus != 409 {
 		t.Fatalf("CreateSession(default) = %v, want conflict 409", err)
@@ -203,21 +197,15 @@ func TestStructuredErrors(t *testing.T) {
 		t.Fatalf("missing world = %v, want bad_request", err)
 	}
 
-	// Deleting the default session: conflict.
-	err = c.DeleteSession(ctx, "default")
-	if !errors.As(err, &apiErr) || apiErr.Code != api.ErrConflict {
-		t.Fatalf("DeleteSession(default) = %v, want conflict", err)
-	}
-
 	// Unknown query on a live session: not_found.
-	_, err = c.Default().PollResults(ctx, "q999", client.PollOptions{After: -1})
+	_, err = c.Session("default").PollResults(ctx, "q999", client.PollOptions{After: -1})
 	if !errors.As(err, &apiErr) || apiErr.Code != api.ErrNotFound {
 		t.Fatalf("PollResults(q999) = %v, want not_found", err)
 	}
 
 	// Untracked tag: not_found through the envelope, like any other missing
 	// resource.
-	_, err = c.Default().SnapshotTag(ctx, "never-seen")
+	_, err = c.Session("default").SnapshotTag(ctx, "never-seen")
 	if !errors.As(err, &apiErr) || apiErr.Code != api.ErrNotFound || apiErr.HTTPStatus != 404 {
 		t.Fatalf("SnapshotTag(never-seen) = %v, want not_found 404", err)
 	}
@@ -252,7 +240,7 @@ func TestStructuredErrors(t *testing.T) {
 func TestLongPollDelivery(t *testing.T) {
 	c := newTestServer(t)
 	ctx := context.Background()
-	sess := c.Default()
+	sess := c.Session("default")
 
 	info, err := sess.RegisterQuery(ctx, api.QuerySpec{Kind: api.QueryLocationUpdates})
 	if err != nil {
@@ -308,7 +296,7 @@ func TestLongPollDelivery(t *testing.T) {
 func TestResultIterator(t *testing.T) {
 	c := newTestServer(t)
 	ctx := context.Background()
-	sess := c.Default()
+	sess := c.Session("default")
 
 	for ep := 0; ep < 8; ep++ {
 		if _, err := sess.Ingest(ctx, batch(ep, "obj-A", "obj-B")); err != nil {

@@ -39,7 +39,7 @@ func TestWithReadReplicaRouting(t *testing.T) {
 	if _, err := c.Sessions(ctx); err != nil {
 		t.Fatalf("Sessions: %v", err)
 	}
-	if _, err := c.Default().Ingest(ctx, api.IngestRequest{}); err != nil {
+	if _, err := c.Session("default").Ingest(ctx, api.IngestRequest{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
 	pr, err := c.Promote(ctx)
