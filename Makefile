@@ -31,16 +31,18 @@ test:
 # zero-allocation assertions themselves are skipped (race instrumentation
 # allocates) but the arena-backed hot path is still exercised for data races.
 race:
-	$(GO) test -race ./internal/core ./internal/factored ./internal/stats ./internal/serve ./rfid ./rfid/client ./rfid/wire ./internal/wal ./internal/checkpoint ./internal/metrics ./internal/trace
+	$(GO) test -race ./internal/core ./internal/factored ./internal/spatial ./internal/stats ./internal/serve ./rfid ./rfid/client ./rfid/wire ./internal/wal ./internal/checkpoint ./internal/metrics ./internal/trace
 
 # Allocation gate: the per-object hot path must perform zero steady-state
 # heap allocations (structure-of-arrays particle storage + arena scratch),
 # and so must the server's streaming-ingest decode path (frame -> SoA batch
 # with reused scratch and interned tags), the epoch-stage trace recorder
 # (timestamps on every epoch of every session) and the latency-histogram
-# record path (on every request).
+# record path (on every request). The sensing-index probe is gated twice:
+# zero allocations, and a deterministic bound on the member ids it reads.
 alloc-gate:
 	$(GO) test -run 'TestStepObjectsZeroAlloc|TestEpochPrologueAllocBound' -v ./internal/factored
+	$(GO) test -run 'TestSensingIndexQueryZeroAlloc|TestSensingIndexQueryWorkBound' -v ./internal/spatial
 	$(GO) test -run 'TestEpochAllocsIndependentOfWorkers' -v ./internal/core
 	$(GO) test -run 'TestStreamDecodeZeroAlloc' -v ./internal/serve
 	$(GO) test -run 'TestTraceRecorderZeroAlloc' -v ./internal/trace
@@ -163,10 +165,10 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Profile the hot path: a CPU and heap profile of the worker-scaling
-# benchmark, ready for `go tool pprof cpu.prof`.
+# Profile the hot path: a CPU and heap profile of the worker-scaling and
+# tracked-population-scaling benchmarks, ready for `go tool pprof cpu.prof`.
 profile:
-	$(GO) test -run='^$$' -bench='^BenchmarkEngineWorkers$$' -benchtime=1x -cpuprofile cpu.prof -memprofile mem.prof -o repro.test .
+	$(GO) test -run='^$$' -bench='^(BenchmarkEngineWorkers|BenchmarkEngineTrackedScaling)$$' -benchtime=1x -cpuprofile cpu.prof -memprofile mem.prof -o repro.test .
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof repro.test cpu.prof"
 
 # Non-test Go lines per top-level package (benchmark/ excluded) and their

@@ -5,10 +5,13 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/stream"
 )
 
 // The benchmarks below regenerate the paper's tables and figures (one
@@ -229,6 +232,90 @@ func BenchmarkEngineWorkers(b *testing.B) {
 		seen[w] = true
 		b.Run(benchName("workers", w), func(b *testing.B) {
 			benchEngineVariant(b, 300, true, true, false, 150, w)
+		})
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Epoch cost against the tracked population, objects in range held constant —
+// the claim of Sections IV-C/IV-D (Fig. 5(j)) as one repeatable number.
+
+// BenchmarkEngineTrackedScaling times the same sweep (a shelf dense enough to
+// keep about 30 objects in range, full system, one worker) on an engine that
+// has first seen 200, 2 000 or 8 000 objects, most of them on a shelf far
+// away. ns/epoch should not depend on the sub-benchmark. The engine is built
+// once per sub-benchmark and every iteration resumes from its checkpoint, so
+// a profile shows the timed sweep and not the set-up.
+func BenchmarkEngineTrackedScaling(b *testing.B) {
+	const warm, far = 150, "far"
+	simCfg := sim.DefaultWarehouseConfig()
+	simCfg.NumObjects = 192
+	simCfg.RowsDeep = 4
+	simCfg.Seed = 42
+	trace, err := sim.GenerateWarehouse(simCfg)
+	if err != nil {
+		b.Fatalf("GenerateWarehouse: %v", err)
+	}
+	// The far objects need a shelf of their own: fresh particles are clamped
+	// to the nearest shelf, which would otherwise be the one being swept.
+	trace.World.AddShelf(model.Shelf{ID: far, Region: geom.NewBBox(geom.V(0, -5000, 0), geom.V(0.5, -1000, 0))})
+	cfg := core.DefaultConfig(benchParams(), trace.World)
+	cfg.NumObjectParticles = 60
+	cfg.NumReaderParticles = 50
+	cfg.Workers = 1
+	cfg.Seed = 7
+	run := func(b *testing.B, eng *core.Engine, epochs []*stream.Epoch) {
+		for _, ep := range epochs {
+			if _, err := eng.ProcessEpoch(ep); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, tracked := range []int{200, 2000, 8000} {
+		b.Run(benchName("tracked", tracked), func(b *testing.B) {
+			eng, err := core.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// 100 new far objects per epoch, the reader jumping a full
+			// sensing range each time so none is stepped twice; then the
+			// first part of the sweep, during which the reader settles and
+			// the far beliefs leave scope and are compressed.
+			var populate []*stream.Epoch
+			for n := simCfg.NumObjects; n < tracked; {
+				ep := stream.NewEpoch(trace.Epochs[0].Time - 1 - (tracked-n)/100)
+				ep.HasPose, ep.ReportedPose = true, geom.P(-1.5, -1000-float64(n)/10, 0, 0)
+				for k := 0; k < 100 && n < tracked; k, n = k+1, n+1 {
+					ep.Observed[stream.TagID(far+"-"+strconv.Itoa(n))] = true
+				}
+				populate = append(populate, ep)
+			}
+			run(b, eng, populate)
+			run(b, eng, trace.Epochs[:warm])
+			enc := checkpoint.NewEncoder()
+			eng.SaveState(enc)
+			before := eng.Stats()
+
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if eng, err = core.New(cfg); err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.RestoreState(checkpoint.NewDecoder(enc.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				run(b, eng, trace.Epochs[warm:])
+			}
+			b.StopTimer()
+			st := eng.Stats()
+			if st.TrackedObjects != tracked {
+				b.Fatalf("engine tracks %d objects, want %d", st.TrackedObjects, tracked)
+			}
+			epochs := float64(st.Epochs - before.Epochs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/epochs, "ns/epoch")
+			b.ReportMetric(float64(st.ObjectsProcessed-before.ObjectsProcessed)/epochs, "in-range/epoch")
 		})
 	}
 }

@@ -6,7 +6,11 @@
 // once its tag has not been read for several epochs (it left the reader's
 // scope), or rank uncompressed objects by the KL divergence their compression
 // would incur and compress the cheapest ones, optionally bounded by a KL
-// threshold.
+// threshold. The KL divergence is a leave-one-out density estimate, quadratic
+// in the particle count, so it is measured only here and only by the policy
+// that ranks on it: KLRanked asks the filter once per eligible candidate and
+// hands the value back with its choice; LeaveScope never asks, and the
+// beliefs it compresses record a KL of zero, meaning not measured.
 package belief
 
 import (
@@ -84,7 +88,8 @@ type Filter interface {
 	CandidateKL(id stream.TagID) (float64, bool)
 }
 
-// Candidate pairs an object id with the information the policy ranks on.
+// Candidate pairs an object id with the information the policy ranks on. KL
+// is filled in by Select, and only under KLRanked.
 type Candidate struct {
 	ID       stream.TagID
 	LastSeen int
@@ -105,11 +110,12 @@ func NewManager(cfg Config) *Manager {
 // Config returns the effective configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
-// Select returns the ids that should be compressed at the current epoch,
-// given the uncompressed candidates (each with the epoch it was last seen).
-// For the KLRanked mode the filter is queried for per-object compression KL;
-// it may be nil for the LeaveScope mode.
-func (m *Manager) Select(epoch int, candidates []Candidate, f Filter) []stream.TagID {
+// Select returns the candidates that should be compressed at the current
+// epoch, given the uncompressed candidates (each with the epoch it was last
+// seen). For the KLRanked mode the filter is queried for per-object
+// compression KL, which the returned candidates carry; it may be nil for the
+// LeaveScope mode, whose candidates come back with KL zero.
+func (m *Manager) Select(epoch int, candidates []Candidate, f Filter) []Candidate {
 	var eligible []Candidate
 	for _, c := range candidates {
 		if epoch-c.LastSeen < m.cfg.OutOfScopeEpochs {
@@ -153,9 +159,5 @@ func (m *Manager) Select(epoch int, candidates []Candidate, f Filter) []stream.T
 	if len(eligible) > m.cfg.MaxPerEpoch {
 		eligible = eligible[:m.cfg.MaxPerEpoch]
 	}
-	out := make([]stream.TagID, len(eligible))
-	for i, c := range eligible {
-		out[i] = c.ID
-	}
-	return out
+	return eligible
 }

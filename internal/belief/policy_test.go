@@ -26,7 +26,7 @@ func TestLeaveScopeSelectsOnlyStaleObjects(t *testing.T) {
 		t.Fatalf("selected %v", got)
 	}
 	// Oldest first.
-	if got[0] != "very-stale" || got[1] != "stale" {
+	if got[0].ID != "very-stale" || got[1].ID != "stale" {
 		t.Errorf("selection order = %v", got)
 	}
 }
@@ -38,7 +38,7 @@ func TestLeaveScopeTieBreaksOnID(t *testing.T) {
 		{ID: "a", LastSeen: 10},
 	}
 	got := m.Select(100, candidates, nil)
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
+	if len(got) != 2 || got[0].ID != "a" || got[1].ID != "b" {
 		t.Errorf("tie-break order = %v", got)
 	}
 }
@@ -68,8 +68,13 @@ func TestKLRankedPrefersCompactBeliefs(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("selected %v", got)
 	}
-	if got[0] != "compact" || got[1] != "medium" {
+	if got[0].ID != "compact" || got[1].ID != "medium" {
 		t.Errorf("KL ranking order = %v", got)
+	}
+	// The chosen candidates carry the KL they were ranked by, so the engine
+	// records it without measuring again.
+	if got[0].KL != 0.01 || got[1].KL != 0.5 {
+		t.Errorf("KL carried = %v, %v; want the ranked values", got[0].KL, got[1].KL)
 	}
 }
 
@@ -77,7 +82,7 @@ func TestKLRankedWithoutThresholdKeepsAll(t *testing.T) {
 	m := NewManager(Config{Mode: KLRanked, OutOfScopeEpochs: 1, MaxPerEpoch: 10})
 	candidates := []Candidate{{ID: "a", LastSeen: 0}, {ID: "b", LastSeen: 0}}
 	got := m.Select(10, candidates, fakeFilter{"a": 3, "b": 1})
-	if len(got) != 2 || got[0] != "b" {
+	if len(got) != 2 || got[0].ID != "b" {
 		t.Errorf("selection = %v", got)
 	}
 }

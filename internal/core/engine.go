@@ -168,7 +168,11 @@ func (e *Engine) SetTraceRecorder(r *trace.Recorder) { e.rec = r }
 // Stats returns the cumulative work counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.TrackedObjects = len(e.TrackedObjects())
+	if e.cfg.Factored {
+		s.TrackedObjects = e.fact.NumTracked()
+	} else {
+		s.TrackedObjects = e.basic.NumTracked()
+	}
 	return s
 }
 
@@ -199,7 +203,7 @@ func (e *Engine) ProcessEpoch(ep *stream.Epoch) ([]stream.Event, error) {
 			t = time.Now()
 		}
 		e.basic.Step(ep)
-		e.stats.ObjectsProcessed += len(e.basic.TrackedObjects())
+		e.stats.ObjectsProcessed += e.basic.NumTracked()
 		if rec != nil {
 			rec.Add(trace.StageStep, time.Since(t))
 		}
@@ -312,12 +316,11 @@ func (e *Engine) runCompression(epoch int) {
 	if len(candidates) == 0 {
 		return
 	}
-	chosen := e.beliefMgr.Select(epoch, candidates, filterAdapter{e.fact})
-	for _, id := range chosen {
-		if _, ok := e.fact.CompressObject(id); ok {
+	for _, c := range e.beliefMgr.Select(epoch, candidates, filterAdapter{e.fact}) {
+		if e.fact.CompressObject(c.ID, c.KL) {
 			e.stats.Compressions++
 		}
-		e.watch.Drop(id)
+		e.watch.Drop(c.ID)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/belief"
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -145,5 +146,61 @@ func TestEngineConfigValidation(t *testing.T) {
 	cfg = DefaultConfig(defaultTestParams(), nil)
 	if _, err := New(cfg); err == nil {
 		t.Error("expected error: nil world")
+	}
+}
+
+// TestCompressionRecordsOnlyMeasuredKL pins who measures the compression KL:
+// the default leave-scope policy never asks for it, so the beliefs it
+// compresses record zero; the KL-ranked policy asks once per candidate and
+// the belief records exactly the value it was ranked by.
+func TestCompressionRecordsOnlyMeasuredKL(t *testing.T) {
+	trace := smallTrace(t, 12, 4)
+	eng, _ := runEngine(t, trace, func(c *Config) {
+		c.SpatialIndex = true
+		c.Compression = true
+	})
+	compressed := 0
+	for _, id := range eng.TrackedObjects() {
+		if b := eng.fact.Belief(id); b.IsCompressed() {
+			compressed++
+			if b.CompressionKL != 0 {
+				t.Errorf("leave-scope compressed %s with CompressionKL %v; nothing measured it", id, b.CompressionKL)
+			}
+		}
+	}
+	if compressed == 0 {
+		t.Fatal("leave-scope run compressed nothing")
+	}
+
+	cfg := DefaultConfig(defaultTestParams(), trace.World)
+	cfg.NumObjectParticles = 150
+	cfg.NumReaderParticles = 30
+	cfg.CompressionPolicy.Mode = belief.KLRanked
+	cfg.Seed = 9
+	ranked := newEngine(t, cfg, 1, 1)
+	// Stop while every belief is younger than OutOfScopeEpochs, so the
+	// policy has ranked nothing yet, then run it far in the future.
+	horizon := cfg.CompressionPolicy.OutOfScopeEpochs - 1
+	for _, ep := range trace.Epochs[:horizon] {
+		if _, err := ranked.ProcessEpoch(ep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[stream.TagID]float64{}
+	for _, id := range ranked.TrackedObjects() {
+		kl, ok := ranked.fact.CompressionCandidateKL(id)
+		if !ok || kl <= 0 {
+			t.Fatalf("candidate KL for %s = %v, %v before any compression", id, kl, ok)
+		}
+		want[id] = kl
+	}
+	ranked.runCompression(horizon + 1000)
+	if n := ranked.Stats().Compressions; n == 0 || n != len(want) {
+		t.Fatalf("ranked policy compressed %d of %d beliefs", n, len(want))
+	}
+	for id, kl := range want {
+		if b := ranked.fact.Belief(id); !b.IsCompressed() || b.CompressionKL != kl {
+			t.Errorf("%s: compressed=%v CompressionKL=%v, want the ranked value %v", id, b.IsCompressed(), b.CompressionKL, kl)
+		}
 	}
 }

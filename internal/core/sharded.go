@@ -107,13 +107,7 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 			}
 		}
 		e.assocBuf = assoc
-		if len(assoc) > 0 {
-			// The index takes ownership, so hand it a copy and keep the
-			// scratch buffer for the next epoch.
-			owned := make([]stream.TagID, len(assoc))
-			copy(owned, assoc)
-			e.index.InsertOwned(box, owned)
-		}
+		e.index.Insert(box, assoc)
 	}
 
 	if e.beliefMgr != nil {

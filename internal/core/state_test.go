@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -226,5 +228,97 @@ func TestConfigFingerprint(t *testing.T) {
 		if mut.Fingerprint() == base {
 			t.Fatalf("%s change did not alter the fingerprint", name)
 		}
+	}
+}
+
+// reverseIndexMembers re-encodes a spatial.SensingIndex section with every
+// entry's member list reversed; the result has the input's length.
+func reverseIndexMembers(t *testing.T, section []byte) []byte {
+	t.Helper()
+	d := checkpoint.NewDecoder(section)
+	enc := checkpoint.NewEncoder()
+	const name = "spatial.SensingIndex"
+	d.Section(name)
+	enc.Section(name)
+	n := d.Uvarint()
+	enc.Uvarint(n)
+	reordered := 0
+	for i := uint64(0); i < n; i++ {
+		enc.BBox(d.BBox())
+		tags := make([]string, d.Uvarint())
+		for j := range tags {
+			tags[j] = d.String()
+		}
+		slices.Reverse(tags)
+		enc.Uvarint(uint64(len(tags)))
+		for _, tag := range tags {
+			enc.String(tag)
+		}
+		if len(tags) > 1 {
+			reordered++
+		}
+	}
+	if err := d.Err(); err != nil || d.Remaining() != 0 {
+		t.Fatalf("decoding the index section: %v (%d bytes left)", err, d.Remaining())
+	}
+	if reordered == 0 {
+		t.Fatal("no index entry has two members; nothing was reordered")
+	}
+	return enc.Bytes()
+}
+
+// TestRestoreCheckpointFromBeforeDeltaIndex restores a checkpoint shaped like
+// the ones written before the index stored partitioned deltas and before
+// compression stopped measuring KL — index entries listing their members in
+// any order, a non-zero CompressionKL on every compressed belief — and
+// requires the resumed run to emit the events of a run that never stopped.
+func TestRestoreCheckpointFromBeforeDeltaIndex(t *testing.T) {
+	cfg, epochs := durableTestConfig(t, 12)
+	ref := newEngine(t, cfg, 1, 1)
+	refEvents, err := ref.Run(epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	split := 2 * len(epochs) / 3
+	a := newEngine(t, cfg, 1, 1)
+	var got []stream.Event
+	for _, ep := range epochs[:split] {
+		evs, err := a.ProcessEpoch(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, evs...)
+	}
+	compressed := 0
+	for _, id := range a.TrackedObjects() {
+		if b := a.fact.Belief(id); b.IsCompressed() {
+			compressed++
+			b.CompressionKL = 0.125 * float64(compressed)
+		}
+	}
+	if compressed == 0 {
+		t.Fatal("no belief is compressed at the split; the KL field is not exercised")
+	}
+	enc, ienc := checkpoint.NewEncoder(), checkpoint.NewEncoder()
+	a.SaveState(enc)
+	a.index.SaveState(ienc)
+	payload, section := enc.Bytes(), ienc.Bytes()
+	at := bytes.Index(payload, section)
+	if at < 0 {
+		t.Fatal("index section not found in the engine payload")
+	}
+	payload = slices.Concat(payload[:at], reverseIndexMembers(t, section), payload[at+len(section):])
+
+	b := newEngine(t, cfg, 1, 1)
+	if err := b.RestoreState(checkpoint.NewDecoder(payload)); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	rest, err := b.Run(epochs[split:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, rest...); !eventsEqual(got, refEvents) {
+		t.Fatalf("event stream diverged after restore (%d vs %d events)", len(got), len(refEvents))
 	}
 }

@@ -83,26 +83,46 @@ func TestStepObjectsZeroAlloc(t *testing.T) {
 }
 
 // TestEpochPrologueAllocBound bounds the sequential per-epoch overhead
-// (reader stepping, process-set selection, reader resampling): it must stay
+// (reader stepping, step-list selection, reader resampling): it must stay
 // a small constant independent of the number of tracked objects, i.e. the
 // prologue must not rebuild per-object state. The constant covers the
 // unavoidable per-epoch temporaries (the epoch's sorted observed list and
-// rare reader-resampling buffers), not per-object churn.
+// rare reader-resampling buffers), not per-object churn. The last shape is
+// the one the spatial index produces — a few objects in range of a large
+// tracked population — stepped through an explicit active set.
 func TestEpochPrologueAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
 	}
 	const maxPrologueAllocs = 16
-	for _, nObjects := range []int{4, 32} {
-		f, ep := steadyStateFilter(nObjects, 60, 60)
+	for _, shape := range []struct{ tracked, active int }{{4, 4}, {32, 32}, {2000, 32}} {
+		f, ep := steadyStateFilter(shape.active, 60, 60)
+		var active []stream.TagID
+		if shape.tracked > shape.active {
+			active = ep.ObservedList()
+			far := stream.NewEpoch(ep.Time)
+			far.HasPose, far.ReportedPose = true, ep.ReportedPose
+			for i := shape.active; i < shape.tracked; i++ {
+				far.Observed[stream.TagID(fmt.Sprintf("far-%04d", i))] = true
+			}
+			f.Step(far, nil)
+			ep.Time++
+			f.Step(ep, active) // warm the active-set scratch
+		}
+		if f.NumTracked() != shape.tracked {
+			t.Fatalf("built %d tracked objects, want %d", f.NumTracked(), shape.tracked)
+		}
 		allocs := testing.AllocsPerRun(50, func() {
-			ids := f.BeginEpoch(ep, nil)
+			ids := f.BeginEpoch(ep, active)
+			if len(ids) != shape.active {
+				t.Fatalf("stepping %d objects, want %d", len(ids), shape.active)
+			}
 			f.StepObjectsWith(f.arena, ep, ids)
 			f.EndEpoch()
 		})
 		if allocs > maxPrologueAllocs {
-			t.Errorf("full epoch with %d objects allocated %.2f times; want <= %d (object-independent)",
-				nObjects, allocs, maxPrologueAllocs)
+			t.Errorf("full epoch with %d of %d tracked objects in range allocated %.2f times; want <= %d (object-independent)",
+				shape.active, shape.tracked, allocs, maxPrologueAllocs)
 		}
 	}
 }

@@ -47,6 +47,8 @@ func (p ObjectParticle) Weight() float64 { return p.normW }
 // and resampling routines directly, with no per-epoch gather copies.
 type ObjectBelief struct {
 	ID stream.TagID
+	// seq is the belief's position in the filter's first-seen order.
+	seq int
 
 	// SoA particle columns; all four always have equal length.
 	locs   []geom.Vec3
@@ -58,8 +60,9 @@ type ObjectBelief struct {
 	// Gaussian (Section IV-D). While compressed, the particle columns are
 	// released.
 	Compressed *stats.Gaussian3
-	// CompressionKL is the KL divergence measured when the belief was last
-	// compressed; it quantifies the information lost by compression.
+	// CompressionKL is the KL divergence between the particles and the
+	// Gaussian that replaced them at the last compression, as measured by the
+	// policy that chose the belief; zero when that policy measures none.
 	CompressionKL float64
 
 	// FirstSeen and LastSeen are the epochs of the first and most recent
@@ -178,24 +181,6 @@ func (b *ObjectBelief) meanWith(readerNorm, buf []float64) (geom.Vec3, geom.Vec3
 	mean := stats.WeightedMeanVec(b.locs, buf)
 	cov := stats.WeightedCovariance(b.locs, buf, mean)
 	return mean, geom.Vec3{X: cov[0][0], Y: cov[1][1], Z: cov[2][2]}, buf
-}
-
-// Gaussian returns the moment-matched Gaussian of the current belief and the
-// KL divergence between the particle distribution and that Gaussian.
-func (b *ObjectBelief) Gaussian(readerNorm []float64) (stats.Gaussian3, float64) {
-	g, kl, _ := b.gaussianWith(readerNorm, nil)
-	return g, kl
-}
-
-// gaussianWith is Gaussian with a caller-provided weight scratch buffer.
-func (b *ObjectBelief) gaussianWith(readerNorm, buf []float64) (stats.Gaussian3, float64, []float64) {
-	if b.Compressed != nil {
-		return *b.Compressed, 0, buf
-	}
-	buf = b.weightsInto(readerNorm, buf)
-	g := stats.FitGaussian3(b.locs, buf)
-	kl := stats.KLToGaussian(b.locs, buf, g)
-	return g, kl, buf
 }
 
 // HasParticleIn reports whether any particle (or the compressed mean) lies

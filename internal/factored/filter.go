@@ -2,6 +2,7 @@ package factored
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -117,8 +118,12 @@ type Filter struct {
 	readers    []readerParticle
 	readerNorm []float64
 
+	// beliefs holds every belief in first-seen order (beliefs[i].seq == i);
+	// objects finds one by tag. Loops over all beliefs walk the slice, and
+	// an epoch's step list is built from sequence numbers, so nothing per
+	// epoch probes the map once per tracked object.
 	objects map[stream.TagID]*ObjectBelief
-	order   []stream.TagID
+	beliefs []*ObjectBelief
 
 	started      bool
 	epoch        int
@@ -162,14 +167,14 @@ type Filter struct {
 	// touched by the sequential phases (BeginEpoch, stepReaders, EndEpoch,
 	// Estimate/compression at the barrier), never by the concurrent
 	// per-object fan-out, so a single copy per filter suffices.
-	processSet map[stream.TagID]bool
-	idsBuf     []stream.TagID
-	newIDsBuf  []stream.TagID
-	shelfBuf   []stream.TagID
-	logBuf     []float64
-	wBuf       []float64
-	estLocs    []geom.Vec3
-	estW       []float64
+	seqBuf    []int
+	idsBuf    []stream.TagID
+	newIDsBuf []stream.TagID
+	shelfBuf  []stream.TagID
+	logBuf    []float64
+	wBuf      []float64
+	estLocs   []geom.Vec3
+	estW      []float64
 
 	// Reader-resampling scratch (EndEpoch barrier only): weight/score
 	// columns, the resampling index buffer, the reader double buffer and the
@@ -193,7 +198,6 @@ func New(cfg Config) *Filter {
 		src:          rng.New(cfg.Seed),
 		objects:      make(map[stream.TagID]*ObjectBelief),
 		arena:        NewArena(),
-		processSet:   make(map[stream.TagID]bool),
 		sensingHoist: cfg.Params.Sensing.Hoist(),
 	}
 	if mp, ok := cfg.Sensor.(sensor.ModelProfile); ok {
@@ -207,8 +211,10 @@ func (f *Filter) Config() Config { return f.cfg }
 
 // TrackedObjects returns all objects the filter has seen, in first-seen order.
 func (f *Filter) TrackedObjects() []stream.TagID {
-	out := make([]stream.TagID, len(f.order))
-	copy(out, f.order)
+	out := make([]stream.TagID, len(f.beliefs))
+	for i, b := range f.beliefs {
+		out[i] = b.ID
+	}
 	return out
 }
 
@@ -216,7 +222,7 @@ func (f *Filter) TrackedObjects() []stream.TagID {
 func (f *Filter) Belief(id stream.TagID) *ObjectBelief { return f.objects[id] }
 
 // NumTracked returns the number of objects the filter has seen.
-func (f *Filter) NumTracked() int { return len(f.order) }
+func (f *Filter) NumTracked() int { return len(f.beliefs) }
 
 // ParticleCount returns the number of particles currently alive in the
 // filter: the reader particles plus every uncompressed object belief's
@@ -224,7 +230,7 @@ func (f *Filter) NumTracked() int { return len(f.order) }
 // replaced by a Gaussian), so the count also tracks compression activity.
 func (f *Filter) ParticleCount() int {
 	n := len(f.readers)
-	for _, b := range f.objects {
+	for _, b := range f.beliefs {
 		n += b.NumParticles()
 	}
 	return n
@@ -294,51 +300,45 @@ func (f *Filter) BeginEpoch(ep *stream.Epoch, active []stream.TagID) []stream.Ta
 	f.estPose = f.ReaderEstimate()
 	f.stepReaderPos = f.currentReaderPos(ep)
 
-	// Determine the set of objects to process (reusable scratch map).
-	processSet := f.processSet
-	clear(processSet)
-	if active == nil {
-		for _, id := range f.order {
-			processSet[id] = true
-		}
-	} else {
-		for _, id := range active {
-			if f.cfg.World != nil && f.cfg.World.IsShelfTag(id) {
-				continue
-			}
-			processSet[id] = true
-		}
-	}
-	// Observed objects are always processed (Case 1), and unknown observed
-	// objects get a fresh belief.
-	for _, id := range ep.ObservedList() {
-		if f.cfg.World != nil && f.cfg.World.IsShelfTag(id) {
-			continue
-		}
-		processSet[id] = true
-	}
-
-	// Existing objects, in first-seen order.
-	ids := f.idsBuf[:0]
-	for _, id := range f.order {
-		if processSet[id] {
-			ids = append(ids, id)
-			delete(processSet, id)
-		}
-	}
-	f.idsBuf = ids
-	// The remaining ids are unknown: observed ones get a fresh belief (and
-	// need no further stepping this epoch, since weighting a belief against
-	// the very reading that created it adds nothing); unobserved unknown ids
-	// carry no information and are dropped.
+	// Observed objects are always processed (Case 1); an unknown observed
+	// object gets a fresh belief and needs no further stepping this epoch,
+	// since weighting a belief against the very reading that created it adds
+	// nothing. Unknown ids in active carry no information and are dropped.
+	// newIDs inherits ObservedList's sorted order.
+	seqs := f.seqBuf[:0]
 	newIDs := f.newIDsBuf[:0]
-	for id := range processSet {
-		if ep.Contains(id) {
+	for _, id := range ep.ObservedList() {
+		if b := f.objects[id]; b != nil {
+			seqs = append(seqs, b.seq)
+		} else if ep.Contains(id) && !(f.cfg.World != nil && f.cfg.World.IsShelfTag(id)) {
 			newIDs = append(newIDs, id)
 		}
 	}
 	f.newIDsBuf = newIDs
-	sortTagIDs(newIDs)
+
+	// Existing objects, in first-seen order: all of them without an active
+	// set, else active ∪ observed by ascending sequence number — work
+	// proportional to the objects in range, not to the tracked population.
+	ids := f.idsBuf[:0]
+	if active == nil {
+		for _, b := range f.beliefs {
+			ids = append(ids, b.ID)
+		}
+	} else {
+		for _, id := range active {
+			if b := f.objects[id]; b != nil {
+				seqs = append(seqs, b.seq)
+			}
+		}
+		slices.Sort(seqs)
+		for i, s := range seqs {
+			if i == 0 || s != seqs[i-1] {
+				ids = append(ids, f.beliefs[s].ID)
+			}
+		}
+	}
+	f.seqBuf = seqs
+	f.idsBuf = ids
 	for _, id := range newIDs {
 		f.createBelief(id, ep.Time, f.stepReaderPos)
 	}
@@ -583,12 +583,4 @@ func logObs(s sensor.Profile, observed bool, pose geom.Pose, loc geom.Vec3) floa
 		q = floor
 	}
 	return math.Log(q)
-}
-
-func sortTagIDs(ids []stream.TagID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

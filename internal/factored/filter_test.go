@@ -1,11 +1,15 @@
 package factored
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/sensor"
 	"repro/internal/stream"
 )
@@ -201,17 +205,25 @@ func TestCompressAndDecompress(t *testing.T) {
 		f.Step(ep, nil)
 	}
 	before, _, _ := f.Estimate("obj")
+	if got, want := f.ParticleCount(), 40+f.Belief("obj").NumParticles(); got != want {
+		t.Errorf("ParticleCount = %d, want %d (readers + the one belief)", got, want)
+	}
 
-	kl, ok := f.CompressObject("obj")
-	if !ok {
+	kl, ok := f.CompressionCandidateKL("obj")
+	if !ok || kl < 0 {
+		t.Fatalf("candidate KL = %v, %v", kl, ok)
+	}
+	if !f.CompressObject("obj", kl) {
 		t.Fatal("compression failed")
 	}
-	if kl < 0 {
-		t.Errorf("negative KL: %v", kl)
-	}
 	b := f.Belief("obj")
-	if !b.IsCompressed() || b.NumParticles() != 0 {
+	if !b.IsCompressed() || b.NumParticles() != 0 || f.ParticleCount() != 40 {
 		t.Error("belief not in compressed form")
+	}
+	// The belief records the caller's measurement; compression itself
+	// measures nothing.
+	if b.CompressionKL != kl {
+		t.Errorf("CompressionKL = %v, want the caller's %v", b.CompressionKL, kl)
 	}
 	// The estimate survives compression.
 	after, _, ok := f.Estimate("obj")
@@ -219,7 +231,7 @@ func TestCompressAndDecompress(t *testing.T) {
 		t.Errorf("estimate moved during compression: %v -> %v", before, after)
 	}
 	// Compressing twice is a no-op.
-	if _, ok := f.CompressObject("obj"); ok {
+	if f.CompressObject("obj", 0) {
 		t.Error("second compression should report false")
 	}
 	if _, ok := f.CompressionCandidateKL("obj"); ok {
@@ -259,7 +271,7 @@ func TestCompressionCandidateKLDoesNotCompress(t *testing.T) {
 	if _, ok := f.CompressionCandidateKL("unknown"); ok {
 		t.Error("candidate KL for unknown object should fail")
 	}
-	if _, ok := f.CompressObject("unknown"); ok {
+	if f.CompressObject("unknown", 0) {
 		t.Error("compressing an unknown object should fail")
 	}
 }
@@ -279,7 +291,7 @@ func TestHasParticleIn(t *testing.T) {
 		t.Error("unexpected particles far from the true location")
 	}
 	// Also valid on a compressed belief (uses the Gaussian mean).
-	f.CompressObject("obj")
+	f.CompressObject("obj", 0)
 	if !f.Belief("obj").HasParticleIn(near) || f.Belief("obj").HasParticleIn(far) {
 		t.Error("HasParticleIn wrong for compressed belief")
 	}
@@ -299,5 +311,98 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if cfg.Sensor == nil {
 		t.Error("sensor default missing")
+	}
+}
+
+// refBeginEpoch is the step-list definition BeginEpoch must reproduce, written
+// the straightforward way: mark everything to process in a set, keep the
+// tracked ids that are marked (first-seen order), and give every remaining
+// marked id that was actually read a fresh belief, in sorted tag order.
+func refBeginEpoch(order []stream.TagID, ep *stream.Epoch, active []stream.TagID, w *model.World) (ids, fresh []stream.TagID) {
+	process := map[stream.TagID]bool{}
+	if active == nil {
+		for _, id := range order {
+			process[id] = true
+		}
+	}
+	for _, id := range active {
+		if !w.IsShelfTag(id) {
+			process[id] = true
+		}
+	}
+	for id := range ep.Observed {
+		if !w.IsShelfTag(id) {
+			process[id] = true
+		}
+	}
+	for _, id := range order {
+		if process[id] {
+			ids = append(ids, id)
+			delete(process, id)
+		}
+	}
+	for id := range process {
+		if ep.Contains(id) {
+			fresh = append(fresh, id)
+		}
+	}
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
+	return ids, fresh
+}
+
+// TestBeginEpochMatchesReference drives BeginEpoch with seeded random active
+// sets — tracked and unknown ids, shelf tags, duplicates, ids present only in
+// the epoch's readings, and no active set at all — and checks the returned
+// step list and the beliefs it created against refBeginEpoch.
+func TestBeginEpochMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		src := rng.New(seed)
+		f := newTestFilter(20)
+		tag := func(i int) stream.TagID { return stream.TagID(fmt.Sprintf("obj-%02d", i)) }
+		for epoch := 0; epoch < 60; epoch++ {
+			ep := stream.NewEpoch(epoch)
+			ep.HasPose = true
+			ep.ReportedPose = geom.P(-1.5, float64(epoch)*0.1, 0, 0)
+			// Ids are drawn from a pool that grows over the run and in
+			// no tag order, so first-seen order differs from sorted order
+			// and every epoch mixes tracked ids with never-seen ones.
+			pool := 8 + epoch
+			for n := src.Intn(6); n > 0; n-- {
+				ep.Observed[tag((src.Intn(pool)*37)%90)] = true
+			}
+			if src.Intn(3) == 0 {
+				ep.Observed["shelf-000"] = true
+			}
+			var active []stream.TagID
+			if src.Intn(5) > 0 {
+				active = []stream.TagID{} // non-nil even when empty
+				for n := src.Intn(12); n > 0; n-- {
+					active = append(active, tag((src.Intn(pool)*37)%90))
+				}
+				if len(active) > 0 && src.Intn(2) == 0 {
+					active = append(active, active[0], "shelf-000", "never-read")
+				}
+			}
+
+			before := f.TrackedObjects()
+			wantIDs, wantFresh := refBeginEpoch(before, ep, active, f.cfg.World)
+			ids := append([]stream.TagID(nil), f.BeginEpoch(ep, active)...)
+			if !slices.Equal(ids, wantIDs) {
+				t.Fatalf("seed %d epoch %d (active %v): step list %v, want %v", seed, epoch, active, ids, wantIDs)
+			}
+			if fresh := f.TrackedObjects()[len(before):]; !slices.Equal(fresh, wantFresh) {
+				t.Fatalf("seed %d epoch %d: fresh beliefs %v, want %v", seed, epoch, fresh, wantFresh)
+			}
+			for i, b := range f.beliefs {
+				if b.seq != i || f.objects[b.ID] != b {
+					t.Fatalf("seed %d epoch %d: belief %q at %d has seq %d", seed, epoch, b.ID, i, b.seq)
+				}
+			}
+			f.StepObjects(ep, ids)
+			f.EndEpoch()
+		}
+		if f.NumTracked() < 30 {
+			t.Fatalf("seed %d: only %d objects tracked; the run is too small to mean anything", seed, f.NumTracked())
+		}
 	}
 }

@@ -116,8 +116,9 @@ func (f *Filter) readerPoseFor(idx int) geom.Pose {
 // stepped further this epoch.
 func (f *Filter) createBelief(id stream.TagID, epoch int, readerPos geom.Vec3) *ObjectBelief {
 	b := f.newBelief(id, epoch, readerPos)
+	b.seq = len(f.beliefs)
 	f.objects[id] = b
-	f.order = append(f.order, id)
+	f.beliefs = append(f.beliefs, b)
 	b.LastSeen = epoch
 	b.LastSeenReaderPos = readerPos
 	b.ScopeEntered = epoch
@@ -198,17 +199,18 @@ func (f *Filter) sampleReaderIndex(src *rng.Source) int {
 	return src.Categorical(f.readerNorm)
 }
 
-// CompressObject compresses an object's belief into a Gaussian (Section
-// IV-D). It returns the KL divergence between the particle distribution and
-// the fitted Gaussian, and false when the object is unknown or already
-// compressed.
-func (f *Filter) CompressObject(id stream.TagID) (float64, bool) {
+// CompressObject compresses an object's belief into its moment-matched
+// Gaussian (Section IV-D) and records kl — the divergence the caller's policy
+// measured through CompressionCandidateKL, zero when it measures none — as the
+// belief's CompressionKL. It returns false when the object is unknown or
+// already compressed.
+func (f *Filter) CompressObject(id stream.TagID, kl float64) bool {
 	b, ok := f.objects[id]
 	if !ok || b.IsCompressed() || b.NumParticles() == 0 {
-		return 0, false
+		return false
 	}
-	g, kl, buf := b.gaussianWith(f.readerNorm, f.wBuf)
-	f.wBuf = buf
+	f.wBuf = b.weightsInto(f.readerNorm, f.wBuf)
+	g := stats.FitGaussian3(b.locs, f.wBuf)
 	b.Compressed = &g
 	b.CompressionKL = kl
 	b.release()
@@ -221,7 +223,7 @@ func (f *Filter) CompressObject(id stream.TagID) (float64, bool) {
 		b.srcSeeded = true
 		b.src = nil
 	}
-	return kl, true
+	return true
 }
 
 // CompressionCandidateKL returns the KL divergence the object's belief would
@@ -232,9 +234,9 @@ func (f *Filter) CompressionCandidateKL(id stream.TagID) (float64, bool) {
 	if !ok || b.IsCompressed() || b.NumParticles() == 0 {
 		return 0, false
 	}
-	_, kl, buf := b.gaussianWith(f.readerNorm, f.wBuf)
-	f.wBuf = buf
-	return kl, true
+	f.wBuf = b.weightsInto(f.readerNorm, f.wBuf)
+	g := stats.FitGaussian3(b.locs, f.wBuf)
+	return stats.KLToGaussian(b.locs, f.wBuf, g), true
 }
 
 // decompress re-creates a small particle set by sampling from the compressed
@@ -257,15 +259,4 @@ func (f *Filter) decompress(b *ObjectBelief) {
 		b.normW[i] = u
 	}
 	b.Compressed = nil
-}
-
-// Gaussian3ForTest exposes an object's moment-matched Gaussian; it is used by
-// tests and by the engine's compression policies.
-func (f *Filter) Gaussian3ForTest(id stream.TagID) (stats.Gaussian3, float64, bool) {
-	b, ok := f.objects[id]
-	if !ok {
-		return stats.Gaussian3{}, 0, false
-	}
-	g, kl := b.Gaussian(f.readerNorm)
-	return g, kl, true
 }

@@ -85,9 +85,8 @@ func (f *Filter) maybeResampleReaders() {
 		support[j] = 0
 	}
 	totalSupport := 0.0
-	for _, id := range f.order {
-		b := f.objects[id]
-		if b == nil || b.IsCompressed() {
+	for _, b := range f.beliefs {
+		if b.IsCompressed() {
 			continue
 		}
 		for i, nw := range b.normW {
@@ -145,9 +144,8 @@ func (f *Filter) maybeResampleReaders() {
 	// Remap object particle pointers. Particles whose reader hypothesis was
 	// dropped are re-attached to a uniformly drawn surviving slot; since the
 	// resampled reader weights are uniform this introduces no bias.
-	for _, id := range f.order {
-		b := f.objects[id]
-		if b == nil || b.IsCompressed() {
+	for _, b := range f.beliefs {
+		if b.IsCompressed() {
 			continue
 		}
 		for i := range b.reader {

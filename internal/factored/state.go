@@ -43,9 +43,9 @@ func (f *Filter) SaveState(e *checkpoint.Encoder) {
 	}
 	e.Float64s(f.readerNorm)
 
-	e.Uvarint(uint64(len(f.order)))
-	for _, id := range f.order {
-		saveBelief(e, f.objects[id])
+	e.Uvarint(uint64(len(f.beliefs)))
+	for _, b := range f.beliefs {
+		saveBelief(e, b)
 	}
 }
 
@@ -123,7 +123,7 @@ func (f *Filter) RestoreState(d *checkpoint.Decoder) error {
 	}
 
 	no := d.SliceLen(1)
-	order := make([]stream.TagID, 0, no)
+	beliefs := make([]*ObjectBelief, 0, no)
 	objects := make(map[stream.TagID]*ObjectBelief, no)
 	for i := 0; i < no && d.Err() == nil; i++ {
 		b, err := restoreBelief(d)
@@ -133,8 +133,9 @@ func (f *Filter) RestoreState(d *checkpoint.Decoder) error {
 		if _, dup := objects[b.ID]; dup {
 			return fmt.Errorf("factored: duplicate belief for tag %q", b.ID)
 		}
+		b.seq = len(beliefs)
 		objects[b.ID] = b
-		order = append(order, b.ID)
+		beliefs = append(beliefs, b)
 	}
 	if err := d.Err(); err != nil {
 		return err
@@ -152,7 +153,7 @@ func (f *Filter) RestoreState(d *checkpoint.Decoder) error {
 	f.readers = readers
 	f.readerNorm = readerNorm
 	f.objects = objects
-	f.order = order
+	f.beliefs = beliefs
 	return nil
 }
 

@@ -51,12 +51,12 @@ func TestFilterStateRoundTrip(t *testing.T) {
 	a := stateTestFilter(3)
 	stepEpochs(a, 0, 12)
 	// Compress one belief so the Gaussian branch of the codec is exercised.
-	if _, ok := a.CompressObject("obj-b"); !ok {
+	if !a.CompressObject("obj-b", 0.25) {
 		t.Fatal("compress failed")
 	}
 	refB := stateTestFilter(3)
 	stepEpochs(refB, 0, 12)
-	if _, ok := refB.CompressObject("obj-b"); !ok {
+	if !refB.CompressObject("obj-b", 0.25) {
 		t.Fatal("compress failed")
 	}
 	stepEpochs(refB, 12, 30)

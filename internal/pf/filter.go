@@ -147,6 +147,9 @@ func (f *Filter) TrackedObjects() []stream.TagID {
 	return out
 }
 
+// NumTracked returns the number of objects the filter has seen so far.
+func (f *Filter) NumTracked() int { return len(f.objectIDs) }
+
 // row returns particle j's object location row.
 func (f *Filter) row(j int) []geom.Vec3 {
 	return f.objLocs[j*f.stride : (j+1)*f.stride]

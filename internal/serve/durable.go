@@ -195,7 +195,7 @@ func (s *session) recoverLocked() error {
 	if err != nil {
 		return fmt.Errorf("replay wal: %w", err)
 	}
-	s.lastEpochsN = int64(r.Stats().Epochs)
+	s.lastEpochsN = int64(r.Position().Epochs)
 	// Seed the epochs counter with what recovery (re)built, but never
 	// double-count: hydration recovers epochs the counter already saw before
 	// the eviction (boot recovery starts from a zero counter, so this is the
@@ -331,7 +331,7 @@ func (s *session) maybeCheckpoint() {
 	if s.wal == nil {
 		return
 	}
-	epochs := int64(s.eng.Load().Stats().Epochs)
+	epochs := int64(s.eng.Load().Position().Epochs)
 	if epochs-s.epochsAtCkpt < int64(s.cfg.CheckpointEvery) {
 		return
 	}
@@ -398,7 +398,7 @@ func (s *session) persistCheckpoint(t0 time.Time, epoch int, seg uint64) error {
 		return err
 	}
 	s.ckptHist.ObserveDuration(time.Since(t0))
-	s.epochsAtCkpt = int64(r.Stats().Epochs)
+	s.epochsAtCkpt = int64(r.Position().Epochs)
 	s.lastCkptEpoch.Store(int64(epoch))
 	s.lastCkptNanos.Store(time.Now().UnixNano())
 	s.checkpoints.Inc()

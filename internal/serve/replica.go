@@ -73,7 +73,7 @@ func lastSealedEpoch(r *rfid.Runner) int64 {
 	if r == nil {
 		return -1
 	}
-	ep := int64(r.Stats().NextEpoch) - 1
+	ep := int64(r.Position().NextEpoch) - 1
 	if ep < 0 {
 		ep = -1
 	}
@@ -139,7 +139,7 @@ func (s *session) handleReplApply(ro *replOp) opResult {
 			s.notifyResults()
 		}
 	}
-	if n := int64(r.Stats().Epochs); n > s.lastEpochsN {
+	if n := int64(r.Position().Epochs); n > s.lastEpochsN {
 		s.epochs.Add(int(n - s.lastEpochsN))
 		s.lastEpochsN = n
 	}

@@ -257,6 +257,16 @@ func (s *session) runnerStats() rfid.RunnerStats {
 	return rfid.RunnerStats{}
 }
 
+// watermark is runnerStats().Watermark for stream acks, which go out once per
+// batch: a resident runner answers without the pass over the tracked
+// population that a full Stats makes to count particles.
+func (s *session) watermark() int {
+	if r := s.eng.Load(); r != nil {
+		return r.Position().Watermark
+	}
+	return s.runnerStats().Watermark
+}
+
 // queryCount mirrors runnerStats for the registered-query count.
 func (s *session) queryCount() int {
 	if reg := s.reg.Load(); reg != nil {
@@ -671,7 +681,7 @@ func (s *session) handleOp(o op) opResult {
 	if rows > 0 {
 		s.notifyResults()
 	}
-	if n := int64(r.Stats().Epochs); n > s.lastEpochsN {
+	if n := int64(r.Position().Epochs); n > s.lastEpochsN {
 		s.epochs.Add(int(n - s.lastEpochsN))
 		s.lastEpochsN = n
 	}

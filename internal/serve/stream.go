@@ -263,7 +263,7 @@ func (sc *streamConn) writeLoop(conn net.Conn) {
 			wire.AppendAck(&enc, api.StreamAck{
 				UpTo:      high,
 				Durable:   durable,
-				Watermark: sc.sess.runnerStats().Watermark,
+				Watermark: sc.sess.watermark(),
 				Window:    sc.window,
 			})
 			if !writeFrame() {

@@ -65,43 +65,29 @@ func (t *RTree) Insert(box geom.BBox, id int) {
 // box.
 func (t *RTree) Search(box geom.BBox) []int {
 	var out []int
-	if box.IsEmpty() {
-		return out
-	}
-	t.search(t.root, box, &out)
+	t.SearchFunc(box, func(id int) { out = append(out, id) })
 	return out
 }
 
 // SearchFunc invokes fn for every payload whose box intersects the query box.
+// It allocates nothing itself, so a caller whose fn does not escape searches
+// allocation-free.
 func (t *RTree) SearchFunc(box geom.BBox, fn func(id int)) {
-	if box.IsEmpty() {
-		return
+	if !box.IsEmpty() {
+		t.root.search(box, fn)
 	}
-	var walk func(n *rtreeNode)
-	walk = func(n *rtreeNode) {
-		for _, e := range n.entries {
-			if !e.box.Intersects(box) {
-				continue
-			}
-			if n.leaf {
-				fn(e.id)
-			} else {
-				walk(e.child)
-			}
-		}
-	}
-	walk(t.root)
 }
 
-func (t *RTree) search(n *rtreeNode, box geom.BBox, out *[]int) {
-	for _, e := range n.entries {
+func (n *rtreeNode) search(box geom.BBox, fn func(id int)) {
+	for i := range n.entries {
+		e := &n.entries[i]
 		if !e.box.Intersects(box) {
 			continue
 		}
 		if n.leaf {
-			*out = append(*out, e.id)
+			fn(e.id)
 		} else {
-			t.search(e.child, box, out)
+			e.child.search(box, fn)
 		}
 	}
 }

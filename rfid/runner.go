@@ -54,6 +54,16 @@ type RunnerStats struct {
 	LateDropped int
 }
 
+// RunnerPosition is where a Runner stands in its stream: the fields of
+// RunnerStats that the serving layer reads after every batch.
+type RunnerPosition struct {
+	// Epochs is the number of epochs processed so far (Stats.Epochs).
+	Epochs int
+	// NextEpoch and Watermark are as in RunnerStats.
+	NextEpoch int
+	Watermark int
+}
+
 // IngestReport summarizes one Ingest call.
 type IngestReport struct {
 	// Readings and Locations are the numbers of accepted records.
@@ -368,6 +378,15 @@ func (r *Runner) Tracked() []TagID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.pipe.TrackedObjects()
+}
+
+// Position returns the O(1) part of Stats, for callers on the per-batch path:
+// a full Stats also counts the live particles, a pass over the tracked
+// population.
+func (r *Runner) Position() RunnerPosition {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return RunnerPosition{Epochs: r.pipe.Stats().Epochs, NextEpoch: r.next, Watermark: r.mark}
 }
 
 // Stats returns the engine counters plus the driver's own bookkeeping.

@@ -146,6 +146,14 @@ func TestRunnerHoldAndLateness(t *testing.T) {
 	if st.NextEpoch > st.Watermark-2+1 {
 		t.Fatalf("advance processed into the hold window: next=%d watermark=%d", st.NextEpoch, st.Watermark)
 	}
+	// Position is the same three counters without the particle count.
+	if pos, want := runner.Position(), (rfid.RunnerPosition{Epochs: st.Epochs, NextEpoch: st.NextEpoch, Watermark: st.Watermark}); pos != want || pos.Epochs == 0 {
+		t.Fatalf("Position = %+v, Stats has %+v", pos, want)
+	}
+	// Stats' population figures are the ones the full lists give.
+	if st.TrackedObjects != len(runner.Tracked()) || st.TrackedObjects == 0 {
+		t.Fatalf("TrackedObjects = %d, Tracked() lists %d", st.TrackedObjects, len(runner.Tracked()))
+	}
 
 	if _, err := runner.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
