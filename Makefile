@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke baseline-serve loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke baseline-serve loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile benchmark-test
 
 all: build vet fmt-check doc-check test
 
@@ -23,6 +23,13 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# The repo benchmark is its own module (benchmark/go.mod, `replace repro =>
+# ../`, so it needs no network), which `go test ./...` from the root does not
+# enter — yet it imports internal/wal, internal/checkpoint, internal/query and
+# internal/factored, so a refactor there can break it unseen.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Race gate over the packages with concurrent code paths (the engine's
 # per-shard fan-out and the filter phases it drives, the continuous runner,
@@ -153,9 +160,10 @@ density-smoke:
 # converge, SIGKILLs the primary, promotes the replica and verifies the
 # promoted node serves snapshots and query results byte-identical to both the
 # pre-kill primary and an uninterrupted reference process; plus the in-process
-# convergence-across-parallelism and resume-after-restart properties.
+# convergence-across-parallelism, resume-after-restart and
+# long-poll-wakes-on-replicated-removal properties.
 replica-smoke:
-	$(GO) test -race -run 'TestReplicaSmoke$$|TestReplicaConvergesAcrossTransposition$$|TestReplicaResumeAfterRestart$$' -v ./internal/serve
+	$(GO) test -race -run 'TestReplicaSmoke$$|TestReplicaConvergesAcrossTransposition$$|TestReplicaResumeAfterRestart$$|TestReplicaLongPollWakesOnRemoval$$' -v ./internal/serve
 
 # Full benchmark run (slow; minutes).
 bench:

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/query"
+	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/rfid"
 )
@@ -181,14 +182,12 @@ func (s *session) recoverLocked() error {
 		}
 	}
 
-	// Replay the tail through the exact paths live ingestion uses: batches
-	// re-ingest and advance the watermark, explicit seals re-seal the same
-	// horizon (and window flush), so the rebuilt state is byte-identical to
-	// the pre-crash run. Epoch-processing errors are handled exactly as the
-	// live path handles them — counted and logged, the failing epoch skipped
-	// — so a log that was serveable live never becomes unrecoverable.
+	// Replay the tail through applyWALRecord, the function that applied these
+	// records when they were live, so the rebuilt state is byte-identical to
+	// the pre-crash run — and a log that was serveable live never becomes
+	// unrecoverable. No account step: the records were counted then.
 	st, err := wal.Replay(s.cfg.DataDir, fromSeg, func(rec wal.Record) error {
-		_, _, aerr := s.applyWALRecord(r, reg, rec)
+		_, aerr := s.applyWALRecord(r, reg, rec)
 		return aerr
 	})
 	s.replayedRecords.Add(st.Records)
@@ -206,123 +205,64 @@ func (s *session) recoverLocked() error {
 	return nil
 }
 
-// applyWALRecord applies one logged record through the exact paths live
-// ingestion uses. It is the single interpretation of the log, shared by
-// recovery replay and the replication apply path (a replica applying shipped
-// records runs the same code a crashed primary runs at restart, which is what
-// makes replica state byte-identical to the primary at every position).
-// Epoch-processing errors are counted and logged but not returned — the live
-// path skips failing epochs too; only a registration that cannot parse is
-// fatal, because the log then cannot mean what it meant live. Pinned worker
-// only.
-func (s *session) applyWALRecord(r *rfid.Runner, reg *query.Registry, rec wal.Record) (events, rows int, err error) {
+// applyWALRecord applies one log record to the runner and the registry and
+// reports what that did. It is the only interpretation of a record there is:
+// live traffic (mutate), recovery replay and a replica applying shipped records
+// all come through here, and nothing else drives the runner's ingest and seal
+// paths or changes the replicated registry — which is what makes a recovered
+// or replicated state byte-identical to the live run's at every position.
+// res.err carries the outcomes that are not failures of the log: an epoch the
+// engine could not process (skipped, counted and logged wherever the record
+// is applied) and a registration the registry refuses (refused identically
+// everywhere, so the registry ends in the same state). Only a registration
+// that does not parse is returned as err, because the log then cannot mean
+// what it meant when it was written. Pinned worker only.
+func (s *session) applyWALRecord(r *rfid.Runner, reg *query.Registry, rec wal.Record) (res opResult, err error) {
+	var events []rfid.Event
 	switch rec.Type {
 	case wal.RecBatch:
+		// Stream batches carry their client-assigned sequence number in the
+		// log (HTTP batches log 0): the resume point.
 		if rec.StreamSeq > s.lastStreamSeq.Load() {
 			s.lastStreamSeq.Store(rec.StreamSeq)
 		}
-		r.Ingest(rec.Readings, rec.Locations)
-		evs, aerr := r.Advance()
-		rows = reg.Feed(evs)
-		events = len(evs)
-		if aerr != nil {
-			s.engineErrs.Inc()
-			s.log.Warn("replay epoch processing failed; epoch skipped", "err", aerr)
-		}
+		res.report = r.Ingest(rec.Readings, rec.Locations)
+		events, res.err = r.Advance()
 	case wal.RecSeal:
-		evs, serr := r.SealTo(rec.UpTo)
-		rows = reg.Feed(evs)
-		events = len(evs)
-		if rec.FlushWindows {
-			rows += reg.FlushAll()
-		}
-		if serr != nil {
-			s.engineErrs.Inc()
-			s.log.Warn("replay epoch processing failed; epoch skipped", "err", serr)
-		}
+		events, res.err = r.SealTo(rec.UpTo)
 	case wal.RecRegister:
 		spec, perr := query.ParseSpec([]byte(rec.SpecJSON))
 		if perr != nil {
-			return 0, 0, fmt.Errorf("replay registration: %w", perr)
+			return res, fmt.Errorf("logged registration: %w", perr)
 		}
-		// A registration that failed live (e.g. a history range that had
-		// already been evicted) fails identically here; either way the
-		// registry ends in the same state, so the error is not fatal.
-		if _, rerr := reg.Register(spec); rerr != nil {
-			s.log.Warn("replay registration refused (matching the live refusal)", "err", rerr)
-		}
+		// History-mode registrations are records too: they evaluate against
+		// the identically rebuilt history ring and buffer the same rows.
+		res.info, res.err = reg.Register(spec)
+		res.wake = res.info.Buffered > 0
+		return res, nil
 	case wal.RecUnregister:
-		reg.Unregister(rec.QueryID)
+		res.found = reg.Unregister(rec.QueryID)
+		res.wake = res.found
+		return res, nil
+	default: // RecCheckpoint and future types: informational
+		return res, nil
 	}
-	return events, rows, nil // RecCheckpoint and future types: informational
-}
-
-// logBatch appends an ingest batch to the WAL before the engine applies it
-// (the write-ahead ordering). Pinned worker only.
-func (s *session) logBatch(o op) error {
-	if s.wal == nil {
-		return nil
+	if res.err != nil {
+		s.engineErrs.Inc()
+		s.log.Warn("epoch processing failed; epoch skipped", "err", res.err)
 	}
-	rec := wal.Record{Type: wal.RecBatch, Readings: o.readings, Locations: o.locations}
-	if o.sb != nil {
-		// Stream batches carry their client-assigned sequence number into the
-		// log (HTTP batches log 0), so recovery rebuilds the resume point.
-		rec.StreamSeq = o.sb.seq
+	// Query evaluation runs on the events of epochs that already sealed, so
+	// its time lands on the most recently committed trace.
+	t0 := time.Now()
+	res.results = reg.Feed(events)
+	if rec.FlushWindows {
+		// Flushing the held-back windows mutates operator state and result
+		// sequences, which is why the seal record carries the flag.
+		res.results += reg.FlushAll()
 	}
-	return s.wal.Append(rec)
-}
-
-// logSeal appends an explicit-seal record with the horizon a flush is about
-// to process (and whether it also flushes the queries' held-back windows).
-// Watermark-driven sealing is deterministic from the batches alone and needs
-// no record; client-initiated flushes are external events and must be logged
-// to replay identically.
-func (s *session) logSeal(upTo int, flushWindows bool) error {
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Append(wal.Record{Type: wal.RecSeal, UpTo: upTo, FlushWindows: flushWindows})
-}
-
-// handleRegisterOp applies a query registration under the session pin:
-// write-ahead first (so the registration survives a crash with its id and
-// sequence numbers), then register. History-mode registrations are also
-// logged — replay re-evaluates them against the identically rebuilt history
-// ring, reproducing the same rows.
-func (s *session) handleRegisterOp(o op) opResult {
-	if s.wal != nil {
-		if err := s.wal.Append(wal.Record{Type: wal.RecRegister, SpecJSON: o.registerJSON}); err != nil {
-			s.engineErrs.Inc()
-			s.log.Error("wal register append failed", "err", err)
-			return opResult{err: err}
-		}
-	}
-	info, err := s.reg.Load().Register(*o.register)
-	if err == nil && info.Buffered > 0 {
-		// History-mode queries buffer their full result set at registration.
-		s.notifyResults()
-	}
-	s.syncWALMetrics()
-	return opResult{info: info, err: err}
-}
-
-// handleUnregisterOp applies a query removal under the session pin,
-// write-ahead first.
-func (s *session) handleUnregisterOp(o op) opResult {
-	if s.wal != nil {
-		if err := s.wal.Append(wal.Record{Type: wal.RecUnregister, QueryID: o.unregister}); err != nil {
-			s.engineErrs.Inc()
-			s.log.Error("wal unregister append failed", "err", err)
-			return opResult{err: err}
-		}
-	}
-	found := s.reg.Load().Unregister(o.unregister)
-	if found {
-		// Wake long-poll readers so they observe the deletion promptly.
-		s.notifyResults()
-	}
-	s.syncWALMetrics()
-	return opResult{found: found}
+	r.TraceRecorder().AddToLast(trace.StageQueryEval, time.Since(t0))
+	res.events = len(events)
+	return res, nil
 }
 
 // maybeCheckpoint writes a checkpoint when enough epochs have been processed
@@ -350,7 +290,7 @@ func (s *session) writeCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	epoch := s.eng.Load().Stats().NextEpoch - 1
+	epoch := s.eng.Load().Position().NextEpoch - 1
 	if epoch < 0 {
 		epoch = 0
 	}
@@ -435,18 +375,9 @@ func (s *session) shutdownDurable() {
 		s.state.Store(int32(stateClosed))
 		return
 	}
-	if st := r.Stats(); st.BufferedEpochs > 0 {
-		if err := s.logSeal(st.Watermark, false); err != nil {
-			s.log.Error("logging the shutdown seal failed", "err", err)
-		}
-		events, err := r.SealTo(st.Watermark)
-		if err != nil {
-			s.log.Warn("sealing at shutdown failed", "err", err)
-		}
-		rows := s.reg.Load().Feed(events)
-		s.events.Add(len(events))
-		s.results.Add(rows)
-	}
+	// The run is over: seal what is buffered, as a flush would (a refused or
+	// failing seal is logged by mutate and the checkpoint below still lands).
+	s.mutate(r, s.reg.Load(), wal.Record{Type: wal.RecSeal})
 	if s.wal != nil {
 		if err := s.writeCheckpoint(); err != nil {
 			s.log.Error("final checkpoint failed", "err", err)

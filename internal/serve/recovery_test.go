@@ -18,6 +18,7 @@ import (
 	"repro/internal/wal"
 	"repro/rfid"
 	"repro/rfid/api"
+	"repro/rfid/wire"
 )
 
 // recoveryTrace generates the shared small warehouse trace and groups its raw
@@ -124,10 +125,86 @@ func registerRecoveryQueries(t *testing.T, url string) {
 	}
 }
 
+// sessionMetric reads one series of the session `default` off /v1/metrics.
+func sessionMetric(t *testing.T, base, name string) float64 {
+	t.Helper()
+	var m map[string]float64
+	getJSON(t, base+"/v1/metrics?format=json", &m)
+	return m[name+`{session="default"}`]
+}
+
+// deleteQuery issues DELETE .../queries/{id} and returns the status code.
+func deleteQuery(t *testing.T, base, id string) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, base+sessPath+"/queries/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE query %s: %v", id, err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// recordOutcomeMix drives, against the session `default`, one of each outcome
+// a log record can have beyond "batch applied": a mid-stream windows flush, a
+// flush that finds nothing buffered (answered, but not a mutation — no WAL
+// record), the removal of a live query and of an unknown id, a history-mode
+// registration the registry refuses, and a registration after the refusal
+// (its id shows whether a replay refused identically). It leaves one extra
+// query registered. Every node of an equivalence check runs it at the same
+// point of the stream.
+func recordOutcomeMix(t *testing.T, base string, durable bool) {
+	t.Helper()
+	walRecords := func() float64 { return sessionMetric(t, base, "rfidserve_wal_records_total") }
+	before := walRecords()
+	if code := postJSON(t, base+sessPath+"/flush?windows=true", struct{}{}, nil); code != http.StatusOK {
+		t.Fatalf("mid-stream windows flush: status %d", code)
+	}
+	sealed := walRecords()
+	if durable && sealed != before+1 {
+		t.Fatalf("windows flush appended %v WAL records, want 1", sealed-before)
+	}
+	var fl api.FlushResponse
+	if code := postJSON(t, base+sessPath+"/flush", struct{}{}, &fl); code != http.StatusOK || fl.Events != 0 || fl.Results != 0 {
+		t.Fatalf("flush with nothing buffered: status %d, %+v", code, fl)
+	}
+	if got := walRecords(); got != sealed {
+		t.Fatalf("flush with nothing buffered appended %v WAL records, want none", got-sealed)
+	}
+
+	var live api.QueryInfo
+	if code := postJSON(t, base+sessPath+"/queries", map[string]any{"kind": "location-updates", "min_change": 0.5}, &live); code != http.StatusCreated {
+		t.Fatalf("register the query to remove: status %d", code)
+	}
+	if code := deleteQuery(t, base, live.ID); code != http.StatusNoContent {
+		t.Fatalf("unregister %s: status %d", live.ID, code)
+	}
+	listed := getRaw(t, base+sessPath+"/queries")
+	if code := deleteQuery(t, base, live.ID); code != http.StatusNotFound {
+		t.Fatalf("unregister %s a second time: status %d, want 404", live.ID, code)
+	}
+	if code := postJSON(t, base+sessPath+"/queries",
+		map[string]any{"kind": "location-updates", "mode": "history", "from_epoch": 1 << 20}, nil); code != http.StatusBadRequest {
+		t.Fatalf("history registration outside the retained ring: status %d, want 400", code)
+	}
+	if got := getRaw(t, base+sessPath+"/queries"); got != listed {
+		t.Fatalf("an unknown-id removal and a refused registration changed the query list:\n got %s\nwant %s", got, listed)
+	}
+	var kept api.QueryInfo
+	if code := postJSON(t, base+sessPath+"/queries", map[string]any{"kind": "location-updates", "min_change": 0.2}, &kept); code != http.StatusCreated {
+		t.Fatalf("register after the refusal: status %d", code)
+	}
+	var n int
+	fmt.Sscanf(live.ID, "q%d", &n)
+	if want := fmt.Sprintf("q%d", n+1); kept.ID != want {
+		t.Fatalf("registration after a refused one got id %s, want %s (the one after %s)", kept.ID, want, live.ID)
+	}
+}
+
 // observedOutputs collects the comparison surface: every tracked tag's
-// snapshot body, the full result stream of every registered query, and the
-// history snapshot of a few epochs — all as raw JSON bytes so the comparison
-// is byte-exact.
+// snapshot body, the query list, the full result stream of every registered
+// query, and the history snapshot of a few epochs — all as raw JSON bytes so
+// the comparison is byte-exact.
 func observedOutputs(t *testing.T, url string) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -138,7 +215,16 @@ func observedOutputs(t *testing.T, url string) map[string]string {
 	for _, tag := range all.Tracked {
 		out["snapshot:"+tag] = getRaw(t, url+sessPath+"/snapshot/"+tag)
 	}
-	for _, q := range []string{"q1", "q2"} {
+	out["queries"] = getRaw(t, url+sessPath+"/queries")
+	var listed []api.QueryInfo
+	if err := json.Unmarshal([]byte(out["queries"]), &listed); err != nil {
+		t.Fatalf("query list %s: %v", out["queries"], err)
+	}
+	ids := []string{"q1", "q2"}
+	for _, qi := range listed {
+		ids = append(ids, qi.ID)
+	}
+	for _, q := range ids {
 		out["results:"+q] = getRaw(t, fmt.Sprintf("%s/queries/%s/results?after=-1", url+sessPath, q))
 	}
 	for _, ep := range []int{5, 12, 20} {
@@ -171,15 +257,20 @@ func getRaw(t *testing.T, url string) string {
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	trace, rByT, lByT, maxT := recoveryTrace(t)
 
-	// Reference: an uninterrupted non-durable serial run.
-	_, refTS := startRecoveryServer(t, trace, 1, 1, "")
-	defer refTS.Close()
-	registerRecoveryQueries(t, refTS.URL)
-	ingestEpochs(t, refTS.URL, rByT, lByT, 0, maxT+1)
-	if code := postJSON(t, refTS.URL+sessPath+"/flush", map[string]any{}, nil); code != http.StatusOK {
-		t.Fatalf("reference flush: status %d", code)
+	// Reference: an uninterrupted non-durable serial run, with the record
+	// outcome mix where the crashing run has it (just before the kill).
+	reference := func(mixAt int) map[string]string {
+		srv, refTS := startRecoveryServer(t, trace, 1, 1, "")
+		defer func() { refTS.Close(); srv.Close() }()
+		registerRecoveryQueries(t, refTS.URL)
+		ingestEpochs(t, refTS.URL, rByT, lByT, 0, mixAt)
+		recordOutcomeMix(t, refTS.URL, false)
+		ingestEpochs(t, refTS.URL, rByT, lByT, mixAt, maxT+1)
+		if code := postJSON(t, refTS.URL+sessPath+"/flush", map[string]any{}, nil); code != http.StatusOK {
+			t.Fatalf("reference flush: status %d", code)
+		}
+		return observedOutputs(t, refTS.URL)
 	}
-	want := observedOutputs(t, refTS.URL)
 
 	rng := rand.New(rand.NewSource(77))
 	for _, par := range []struct{ workers, shards int }{{1, 1}, {1, 8}, {4, 1}, {4, 8}} {
@@ -193,6 +284,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			srvA, tsA := startRecoveryServer(t, trace, par.workers, par.shards, dataDir)
 			registerRecoveryQueries(t, tsA.URL)
 			ingestEpochs(t, tsA.URL, rByT, lByT, 0, kill)
+			recordOutcomeMix(t, tsA.URL, true)
 			// Crash: no final seal, no final checkpoint.
 			tsA.Close()
 			srvA.CloseNow()
@@ -206,6 +298,10 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			}
 			got := observedOutputs(t, tsB.URL)
 
+			want := reference(kill)
+			if len(got) != len(want) {
+				t.Fatalf("%s: recovered run exposes %d outputs, the reference %d", name, len(got), len(want))
+			}
 			for key, wantBody := range want {
 				if got[key] != wantBody {
 					t.Fatalf("%s: %s diverged after crash recovery:\n got %s\nwant %s",
@@ -400,6 +496,91 @@ func TestFlushWindowsReplay(t *testing.T) {
 	got := getRaw(t, tsB.URL+sessPath+"/queries/q2/results?after=-1")
 	if got != want {
 		t.Fatalf("windows-flush state lost across crash:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestWriteAheadRefusal pins the one refusal arm every mutation shares: when
+// the WAL append fails (a closed log stands in for ENOSPC/EIO — the caller
+// sees an error from Append either way) the mutation is refused, counted on
+// the error counter and leaves no trace — no state change, no WAL record, no
+// stream ack.
+func TestWriteAheadRefusal(t *testing.T) {
+	eng := testEngine
+	eng.HoldEpochs = 1 // keeps the newest epoch buffered, so a flush has something to seal
+	srv, ts, _, _ := newTestServerWith(t, Config{QueueSize: 8, IngestWait: 5 * time.Second, DataDir: t.TempDir(), Fsync: wal.SyncAlways}, eng)
+	base := ts.URL
+	batch := func(epoch int) api.IngestRequest {
+		return api.IngestRequest{
+			Readings:  []api.Reading{{Time: epoch, Tag: "wa-obj"}},
+			Locations: []api.LocationReport{{Time: epoch, X: 1, Y: 1}},
+		}
+	}
+	var qi api.QueryInfo
+	if code := postJSON(t, base+sessPath+"/queries", map[string]any{"kind": "location-updates"}, &qi); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	for ep := 0; ep < 2; ep++ {
+		if code := postJSON(t, base+sessPath+"/ingest", batch(ep), nil); code != http.StatusAccepted {
+			t.Fatalf("ingest epoch %d: status %d", ep, code)
+		}
+	}
+	rs, _ := dialRawStream(t, base, "default")
+	rs.sendBatch(1, wire.APIBatch{Readings: batch(2).Readings, Locations: batch(2).Locations})
+	rs.expectAck(1)
+
+	sess, _ := srv.session("default")
+	metric := func(name string) float64 { return sessionMetric(t, base, name) }
+	type state struct {
+		fingerprint, queries string
+		streamSeq            uint64
+		walRecords           float64
+	}
+	observe := func() state {
+		return state{stateFingerprint(t, base, "default"), getRaw(t, base+sessPath+"/queries"),
+			sess.lastStreamSeq.Load(), metric("rfidserve_wal_records_total")}
+	}
+	want := observe()
+
+	sess.pinMu.Lock()
+	if err := sess.wal.Close(); err != nil {
+		t.Fatalf("closing the wal: %v", err)
+	}
+	sess.pinMu.Unlock()
+
+	for _, tc := range []struct {
+		name   string
+		do     func() int
+		status int
+	}{
+		{"ingest", func() int { return postJSON(t, base+sessPath+"/ingest", batch(3), nil) }, http.StatusServiceUnavailable},
+		{"flush", func() int { return postJSON(t, base+sessPath+"/flush", struct{}{}, nil) }, http.StatusInternalServerError},
+		{"register", func() int {
+			return postJSON(t, base+sessPath+"/queries", map[string]any{"kind": "location-updates"}, nil)
+		}, http.StatusBadRequest},
+		{"unregister", func() int { return deleteQuery(t, base, qi.ID) }, http.StatusServiceUnavailable},
+		{"stream batch", func() int {
+			rs.sendBatch(2, wire.APIBatch{Readings: batch(3).Readings, Locations: batch(3).Locations})
+			kind, dec := rs.next()
+			if kind != wire.KindError {
+				t.Fatalf("refused stream batch answered with frame kind %d, want the error frame (and no ack)", kind)
+			}
+			se, err := wire.DecodeError(dec)
+			if err != nil || se.Code != api.ErrInternal {
+				t.Fatalf("stream error frame = %+v (err %v), want code %q", se, err, api.ErrInternal)
+			}
+			return 0
+		}, 0},
+	} {
+		errsBefore := metric("rfidserve_engine_errors_total")
+		if got := tc.do(); got != tc.status {
+			t.Fatalf("%s with a failing WAL: status %d, want %d", tc.name, got, tc.status)
+		}
+		if got := metric("rfidserve_engine_errors_total"); got != errsBefore+1 {
+			t.Fatalf("%s: engine_errors_total went %v -> %v, want +1", tc.name, errsBefore, got)
+		}
+		if got := observe(); got != want {
+			t.Fatalf("refused %s left a trace:\n got %+v\nwant %+v", tc.name, got, want)
+		}
 	}
 }
 

@@ -129,19 +129,11 @@ func (s *session) handleReplApply(ro *replOp) opResult {
 			s.log.Error("replica checkpoint failed", "err", err)
 		}
 	} else {
-		events, rows, aerr := s.applyWALRecord(r, reg, rec)
+		res, aerr := s.applyWALRecord(r, reg, rec)
 		if aerr != nil {
 			return opResult{err: aerr}
 		}
-		s.events.Add(events)
-		s.results.Add(rows)
-		if rows > 0 {
-			s.notifyResults()
-		}
-	}
-	if n := int64(r.Position().Epochs); n > s.lastEpochsN {
-		s.epochs.Add(int(n - s.lastEpochsN))
-		s.lastEpochsN = n
+		s.account(r, res)
 	}
 	seg, off := s.mirror.Pos()
 	s.replSeg.Store(seg)

@@ -69,6 +69,10 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	if code := postJSON(t, pts.URL+"/v1/sessions/default/ingest", ingestBody(readings[:halfR], locations[:halfL]), nil); code != http.StatusAccepted {
 		t.Fatalf("first-half ingest: status %d", code)
 	}
+	// One of each record outcome, so the replica meets them all: those logged
+	// after the newest checkpoint arrive as shipped records, the rest inside
+	// the bootstrap image.
+	recordOutcomeMix(t, pts.URL, true)
 	if code := postJSON(t, pts.URL+"/v1/sessions/default/flush", struct{}{}, nil); code != http.StatusOK {
 		t.Fatalf("first-half flush: status %d", code)
 	}
@@ -109,6 +113,9 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	// Byte-identity on disk: the newest checkpoints and every WAL segment
 	// present on both nodes must match exactly.
 	compareReplicaDirs(t, pDir, rDir)
+	if p, r := getRaw(t, pts.URL+sessPath+"/queries"), getRaw(t, rts.URL+sessPath+"/queries"); p != r {
+		t.Fatalf("query lists differ:\nprimary %s\nreplica %s", p, r)
+	}
 
 	// A session's wire id is its id — "default" like any other — and a frame
 	// that names no session is refused loudly, never mapped onto one.
@@ -190,6 +197,62 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	}
 	if code := getJSON(t, rts.URL+"/v1/healthz", &hz); code != http.StatusOK || hz.Role != api.RolePrimary {
 		t.Fatalf("promoted healthz role = %q (status %d), want %q", hz.Role, code, api.RolePrimary)
+	}
+}
+
+// TestReplicaLongPollWakesOnRemoval: a results long-poll parked on a replica
+// returns as soon as the primary's removal of the query has been applied
+// there — a replica accounts an applied record as the primary does, waking
+// readers included — instead of sleeping out its wait.
+func TestReplicaLongPollWakesOnRemoval(t *testing.T) {
+	pReq, _, _ := replRequest(t, 1, 1)
+	psv, err := New(Config{DataDir: t.TempDir(), Fsync: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("primary New: %v", err)
+	}
+	openSession(t, psv, pReq)
+	pts := httptest.NewServer(psv.Handler())
+	defer func() { pts.Close(); psv.Close() }()
+	rsv, err := New(Config{DataDir: t.TempDir(), Fsync: wal.SyncAlways, ReplicaOf: pts.Listener.Addr().String()})
+	if err != nil {
+		t.Fatalf("replica New: %v", err)
+	}
+	rts := httptest.NewServer(rsv.Handler())
+	defer func() { rts.Close(); rsv.Close() }()
+
+	var qi api.QueryInfo
+	if code := postJSON(t, pts.URL+sessPath+"/queries", map[string]any{"kind": "location-updates"}, &qi); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	results := rts.URL + sessPath + "/queries/" + qi.ID + "/results?after=-1"
+	for deadline := time.Now().Add(30 * time.Second); getJSON(t, results, nil) != http.StatusOK; {
+		if time.Now().After(deadline) {
+			t.Fatal("the registration never reached the replica")
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+
+	polled := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(results + "&wait=8s")
+		if err != nil {
+			polled <- 0
+			return
+		}
+		resp.Body.Close()
+		polled <- resp.StatusCode
+	}()
+	time.Sleep(200 * time.Millisecond) // let the poll park
+	if code := deleteQuery(t, pts.URL, qi.ID); code != http.StatusNoContent {
+		t.Fatalf("unregister on the primary: status %d", code)
+	}
+	select {
+	case code := <-polled:
+		if code != http.StatusNotFound {
+			t.Fatalf("long-poll of the removed query answered %d, want 404", code)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("long-poll on the replica still asleep 2s after the primary removed the query")
 	}
 }
 

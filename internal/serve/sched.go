@@ -5,11 +5,10 @@ import (
 	"sync"
 )
 
-// The shared session scheduler: instead of one dedicated engine goroutine per
-// session, a fixed worker pool (default GOMAXPROCS) pulls runnable sessions
-// off a FIFO run queue and drains their bounded op queues. A session's op
-// queue is its pending-work list; the run queue holds sessions that have work
-// (or a pending startup).
+// The shared session scheduler: a fixed worker pool (default GOMAXPROCS) pulls
+// runnable sessions off a FIFO run queue and drains their bounded op queues. A
+// session's op queue is its pending-work list; the run queue holds sessions
+// that have work (or a pending startup).
 //
 // Determinism: per-session ordering is preserved by pinning — a session is on
 // the run queue at most once (the schedState CAS below) and a popped session
@@ -17,8 +16,7 @@ import (
 // engine, WAL or registry at a time. Ops still apply in exactly the order the
 // bounded channel received them, which is the same order the WAL logs them;
 // the pool size therefore changes only *when* a session runs, never *what*
-// it computes. This is the single-engine-goroutine invariant of the previous
-// design, carried by a lock instead of a goroutine identity.
+// it computes. The worker holding a session's pin is its "pinned worker".
 //
 // Lost-wakeup freedom: producers wake(s) after enqueueing an op. If the CAS
 // idle->queued fails the session is already queued or running; a running
@@ -121,9 +119,8 @@ func (sc *scheduler) worker() {
 	}
 }
 
-// stop shuts the pool down. Sessions must already be closed (halted): their
-// queued ops are abandoned exactly as the per-session goroutine design
-// abandoned ops queued behind quit.
+// stop shuts the pool down. Sessions must already be closed (halted); their
+// queued ops are abandoned.
 func (sc *scheduler) stop() {
 	sc.mu.Lock()
 	sc.closed = true
@@ -140,9 +137,7 @@ func (s *session) runnable() bool {
 
 // dispatch drains up to dispatchQuantum ops while holding the session pin.
 // This (plus recovery in startup and hydrate) is the ONLY place session
-// engine state mutates, which is what "engine goroutine" means after the
-// scheduler refactor: every comment in durable.go saying "engine goroutine
-// only" now reads "pinned worker only".
+// engine state mutates.
 func (s *session) dispatch() {
 	s.pinMu.Lock()
 	defer s.pinMu.Unlock()

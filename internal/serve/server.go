@@ -978,11 +978,11 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *ses
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad ingest body: %v", err)
 		return
 	}
-	o := op{
-		ingest:    true,
-		readings:  readingsFromAPI(req.Readings),
-		locations: locationsFromAPI(req.Locations),
-	}
+	o := op{rec: wal.Record{
+		Type:      wal.RecBatch,
+		Readings:  readingsFromAPI(req.Readings),
+		Locations: locationsFromAPI(req.Locations),
+	}}
 	// With durability enabled the batch is acknowledged only after it reached
 	// the write-ahead log, so a 202 is a durability receipt (under the
 	// "always" fsync policy) rather than a queueing receipt.
@@ -1016,8 +1016,8 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *ses
 	writeJSON(w, http.StatusAccepted, api.IngestResponse{
 		Queued:     true,
 		Durable:    sess.durable(),
-		Readings:   len(o.readings),
-		Locations:  len(o.locations),
+		Readings:   len(o.rec.Readings),
+		Locations:  len(o.rec.Locations),
 		QueueDepth: len(sess.ops),
 	})
 }
@@ -1035,8 +1035,9 @@ func (sv *Server) handleFlush(w http.ResponseWriter, r *http.Request, sess *sess
 	if sv.refuseReadOnly(w) {
 		return
 	}
-	o := op{flushWindows: r.URL.Query().Get("windows") == "true", done: make(chan opResult, 1)}
-	res, ok := sv.runOp(w, r, sess, o)
+	// The pinned worker fills in the horizon: the watermark when the op runs.
+	rec := wal.Record{Type: wal.RecSeal, FlushWindows: r.URL.Query().Get("windows") == "true"}
+	res, ok := sv.runOp(w, r, sess, rec)
 	if !ok {
 		return
 	}
@@ -1169,7 +1170,7 @@ func (sv *Server) handleRegister(w http.ResponseWriter, r *http.Request, sess *s
 		writeError(w, http.StatusConflict, api.ErrReadOnly, "node is a %s: continuous-query registration must go to the primary (history-mode queries are served here)", sv.roleName())
 		return
 	}
-	res, ok := sv.runOp(w, r, sess, op{register: &spec, registerJSON: string(body), done: make(chan opResult, 1)})
+	res, ok := sv.runOp(w, r, sess, wal.Record{Type: wal.RecRegister, SpecJSON: string(body)})
 	if !ok {
 		return
 	}
@@ -1368,8 +1369,12 @@ func (sv *Server) handleUnregister(w http.ResponseWriter, r *http.Request, sess 
 		writeError(w, http.StatusConflict, api.ErrReadOnly, "node is a %s: query unregistration must go to the primary", sv.roleName())
 		return
 	}
-	res, ok := sv.runOp(w, r, sess, op{unregister: r.PathValue("id"), done: make(chan opResult, 1)})
+	res, ok := sv.runOp(w, r, sess, wal.Record{Type: wal.RecUnregister, QueryID: r.PathValue("id")})
 	if !ok {
+		return
+	}
+	if res.err != nil {
+		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "unregister not applied: %v", res.err)
 		return
 	}
 	if !res.found {
@@ -1379,9 +1384,11 @@ func (sv *Server) handleUnregister(w http.ResponseWriter, r *http.Request, sess 
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// runOp enqueues a synchronous op and waits for its result; on queue timeout
-// or shutdown it writes the error response itself and returns ok == false.
-func (sv *Server) runOp(w http.ResponseWriter, r *http.Request, sess *session, o op) (opResult, bool) {
+// runOp enqueues a mutation synchronously and waits for its result; on queue
+// timeout or shutdown it writes the error response itself and returns
+// ok == false.
+func (sv *Server) runOp(w http.ResponseWriter, r *http.Request, sess *session, rec wal.Record) (opResult, bool) {
+	o := op{rec: rec, done: make(chan opResult, 1)}
 	if err := sess.enqueue(o, r.Context().Done()); err != nil {
 		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "%v", err)
 		return opResult{}, false

@@ -15,36 +15,28 @@ import (
 	"repro/rfid/api"
 )
 
-// op is one unit of work on a session's pending-work list: an ingest batch, a
-// flush request, a query (un)registration, a fence, an eviction request or
-// the graceful shutdown.
+// op is one unit of work on a session's pending-work list: a mutation (an
+// ingest batch, a flush, a query registration or removal) or a control op (a
+// fence, an eviction request, the graceful shutdown, a replication command).
 type op struct {
-	readings  []rfid.Reading
-	locations []rfid.LocationReport
-	// ingest marks an ingest batch (flush ops leave it false); with
-	// durability enabled ingest ops are synchronous (done != nil), so a 202
-	// means the batch reached the WAL.
-	ingest bool
-	// flushWindows additionally flushes the registered queries' held-back
-	// final epoch; only meaningful on flush ops.
-	flushWindows bool
+	// rec is the mutation, already in the form the WAL logs it: the handler
+	// that decoded the request filled it, and the pinned worker appends it and
+	// applies it (see mutate). Everything that changes replicated state rides
+	// the op queue as its own log record, so the order of mutations relative to
+	// epoch processing is exactly the order the WAL records. A zero Type marks
+	// a control op. With durability enabled ingest ops are synchronous
+	// (done != nil), so a 202 means the batch reached the WAL.
+	rec wal.Record
 	// shutdown asks the pinned worker to seal the current epoch, write a
 	// final checkpoint and close the WAL (graceful shutdown).
 	shutdown bool
 	// evict asks the pinned worker to spill the session to its checkpoint and
 	// release the engine (skipped if newer work is already queued behind it).
 	evict bool
-	// register carries a query registration (its raw JSON wire form rides
-	// along for the WAL); unregister carries a removal. Both are routed
-	// through the op queue so their order relative to epoch processing is
-	// exactly the order the WAL records — what makes query state recoverable.
-	register     *query.Spec
-	registerJSON string
-	unregister   string
 	// sb, when non-nil, marks an ingest batch that arrived over a stream
-	// connection: readings/locations alias the batch's scratch slices, and
-	// after applying, the pinned worker recycles the batch and raises the
-	// connection's ack mark instead of answering a done channel.
+	// connection: rec's readings and locations alias the batch's scratch
+	// slices, and after applying, the pinned worker recycles the batch and
+	// raises the connection's ack mark instead of answering a done channel.
 	sb *streamBatch
 	// fence asks for an immediate empty completion: a handler that awaits a
 	// fence op knows every op enqueued before it has been applied (and that
@@ -58,12 +50,21 @@ type op struct {
 	done chan opResult
 }
 
+// opResult is what an op did. For a mutation it is what applyWALRecord
+// reports of the record, wherever the record came from.
 type opResult struct {
 	events  int
 	results int
+	report  rfid.IngestReport
 	info    query.Info
 	found   bool
-	err     error
+	// wake asks for the long-poll readers to be woken although no rows were
+	// fed: a query was removed, or a history-mode registration buffered its
+	// result set.
+	wake bool
+	// err is why the op was refused, or — on an applied mutation — the
+	// epoch-processing error or the registry's refusal of the registration.
+	err error
 }
 
 // cachedStats is the last engine view captured at eviction, so listings and
@@ -130,8 +131,8 @@ type session struct {
 	// session.
 	halted atomic.Bool
 
-	// Scheduler plumbing (see sched.go): the pin is the mutual exclusion that
-	// replaced the dedicated engine goroutine.
+	// Scheduler plumbing (see sched.go): the pin is what keeps at most one
+	// worker on the session at a time.
 	sched      *scheduler
 	res        *residency
 	schedState atomic.Int32
@@ -533,8 +534,7 @@ func (s *session) close() {
 // seal, no final checkpoint, the WAL is left exactly as the last append left
 // it. This is the crash-simulation hook the recovery tests use — the on-disk
 // state afterwards is what a kill -9 would leave behind (an in-flight
-// dispatch finishes its current op, exactly as the engine-goroutine design
-// finished the op it was processing when quit closed).
+// dispatch finishes its current op).
 func (s *session) closeNow() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -594,106 +594,84 @@ func (s *session) handleOp(o op) opResult {
 		// op); kept so a future caller cannot nil-deref the engine.
 		return opResult{err: fmt.Errorf("session %q is not resident", s.id)}
 	}
-	if o.register != nil {
-		return s.handleRegisterOp(o)
-	}
-	if o.unregister != "" {
-		return s.handleUnregisterOp(o)
-	}
-	var events []rfid.Event
-	var err error
-	rec := r.TraceRecorder()
-	if o.ingest { // ingest batch
-		var tWAL time.Time
-		if rec != nil && s.wal != nil {
-			tWAL = time.Now()
-		}
-		if werr := s.logBatch(o); werr != nil {
-			// Write-ahead failed: refuse the batch rather than accept data
-			// that would vanish on crash.
-			s.engineErrs.Inc()
-			s.log.Error("wal append failed", "err", werr)
-			if o.sb != nil {
-				// A stream batch has no done channel; the refusal terminates
-				// the stream instead (the batch stays unacknowledged, so the
-				// client resends it on reconnect).
-				o.sb.conn.fatal(api.ErrInternal, fmt.Sprintf("wal append: %v", werr), 0)
-			}
-			return opResult{err: werr}
-		}
-		if !tWAL.IsZero() {
-			rec.Add(trace.StageWALAppend, time.Since(tWAL))
-		}
-		rep := r.Ingest(o.readings, o.locations)
-		s.readings.Add(rep.Readings)
-		s.locations.Add(rep.Locations)
-		s.lateDropped.Add(rep.LateDropped)
-		events, err = r.Advance()
+	res, ok := s.mutate(r, reg, o.rec)
+	if !ok {
 		if o.sb != nil {
-			// The batch is durable (WAL) and applied; record the resume point
-			// and count it. Epoch-processing errors are NOT refusals — the
-			// runner skips failing epochs on the HTTP path too — so the batch
-			// is still acknowledged below.
-			s.lastStreamSeq.Store(o.sb.seq)
-			s.batches.Inc()
+			// A stream batch has no done channel; the refusal terminates the
+			// stream instead (the batch stays unacknowledged, so the client
+			// resends it on reconnect).
+			o.sb.conn.fatal(api.ErrInternal, fmt.Sprintf("wal append: %v", res.err), 0)
 		}
-	} else { // flush
-		// Log the seal whenever it will change state: either epochs will be
-		// sealed, or the queries' held-back windows will be flushed (which
-		// mutates operator state and result sequences, so it must replay).
-		if st := r.Stats(); st.Watermark >= st.NextEpoch || o.flushWindows {
-			var tWAL time.Time
-			if rec != nil && s.wal != nil {
-				tWAL = time.Now()
-			}
-			if werr := s.logSeal(st.Watermark, o.flushWindows); werr != nil {
-				s.engineErrs.Inc()
-				s.log.Error("wal seal failed", "err", werr)
-				return opResult{err: werr}
-			}
-			if !tWAL.IsZero() {
-				rec.Add(trace.StageWALAppend, time.Since(tWAL))
-			}
-		}
-		events, err = r.Flush()
+		return res
 	}
+	s.maybeCheckpoint()
+	s.syncWALMetrics()
+	if o.sb != nil {
+		// Recycle the batch and advance the ack mark — strictly after the WAL
+		// append and application above, so the ack the writer sends is a
+		// durability receipt. Epoch-processing errors are NOT refusals (the
+		// runner skips failing epochs on the HTTP path too), so the batch is
+		// acknowledged all the same.
+		s.batches.Inc()
+		o.sb.conn.applied(o.sb)
+	}
+	return res
+}
+
+// mutate is the one way live traffic changes replicated state: write-ahead,
+// apply, account. The record is appended to the WAL first (a refused append
+// refuses the mutation — ok is false and nothing was applied — rather than
+// accept data that would vanish on crash), then applied by the same
+// applyWALRecord that recovery and replicas interpret the log with, so
+// replaying the log reproduces the live run by construction. Pinned worker
+// only.
+func (s *session) mutate(r *rfid.Runner, reg *query.Registry, rec wal.Record) (res opResult, ok bool) {
+	if rec.Type == wal.RecSeal {
+		// Watermark-driven sealing is deterministic from the batches alone and
+		// needs no record; a client-initiated flush is an external event and is
+		// logged with the horizon it seals to. One that would change nothing
+		// (no epoch buffered, no held-back windows to flush) is not a mutation.
+		pos := r.Position()
+		if pos.Watermark < pos.NextEpoch && !rec.FlushWindows {
+			return opResult{}, true
+		}
+		rec.UpTo = pos.Watermark
+	}
+	if s.wal != nil {
+		t0 := time.Now()
+		if err := s.wal.Append(rec); err != nil {
+			s.engineErrs.Inc()
+			s.log.Error("wal append failed", "record", rec.Type, "err", err)
+			return opResult{err: err}, false
+		}
+		r.TraceRecorder().Add(trace.StageWALAppend, time.Since(t0))
+	}
+	res, err := s.applyWALRecord(r, reg, rec)
 	if err != nil {
-		// The runner skips failing epochs rather than wedging the stream;
-		// surface the failure on the error counter (and to flush callers).
-		s.engineErrs.Inc()
-		s.log.Warn("epoch processing failed; epoch skipped", "err", err)
+		return opResult{err: err}, false
 	}
-	var tEval time.Time
-	if rec != nil {
-		tEval = time.Now()
-	}
-	rows := reg.Feed(events)
-	if o.flushWindows {
-		rows += reg.FlushAll()
-	}
-	if rec != nil {
-		// Query evaluation runs on the events of epochs that already sealed,
-		// so the time lands on the most recently committed trace.
-		rec.AddToLast(trace.StageQueryEval, time.Since(tEval))
-	}
-	s.events.Add(len(events))
-	s.results.Add(rows)
-	if rows > 0 {
+	s.account(r, res)
+	return res, true
+}
+
+// account books an applied record on the session's counters and wakes the
+// long-poll readers it gave something to see. Recovery replay applies records
+// without it: those were accounted when they were first applied, so the
+// counters count each reading once across evict/hydrate cycles. Pinned worker
+// only.
+func (s *session) account(r *rfid.Runner, res opResult) {
+	s.readings.Add(res.report.Readings)
+	s.locations.Add(res.report.Locations)
+	s.lateDropped.Add(res.report.LateDropped)
+	s.events.Add(res.events)
+	s.results.Add(res.results)
+	if res.results > 0 || res.wake {
 		s.notifyResults()
 	}
 	if n := int64(r.Position().Epochs); n > s.lastEpochsN {
 		s.epochs.Add(int(n - s.lastEpochsN))
 		s.lastEpochsN = n
 	}
-	s.maybeCheckpoint()
-	s.syncWALMetrics()
-	if o.sb != nil {
-		// Recycle the batch and advance the ack mark — strictly after the
-		// WAL append and application above, so the ack the writer sends is a
-		// durability receipt.
-		o.sb.conn.applied(o.sb)
-	}
-	return opResult{events: len(events), results: rows, err: err}
 }
 
 // enqueue places an op on the bounded queue, waiting up to the session's

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/wal"
 	"repro/rfid"
 	"repro/rfid/api"
 	"repro/rfid/wire"
@@ -50,7 +51,7 @@ import (
 const streamWindowCap = 1024
 
 // streamBatch is one decoded in-flight batch: scratch record slices that are
-// recycled through the connection's freelist once the engine goroutine has
+// recycled through the connection's freelist once the pinned worker has
 // applied them. The sink methods implement wire.BatchSink.
 type streamBatch struct {
 	seq       uint64
@@ -79,20 +80,20 @@ const maxInternedTags = 1 << 16
 
 // streamConn is one active stream connection. The handler goroutine reads
 // frames; a writer goroutine sends coalesced acks and the terminal error
-// frame; the session's engine goroutine recycles batches and raises the ack
+// frame; the session's pinned worker recycles batches and raises the ack
 // high-water mark.
 type streamConn struct {
 	sess   *session
 	window int
 
 	// free holds the reusable decode batches; taking one is the client-side
-	// window made physical. The engine goroutine refills it as it applies
+	// window made physical. The pinned worker refills it as it applies
 	// batches — strictly before the ack for that batch can be written — so a
 	// client that respects the advertised window can never find it empty.
 	free chan *streamBatch
 
 	// ackHigh is the highest applied (and on durable sessions, logged) batch
-	// seq; written by the engine goroutine, read by the writer goroutine.
+	// seq; written by the pinned worker, read by the writer goroutine.
 	ackHigh atomic.Uint64
 	// reack asks the writer for an ack even without new progress (duplicate
 	// batches after a resume are answered this way).
@@ -168,7 +169,7 @@ func (sc *streamConn) kill() {
 }
 
 // fatal records the terminal error the writer goroutine will report. Safe
-// from the reader and the engine goroutine; the first error wins.
+// from the reader and the pinned worker; the first error wins.
 func (sc *streamConn) fatal(code, message string, retryAfterMS int) {
 	sc.mu.Lock()
 	if sc.fatalErr == nil {
@@ -191,7 +192,7 @@ func (sc *streamConn) wake() {
 	}
 }
 
-// applied is called by the engine goroutine after a stream batch has been
+// applied is called by the pinned worker after a stream batch has been
 // WAL-appended and applied: the batch returns to the freelist FIRST (so the
 // window refills before the client can learn about the progress), then the
 // ack high-water mark advances and the writer wakes.
@@ -451,7 +452,7 @@ func (sv *Server) streamReadLoop(sess *session, sc *streamConn, r *bufio.Reader,
 			// client at the transport level while the ack window bounds the
 			// batches in flight.
 			select {
-			case sess.ops <- op{ingest: true, sb: sb, readings: sb.readings, locations: sb.locations}:
+			case sess.ops <- op{sb: sb, rec: wal.Record{Type: wal.RecBatch, StreamSeq: seq, Readings: sb.readings, Locations: sb.locations}}:
 				sess.sched.wake(sess)
 			case <-sess.quit:
 				return

@@ -270,7 +270,7 @@ type Stats struct {
 }
 
 // Log is an open write-ahead log. It is not safe for concurrent use; the
-// serving layer appends only from its single engine goroutine.
+// serving layer appends only from the session's pinned worker.
 type Log struct {
 	dir   string
 	opts  Options

@@ -20,7 +20,7 @@ func (r *Runner) Fingerprint() uint64 { return r.pipe.Fingerprint() }
 
 // SaveState appends the runner's full state to the encoder. Safe to call
 // concurrently with Ingest/Advance (it takes the runner lock), though the
-// serving layer checkpoints from its single engine goroutine anyway.
+// serving layer checkpoints from the session's pinned worker anyway.
 func (r *Runner) SaveState(e *checkpoint.Encoder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
