@@ -46,7 +46,9 @@ race:
 # with reused scratch and interned tags), the epoch-stage trace recorder
 # (timestamps on every epoch of every session) and the latency-histogram
 # record path (on every request). The sensing-index probe is gated twice:
-# zero allocations, and a deterministic bound on the member ids it reads.
+# zero allocations, and a deterministic bound on the member ids it reads. A
+# runner keeping time-travel history must allocate no more per sealed epoch
+# at 2 000 tracked objects than at 200.
 alloc-gate:
 	$(GO) test -run 'TestStepObjectsZeroAlloc|TestEpochPrologueAllocBound' -v ./internal/factored
 	$(GO) test -run 'TestSensingIndexQueryZeroAlloc|TestSensingIndexQueryWorkBound' -v ./internal/spatial
@@ -54,6 +56,7 @@ alloc-gate:
 	$(GO) test -run 'TestStreamDecodeZeroAlloc' -v ./internal/serve
 	$(GO) test -run 'TestTraceRecorderZeroAlloc' -v ./internal/trace
 	$(GO) test -run 'TestHistogramObserveZeroAlloc' -v ./internal/metrics
+	$(GO) test -run 'TestSealAllocsIndependentOfTracked' -v .
 
 # Metric-name lint: every literal metric registration must follow the
 # Prometheus conventions the dashboards rely on — snake_case names, counters
@@ -174,9 +177,10 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # Profile the hot path: a CPU and heap profile of the worker-scaling and
-# tracked-population-scaling benchmarks, ready for `go tool pprof cpu.prof`.
+# tracked-population-scaling benchmarks (the engine alone, and a runner
+# keeping 64 epochs of history), ready for `go tool pprof cpu.prof`.
 profile:
-	$(GO) test -run='^$$' -bench='^(BenchmarkEngineWorkers|BenchmarkEngineTrackedScaling)$$' -benchtime=1x -cpuprofile cpu.prof -memprofile mem.prof -o repro.test .
+	$(GO) test -run='^$$' -bench='^(BenchmarkEngineWorkers|BenchmarkEngineTrackedScaling|BenchmarkRunnerHistoryScaling)$$' -benchtime=1x -cpuprofile cpu.prof -memprofile mem.prof -o repro.test .
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof repro.test cpu.prof"
 
 # Non-test Go lines per top-level package (benchmark/ excluded) and their

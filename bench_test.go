@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/stream"
+	"repro/rfid"
 )
 
 // The benchmarks below regenerate the paper's tables and figures (one
@@ -247,23 +249,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 // once per sub-benchmark and every iteration resumes from its checkpoint, so
 // a profile shows the timed sweep and not the set-up.
 func BenchmarkEngineTrackedScaling(b *testing.B) {
-	const warm, far = 150, "far"
-	simCfg := sim.DefaultWarehouseConfig()
-	simCfg.NumObjects = 192
-	simCfg.RowsDeep = 4
-	simCfg.Seed = 42
-	trace, err := sim.GenerateWarehouse(simCfg)
-	if err != nil {
-		b.Fatalf("GenerateWarehouse: %v", err)
-	}
-	// The far objects need a shelf of their own: fresh particles are clamped
-	// to the nearest shelf, which would otherwise be the one being swept.
-	trace.World.AddShelf(model.Shelf{ID: far, Region: geom.NewBBox(geom.V(0, -5000, 0), geom.V(0.5, -1000, 0))})
-	cfg := core.DefaultConfig(benchParams(), trace.World)
-	cfg.NumObjectParticles = 60
-	cfg.NumReaderParticles = 50
-	cfg.Workers = 1
-	cfg.Seed = 7
+	trace, cfg := trackedScalingWorld(b)
 	run := func(b *testing.B, eng *core.Engine, epochs []*stream.Epoch) {
 		for _, ep := range epochs {
 			if _, err := eng.ProcessEpoch(ep); err != nil {
@@ -277,21 +263,8 @@ func BenchmarkEngineTrackedScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// 100 new far objects per epoch, the reader jumping a full
-			// sensing range each time so none is stepped twice; then the
-			// first part of the sweep, during which the reader settles and
-			// the far beliefs leave scope and are compressed.
-			var populate []*stream.Epoch
-			for n := simCfg.NumObjects; n < tracked; {
-				ep := stream.NewEpoch(trace.Epochs[0].Time - 1 - (tracked-n)/100)
-				ep.HasPose, ep.ReportedPose = true, geom.P(-1.5, -1000-float64(n)/10, 0, 0)
-				for k := 0; k < 100 && n < tracked; k, n = k+1, n+1 {
-					ep.Observed[stream.TagID(far+"-"+strconv.Itoa(n))] = true
-				}
-				populate = append(populate, ep)
-			}
-			run(b, eng, populate)
-			run(b, eng, trace.Epochs[:warm])
+			run(b, eng, trackedScalingPopulate(trace, tracked))
+			run(b, eng, trace.Epochs[:trackedScalingWarm])
 			enc := checkpoint.NewEncoder()
 			eng.SaveState(enc)
 			before := eng.Stats()
@@ -306,7 +279,7 @@ func BenchmarkEngineTrackedScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				run(b, eng, trace.Epochs[warm:])
+				run(b, eng, trace.Epochs[trackedScalingWarm:])
 			}
 			b.StopTimer()
 			st := eng.Stats()
@@ -317,5 +290,138 @@ func BenchmarkEngineTrackedScaling(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/epochs, "ns/epoch")
 			b.ReportMetric(float64(st.ObjectsProcessed-before.ObjectsProcessed)/epochs, "in-range/epoch")
 		})
+	}
+}
+
+// trackedScalingWarm is how many sweep epochs run before the timed part: the
+// reader settles and the far beliefs leave scope and are compressed.
+const trackedScalingWarm = 150
+
+// trackedScalingSweepObjects is the number of objects on the swept shelf.
+const trackedScalingSweepObjects = 192
+
+// trackedScalingWorld is the tracked-scaling benchmarks' sweep — a shelf
+// dense enough to keep about 30 objects in range — plus a far shelf for the
+// rest of the population, and their engine configuration (full system, one
+// worker).
+func trackedScalingWorld(b testing.TB) (*sim.Trace, core.Config) {
+	b.Helper()
+	simCfg := sim.DefaultWarehouseConfig()
+	simCfg.NumObjects = trackedScalingSweepObjects
+	simCfg.RowsDeep = 4
+	simCfg.Seed = 42
+	trace, err := sim.GenerateWarehouse(simCfg)
+	if err != nil {
+		b.Fatalf("GenerateWarehouse: %v", err)
+	}
+	// The far objects need a shelf of their own: fresh particles are clamped
+	// to the nearest shelf, which would otherwise be the one being swept.
+	trace.World.AddShelf(model.Shelf{ID: "far", Region: geom.NewBBox(geom.V(0, -5000, 0), geom.V(0.5, -1000, 0))})
+	cfg := core.DefaultConfig(benchParams(), trace.World)
+	cfg.NumObjectParticles = 60
+	cfg.NumReaderParticles = 50
+	cfg.Workers = 1
+	cfg.Seed = 7
+	return trace, cfg
+}
+
+// trackedScalingPopulate returns the epochs that bring the tracked population
+// up to tracked before the sweep: 100 new far objects per epoch, the reader
+// jumping a full sensing range each time so none is stepped twice, timed
+// just before the sweep's first epoch.
+func trackedScalingPopulate(trace *sim.Trace, tracked int) []*stream.Epoch {
+	var populate []*stream.Epoch
+	for n := trackedScalingSweepObjects; n < tracked; {
+		ep := stream.NewEpoch(trace.Epochs[0].Time - 1 - (tracked-n)/100)
+		ep.HasPose, ep.ReportedPose = true, geom.P(-1.5, -1000-float64(n)/10, 0, 0)
+		for k := 0; k < 100 && n < tracked; k, n = k+1, n+1 {
+			ep.Observed[stream.TagID("far-"+strconv.Itoa(n))] = true
+		}
+		populate = append(populate, ep)
+	}
+	return populate
+}
+
+// historyEpochsBench is the history depth BenchmarkRunnerHistoryScaling
+// keeps, the serving benchmark's.
+const historyEpochsBench = 64
+
+// BenchmarkRunnerHistoryScaling is BenchmarkEngineTrackedScaling through an
+// rfid.Runner keeping 64 epochs of time-travel history: the same sweep after
+// 200, 2 000 or 8 000 objects were seen, each iteration resuming from a
+// checkpoint. seal-ns/epoch — the traced seal stage, which records the
+// history — should not depend on the sub-benchmark.
+func BenchmarkRunnerHistoryScaling(b *testing.B) {
+	trace, cfg := trackedScalingWorld(b)
+	rc := rfid.RunnerConfig{HistoryEpochs: historyEpochsBench, TraceEpochs: 1}
+	for _, tracked := range []int{200, 2000, 8000} {
+		b.Run(benchName("tracked", tracked), func(b *testing.B) {
+			// The runner clocks epochs from zero: shift the populate epochs
+			// and the sweep to start there.
+			epochs := append(trackedScalingPopulate(trace, tracked), trace.Epochs...)
+			batches := runnerBatches(epochs, -epochs[0].Time)
+			warm := len(epochs) - len(trace.Epochs) + trackedScalingWarm
+			r, err := rfid.NewRunner(cfg, rc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			feedRunner(b, r, batches[:warm])
+			enc := checkpoint.NewEncoder()
+			r.SaveState(enc)
+
+			var seal time.Duration
+			sealed := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if r, err = rfid.NewRunner(cfg, rc); err != nil {
+					b.Fatal(err)
+				}
+				if err := r.RestoreState(checkpoint.NewDecoder(enc.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				feedRunner(b, r, batches[warm:])
+				seal += r.TraceRecorder().CumulativeStages()[rfid.TraceStageSeal]
+				sealed += int(r.TraceRecorder().Epochs())
+			}
+			b.StopTimer()
+			if st := r.Stats(); st.TrackedObjects != tracked {
+				b.Fatalf("runner tracks %d objects, want %d", st.TrackedObjects, tracked)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sealed), "ns/epoch")
+			b.ReportMetric(float64(seal.Nanoseconds())/float64(sealed), "seal-ns/epoch")
+		})
+	}
+}
+
+// runnerBatch is one epoch's raw records.
+type runnerBatch struct {
+	readings  []rfid.Reading
+	locations []rfid.LocationReport
+}
+
+// runnerBatches turns epochs back into per-epoch raw batches, shifting every
+// time by offset.
+func runnerBatches(epochs []*stream.Epoch, offset int) []runnerBatch {
+	out := make([]runnerBatch, len(epochs))
+	for i, ep := range epochs {
+		for _, id := range ep.ObservedList() {
+			out[i].readings = append(out[i].readings, rfid.Reading{Time: ep.Time + offset, Tag: id})
+		}
+		if ep.HasPose {
+			out[i].locations = []rfid.LocationReport{{Time: ep.Time + offset, Pos: ep.ReportedPose.Pos, Phi: ep.ReportedPose.Phi, HasPhi: true}}
+		}
+	}
+	return out
+}
+
+// feedRunner ingests and seals one batch at a time.
+func feedRunner(b testing.TB, r *rfid.Runner, batches []runnerBatch) {
+	for _, bt := range batches {
+		r.Ingest(bt.readings, bt.locations)
+		if _, err := r.Advance(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

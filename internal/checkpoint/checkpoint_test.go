@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -137,6 +138,45 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if got.Fingerprint != snap.Fingerprint || got.Epoch != snap.Epoch ||
 		got.WALSegment != snap.WALSegment || string(got.Payload) != string(snap.Payload) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, snap)
+	}
+}
+
+// TestDecodeVersions pins the version window: every payload version up to
+// Version decodes and reports its version to the payload decoder, anything
+// else is refused before a payload byte is read.
+func TestDecodeVersions(t *testing.T) {
+	// reencode is Encode with the header's version chosen by the caller.
+	reencode := func(s Snapshot, v uint64) []byte {
+		e := NewEncoder()
+		e.buf = append(e.buf, Magic...)
+		e.Uvarint(v)
+		e.Uvarint(s.Fingerprint)
+		e.Varint(int64(s.Epoch))
+		e.Uvarint(s.WALSegment)
+		e.Uvarint(uint64(len(s.Payload)))
+		e.buf = append(e.buf, s.Payload...)
+		e.Uvarint(uint64(crc32.Checksum(e.buf, crcTable)))
+		return e.Bytes()
+	}
+	if got, want := reencode(Snapshot{Epoch: 4, Payload: []byte("p")}, Version), Encode(Snapshot{Epoch: 4, Payload: []byte("p")}); string(got) != string(want) {
+		t.Fatal("the test's encoder drifted from Encode")
+	}
+	for v := uint64(1); v <= Version; v++ {
+		snap, err := Decode(reencode(Snapshot{Epoch: 4, Payload: []byte("p")}, v))
+		if err != nil {
+			t.Fatalf("version %d refused: %v", v, err)
+		}
+		if got := snap.PayloadDecoder().Version(); got != v {
+			t.Fatalf("payload decoder reports version %d, want %d", got, v)
+		}
+	}
+	for _, v := range []uint64{0, Version + 1} {
+		if _, err := Decode(reencode(Snapshot{Epoch: 4, Payload: []byte("p")}, v)); err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
+	}
+	if NewDecoder(nil).Version() != Version {
+		t.Fatal("a bare payload decoder does not default to the current version")
 	}
 }
 

@@ -115,13 +115,18 @@ func (e *Encoder) Section(name string) { e.String(name) }
 // values, and Err reports the failure — callers decode a whole section and
 // check once.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf     []byte
+	off     int
+	err     error
+	version uint64
 }
 
-// NewDecoder returns a decoder over data.
-func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data} }
+// NewDecoder returns a decoder over data in the current payload Version; use
+// Snapshot.PayloadDecoder for a payload read from a checkpoint file.
+func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data, version: Version} }
+
+// Version returns the payload version the bytes were written in.
+func (d *Decoder) Version() uint64 { return d.version }
 
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }

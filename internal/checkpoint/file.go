@@ -13,10 +13,14 @@ import (
 // generation and change only on incompatible layout changes.
 const Magic = "RFCKPT01"
 
-// Version is the current checkpoint payload version. Decoders accept only
-// versions they know; bumping it invalidates older files explicitly instead
-// of misreading them.
-const Version = 1
+// Version is the current checkpoint payload version. Decode accepts every
+// version from 1 up to it and refuses newer ones, so a binary confronted with
+// a file from a later format fails loudly instead of misreading it; payload
+// decoders that changed layout tell the versions apart through
+// Decoder.Version. Version 2 stores the runner's time-travel history as
+// per-object version chains where version 1 stored a full snapshot of every
+// retained epoch.
+const Version = 2
 
 // Snapshot is one durable checkpoint: the opaque engine payload plus the
 // header metadata recovery needs before decoding a single payload byte.
@@ -59,6 +63,14 @@ func Encode(s Snapshot) []byte {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// PayloadDecoder returns a decoder over the snapshot's payload that reports
+// the snapshot's payload version.
+func (s Snapshot) PayloadDecoder() *Decoder {
+	d := NewDecoder(s.Payload)
+	d.version = s.Version
+	return d
+}
+
 // Decode parses and validates the on-disk format. It never panics on
 // arbitrary input: truncation, bad magic, unknown versions and checksum
 // mismatches all surface as errors (the FuzzCheckpointDecode target pins
@@ -71,8 +83,8 @@ func Decode(data []byte) (Snapshot, error) {
 	d.off = len(Magic)
 	var s Snapshot
 	s.Version = d.Uvarint()
-	if d.Err() == nil && s.Version != Version {
-		return Snapshot{}, fmt.Errorf("checkpoint: unsupported version %d (want %d)", s.Version, Version)
+	if d.Err() == nil && (s.Version < 1 || s.Version > Version) {
+		return Snapshot{}, fmt.Errorf("checkpoint: unsupported version %d (want 1..%d)", s.Version, Version)
 	}
 	s.Fingerprint = d.Uvarint()
 	s.Epoch = int(d.Varint())

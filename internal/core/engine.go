@@ -28,6 +28,9 @@ import (
 type Engine struct {
 	cfg     Config
 	profile sensor.Profile
+	// fp is cfg.Fingerprint(), computed once: checkpoint writes and restores
+	// ask for it, and hashing the world's shelves and tags is not free.
+	fp uint64
 
 	fact  *factored.Filter
 	basic *pf.Filter
@@ -108,6 +111,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:        cfg,
 		profile:    cfg.observationProfile(),
+		fp:         cfg.Fingerprint(),
 		lastSeen:   make(map[stream.TagID]int),
 		pending:    make(map[stream.TagID]int),
 		inScope:    make(map[stream.TagID]bool),
@@ -160,6 +164,10 @@ func New(cfg Config) (*Engine, error) {
 
 // Config returns the engine's effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// Fingerprint returns Config().Fingerprint(), computed when the engine was
+// built.
+func (e *Engine) Fingerprint() uint64 { return e.fp }
 
 // SetTraceRecorder installs (or, with nil, removes) the per-epoch stage
 // recorder.
@@ -369,6 +377,18 @@ func (e *Engine) TrackedObjects() []stream.TagID {
 		return e.fact.TrackedObjects()
 	}
 	return e.basic.TrackedObjects()
+}
+
+// AppendMaybeMoved appends the ids of the objects whose Estimate can have
+// changed during the last processed epoch; every other tracked object's
+// estimate is what it was before that epoch. For the factored filter these
+// are the beliefs in particle form (see factored.Filter.AppendMaybeMoved);
+// the basic filter's joint particles move every object, so it lists them all.
+func (e *Engine) AppendMaybeMoved(dst []stream.TagID) []stream.TagID {
+	if e.cfg.Factored {
+		return e.fact.AppendMaybeMoved(dst)
+	}
+	return append(dst, e.basic.TrackedObjects()...)
 }
 
 // ParticleCount returns the number of particles currently alive in the

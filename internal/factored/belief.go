@@ -47,8 +47,10 @@ func (p ObjectParticle) Weight() float64 { return p.normW }
 // and resampling routines directly, with no per-epoch gather copies.
 type ObjectBelief struct {
 	ID stream.TagID
-	// seq is the belief's position in the filter's first-seen order.
-	seq int
+	// seq is the belief's position in the filter's first-seen order; listed
+	// reports whether it is on the filter's uncompressed list.
+	seq    int
+	listed bool
 
 	// SoA particle columns; all four always have equal length.
 	locs   []geom.Vec3
@@ -179,8 +181,7 @@ func (b *ObjectBelief) meanWith(readerNorm, buf []float64) (geom.Vec3, geom.Vec3
 	}
 	buf = b.weightsInto(readerNorm, buf)
 	mean := stats.WeightedMeanVec(b.locs, buf)
-	cov := stats.WeightedCovariance(b.locs, buf, mean)
-	return mean, geom.Vec3{X: cov[0][0], Y: cov[1][1], Z: cov[2][2]}, buf
+	return mean, stats.WeightedVarianceDiag(b.locs, buf, mean), buf
 }
 
 // HasParticleIn reports whether any particle (or the compressed mean) lies

@@ -125,6 +125,20 @@ type Filter struct {
 	objects map[stream.TagID]*ObjectBelief
 	beliefs []*ObjectBelief
 
+	// uncompressed lists, in first-seen order, the beliefs in particle form
+	// as of the last epoch barrier plus those created since. Decompression
+	// happens inside the concurrent fan-out and compression after the
+	// barrier, so the list is brought up to date at the barrier (EndEpoch):
+	// between barriers it may still hold beliefs the compression policy has
+	// just compressed. Reader resampling, ParticleCount and AppendMaybeMoved
+	// walk it instead of every tracked belief. stepped is the epoch's step
+	// list as beliefs — the only ones the fan-out can have decompressed;
+	// mergeBuf and freshBuf are the barrier's scratch.
+	uncompressed []*ObjectBelief
+	stepped      []*ObjectBelief
+	mergeBuf     []*ObjectBelief
+	freshBuf     []*ObjectBelief
+
 	started      bool
 	epoch        int
 	prevReported geom.Vec3
@@ -230,10 +244,24 @@ func (f *Filter) NumTracked() int { return len(f.beliefs) }
 // replaced by a Gaussian), so the count also tracks compression activity.
 func (f *Filter) ParticleCount() int {
 	n := len(f.readers)
-	for _, b := range f.beliefs {
+	for _, b := range f.uncompressed {
 		n += b.NumParticles()
 	}
 	return n
+}
+
+// AppendMaybeMoved appends, in first-seen order, the ids of the objects whose
+// estimate can have changed during the last epoch: every belief in particle
+// form at its barrier — stepped or not, since its mean is weighted by the
+// reader particles — including the beliefs created in the epoch and any the
+// compression policy compressed after the barrier. A belief that was
+// compressed before the epoch and not decompressed in it has a frozen
+// estimate and is not listed.
+func (f *Filter) AppendMaybeMoved(dst []stream.TagID) []stream.TagID {
+	for _, b := range f.uncompressed {
+		dst = append(dst, b.ID)
+	}
+	return dst
 }
 
 func (f *Filter) ensureStarted(ep *stream.Epoch) {
@@ -320,9 +348,11 @@ func (f *Filter) BeginEpoch(ep *stream.Epoch, active []stream.TagID) []stream.Ta
 	// set, else active ∪ observed by ascending sequence number — work
 	// proportional to the objects in range, not to the tracked population.
 	ids := f.idsBuf[:0]
+	stepped := f.stepped[:0]
 	if active == nil {
 		for _, b := range f.beliefs {
 			ids = append(ids, b.ID)
+			stepped = append(stepped, b)
 		}
 	} else {
 		for _, id := range active {
@@ -334,11 +364,13 @@ func (f *Filter) BeginEpoch(ep *stream.Epoch, active []stream.TagID) []stream.Ta
 		for i, s := range seqs {
 			if i == 0 || s != seqs[i-1] {
 				ids = append(ids, f.beliefs[s].ID)
+				stepped = append(stepped, f.beliefs[s])
 			}
 		}
 	}
 	f.seqBuf = seqs
 	f.idsBuf = ids
+	f.stepped = stepped
 	for _, id := range newIDs {
 		f.createBelief(id, ep.Time, f.stepReaderPos)
 	}
@@ -368,10 +400,45 @@ func (f *Filter) StepObjectsWith(a *Arena, ep *stream.Epoch, ids []stream.TagID)
 }
 
 // EndEpoch runs the sequential epoch epilogue at the barrier after all
-// StepObjects calls have returned: reader resampling, which reads every
+// StepObjects calls have returned: it brings the uncompressed list up to
+// date, then resamples the reader particles, which reads every uncompressed
 // object's particles and may remap their reader pointers.
 func (f *Filter) EndEpoch() {
+	f.syncUncompressed()
 	f.maybeResampleReaders()
+}
+
+// syncUncompressed drops the beliefs compressed since the last barrier from
+// the uncompressed list and merges in, by sequence number, the ones the
+// fan-out decompressed — the stepped beliefs in particle form that are not
+// listed yet. The step list is in first-seen order, so this is one merge of
+// two sorted lists, proportional to the uncompressed and stepped beliefs.
+func (f *Filter) syncUncompressed() {
+	fresh := f.freshBuf[:0]
+	for _, b := range f.stepped {
+		if !b.listed && !b.IsCompressed() {
+			fresh = append(fresh, b)
+		}
+	}
+	f.freshBuf = fresh
+	out := f.mergeBuf[:0]
+	i := 0
+	for _, b := range f.uncompressed {
+		if b.IsCompressed() {
+			b.listed = false
+			continue
+		}
+		for ; i < len(fresh) && fresh[i].seq < b.seq; i++ {
+			fresh[i].listed = true
+			out = append(out, fresh[i])
+		}
+		out = append(out, b)
+	}
+	for ; i < len(fresh); i++ {
+		fresh[i].listed = true
+		out = append(out, fresh[i])
+	}
+	f.uncompressed, f.mergeBuf = out, f.uncompressed
 }
 
 // stepReaders propagates the reader particles and applies the reader-side

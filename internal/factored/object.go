@@ -119,6 +119,8 @@ func (f *Filter) createBelief(id stream.TagID, epoch int, readerPos geom.Vec3) *
 	b.seq = len(f.beliefs)
 	f.objects[id] = b
 	f.beliefs = append(f.beliefs, b)
+	b.listed = true
+	f.uncompressed = append(f.uncompressed, b)
 	b.LastSeen = epoch
 	b.LastSeenReaderPos = readerPos
 	b.ScopeEntered = epoch

@@ -78,17 +78,16 @@ func (f *Filter) maybeResampleReaders() {
 
 	// Aggregate object support per reader particle: how much normalized
 	// object-particle mass points at each reader hypothesis. Only
-	// recently-updated (uncompressed) beliefs contribute.
+	// recently-updated (uncompressed) beliefs contribute; the barrier has just
+	// brought their list up to date, in the first-seen order a walk over
+	// every belief would visit them in.
 	f.supportBuf = scratch.Grow(f.supportBuf, nr)
 	support := f.supportBuf
 	for j := range support {
 		support[j] = 0
 	}
 	totalSupport := 0.0
-	for _, b := range f.beliefs {
-		if b.IsCompressed() {
-			continue
-		}
+	for _, b := range f.uncompressed {
 		for i, nw := range b.normW {
 			if r := int(b.reader[i]); r >= 0 && r < len(support) {
 				support[r] += nw
@@ -144,10 +143,7 @@ func (f *Filter) maybeResampleReaders() {
 	// Remap object particle pointers. Particles whose reader hypothesis was
 	// dropped are re-attached to a uniformly drawn surviving slot; since the
 	// resampled reader weights are uniform this introduces no bias.
-	for _, b := range f.beliefs {
-		if b.IsCompressed() {
-			continue
-		}
+	for _, b := range f.uncompressed {
 		for i := range b.reader {
 			old := int(b.reader[i])
 			if old >= 0 && old < nr && f.slotCount[old] > 0 {

@@ -1,10 +1,16 @@
 package factored
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
@@ -169,5 +175,163 @@ func TestMovementReinitialization(t *testing.T) {
 	after, _, _ := f.Estimate("obj")
 	if after.DistXY(newLoc) > 1.5 {
 		t.Errorf("estimate %v did not follow the object to %v", after, newLoc)
+	}
+}
+
+// fullWalkResampleReaders is maybeResampleReaders as it was before the
+// uncompressed list: it visits every tracked belief and skips the compressed
+// ones. It reports whether it resampled.
+func (f *Filter) fullWalkResampleReaders() bool {
+	if !f.cfg.UseMotionModel || len(f.readers) == 0 {
+		return false
+	}
+	nr := len(f.readers)
+	norm := make([]float64, nr)
+	for j := range f.readers {
+		norm[j] = f.readers[j].normW
+	}
+	if stats.EffectiveSampleSize(norm) >= f.cfg.ResampleThreshold*float64(nr) {
+		return false
+	}
+	support := make([]float64, nr)
+	totalSupport := 0.0
+	for _, b := range f.beliefs {
+		if b.IsCompressed() {
+			continue
+		}
+		for i, nw := range b.normW {
+			if r := int(b.reader[i]); r >= 0 && r < len(support) {
+				support[r] += nw
+				totalSupport += nw
+			}
+		}
+	}
+	scores := make([]float64, nr)
+	for j := range scores {
+		s := norm[j]
+		if totalSupport > 0 {
+			s *= 1 + support[j]
+		}
+		scores[j] = s
+	}
+	idx := f.src.SystematicInto(nil, scores, nr)
+	sort.Ints(idx)
+	slotStart, slotCount, rot := make([]int, nr), make([]int, nr), make([]int, nr)
+	newReaders := make([]readerParticle, nr)
+	u := 1 / float64(nr)
+	for newSlot, oldIdx := range idx {
+		newReaders[newSlot] = readerParticle{Pose: f.readers[oldIdx].Pose, logW: 0, normW: u}
+		if slotCount[oldIdx] == 0 {
+			slotStart[oldIdx] = newSlot
+		}
+		slotCount[oldIdx]++
+	}
+	f.readers = newReaders
+	for j := range f.readerNorm {
+		f.readerNorm[j] = u
+	}
+	for _, b := range f.beliefs {
+		if b.IsCompressed() {
+			continue
+		}
+		for i := range b.reader {
+			old := int(b.reader[i])
+			if old >= 0 && old < nr && slotCount[old] > 0 {
+				k := rot[old] % slotCount[old]
+				rot[old]++
+				b.reader[i] = int32(slotStart[old] + k)
+			} else {
+				b.reader[i] = int32(f.src.Intn(nr))
+			}
+		}
+	}
+	return true
+}
+
+// TestReaderResampleListMatchesFullWalk drives two identical filters through
+// the same epochs — random observed and active sets over a growing pool,
+// compression of random beliefs after every barrier, so beliefs are created,
+// compressed and decompressed throughout — one resampling its readers over
+// the uncompressed list, the other over every belief. Reader particles,
+// every belief's columns, the random-stream positions and the particle count
+// must stay identical, and the list must hold exactly the uncompressed
+// beliefs in first-seen order after every barrier.
+func TestReaderResampleListMatchesFullWalk(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		src := rng.New(seed)
+		list, walk := newTestFilter(30), newTestFilter(30)
+		tag := func(i int) stream.TagID { return stream.TagID(fmt.Sprintf("obj-%02d", i)) }
+		resampled := 0
+		for epoch := 0; epoch < 150; epoch++ {
+			ep := stream.NewEpoch(epoch)
+			ep.HasPose = true
+			// A jittered reported pose keeps the reader weights degenerating,
+			// so the readers resample often.
+			ep.ReportedPose = geom.P(-1.5+src.Normal(0, 0.2), float64(epoch)*0.1+src.Normal(0, 0.2), 0, 0)
+			pool := 6 + epoch/4
+			for n := src.Intn(5); n > 0; n-- {
+				ep.Observed[tag(src.Intn(pool))] = true
+			}
+			var active []stream.TagID
+			if src.Intn(4) > 0 {
+				active = []stream.TagID{}
+				for n := src.Intn(8); n > 0; n-- {
+					active = append(active, tag(src.Intn(pool)))
+				}
+			}
+			list.Step(ep, active)
+			ids := walk.BeginEpoch(ep, active)
+			walk.StepObjects(ep, ids)
+			if walk.fullWalkResampleReaders() {
+				resampled++
+			}
+			for n := src.Intn(4); n > 0; n-- {
+				id := tag(src.Intn(pool))
+				if list.CompressObject(id, 0) != walk.CompressObject(id, 0) {
+					t.Fatalf("seed %d epoch %d: compressing %s disagreed", seed, epoch, id)
+				}
+			}
+
+			if !reflect.DeepEqual(list.readers, walk.readers) || !slices.Equal(list.readerNorm, walk.readerNorm) {
+				t.Fatalf("seed %d epoch %d: reader particles diverged", seed, epoch)
+			}
+			if list.src.Pos() != walk.src.Pos() {
+				t.Fatalf("seed %d epoch %d: filter stream at %d vs %d", seed, epoch, list.src.Pos(), walk.src.Pos())
+			}
+			if list.NumTracked() != walk.NumTracked() {
+				t.Fatalf("seed %d epoch %d: %d vs %d beliefs", seed, epoch, list.NumTracked(), walk.NumTracked())
+			}
+			var want []*ObjectBelief
+			particles := len(walk.readers)
+			for i, b := range list.beliefs {
+				w := walk.beliefs[i]
+				if b.ID != w.ID || b.IsCompressed() != w.IsCompressed() ||
+					!slices.Equal(b.reader, w.reader) || !slices.Equal(b.locs, w.locs) ||
+					!slices.Equal(b.logW, w.logW) || !slices.Equal(b.normW, w.normW) {
+					t.Fatalf("seed %d epoch %d: belief %s diverged", seed, epoch, b.ID)
+				}
+				if !b.IsCompressed() {
+					want = append(want, b)
+					particles += b.NumParticles()
+				}
+			}
+			if list.ParticleCount() != particles {
+				t.Fatalf("seed %d epoch %d: ParticleCount %d, beliefs hold %d", seed, epoch, list.ParticleCount(), particles)
+			}
+			// Compression just ran; the list drops what it compressed only at
+			// the next barrier.
+			var listed []*ObjectBelief
+			for _, b := range list.uncompressed {
+				if !b.IsCompressed() {
+					listed = append(listed, b)
+				}
+			}
+			if !slices.Equal(listed, want) {
+				t.Fatalf("seed %d epoch %d: uncompressed list is not the uncompressed beliefs in first-seen order", seed, epoch)
+			}
+		}
+		if resampled < 10 {
+			t.Fatalf("seed %d: readers resampled in only %d epochs; the run exercises too little", seed, resampled)
+		}
 	}
 }

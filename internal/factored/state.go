@@ -140,6 +140,14 @@ func (f *Filter) RestoreState(d *checkpoint.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
+	// The uncompressed list is derived state, rebuilt rather than stored.
+	var uncompressed []*ObjectBelief
+	for _, b := range beliefs {
+		if !b.IsCompressed() {
+			b.listed = true
+			uncompressed = append(uncompressed, b)
+		}
+	}
 
 	// All fields decoded cleanly; install the state atomically.
 	f.started = started
@@ -154,6 +162,8 @@ func (f *Filter) RestoreState(d *checkpoint.Decoder) error {
 	f.readerNorm = readerNorm
 	f.objects = objects
 	f.beliefs = beliefs
+	f.uncompressed = uncompressed
+	f.stepped = f.stepped[:0]
 	return nil
 }
 

@@ -34,8 +34,9 @@ type World struct {
 	ShelfTags map[stream.TagID]geom.Vec3
 
 	// Caches maintained by AddShelf/AddShelfTag so the per-epoch hot paths
-	// (shelf-tag weighting, uniform relocation) do not rebuild them on every
-	// call. Build worlds through AddShelf/AddShelfTag: staleness from direct
+	// (shelf-tag weighting, uniform relocation, clamping fresh particles to
+	// the nearest shelf) do not rebuild them on every call. Build worlds
+	// through AddShelf/AddShelfTag: staleness from direct
 	// mutation is detected by length only, so adding or removing entries
 	// directly makes the accessors recompute on the fly (correct, just
 	// slower, never mutating the world — safe for concurrent readers), but
@@ -43,6 +44,7 @@ type World struct {
 	// Add methods leaves the caches stale.
 	sortedTagIDs []stream.TagID
 	shelfWeights []float64
+	shelfCenters []geom.Vec3
 }
 
 // NewWorld returns an empty world.
@@ -54,6 +56,7 @@ func NewWorld() *World {
 func (w *World) AddShelf(s Shelf) {
 	w.Shelves = append(w.Shelves, s)
 	w.shelfWeights = shelfVolumeWeights(w.Shelves)
+	w.shelfCenters = shelfCenters(w.Shelves)
 }
 
 // AddShelfTag registers a shelf tag with a known location.
@@ -141,37 +144,56 @@ func shelfVolumeWeights(shelves []Shelf) []float64 {
 	return weights
 }
 
+// shelfCenters returns the region center of every shelf.
+func shelfCenters(shelves []Shelf) []geom.Vec3 {
+	centers := make([]geom.Vec3, len(shelves))
+	for i := range shelves {
+		centers[i] = shelves[i].Region.Center()
+	}
+	return centers
+}
+
 // NearestShelf returns the shelf whose region center is closest to p, or
 // false when the world has no shelves.
 func (w *World) NearestShelf(p geom.Vec3) (Shelf, bool) {
 	if len(w.Shelves) == 0 {
 		return Shelf{}, false
 	}
+	return w.Shelves[w.nearestShelf(p)], true
+}
+
+// nearestShelf returns the index of the shelf whose region center is closest
+// to p (the first of equally close ones); the world must have shelves. The
+// centers come from the cache maintained by AddShelf.
+func (w *World) nearestShelf(p geom.Vec3) int {
+	centers := w.shelfCenters
+	if len(centers) != len(w.Shelves) {
+		// Shelves was mutated directly; recompute without touching the cache.
+		centers = shelfCenters(w.Shelves)
+	}
 	best := 0
-	bestD := p.Dist(w.Shelves[0].Region.Center())
-	for i := 1; i < len(w.Shelves); i++ {
-		d := p.Dist(w.Shelves[i].Region.Center())
-		if d < bestD {
+	bestD := p.Dist(centers[0])
+	for i := 1; i < len(centers); i++ {
+		if d := p.Dist(centers[i]); d < bestD {
 			best, bestD = i, d
 		}
 	}
-	return w.Shelves[best], true
+	return best
 }
 
 // ClampToShelves projects p onto the nearest shelf region; points already on
 // a shelf are returned unchanged. This keeps particle hypotheses physically
 // plausible.
 func (w *World) ClampToShelves(p geom.Vec3) geom.Vec3 {
-	for _, s := range w.Shelves {
-		if s.Contains(p) {
+	for i := range w.Shelves {
+		if w.Shelves[i].Region.Contains(p) {
 			return p
 		}
 	}
-	sh, ok := w.NearestShelf(p)
-	if !ok {
+	if len(w.Shelves) == 0 {
 		return p
 	}
-	r := sh.Region
+	r := &w.Shelves[w.nearestShelf(p)].Region
 	return geom.Vec3{
 		X: geom.Clamp(p.X, r.Min.X, r.Max.X),
 		Y: geom.Clamp(p.Y, r.Min.Y, r.Max.Y),

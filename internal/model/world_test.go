@@ -89,6 +89,56 @@ func TestNearestShelfAndClamp(t *testing.T) {
 	}
 }
 
+// TestNearestShelfCacheMatchesScan pins the cached-centre lookups to a scan
+// that recomputes every centre — same shelf, first of equally close ones —
+// for worlds built through AddShelf and for one whose Shelves grew directly
+// (stale cache), and checks the cached path allocates nothing.
+func TestNearestShelfCacheMatchesScan(t *testing.T) {
+	scan := func(w *World, p geom.Vec3) int {
+		best, bestD := 0, p.Dist(w.Shelves[0].Region.Center())
+		for i := 1; i < len(w.Shelves); i++ {
+			if d := p.Dist(w.Shelves[i].Region.Center()); d < bestD {
+				best, bestD = i, d
+			}
+		}
+		return best
+	}
+	w := twoShelfWorld()
+	// A twin of shelf a: equally close everywhere, so a must keep winning.
+	w.AddShelf(Shelf{ID: "a-twin", Region: w.Shelves[0].Region})
+	w.AddShelf(Shelf{ID: "c", Region: geom.NewBBox(geom.V(-3, 12, 0), geom.V(-2, 20, 1))})
+	stale := twoShelfWorld()
+	stale.Shelves = append(stale.Shelves, Shelf{ID: "direct", Region: geom.NewBBox(geom.V(9, -4, 0), geom.V(10, -1, 0))})
+	src := rng.New(9)
+	for _, world := range []*World{w, stale} {
+		for i := 0; i < 2000; i++ {
+			p := geom.V(src.Float64()*16-4, src.Float64()*30-6, src.Float64()*2-0.5)
+			best := scan(world, p)
+			if sh, _ := world.NearestShelf(p); sh.ID != world.Shelves[best].ID {
+				t.Fatalf("NearestShelf(%v) = %s, scan says %s", p, sh.ID, world.Shelves[best].ID)
+			}
+			want := p
+			if !world.Shelves[best].Contains(p) {
+				onShelf := false
+				for _, s := range world.Shelves {
+					onShelf = onShelf || s.Contains(p)
+				}
+				if !onShelf {
+					r := world.Shelves[best].Region
+					want = geom.V(geom.Clamp(p.X, r.Min.X, r.Max.X), geom.Clamp(p.Y, r.Min.Y, r.Max.Y), geom.Clamp(p.Z, r.Min.Z, r.Max.Z))
+				}
+			}
+			if got := world.ClampToShelves(p); got != want {
+				t.Fatalf("ClampToShelves(%v) = %v, want %v", p, got, want)
+			}
+		}
+	}
+	p := geom.V(3, 5, 0)
+	if n := testing.AllocsPerRun(100, func() { w.ClampToShelves(p) }); n != 0 {
+		t.Fatalf("ClampToShelves allocates %v times per call", n)
+	}
+}
+
 func TestWorldValidate(t *testing.T) {
 	w := twoShelfWorld()
 	if err := w.Validate(); err != nil {

@@ -375,8 +375,7 @@ func (f *Filter) Estimate(id stream.TagID) (mean geom.Vec3, variance geom.Vec3, 
 		locs[j] = f.objLocs[j*f.stride+k]
 	}
 	m := stats.WeightedMeanVec(locs, f.normW)
-	cov := stats.WeightedCovariance(locs, f.normW, m)
-	return m, geom.Vec3{X: cov[0][0], Y: cov[1][1], Z: cov[2][2]}, true
+	return m, stats.WeightedVarianceDiag(locs, f.normW, m), true
 }
 
 // ReaderEstimate returns the posterior mean of the reader pose.

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/stream"
@@ -113,10 +112,13 @@ type AggregateRow struct {
 
 // WindowedAggregateQuery evaluates a windowed aggregate in a streaming
 // fashion: per epoch, it emits one row per group computed over the distinct
-// objects (latest event per tag) inside the range window.
+// objects (latest event per tag) inside the range window. The groups are
+// maintained incrementally beside the window (latestGroups), so an epoch's
+// evaluation recomputes only the groups that changed in it.
 type WindowedAggregateQuery struct {
 	cfg      AggregateConfig
 	window   *TimeWindow
+	groups   *latestGroups
 	lastTime int
 	started  bool
 }
@@ -124,7 +126,16 @@ type WindowedAggregateQuery struct {
 // NewWindowedAggregateQuery returns a streaming windowed aggregate query.
 func NewWindowedAggregateQuery(cfg AggregateConfig) *WindowedAggregateQuery {
 	cfg.applyDefaults()
-	return &WindowedAggregateQuery{cfg: cfg, window: NewTimeWindow(cfg.WindowEpochs)}
+	key := func(stream.Event) AreaID { return AreaID{} }
+	if cfg.GroupBy == GroupByArea {
+		key = func(ev stream.Event) AreaID { return cfg.Area(ev.Loc) }
+	}
+	return &WindowedAggregateQuery{
+		cfg:    cfg,
+		window: NewTimeWindow(cfg.WindowEpochs),
+		groups: newLatestGroups(key, cfg.Weight, cfg.Op != AggCount,
+			func(*areaGroup) bool { return true }),
+	}
 }
 
 // Push feeds one event; like FireCodeQuery, results for an epoch are emitted
@@ -134,7 +145,7 @@ func (q *WindowedAggregateQuery) Push(ev stream.Event) []AggregateRow {
 	if q.started && ev.Time != q.lastTime {
 		out = q.evaluate(q.lastTime)
 	}
-	q.window.Push(ev)
+	q.groups.push(q.window, ev)
 	q.lastTime = ev.Time
 	q.started = true
 	return out
@@ -160,58 +171,30 @@ func (q *WindowedAggregateQuery) Run(events []stream.Event) []AggregateRow {
 	return append(out, q.Flush()...)
 }
 
+// evaluate returns one row per group of epoch now, in area order. Distinct
+// objects: only the latest event per tag contributes, and a group's weight is
+// summed over its objects in tag order.
 func (q *WindowedAggregateQuery) evaluate(now int) []AggregateRow {
-	q.window.AdvanceTo(now)
-	// Distinct objects: only the latest event per tag contributes.
-	latest := make(map[stream.TagID]stream.Event)
-	for _, ev := range q.window.Contents() {
-		cur, ok := latest[ev.Tag]
-		if !ok || ev.Time >= cur.Time {
-			latest[ev.Tag] = ev
-		}
-	}
-	type group struct {
-		area    AreaID
-		sum     float64
-		objects int
-	}
-	groups := make(map[AreaID]*group)
-	for _, ev := range latest {
-		var a AreaID
-		if q.cfg.GroupBy == GroupByArea {
-			a = q.cfg.Area(ev.Loc)
-		}
-		g, ok := groups[a]
-		if !ok {
-			g = &group{area: a}
-			groups[a] = g
-		}
-		g.sum += q.cfg.Weight(ev.Tag)
-		g.objects++
-	}
+	q.groups.advance(q.window, now)
+	groups := q.groups.settle()
 	out := make([]AggregateRow, 0, len(groups))
 	for _, g := range groups {
+		objects := len(g.members)
 		row := AggregateRow{
 			Time:    now,
 			Area:    g.area,
 			Grouped: q.cfg.GroupBy == GroupByArea,
-			Objects: g.objects,
+			Objects: objects,
 		}
 		switch q.cfg.Op {
 		case AggCount:
-			row.Value = float64(g.objects)
+			row.Value = float64(objects)
 		case AggSumWeight:
 			row.Value = g.sum
 		case AggMeanWeight:
-			row.Value = g.sum / float64(g.objects)
+			row.Value = g.sum / float64(objects)
 		}
 		out = append(out, row)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Area.X != out[j].Area.X {
-			return out[i].Area.X < out[j].Area.X
-		}
-		return out[i].Area.Y < out[j].Area.Y
-	})
 	return out
 }

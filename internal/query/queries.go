@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/stream"
@@ -137,10 +136,13 @@ func (c *FireCodeConfig) applyDefaults() {
 
 // FireCodeQuery evaluates the fire-code query in a streaming fashion. Each
 // pushed event advances the range window; the Rstream of the grouped,
-// filtered relation is emitted per epoch.
+// filtered relation is emitted per epoch. The grouping is maintained
+// incrementally beside the window (latestGroups), so an epoch's evaluation
+// costs its changed areas plus its output rows.
 type FireCodeQuery struct {
 	cfg      FireCodeConfig
 	window   *TimeWindow
+	areas    *latestGroups
 	lastTime int
 	started  bool
 }
@@ -148,7 +150,13 @@ type FireCodeQuery struct {
 // NewFireCodeQuery returns a streaming fire-code query.
 func NewFireCodeQuery(cfg FireCodeConfig) *FireCodeQuery {
 	cfg.applyDefaults()
-	return &FireCodeQuery{cfg: cfg, window: NewTimeWindow(cfg.WindowEpochs)}
+	threshold := cfg.ThresholdPounds
+	return &FireCodeQuery{
+		cfg:    cfg,
+		window: NewTimeWindow(cfg.WindowEpochs),
+		areas: newLatestGroups(func(ev stream.Event) AreaID { return cfg.Area(ev.Loc) }, cfg.Weight, true,
+			func(g *areaGroup) bool { return g.sum > threshold }),
+	}
 }
 
 // Push feeds one event and returns the violations present in the window after
@@ -160,7 +168,7 @@ func (q *FireCodeQuery) Push(ev stream.Event) []Violation {
 	if q.started && ev.Time != q.lastTime {
 		out = q.evaluate(q.lastTime)
 	}
-	q.window.Push(ev)
+	q.areas.push(q.window, ev)
 	q.lastTime = ev.Time
 	q.started = true
 	return out
@@ -174,42 +182,16 @@ func (q *FireCodeQuery) Flush() []Violation {
 	return q.evaluate(q.lastTime)
 }
 
+// evaluate returns the violations of epoch now, in area order. Only the
+// latest event per tag inside the window contributes — an object is in one
+// place at a time — and an area's total weight is summed over its objects in
+// tag order.
 func (q *FireCodeQuery) evaluate(now int) []Violation {
-	q.window.AdvanceTo(now)
-	// Only the latest event per tag inside the window contributes: an object
-	// is in one place at a time.
-	latest := make(map[stream.TagID]stream.Event)
-	for _, ev := range q.window.Contents() {
-		cur, ok := latest[ev.Tag]
-		if !ok || ev.Time >= cur.Time {
-			latest[ev.Tag] = ev
-		}
-	}
-	dedup := make([]stream.Event, 0, len(latest))
-	for _, ev := range latest {
-		dedup = append(dedup, ev)
-	}
-	sums := GroupSum(dedup,
-		func(ev stream.Event) string { return q.cfg.Area(ev.Loc).String() },
-		func(ev stream.Event) float64 { return q.cfg.Weight(ev.Tag) },
-	)
-	areas := make(map[string]AreaID)
-	for _, ev := range dedup {
-		a := q.cfg.Area(ev.Loc)
-		areas[a.String()] = a
-	}
+	q.areas.advance(q.window, now)
 	var out []Violation
-	for key, total := range sums {
-		if total > q.cfg.ThresholdPounds {
-			out = append(out, Violation{Time: now, Area: areas[key], TotalWeight: total})
-		}
+	for _, g := range q.areas.settle() {
+		out = append(out, Violation{Time: now, Area: g.area, TotalWeight: g.sum})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Area.X != out[j].Area.X {
-			return out[i].Area.X < out[j].Area.X
-		}
-		return out[i].Area.Y < out[j].Area.Y
-	})
 	return out
 }
 

@@ -55,17 +55,6 @@ func TestTimeWindowEviction(t *testing.T) {
 	}
 }
 
-func TestGroupSum(t *testing.T) {
-	events := []stream.Event{ev(0, "a", 0, 0), ev(0, "b", 0, 0), ev(0, "c", 5, 0)}
-	sums := GroupSum(events,
-		func(e stream.Event) string { return SquareFtArea(e.Loc).String() },
-		func(e stream.Event) float64 { return 10 },
-	)
-	if sums["(0,0)"] != 20 || sums["(5,0)"] != 10 {
-		t.Errorf("GroupSum = %v", sums)
-	}
-}
-
 func TestSquareFtArea(t *testing.T) {
 	if SquareFtArea(geom.V(1.2, 3.9, 0)) != (AreaID{X: 1, Y: 3}) {
 		t.Error("positive coordinates wrong")

@@ -164,10 +164,10 @@ func restoreEvents(d *checkpoint.Decoder) []stream.Event {
 
 // saveState / restoreState on TimeWindow serialize the retained events (the
 // range length is configuration, reconstructed from the spec).
-func (w *TimeWindow) saveState(e *checkpoint.Encoder) { saveEvents(e, w.events) }
+func (w *TimeWindow) saveState(e *checkpoint.Encoder) { saveEvents(e, w.live()) }
 
 func (w *TimeWindow) restoreState(d *checkpoint.Decoder) error {
-	w.events = restoreEvents(d)
+	w.events, w.head = restoreEvents(d), 0
 	return d.Err()
 }
 
@@ -243,6 +243,7 @@ func (a fireCodeAdapter) restoreState(d *checkpoint.Decoder) error {
 	if err := a.q.window.restoreState(d); err != nil {
 		return err
 	}
+	a.q.areas.rebuild(a.q.window)
 	a.q.lastTime = d.Int()
 	a.q.started = d.Bool()
 	return d.Err()
@@ -260,6 +261,7 @@ func (a aggregateAdapter) restoreState(d *checkpoint.Decoder) error {
 	if err := a.q.window.restoreState(d); err != nil {
 		return err
 	}
+	a.q.groups.rebuild(a.q.window)
 	a.q.lastTime = d.Int()
 	a.q.started = d.Bool()
 	return d.Err()

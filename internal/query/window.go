@@ -75,10 +75,15 @@ func (w *RowWindow) Tags() []stream.TagID {
 }
 
 // TimeWindow implements a CQL range window: "[Range N seconds]" retains the
-// events whose time lies within the last N epochs of the current time.
+// events whose time lies within the last N epochs of the current time. It is
+// a deque: eviction advances a head offset, and the dead prefix is compacted
+// only once it is as long as the live part, so each event costs amortized
+// O(1) to insert and to evict.
 type TimeWindow struct {
 	rangeEpochs int
-	events      []stream.Event
+	// events[head:] are in the window, in push order.
+	events []stream.Event
+	head   int
 }
 
 // NewTimeWindow returns a range window spanning rangeEpochs epochs.
@@ -89,41 +94,33 @@ func NewTimeWindow(rangeEpochs int) *TimeWindow {
 	return &TimeWindow{rangeEpochs: rangeEpochs}
 }
 
-// Push inserts an event and evicts events that fell out of the range relative
-// to the event's time.
-func (w *TimeWindow) Push(ev stream.Event) {
+// Push inserts an event, evicts the events that fell out of the range
+// relative to its time and returns them; the slice is valid until the next
+// Push.
+func (w *TimeWindow) Push(ev stream.Event) []stream.Event {
+	if w.head > 0 && w.head >= len(w.events)-w.head {
+		w.events = w.events[:copy(w.events, w.events[w.head:])]
+		w.head = 0
+	}
 	w.events = append(w.events, ev)
-	w.AdvanceTo(ev.Time)
+	return w.AdvanceTo(ev.Time)
 }
 
-// AdvanceTo evicts events older than now - range without inserting anything.
-func (w *TimeWindow) AdvanceTo(now int) {
+// AdvanceTo evicts the events older than now - range without inserting
+// anything and returns them; the slice is valid until the next Push.
+func (w *TimeWindow) AdvanceTo(now int) []stream.Event {
 	cutoff := now - w.rangeEpochs
-	i := 0
+	i := w.head
 	for i < len(w.events) && w.events[i].Time < cutoff {
 		i++
 	}
-	if i > 0 {
-		w.events = append([]stream.Event(nil), w.events[i:]...)
-	}
+	evicted := w.events[w.head:i]
+	w.head = i
+	return evicted
 }
 
-// Contents returns the events currently in the window.
-func (w *TimeWindow) Contents() []stream.Event {
-	out := make([]stream.Event, len(w.events))
-	copy(out, w.events)
-	return out
-}
+// live returns the events in the window without copying them.
+func (w *TimeWindow) live() []stream.Event { return w.events[w.head:] }
 
 // Len returns the number of events in the window.
-func (w *TimeWindow) Len() int { return len(w.events) }
-
-// GroupSum aggregates SUM(value) grouped by a string key over a slice of
-// events; it backs the Group By / Having clause of the fire-code query.
-func GroupSum(events []stream.Event, key func(stream.Event) string, value func(stream.Event) float64) map[string]float64 {
-	out := make(map[string]float64)
-	for _, ev := range events {
-		out[key(ev)] += value(ev)
-	}
-	return out
-}
+func (w *TimeWindow) Len() int { return len(w.events) - w.head }

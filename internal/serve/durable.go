@@ -135,7 +135,7 @@ func (s *session) recoverLocked() error {
 			return fmt.Errorf("checkpoint %s was produced under a different engine configuration (fingerprint %#x, running %#x)",
 				path, snap.Fingerprint, r.Fingerprint())
 		}
-		dec := checkpoint.NewDecoder(snap.Payload)
+		dec := snap.PayloadDecoder()
 		if err := r.RestoreState(dec); err != nil {
 			return fmt.Errorf("restore runner from %s: %w", path, err)
 		}
@@ -163,6 +163,9 @@ func (s *session) recoverLocked() error {
 	// Latest falls back to an older one whose segments may be gone — replay
 	// would then silently skip the gap and recover wrong state. Fail loudly
 	// instead: a missing-segment gap means the log cannot reproduce the run.
+	// The same holds with no readable checkpoint at all (every one corrupt,
+	// or written in a payload version newer than this binary's) once the log
+	// no longer starts at its first segment.
 	if segs, err := wal.Segments(s.cfg.DataDir); err != nil {
 		return fmt.Errorf("scan wal segments: %w", err)
 	} else if len(segs) > 0 {
@@ -174,6 +177,8 @@ func (s *session) recoverLocked() error {
 			if len(tail) == 0 || tail[0] != fromSeg {
 				return fmt.Errorf("wal segment %d (the checkpoint's replay start) is missing — the segments were garbage-collected by a newer checkpoint that is no longer readable; restore from backup", fromSeg)
 			}
+		} else if segs[0] != 1 {
+			return fmt.Errorf("no readable checkpoint, and wal segments 1..%d are missing — they were garbage-collected behind a checkpoint this binary cannot read (corrupt, or of a later payload version); restore from backup", segs[0]-1)
 		}
 		for i := 1; i < len(tail); i++ {
 			if tail[i] != tail[i-1]+1 {
@@ -236,7 +241,7 @@ func (s *session) applyWALRecord(r *rfid.Runner, reg *query.Registry, rec wal.Re
 			return res, fmt.Errorf("logged registration: %w", perr)
 		}
 		// History-mode registrations are records too: they evaluate against
-		// the identically rebuilt history ring and buffer the same rows.
+		// the identically rebuilt history and buffer the same rows.
 		res.info, res.err = reg.Register(spec)
 		res.wake = res.info.Buffered > 0
 		return res, nil

@@ -636,6 +636,51 @@ func TestRecoveryDetectsWALGap(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesUnreadableCheckpoints pins the other half of the gap
+// check: when no checkpoint can be read — here every one claims a payload
+// version newer than this binary's — and the log no longer starts at its
+// first segment, recovery must fail loudly instead of replaying the remaining
+// tail into an empty engine.
+func TestRecoveryRefusesUnreadableCheckpoints(t *testing.T) {
+	trace, rByT, lByT, maxT := recoveryTrace(t)
+	dataDir := t.TempDir()
+
+	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	ingestEpochs(t, tsA.URL, rByT, lByT, 0, maxT+1)
+	tsA.Close()
+	srvA.CloseNow()
+
+	ckpts, err := checkpoint.List(filepath.Join(dataDir, "sessions", "default"))
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("no checkpoints (err %v)", err)
+	}
+	for _, path := range ckpts {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(checkpoint.Magic)] = checkpoint.Version + 1 // the version uvarint
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srvB, err := New(Config{DataDir: dataDir, CheckpointEvery: 7, Fsync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = srvB.WaitReady(ctx)
+	if err == nil {
+		t.Fatal("recovery without a readable checkpoint replayed a truncated log silently")
+	}
+	if !strings.Contains(err.Error(), "no readable checkpoint") {
+		t.Fatalf("error does not say why: %v", err)
+	}
+}
+
 // TestNewChecksDataDirLayout pins what New accepts under DataDir: an empty
 // directory boots a serving server with no sessions; log or checkpoint files
 // directly under it — the layout of a server that predates sessions, which

@@ -1077,7 +1077,7 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *s
 // handleSnapshotAll answers GET .../snapshot (the live view: reader pose
 // estimate, progress counters, tracked tags) and GET .../snapshot?epoch=N
 // (the time-travel view: every object's MAP location as it was when epoch N
-// was sealed, served from the runner's bounded history ring).
+// was sealed, served from the runner's bounded history).
 func (sv *Server) handleSnapshotAll(w http.ResponseWriter, r *http.Request, sess *session) {
 	runner, err := sess.residentEngine(r.Context().Done())
 	if err != nil {

@@ -131,6 +131,36 @@ func WeightedCovariance(pts []geom.Vec3, w []float64, mean geom.Vec3) Mat3 {
 	return cov.Scale(1 / total)
 }
 
+// WeightedVarianceDiag returns the diagonal of WeightedCovariance(pts, w,
+// mean) — the per-axis variances — without computing the off-diagonal terms.
+// Each diagonal entry is accumulated by the same expressions in the same
+// order as in WeightedCovariance (the explicit conversions keep the compiler
+// from fusing the multiply into the add, which the covariance's Mat3 temporaries
+// never allow either), so the result equals that diagonal bit for bit.
+func WeightedVarianceDiag(pts []geom.Vec3, w []float64, mean geom.Vec3) geom.Vec3 {
+	var v geom.Vec3
+	total := 0.0
+	for i, p := range pts {
+		wi := 1.0
+		if w != nil {
+			wi = w[i]
+		}
+		if wi <= 0 {
+			continue
+		}
+		d := p.Sub(mean)
+		v.X += float64(d.X * d.X * wi)
+		v.Y += float64(d.Y * d.Y * wi)
+		v.Z += float64(d.Z * d.Z * wi)
+		total += wi
+	}
+	if total <= 0 {
+		return geom.Vec3{}
+	}
+	s := 1 / total
+	return geom.Vec3{X: v.X * s, Y: v.Y * s, Z: v.Z * s}
+}
+
 // FitGaussian3 computes the moment-matched Gaussian of a weighted particle
 // set: the KL-optimal Gaussian approximation q that minimizes KL(p_hat || q)
 // uses exactly the weighted sample mean and empirical covariance (Section

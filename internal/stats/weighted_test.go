@@ -93,6 +93,42 @@ func TestWeightedMeanAndCovariance(t *testing.T) {
 	}
 }
 
+// TestWeightedVarianceDiagBitIdentical pins the diagonal-only kernel to the
+// full covariance's diagonal bit for bit: the per-object estimates (and so
+// every event and history snapshot) are computed with it.
+func TestWeightedVarianceDiagBitIdentical(t *testing.T) {
+	src := rng.New(5)
+	for trial := 0; trial < 200; trial++ {
+		n := src.Intn(300)
+		pts := make([]geom.Vec3, n)
+		w := make([]float64, n)
+		for i := range pts {
+			pts[i] = geom.V(src.Normal(3, 2), src.Normal(-40, 0.3), src.Normal(1, 1e-3))
+			switch src.Intn(10) {
+			case 0:
+				w[i] = 0
+			case 1:
+				w[i] = -src.Float64()
+			default:
+				w[i] = src.Float64() * math.Pow(10, -float64(src.Intn(12)))
+			}
+		}
+		var weights []float64
+		if trial%5 != 0 {
+			weights = w
+		}
+		mean := WeightedMeanVec(pts, weights)
+		cov := WeightedCovariance(pts, weights, mean)
+		got := WeightedVarianceDiag(pts, weights, mean)
+		want := geom.Vec3{X: cov[0][0], Y: cov[1][1], Z: cov[2][2]}
+		if math.Float64bits(got.X) != math.Float64bits(want.X) ||
+			math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
+			math.Float64bits(got.Z) != math.Float64bits(want.Z) {
+			t.Fatalf("trial %d (n=%d): diag kernel %v, covariance diagonal %v", trial, n, got, want)
+		}
+	}
+}
+
 func TestFitGaussian3MatchesMoments(t *testing.T) {
 	src := rng.New(21)
 	truth := NewGaussian3(geom.V(2, -1, 0), Diag3(0.5, 0.2, 0.1))

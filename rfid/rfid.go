@@ -217,7 +217,7 @@ func (p *Pipeline) Particles() int { return p.eng.ParticleCount() }
 // produced under different model parameters (which would silently diverge
 // rather than fail). Worker and shard counts are excluded — checkpoints are
 // portable across parallelism settings.
-func (p *Pipeline) Fingerprint() uint64 { return p.eng.Config().Fingerprint() }
+func (p *Pipeline) Fingerprint() uint64 { return p.eng.Fingerprint() }
 
 // SaveState serializes the pipeline's full inference state (particle columns,
 // reader particles, random-stream positions, index and compression state)

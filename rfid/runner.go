@@ -18,13 +18,14 @@ type RunnerConfig struct {
 	// epochs; use one or more when a single epoch's readings may be split
 	// across batches.
 	HoldEpochs int
-	// HistoryEpochs, when positive, keeps a bounded ring of per-epoch MAP
-	// location snapshots: after each sealed epoch the runner records every
-	// tracked object's posterior-mean location, retaining the newest
-	// HistoryEpochs epochs. The ring backs time-travel reads (HistoryEvents,
-	// the serving layer's GET /snapshot?epoch=N and history-mode queries) and
-	// rides along in checkpoints. Zero disables history — and its per-epoch
-	// estimate cost — entirely.
+	// HistoryEpochs, when positive, keeps a bounded time-travel history of
+	// per-epoch MAP locations: every tracked object's posterior-mean location
+	// as of each of the newest HistoryEpochs sealed epochs. It is stored as a
+	// change log — after each sealed epoch the runner records only the
+	// objects whose estimate can have moved — and backs time-travel reads
+	// (HistoryEvents, the serving layer's GET /snapshot?epoch=N and
+	// history-mode queries) and rides along in checkpoints. Zero disables
+	// history — and its per-epoch cost — entirely.
 	HistoryEpochs int
 	// TraceEpochs, when positive, enables epoch-stage tracing: the runner
 	// creates a TraceRecorder retaining the last TraceEpochs sealed epochs
@@ -94,22 +95,11 @@ type Runner struct {
 	late   int // late records dropped
 	closed bool
 
-	// histCap bounds the epoch-snapshot ring; history is the ring itself, in
-	// ascending epoch order with a dead prefix [0:histStart) compacted
-	// lazily (same amortized-O(1) eviction the query result buffers use).
-	histCap   int
-	history   []epochSnapshot
-	histStart int
+	// hist is the time-travel change log (HistoryEpochs).
+	hist history
 
 	// rec is the epoch-stage recorder (nil when tracing is disabled).
 	rec *TraceRecorder
-}
-
-// epochSnapshot is one retained time-travel entry: the MAP location of every
-// tracked object right after the epoch was sealed, in tag order.
-type epochSnapshot struct {
-	epoch  int
-	events []Event
 }
 
 // NewRunner builds a Runner around a new Pipeline for cfg.
@@ -127,12 +117,12 @@ func NewRunner(cfg Config, rc RunnerConfig) (*Runner, error) {
 	rec := NewTraceRecorder(rc.TraceEpochs)
 	pipe.SetTraceRecorder(rec)
 	return &Runner{
-		pipe:    pipe,
-		sync:    stream.NewSynchronizer(),
-		hold:    rc.HoldEpochs,
-		mark:    -1,
-		histCap: rc.HistoryEpochs,
-		rec:     rec,
+		pipe: pipe,
+		sync: stream.NewSynchronizer(),
+		hold: rc.HoldEpochs,
+		mark: -1,
+		hist: newHistory(rc.HistoryEpochs),
+		rec:  rec,
 	}, nil
 }
 
@@ -216,7 +206,7 @@ func (r *Runner) processUpTo(upTo int) ([]Event, error) {
 			if ep.Time+1 > r.next {
 				r.next = ep.Time + 1
 			}
-			r.recordHistory(ep.Time)
+			r.hist.record(ep.Time, events, r.pipe.eng)
 			all = append(all, events...)
 		}
 		return all, firstErr
@@ -225,7 +215,7 @@ func (r *Runner) processUpTo(upTo int) ([]Event, error) {
 	// Traced variant: identical control flow plus timestamps. Decode covers
 	// the drain (attributed to the first epoch of the batch); each epoch's
 	// wall time spans ProcessEpoch through seal, and the seal stage covers
-	// the history snapshot and watermark bookkeeping.
+	// the history record and watermark bookkeeping.
 	t0 := time.Now()
 	epochs := r.sync.DrainUpTo(upTo)
 	if len(epochs) > 0 {
@@ -241,7 +231,7 @@ func (r *Runner) processUpTo(upTo int) ([]Event, error) {
 			r.next = ep.Time + 1
 		}
 		tSeal := time.Now()
-		r.recordHistory(ep.Time)
+		r.hist.record(ep.Time, events, r.pipe.eng)
 		rec.Add(TraceStageSeal, time.Since(tSeal))
 		rec.Commit(ep.Time, time.Since(tEp))
 		all = append(all, events...)
@@ -249,83 +239,29 @@ func (r *Runner) processUpTo(upTo int) ([]Event, error) {
 	return all, firstErr
 }
 
-// recordHistory snapshots every tracked object's MAP location right after an
-// epoch was sealed, appending to the bounded ring. Caller holds r.mu.
-func (r *Runner) recordHistory(epoch int) {
-	if r.histCap <= 0 {
-		return
-	}
-	tags := r.pipe.TrackedObjects()
-	snap := epochSnapshot{epoch: epoch, events: make([]Event, 0, len(tags))}
-	sortTagIDs(tags)
-	for _, id := range tags {
-		loc, st, ok := r.pipe.Estimate(id)
-		if !ok {
-			continue
-		}
-		snap.events = append(snap.events, Event{Time: epoch, Tag: id, Loc: loc, Stats: st})
-	}
-	r.history = append(r.history, snap)
-	if over := len(r.history) - r.histStart - r.histCap; over > 0 {
-		r.histStart += over
-	}
-	if r.histStart > r.histCap {
-		r.history = append([]epochSnapshot(nil), r.history[r.histStart:]...)
-		r.histStart = 0
-	}
-}
-
-// liveHistory returns the retained snapshots, oldest first. Caller holds
-// r.mu.
-func (r *Runner) liveHistory() []epochSnapshot { return r.history[r.histStart:] }
-
 // HistoryBounds returns the oldest and newest retained history epochs; ok is
 // false while no epoch has been recorded (or history is disabled). Together
 // with HistoryEvents it implements query.HistorySource, so history-mode
-// queries evaluate directly over the runner's ring.
+// queries evaluate directly over the runner's history.
 func (r *Runner) HistoryBounds() (oldest, newest int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	live := r.liveHistory()
+	live := r.hist.live()
 	if len(live) == 0 {
 		return 0, 0, false
 	}
-	return live[0].epoch, live[len(live)-1].epoch, true
+	return live[0], live[len(live)-1], true
 }
 
-// HistoryEvents returns the per-object MAP location events recorded when the
-// given epoch was sealed, in tag order, or ok == false outside the retained
-// window. The returned slice is shared immutable state; callers must not
-// modify it.
+// HistoryEvents returns the per-object MAP location events as of the moment
+// the given epoch was sealed — every object tracked by then, in tag order,
+// with Time set to the epoch — or ok == false outside the retained window
+// (epochs with no data are never sealed, so retained epochs need not be
+// contiguous). The slice is freshly built on every call.
 func (r *Runner) HistoryEvents(epoch int) ([]Event, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	live := r.liveHistory()
-	// Snapshots are appended in strictly increasing epoch order but need not
-	// be contiguous (epochs with no data are never sealed); binary search.
-	lo, hi := 0, len(live)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if live[mid].epoch < epoch {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(live) && live[lo].epoch == epoch {
-		return live[lo].events, true
-	}
-	return nil, false
-}
-
-// sortTagIDs sorts tag ids in place (insertion sort: history snapshots are
-// small and mostly sorted already, since TrackedObjects is first-seen order).
-func sortTagIDs(ids []TagID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	return r.hist.events(epoch)
 }
 
 // SealTo seals and processes every buffered epoch with time <= upTo,

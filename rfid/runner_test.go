@@ -93,6 +93,30 @@ func TestRunnerMatchesBatchPipeline(t *testing.T) {
 	}
 }
 
+// TestRunnerFingerprintComputedOnce pins the stored fingerprint: it is the
+// configuration's (so no existing checkpoint is invalidated), the same
+// through Pipeline and Runner, and asking for it allocates nothing — the
+// durability layer asks on every checkpoint write and every restore.
+func TestRunnerFingerprintComputedOnce(t *testing.T) {
+	trace := simulateSmall(t, 4, 21)
+	cfg := runnerConfig(trace)
+	r, err := rfid.NewRunner(cfg, rfid.RunnerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := rfid.NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cfg.Fingerprint()
+	if r.Fingerprint() != want || pipe.Fingerprint() != want {
+		t.Fatalf("fingerprints runner %#x, pipeline %#x, config %#x", r.Fingerprint(), pipe.Fingerprint(), want)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Fingerprint() }); n != 0 {
+		t.Fatalf("Runner.Fingerprint allocates %v times per call", n)
+	}
+}
+
 // TestRunnerOutputIndependentOfWorkers pins that the continuous driver
 // preserves the engine's guarantee that output does not depend on Workers.
 func TestRunnerOutputIndependentOfWorkers(t *testing.T) {

@@ -1,6 +1,9 @@
 package rfid_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -112,6 +115,97 @@ func TestRunnerCheckpointRestoreEquivalence(t *testing.T) {
 		if wantOK != gotOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("history at epoch %d diverged", ep)
 		}
+	}
+}
+
+// v1Fixture rebuilds the run testdata/runner-v1.ckpt checkpoints: that file
+// is the runner's SaveState in payload version 1 (a full snapshot of every
+// retained epoch), written by the version-1 encoder with this configuration
+// and input, HistoryEpochs 16, after sealing epoch upTo.
+func v1Fixture(t *testing.T) (cfg rfid.Config, rByT map[int][]rfid.Reading, lByT map[int][]rfid.LocationReport, upTo, maxT int) {
+	t.Helper()
+	wc := rfid.DefaultWarehouseConfig()
+	wc.NumObjects = 10
+	wc.NumShelfTags = 4
+	wc.Rounds = 2
+	wc.MoveInterval, wc.MoveDistance, wc.MoveCount = 50, 6, 1
+	wc.Seed = 31
+	trace, err := rfid.SimulateWarehouse(wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = rfid.DefaultConfig(rfid.DefaultParams(), trace.World)
+	cfg.NumObjectParticles = 60
+	cfg.NumReaderParticles = 30
+	cfg.Workers = 1
+	cfg.Seed = 9
+	rByT, lByT, maxT = ingestByEpoch(trace)
+	return cfg, rByT, lByT, 2 * maxT / 3, maxT
+}
+
+// TestRestoreVersion1Checkpoint restores a checkpoint written in payload
+// version 1 into the change-log history: every retained epoch must read
+// exactly what an uninterrupted run of the same input reads, the restored
+// runner must re-save the uninterrupted run's bytes, and both must continue
+// identically — also when restored into a smaller HistoryEpochs.
+func TestRestoreVersion1Checkpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "runner-v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != 1 {
+		t.Fatalf("fixture is payload version %d, want 1", snap.Version)
+	}
+	cfg, rByT, lByT, upTo, maxT := v1Fixture(t)
+	for _, capacity := range []int{16, 6} {
+		rc := rfid.RunnerConfig{HistoryEpochs: capacity}
+		ref, err := rfid.NewRunner(cfg, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveRunner(t, ref, rByT, lByT, 0, upTo+1)
+		got, err := rfid.NewRunner(cfg, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Fingerprint != got.Fingerprint() || snap.Epoch != upTo {
+			t.Fatalf("fixture fingerprint %#x epoch %d, run %#x epoch %d", snap.Fingerprint, snap.Epoch, got.Fingerprint(), upTo)
+		}
+		if err := got.RestoreState(snap.PayloadDecoder()); err != nil {
+			t.Fatalf("restore version-1 payload: %v", err)
+		}
+		sameHistory := func(when string) {
+			t.Helper()
+			refOld, refNew, _ := ref.HistoryBounds()
+			gotOld, gotNew, ok := got.HistoryBounds()
+			if !ok || gotOld != refOld || gotNew != refNew {
+				t.Fatalf("cap %d %s: bounds [%d,%d]/%v, want [%d,%d]", capacity, when, gotOld, gotNew, ok, refOld, refNew)
+			}
+			for ep := refOld; ep <= refNew; ep++ {
+				want, _ := ref.HistoryEvents(ep)
+				have, _ := got.HistoryEvents(ep)
+				if !reflect.DeepEqual(have, want) {
+					t.Fatalf("cap %d %s: history of epoch %d differs", capacity, when, ep)
+				}
+			}
+		}
+		sameHistory("after restore")
+		saved := func(r *rfid.Runner) []byte {
+			enc := checkpoint.NewEncoder()
+			r.SaveState(enc)
+			return enc.Bytes()
+		}
+		if !bytes.Equal(saved(got), saved(ref)) {
+			t.Fatalf("cap %d: the runner restored from version 1 re-saves different bytes", capacity)
+		}
+		if !reflect.DeepEqual(driveRunner(t, got, rByT, lByT, upTo+1, maxT+1), driveRunner(t, ref, rByT, lByT, upTo+1, maxT+1)) {
+			t.Fatalf("cap %d: events diverged after the version-1 restore", capacity)
+		}
+		sameHistory("at the end")
 	}
 }
 
