@@ -23,45 +23,6 @@ import (
 // session's first dispatch, appends and checkpoints happen between ops), so
 // the WAL and checkpoint files have exactly one writer and no locking.
 
-// serverState is a session's lifecycle, and — derived from the sessions'
-// (see Server.state) — the one /v1/healthz reports for the server.
-type serverState int32
-
-const (
-	// stateRecovering: the pinned worker is restoring a checkpoint and
-	// replaying the WAL (startup or hydration); ingest and flush requests
-	// queue behind recovery.
-	stateRecovering serverState = iota
-	// stateServing: normal operation.
-	stateServing
-	// stateFailed: recovery failed; the server answers health checks and
-	// rejects everything else.
-	stateFailed
-	// stateClosed: graceful shutdown completed.
-	stateClosed
-	// stateEvicted: the session's engine has been spilled to its checkpoint
-	// and released from memory; the first touch hydrates it back to serving.
-	stateEvicted
-)
-
-// String implements fmt.Stringer.
-func (s serverState) String() string {
-	switch s {
-	case stateRecovering:
-		return "recovering"
-	case stateServing:
-		return "serving"
-	case stateFailed:
-		return "failed"
-	case stateClosed:
-		return "closed"
-	case stateEvicted:
-		return "evicted"
-	default:
-		return fmt.Sprintf("state(%d)", int32(s))
-	}
-}
-
 // durable reports whether the server was configured with a data directory.
 func (s *session) durable() bool { return s.cfg.DataDir != "" }
 
@@ -70,40 +31,43 @@ func (s *session) durable() bool { return s.cfg.DataDir != "" }
 const serveStreamSection = "serve.stream"
 
 // startup runs once, under the session pin, on the session's first dispatch:
-// recover durable state if configured, then open the WAL for appends and flip
+// recover durable state if configured, then open the WAL for appends and move
 // to serving. The returned error has already been recorded for WaitReady.
 func (s *session) startup() error {
 	defer close(s.ready)
+	starting := s.life.load().in(phaseStarting)
+	err := s.openDurable(starting.replica())
+	if err != nil {
+		err = fmt.Errorf("serve: session %q %w", s.id, err)
+	}
+	s.transition(starting, starting.in(phaseServing), err)
+	return err
+}
+
+// openDurable recovers a durable session's state and opens its log: the WAL,
+// or on a replica the mirror. Pinned worker only, at startup.
+func (s *session) openDurable(replica bool) error {
 	if !s.durable() {
-		s.state.Store(int32(stateServing))
 		return nil
 	}
 	if err := s.recoverLocked(); err != nil {
-		s.readyErr = fmt.Errorf("serve: session %q recovery failed: %w", s.id, err)
-		s.fail(s.readyErr)
-		return s.readyErr
+		return fmt.Errorf("recovery failed: %w", err)
 	}
-	if s.replica.Load() {
+	if replica {
 		// A replica session never appends its own records: instead of a Log it
 		// opens a Mirror positioned at the end of the last whole mirrored
 		// frame — exactly where the replay above stopped — and resumes tailing
 		// the primary from there.
 		if err := s.openMirrorLocked(); err != nil {
-			s.readyErr = fmt.Errorf("serve: session %q open mirror: %w", s.id, err)
-			s.fail(s.readyErr)
-			return s.readyErr
+			return fmt.Errorf("open mirror: %w", err)
 		}
-		s.state.Store(int32(stateServing))
 		return nil
 	}
 	lg, err := wal.Open(s.cfg.DataDir, s.walOptions())
 	if err != nil {
-		s.readyErr = fmt.Errorf("serve: session %q open wal: %w", s.id, err)
-		s.fail(s.readyErr)
-		return s.readyErr
+		return fmt.Errorf("open wal: %w", err)
 	}
 	s.wal = lg
-	s.state.Store(int32(stateServing))
 	return nil
 }
 
@@ -359,7 +323,9 @@ func (s *session) persistCheckpoint(t0 time.Time, epoch int, seg uint64) error {
 // state already equals the checkpoint written at eviction and its WAL is
 // closed (sealing would require hydrating a session that is being torn down).
 func (s *session) shutdownDurable() {
-	if s.replica.Load() {
+	cur := s.life.load()
+	defer s.transition(cur, cur.in(phaseClosed), nil)
+	if cur.replica() {
 		// A replica owns no log of its own: flush the mirror and stop. No
 		// seal, no checkpoint — the mirrored directory must stay byte-exact
 		// with what the primary shipped.
@@ -372,12 +338,10 @@ func (s *session) shutdownDurable() {
 			}
 			s.mirror = nil
 		}
-		s.state.Store(int32(stateClosed))
 		return
 	}
 	r := s.eng.Load()
 	if r == nil {
-		s.state.Store(int32(stateClosed))
 		return
 	}
 	// The run is over: seal what is buffered, as a flush would (a refused or
@@ -392,7 +356,6 @@ func (s *session) shutdownDurable() {
 		}
 		s.wal = nil
 	}
-	s.state.Store(int32(stateClosed))
 }
 
 // syncWALMetrics mirrors the counters of the WAL — on a replica, of the mirror

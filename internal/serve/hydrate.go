@@ -4,12 +4,11 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/wal"
-	"repro/rfid"
 )
 
 // Lazy hydration: with Config.MaxResident set, idle durable sessions past the
@@ -20,13 +19,8 @@ import (
 // query poll) rebuilds an identical engine and recovers it through the exact
 // boot path. Because checkpoint + WAL replay is byte-exact (the recovery
 // property PR 4 established), an evict→hydrate→continue run is
-// indistinguishable from a never-evicted one.
-//
-// Eviction state machine (state field, all transitions on the pinned worker):
-//
-//	serving --evict op, idle--> evicted --first touch--> recovering --> serving
-//	evicted --hydration fails--> failed
-//	evicted --DELETE--> closed        (fast path: no hydration)
+// indistinguishable from a never-evicted one. The moves between serving,
+// evicted and recovering are rows of lifeTable (lifecycle.go).
 
 // residency tracks the resident set of hydratable sessions in LRU order and
 // owns the server-level eviction/hydration metrics.
@@ -64,15 +58,6 @@ func newResidency(max int, set *metrics.Set) *residency {
 	}
 }
 
-// hydratable reports whether the session can be evicted and restored: it
-// needs a durable directory to checkpoint into. Non-durable sessions are never
-// evicted, and neither are replica sessions — a follower must keep its apply
-// cursor live, and eviction would write a checkpoint the primary never
-// shipped.
-func (s *session) hydratable() bool {
-	return s.durable() && !s.replica.Load()
-}
-
 func (rs *residency) gaugesLocked() {
 	rs.resident.Set(float64(rs.order.Len()))
 	rs.evictedG.Set(float64(rs.evictedCount))
@@ -89,9 +74,11 @@ func (rs *residency) residentCount() int {
 // touch marks a session most-recently-used and, when the resident set is over
 // its cap, requests eviction of the least-recently-used evictable sessions.
 // Called from the pinned worker after a dispatch and from direct read paths
-// (snapshot, results), so read-hot sessions stay resident.
+// (snapshot, results), so read-hot sessions stay resident. Only durable
+// primaries are tracked: eviction checkpoints into the session's directory,
+// and a replica must keep its apply cursor live.
 func (rs *residency) touch(s *session) {
-	if !s.hydratable() {
+	if !s.durable() || s.life.load().replica() {
 		return
 	}
 	rs.mu.Lock()
@@ -118,7 +105,7 @@ func (rs *residency) touch(s *session) {
 		over := rs.order.Len() - rs.max
 		for el := rs.order.Back(); el != nil && len(victims) < over; el = el.Prev() {
 			v := el.Value.(*session)
-			if v == s || v.closed.Load() || v.stream.Load() != nil {
+			if v == s || v.life.load().closing() || v.stream.Load() != nil {
 				continue // hot, closing, or kept resident by a live stream
 			}
 			if !v.evictPending.CompareAndSwap(false, true) {
@@ -180,7 +167,7 @@ func (rs *residency) drop(s *session, wasEvicted bool) {
 	if el, ok := rs.elems[s]; ok {
 		rs.order.Remove(el)
 		delete(rs.elems, s)
-	} else if wasEvicted && s.hydratable() && rs.evictedCount > 0 {
+	} else if wasEvicted && rs.evictedCount > 0 {
 		rs.evictedCount--
 	}
 	rs.gaugesLocked()
@@ -192,7 +179,7 @@ func (rs *residency) drop(s *session, wasEvicted bool) {
 // retry.
 func (s *session) requestEvict() {
 	select {
-	case s.ops <- op{evict: true}:
+	case s.ops <- op{kind: opEvict}:
 		s.sched.wake(s)
 	default:
 		s.evictPending.Store(false)
@@ -206,8 +193,8 @@ func (s *session) requestEvict() {
 // never-evicted run), close the WAL, release the engine and registry.
 func (s *session) handleEvictOp() opResult {
 	defer s.evictPending.Store(false)
-	if !s.hydratable() || s.closed.Load() || s.eng.Load() == nil ||
-		serverState(s.state.Load()) != stateServing {
+	cur := s.life.load()
+	if !s.durable() || cur.closing() || lifeTable[[2]life{cur, cur.in(phaseEvicted)}] == "" {
 		return opResult{}
 	}
 	if len(s.ops) > 0 || s.stream.Load() != nil {
@@ -230,9 +217,9 @@ func (s *session) handleEvictOp() opResult {
 	s.lastWal = wal.Stats{}
 	st := s.eng.Load().Stats()
 	s.lastStats.Store(&cachedStats{st: st, queries: s.reg.Load().Count()})
-	// State flips before the pointers drop so a concurrent reader that loads
-	// a non-nil engine is always reading consistent pre-evict state.
-	s.state.Store(int32(stateEvicted))
+	// The phase flips before the pointers drop so a concurrent reader that
+	// loads a non-nil engine is always reading consistent pre-evict state.
+	s.transition(cur, cur.in(phaseEvicted), nil)
 	s.eng.Store(nil)
 	s.reg.Store(nil)
 	s.res.noteEvicted(s)
@@ -245,7 +232,9 @@ func (s *session) handleEvictOp() opResult {
 // against the checkpoint written at eviction plus any WAL tail.
 func (s *session) hydrate() error {
 	start := time.Now()
-	s.state.Store(int32(stateRecovering))
+	evicted := s.life.load().in(phaseEvicted)
+	recovering := evicted.in(phaseRecovering)
+	s.transition(evicted, recovering, nil)
 	runner, err := buildRunner(s.manifest, s.cfg.TraceEpochs)
 	if err == nil {
 		s.install(runner)
@@ -257,12 +246,12 @@ func (s *session) hydrate() error {
 	}
 	if err != nil {
 		err = fmt.Errorf("serve: session %q hydration failed: %w", s.id, err)
-		s.fail(err)
+		s.transition(recovering, recovering.in(phaseServing), err)
 		return err
 	}
 	s.wal = lg
 	s.lastWal = wal.Stats{}
-	s.state.Store(int32(stateServing))
+	s.transition(recovering, recovering.in(phaseServing), nil)
 	d := time.Since(start)
 	s.res.noteHydrated(s, d)
 	if slow := s.cfg.SlowHydration; slow > 0 && d >= slow {
@@ -272,60 +261,23 @@ func (s *session) hydrate() error {
 	return nil
 }
 
-// readable reports whether direct reads may use the resident engine and
-// registry. While the session recovers (startup, hydration, replica
-// re-bootstrap) both pointers are already set but hold a half-replayed state,
-// and after a failed recovery they keep it; such reads go through a fence
-// instead, which queues behind the recovery (or reports its failure).
-func (s *session) readable() bool {
-	st := serverState(s.state.Load())
-	return st != stateRecovering && st != stateFailed
-}
-
-// residentEngine returns the session's engine for a direct read, hydrating
-// first when the session is evicted (a fence op through the queue, so the
-// pinned worker performs the restore). The retry loop covers the window where
-// an already-queued evict op lands right after the fence.
-func (s *session) residentEngine(cancel <-chan struct{}) (*rfid.Runner, error) {
+// resident returns the session's engine or registry p points at, for a direct
+// read, hydrating an evicted session and waiting out a recovery first by a
+// fence through the queue. The retry loop covers the window where an
+// already-queued evict op lands right after the fence.
+func resident[T any](s *session, p *atomic.Pointer[T], cancel <-chan struct{}) (*T, error) {
 	for tries := 0; tries < 4; tries++ {
-		if r := s.eng.Load(); r != nil && s.readable() {
+		if v := p.Load(); v != nil && s.life.load().readable() {
 			s.res.touch(s)
-			return r, nil
+			return v, nil
 		}
-		if err := s.fenceWait(cancel); err != nil {
+		res, err := s.call(op{kind: opFence}, cancel)
+		if err == nil {
+			err = res.err
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 	return nil, errBackpressure
-}
-
-// residentRegistry is residentEngine for the query registry.
-func (s *session) residentRegistry(cancel <-chan struct{}) (*query.Registry, error) {
-	for tries := 0; tries < 4; tries++ {
-		if reg := s.reg.Load(); reg != nil && s.readable() {
-			s.res.touch(s)
-			return reg, nil
-		}
-		if err := s.fenceWait(cancel); err != nil {
-			return nil, err
-		}
-	}
-	return nil, errBackpressure
-}
-
-// fenceWait enqueues a fence op and waits for it to complete; by then every
-// earlier op has applied and an evicted session has been hydrated.
-func (s *session) fenceWait(cancel <-chan struct{}) error {
-	done := make(chan opResult, 1)
-	if err := s.enqueue(op{fence: true, done: done}, cancel); err != nil {
-		return err
-	}
-	select {
-	case res := <-done:
-		return res.err
-	case <-s.quit:
-		return fmt.Errorf("session closed")
-	case <-cancel:
-		return errCanceled
-	}
 }

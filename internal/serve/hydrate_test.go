@@ -259,7 +259,7 @@ func TestStreamResumeSurvivesEviction(t *testing.T) {
 	if hello2.ResumeAfter != 3 {
 		t.Fatalf("post-eviction hello.ResumeAfter = %d, want 3", hello2.ResumeAfter)
 	}
-	if st := serverState(s.state.Load()); st != stateServing {
+	if st := s.life.load().phase(); st != phaseServing {
 		t.Fatalf("session state after stream reattach = %v, want serving", st)
 	}
 	// And the stream keeps working from there.

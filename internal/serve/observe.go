@@ -69,7 +69,7 @@ func (sv *Server) debugStats(sess *session) api.SessionDebugStats {
 	st := sess.runnerStats()
 	out := api.SessionDebugStats{
 		ID:            sess.id,
-		State:         serverState(sess.state.Load()).String(),
+		State:         sess.life.load().phase().String(),
 		Durable:       sess.durable(),
 		Resident:      sess.engine() != nil,
 		QueueDepth:    len(sess.ops),

@@ -763,7 +763,7 @@ func TestReadsWaitForRecovery(t *testing.T) {
 	}
 	sess, _ := srvB.session("default")
 	for done := false; !done; {
-		done = serverState(sess.state.Load()) == stateServing
+		done = sess.life.load().phase() == phaseServing
 		if got := read("/snapshot"); got != want {
 			t.Fatalf("read during recovery exposed partial state:\n got %s\nwant %s", got, want)
 		}

@@ -9,7 +9,7 @@ package serve
 // it closes the mirror and reopens the directory with wal.Open, which
 // continues in a fresh segment, exactly what a restarted primary would do.
 //
-// All mutation runs on the pinned worker through replOp ops, so shipped
+// All mutation runs on the pinned worker through replication ops, so shipped
 // records are ordered against reads and against each other exactly like live
 // ingest is.
 
@@ -23,30 +23,22 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/query"
 	"repro/internal/wal"
 	"repro/rfid"
 	"repro/rfid/api"
 	"repro/rfid/wire"
 )
 
-// replOp is one replication command routed through the session's op queue.
+// replOp is what the follower shipped for a replication op: one WAL record
+// at seg/off (opReplApply), or a checkpoint image with the position shipping
+// will begin at (opReplBootstrap).
 type replOp struct {
-	// apply: mirror + apply one shipped WAL record.
-	apply     bool
 	seg       uint64
 	off       int64
 	shipNanos int64
-	payload   []byte // owned copy of the record payload (unframed)
-
-	// bootstrap: discard local durable state and restart from a shipped
-	// checkpoint image (nil image = fresh start); seg/off is where shipping
-	// will begin.
-	bootstrap bool
-	image     []byte
-
-	// promote: stop mirroring and become writable.
-	promote bool
+	// payload is an owned copy of the record payload (unframed), or the
+	// checkpoint image (nil = fresh start).
+	payload []byte
 }
 
 // openMirrorLocked opens the session's WAL mirror positioned at the end of the
@@ -63,7 +55,6 @@ func (s *session) openMirrorLocked() error {
 	s.replSeg.Store(seg)
 	s.replOff.Store(off)
 	s.appliedEpoch.Store(lastSealedEpoch(s.eng.Load()))
-	s.replReady.Store(true)
 	return nil
 }
 
@@ -80,31 +71,13 @@ func lastSealedEpoch(r *rfid.Runner) int64 {
 	return ep
 }
 
-// handleReplOp dispatches a replication command on the pinned worker.
-func (s *session) handleReplOp(o op) opResult {
-	switch {
-	case o.repl.promote:
-		return s.handleReplPromote()
-	case o.repl.bootstrap:
-		return s.handleReplBootstrap(o.repl)
-	default:
-		return s.handleReplApply(o.repl)
-	}
-}
-
-// failOp marks the session failed and returns the op result carrying err.
-func (s *session) failOp(err error) opResult {
-	s.fail(err)
-	return opResult{err: err}
-}
-
 // handleReplApply mirrors one shipped record (write-ahead, like live ingest)
 // and applies it through the shared replay path. A duplicate — position
 // strictly before the mirror's — is skipped and re-acked; a desync terminates
 // the connection (the follower reconnects and resumes from the mirror's
 // position, which heals gaps and duplicates alike).
 func (s *session) handleReplApply(ro *replOp) opResult {
-	if !s.replica.Load() || s.mirror == nil {
+	if !s.life.load().replica() || s.mirror == nil {
 		return opResult{err: fmt.Errorf("session %q is not following a primary", s.id)}
 	}
 	mseg, moff := s.mirror.Pos()
@@ -165,11 +138,19 @@ func (s *session) replicaCheckpoint(epoch int, seg uint64) error {
 // checkpoint, a fresh engine is built and recovered through the normal startup
 // path, and the mirror reopens at the announced shipping position.
 func (s *session) handleReplBootstrap(ro *replOp) opResult {
-	if !s.replica.Load() {
+	serving := s.life.load()
+	if !serving.replica() {
 		return opResult{err: fmt.Errorf("session %q is not a replica", s.id)}
 	}
-	s.state.Store(int32(stateRecovering))
-	s.replReady.Store(false)
+	recovering := serving.in(phaseRecovering)
+	s.transition(serving, recovering, nil)
+	err := s.rebootstrap(ro)
+	s.transition(recovering, serving, err)
+	return opResult{err: err}
+}
+
+// rebootstrap is handleReplBootstrap's work.
+func (s *session) rebootstrap(ro *replOp) error {
 	if s.mirror != nil {
 		if err := s.mirror.Close(); err != nil {
 			s.log.Warn("closing mirror for re-bootstrap failed", "err", err)
@@ -181,41 +162,39 @@ func (s *session) handleReplBootstrap(ro *replOp) opResult {
 		matches, _ := filepath.Glob(filepath.Join(s.cfg.DataDir, pat))
 		for _, m := range matches {
 			if err := os.Remove(m); err != nil {
-				return s.failOp(fmt.Errorf("wipe stale durable state: %w", err))
+				return fmt.Errorf("wipe stale durable state: %w", err)
 			}
 		}
 	}
 	checkpoint.SyncDir(s.cfg.DataDir)
-	if ro.image != nil {
-		snap, err := checkpoint.Decode(ro.image)
+	if ro.payload != nil {
+		snap, err := checkpoint.Decode(ro.payload)
 		if err != nil {
-			return s.failOp(fmt.Errorf("bootstrap image: %w", err))
+			return fmt.Errorf("bootstrap image: %w", err)
 		}
-		if err := checkpoint.WriteFileAtomic(s.cfg.DataDir, checkpoint.FileName(snap.Epoch), ro.image); err != nil {
-			return s.failOp(fmt.Errorf("write bootstrap checkpoint: %w", err))
+		if err := checkpoint.WriteFileAtomic(s.cfg.DataDir, checkpoint.FileName(snap.Epoch), ro.payload); err != nil {
+			return fmt.Errorf("write bootstrap checkpoint: %w", err)
 		}
 	}
 	runner, err := buildRunner(s.manifest, s.cfg.TraceEpochs)
 	if err != nil {
-		return s.failOp(fmt.Errorf("rebuild engine: %w", err))
+		return fmt.Errorf("rebuild engine: %w", err)
 	}
-	s.install(runner)
 	// Replica-local history queries evaluated against the old engine are gone
-	// with it.
-	s.histReg.Store(nil)
+	// with it: install replaces them with an empty registry.
+	s.install(runner)
 	s.lastStreamSeq.Store(0)
 	if err := s.recoverLocked(); err != nil {
-		return s.failOp(fmt.Errorf("recover from bootstrap image: %w", err))
+		return fmt.Errorf("recover from bootstrap image: %w", err)
 	}
 	if err := s.openMirrorLocked(); err != nil {
-		return s.failOp(fmt.Errorf("reopen mirror: %w", err))
+		return fmt.Errorf("reopen mirror: %w", err)
 	}
 	// An image-bootstrapped mirror is empty; the ack cursor must name the
 	// announced shipping start, not (0,0), so the primary's GC holdback and a
 	// reconnect resume line up with what was announced.
 	s.setReplCursor(ro.seg, ro.off)
-	s.state.Store(int32(stateServing))
-	return opResult{}
+	return nil
 }
 
 // walHeaderLen is the segment-header length every frame offset starts past
@@ -242,45 +221,34 @@ func (s *session) setReplCursor(seg uint64, off int64) {
 // byte-identical to a primary that crashed at the same position and recovered.
 // Idempotent: promoting a non-replica session is a no-op.
 func (s *session) handleReplPromote() opResult {
-	if !s.replica.Load() {
+	cur := s.life.load()
+	if !cur.replica() {
 		return opResult{}
 	}
-	s.replReady.Store(false)
+	err := s.openWritable()
+	s.transition(cur, primaryIn(phaseServing), err)
+	return opResult{err: err}
+}
+
+// openWritable closes the mirror and opens the directory as the session's
+// WAL (handleReplPromote's work).
+func (s *session) openWritable() error {
 	if s.mirror != nil {
 		if err := s.mirror.Close(); err != nil {
-			return s.failOp(fmt.Errorf("close mirror at promotion: %w", err))
+			return fmt.Errorf("close mirror at promotion: %w", err)
 		}
 		s.mirror = nil
 	}
 	lg, err := wal.Open(s.cfg.DataDir, s.walOptions())
 	if err != nil {
-		return s.failOp(fmt.Errorf("open wal at promotion: %w", err))
+		return fmt.Errorf("open wal at promotion: %w", err)
 	}
 	s.wal = lg
 	s.lastWal = wal.Stats{}
 	// Replica-local history queries ("h" ids) are not WAL-logged and do not
 	// survive the role change.
 	s.histReg.Store(nil)
-	s.replica.Store(false)
-	return opResult{}
-}
-
-// historyRegistry returns the session's replica-local query registry, creating
-// it on first use. Its ids are prefixed "h" so they can never collide with the
-// replicated registry's "q" ids; history-mode queries evaluate fully at
-// registration (under the runner mutex, which serializes them against the
-// apply path), so registering outside the op queue is safe.
-func (s *session) historyRegistry() *query.Registry {
-	if hr := s.histReg.Load(); hr != nil {
-		return hr
-	}
-	hr := query.NewRegistry(s.cfg.MaxBufferedResults)
-	hr.SetIDPrefix("h")
-	hr.SetHistorySource(s.eng.Load())
-	if s.histReg.CompareAndSwap(nil, hr) {
-		return hr
-	}
-	return s.histReg.Load()
+	return nil
 }
 
 // --- server-side follower target (the replica node's end of the protocol) ---
@@ -295,7 +263,7 @@ var errReplNoSID = fmt.Errorf("replication frame carries an empty session id; re
 func (sv *Server) replCursors() []wire.ReplCursor {
 	var out []wire.ReplCursor
 	for _, s := range sv.snapshotSessions() {
-		if !s.replReady.Load() {
+		if l := s.life.load(); !l.replica() || l.phase() != phaseServing {
 			continue
 		}
 		out = append(out, wire.ReplCursor{
@@ -317,17 +285,14 @@ func (sv *Server) replBootstrap(id, manifest string, image []byte, seg uint64, o
 		return errReplNoSID
 	}
 	if sess, ok := sv.session(id); ok {
-		done := make(chan opResult, 1)
-		o := op{repl: &replOp{bootstrap: true, image: image, seg: seg, off: off}, done: done}
-		if err := sess.enqueue(o, nil); err != nil {
+		if err := sess.admit(admitReplicate); err != nil {
 			return err
 		}
-		select {
-		case res := <-done:
-			return res.err
-		case <-sess.quit:
-			return fmt.Errorf("session %q closed during bootstrap", id)
+		res, err := sess.call(op{kind: opReplBootstrap, repl: &replOp{seg: seg, off: off, payload: image}}, nil)
+		if err != nil {
+			return fmt.Errorf("session %q bootstrap: %w", id, err)
 		}
+		return res.err
 	}
 	if manifest == "" {
 		return fmt.Errorf("unknown session %q announced without a manifest", id)
@@ -373,8 +338,10 @@ func (sv *Server) replApply(rec wire.ReplRecord) (wire.ReplCursor, error) {
 	if !ok {
 		return wire.ReplCursor{}, fmt.Errorf("record for unknown session %q", id)
 	}
+	if err := sess.admit(admitReplicate); err != nil {
+		return wire.ReplCursor{}, err
+	}
 	ro := &replOp{
-		apply:     true,
 		seg:       rec.Seg,
 		off:       rec.Off,
 		shipNanos: rec.ShipNanos,
@@ -382,17 +349,12 @@ func (sv *Server) replApply(rec wire.ReplRecord) (wire.ReplCursor, error) {
 		// call only on error paths, so keep an owned copy.
 		payload: append([]byte(nil), rec.Payload...),
 	}
-	done := make(chan opResult, 1)
-	if err := sess.enqueue(op{repl: ro, done: done}, nil); err != nil {
-		return wire.ReplCursor{}, err
+	res, err := sess.call(op{kind: opReplApply, repl: ro}, nil)
+	if err != nil {
+		return wire.ReplCursor{}, fmt.Errorf("session %q: %w", id, err)
 	}
-	select {
-	case res := <-done:
-		if res.err != nil {
-			return wire.ReplCursor{}, res.err
-		}
-	case <-sess.quit:
-		return wire.ReplCursor{}, fmt.Errorf("session %q closed", id)
+	if res.err != nil {
+		return wire.ReplCursor{}, res.err
 	}
 	return wire.ReplCursor{
 		SID:          rec.SID,

@@ -64,7 +64,7 @@ func newScheduler(workers int) *scheduler {
 // already queued or running; must be called after every op enqueued outside a
 // dispatch.
 func (sc *scheduler) wake(s *session) {
-	if s.halted.Load() {
+	if s.stopped() {
 		return
 	}
 	if !s.schedState.CompareAndSwap(schedIdle, schedQueued) {
@@ -119,7 +119,7 @@ func (sc *scheduler) worker() {
 	}
 }
 
-// stop shuts the pool down. Sessions must already be closed (halted); their
+// stop shuts the pool down. Sessions must already be closed (stopped); their
 // queued ops are abandoned.
 func (sc *scheduler) stop() {
 	sc.mu.Lock()
@@ -132,7 +132,7 @@ func (sc *scheduler) stop() {
 
 // runnable reports whether the session has pending work for the pool.
 func (s *session) runnable() bool {
-	return !s.halted.Load() && (len(s.ops) > 0 || !s.started.Load())
+	return !s.stopped() && (len(s.ops) > 0 || s.life.load().phase() == phaseStarting)
 }
 
 // dispatch drains up to dispatchQuantum ops while holding the session pin.
@@ -141,15 +141,14 @@ func (s *session) runnable() bool {
 func (s *session) dispatch() {
 	s.pinMu.Lock()
 	defer s.pinMu.Unlock()
-	if s.halted.Load() {
+	if s.stopped() {
 		return
 	}
-	if !s.started.Load() {
+	if s.life.load().phase() == phaseStarting {
 		if err := s.startup(); err != nil {
 			s.log.Error("startup failed", "err", err)
 			// Keep draining ops so clients get errors instead of hangs.
 		}
-		s.started.Store(true)
 	}
 	touched := false
 	defer func() {
@@ -158,17 +157,12 @@ func (s *session) dispatch() {
 		}
 	}()
 	for n := 0; n < dispatchQuantum; n++ {
-		if s.halted.Load() {
+		if s.stopped() {
 			return
-		}
-		select {
-		case <-s.quit:
-			return
-		default:
 		}
 		select {
 		case o := <-s.ops:
-			if o.evict {
+			if o.kind == opEvict {
 				res := s.handleEvictOp()
 				if o.done != nil {
 					o.done <- res
@@ -181,7 +175,7 @@ func (s *session) dispatch() {
 			// nothing to seal (its durable state already equals the
 			// checkpoint), and rebuilding a particle filter just to close it
 			// is the bug the DELETE fast path exists to avoid.
-			if !o.shutdown && serverState(s.state.Load()) == stateEvicted {
+			if o.kind != opShutdown && s.life.load().phase() == phaseEvicted {
 				if err := s.hydrate(); err != nil {
 					s.log.Error("hydration failed", "err", err)
 				}
@@ -190,7 +184,7 @@ func (s *session) dispatch() {
 			if o.done != nil {
 				o.done <- res
 			}
-			if !o.shutdown {
+			if o.kind != opShutdown {
 				touched = true
 			}
 		default:

@@ -162,15 +162,15 @@ func forceEvict(t *testing.T, sv *Server, sid string) bool {
 	if !ok {
 		t.Fatalf("forceEvict: unknown session %q", sid)
 	}
-	wasResident := serverState(s.state.Load()) == stateServing
-	done := make(chan opResult, 1)
-	if err := s.enqueue(op{evict: true, done: done}, nil); err != nil {
+	wasResident := s.life.load().phase() == phaseServing
+	res, err := s.call(op{kind: opEvict}, nil)
+	if err != nil {
 		t.Fatalf("forceEvict %s: %v", sid, err)
 	}
-	if res := <-done; res.err != nil {
+	if res.err != nil {
 		t.Fatalf("forceEvict %s: %v", sid, res.err)
 	}
-	if st := serverState(s.state.Load()); st != stateEvicted {
+	if st := s.life.load().phase(); st != phaseEvicted {
 		t.Fatalf("forceEvict %s: state %v after evict op, want evicted", sid, st)
 	}
 	return wasResident

@@ -184,6 +184,7 @@ func (c *Config) applyDefaults() {
 // Handler on an http.Server, and Close it to stop every session's engine
 // goroutine.
 type Server struct {
+	node
 	cfg   Config
 	mux   *http.ServeMux
 	set   *metrics.Set
@@ -197,19 +198,22 @@ type Server struct {
 	// re-create cannot race the directory removal.
 	deleting map[string]struct{}
 	nextID   int
-	closed   atomic.Bool
 
-	// role is the node's replication role (rolePrimary/roleReplica/
-	// rolePromoting); repl carries the shared replication state and metrics
-	// for both roles; follower is the replication client driving this node
-	// when it boots with ReplicaOf.
-	role     atomic.Int32
+	// repl carries the shared replication state and metrics for both roles;
+	// follower is the replication client driving this node when it boots
+	// with ReplicaOf.
 	repl     *replTracker
 	follower *replica.Follower
 
 	sessionsLive    *metrics.Gauge
 	sessionsCreated *metrics.Counter
 	sessionsDeleted *metrics.Counter
+}
+
+// node is the server-wide state every session's admission reads.
+type node struct {
+	closed atomic.Bool  // Close has begun
+	role   atomic.Int32 // replication role: rolePrimary, roleReplica, rolePromoting
 }
 
 // Replication roles. The zero value is primary, so a server built without
@@ -221,8 +225,8 @@ const (
 )
 
 // roleName maps the role onto the api vocabulary.
-func (sv *Server) roleName() string {
-	switch sv.role.Load() {
+func (n *node) roleName() string {
+	switch n.role.Load() {
 	case roleReplica:
 		return api.RoleReplica
 	case rolePromoting:
@@ -297,9 +301,9 @@ func New(cfg Config) (*Server, error) {
 	if err := sv.restoreSessions(); err != nil {
 		// Tear down every session restored before the failure: a caller that
 		// retries New on the same DataDir must not race leaked workers or
-		// open WAL writers. closeNow leaves the on-disk state untouched.
+		// open WAL writers. A non-graceful stop leaves the disk untouched.
 		for _, s := range sv.snapshotSessions() {
-			s.closeNow()
+			s.stop(false)
 		}
 		sv.sched.stop()
 		return nil, err
@@ -330,11 +334,7 @@ func New(cfg Config) (*Server, error) {
 
 // deps bundles the server-shared machinery sessions hook into.
 func (sv *Server) deps() sessionDeps {
-	return sessionDeps{
-		set: sv.set, sched: sv.sched, res: sv.res,
-		repl:        sv.repl,
-		replicaMode: sv.role.Load() == roleReplica,
-	}
+	return sessionDeps{set: sv.set, sched: sv.sched, res: sv.res, repl: sv.repl, node: &sv.node}
 }
 
 // sessionConfig derives one session's effective Config from the server
@@ -516,7 +516,7 @@ func (sv *Server) addSession(req api.CreateSessionRequest, restoring bool) (*ses
 	sv.sessions[id] = sess
 	sv.sessionsCreated.Inc()
 	sv.sessionsLive.Set(float64(len(sv.sessions)))
-	if !lazy && sess.hydratable() {
+	if !lazy {
 		sv.res.touch(sess)
 	}
 	return sess, nil
@@ -562,7 +562,7 @@ func (sv *Server) removeSession(id string) error {
 	if !ok {
 		return &api.Error{Code: api.ErrNotFound, Message: fmt.Sprintf("unknown session %q", id), HTTPStatus: http.StatusNotFound}
 	}
-	sess.close()
+	sess.stop(true)
 	var teardownErr error
 	if dir := sv.sessionDir(id); dir != "" {
 		// Remove the manifest FIRST: boot restore treats a manifest-less
@@ -637,17 +637,17 @@ func (sv *Server) WaitReady(ctx context.Context) error {
 
 // Close shuts every session down gracefully (seal, final checkpoint, WAL
 // close) and stops the server. Close is idempotent.
-func (sv *Server) Close() { sv.shutdown((*session).close) }
+func (sv *Server) Close() { sv.shutdown(true) }
 
 // CloseNow stops every session WITHOUT the graceful durable shutdown: no
 // final seal, no final checkpoint, the WALs are left exactly as the last
 // append left them. This is the crash-simulation hook the recovery tests use
 // — the on-disk state afterwards is what a kill -9 would leave behind.
-func (sv *Server) CloseNow() { sv.shutdown((*session).closeNow) }
+func (sv *Server) CloseNow() { sv.shutdown(false) }
 
-// shutdown stops the follower link, closes every session with closeSession
+// shutdown stops the follower link, stops every session (gracefully or not)
 // and stops the worker pool; only the first call does anything.
-func (sv *Server) shutdown(closeSession func(*session)) {
+func (sv *Server) shutdown(graceful bool) {
 	if !sv.closed.CompareAndSwap(false, true) {
 		return
 	}
@@ -655,7 +655,7 @@ func (sv *Server) shutdown(closeSession func(*session)) {
 		sv.follower.Stop()
 	}
 	for _, s := range sv.snapshotSessions() {
-		closeSession(s)
+		s.stop(graceful)
 	}
 	sv.sched.stop()
 }
@@ -664,43 +664,34 @@ func (sv *Server) shutdown(closeSession func(*session)) {
 // replica session finishes applying what is already queued, closes its mirror
 // and opens a fresh writable WAL segment — exactly what a restarted primary
 // does, so the promoted node's durable state is a valid primary state by
-// construction. Idempotent on a node that is already primary.
+// construction. On a node that is already primary it promotes the sessions
+// a failed promotion left behind (none, usually), so a retry completes it.
 func (sv *Server) Promote() (api.PromoteResponse, error) {
 	switch {
 	case sv.role.CompareAndSwap(roleReplica, rolePromoting):
-	case sv.role.Load() == rolePrimary:
-		return api.PromoteResponse{Role: api.RolePrimary}, nil
-	default:
+		sv.cfg.Logger.Info("promoting replica to primary", "was_following", sv.cfg.ReplicaOf)
+		if sv.follower != nil {
+			sv.follower.Stop()
+			sv.follower = nil
+		}
+	case sv.role.Load() != rolePrimary:
 		return api.PromoteResponse{}, &api.Error{Code: api.ErrConflict, Message: "promotion already in progress", HTTPStatus: http.StatusConflict}
-	}
-	sv.cfg.Logger.Info("promoting replica to primary", "was_following", sv.cfg.ReplicaOf)
-	if sv.follower != nil {
-		sv.follower.Stop()
-		sv.follower = nil
 	}
 	promoted := 0
 	var firstErr error
 	for _, s := range sv.snapshotSessions() {
-		if !s.replica.Load() {
+		if !s.life.load().replica() {
 			continue
 		}
-		done := make(chan opResult, 1)
-		if err := s.enqueue(op{repl: &replOp{promote: true}, done: done}, nil); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("session %q: %w", s.id, err)
-			}
-			continue
+		res, err := s.call(op{kind: opReplPromote}, nil)
+		if err == nil {
+			err = res.err
 		}
-		select {
-		case res := <-done:
-			if res.err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("session %q: %w", s.id, res.err)
-				}
-			} else {
-				promoted++
-			}
-		case <-s.quit:
+		switch {
+		case err == nil:
+			promoted++
+		case err != errSessionClosed && firstErr == nil:
+			firstErr = fmt.Errorf("session %q: %w", s.id, err)
 		}
 	}
 	// The role flips even when a session failed: the failed session is marked
@@ -730,21 +721,11 @@ func (sv *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 // readOnlyErr is the stable read_only error writes get while the node is not
 // a primary (nil on a primary).
-func (sv *Server) readOnlyErr() error {
-	if sv.role.Load() == rolePrimary {
+func (n *node) readOnlyErr() error {
+	if n.role.Load() == rolePrimary {
 		return nil
 	}
-	return &api.Error{Code: api.ErrReadOnly, Message: fmt.Sprintf("node is a %s: writes must go to the primary", sv.roleName()), HTTPStatus: http.StatusConflict}
-}
-
-// refuseReadOnly answers a write with readOnlyErr; reports whether the
-// request was refused.
-func (sv *Server) refuseReadOnly(w http.ResponseWriter) bool {
-	err := sv.readOnlyErr()
-	if err != nil {
-		writeAPIError(w, err)
-	}
-	return err != nil
+	return &api.Error{Code: api.ErrReadOnly, Message: fmt.Sprintf("node is a %s: writes must go to the primary", n.roleName()), HTTPStatus: http.StatusConflict}
 }
 
 // routes wires the v1 resource surface onto the mux.
@@ -752,19 +733,21 @@ func (sv *Server) routes() {
 	// Sessions as resources.
 	sv.mux.HandleFunc("POST /v1/sessions", sv.handleCreateSession)
 	sv.mux.HandleFunc("GET /v1/sessions", sv.handleListSessions)
-	sv.mux.HandleFunc("GET /v1/sessions/{sid}", sv.withSession(sv.handleGetSession))
-	sv.mux.HandleFunc("DELETE /v1/sessions/{sid}", sv.handleDeleteSession)
-	sv.mux.HandleFunc("POST /v1/sessions/{sid}/ingest", sv.withSession(sv.handleIngest))
-	sv.mux.HandleFunc("POST /v1/sessions/{sid}/stream", sv.withSession(sv.handleStream))
-	sv.mux.HandleFunc("POST /v1/sessions/{sid}/flush", sv.withSession(sv.handleFlush))
-	sv.mux.HandleFunc("GET /v1/sessions/{sid}/snapshot", sv.withSession(sv.handleSnapshotAll))
-	sv.mux.HandleFunc("GET /v1/sessions/{sid}/snapshot/{tag}", sv.withSession(sv.handleSnapshot))
-	sv.mux.HandleFunc("POST /v1/sessions/{sid}/queries", sv.withSession(sv.handleRegister))
-	sv.mux.HandleFunc("GET /v1/sessions/{sid}/queries", sv.withSession(sv.handleList))
-	sv.mux.HandleFunc("GET /v1/sessions/{sid}/queries/{id}/results", sv.withSession(sv.handleResults))
-	sv.mux.HandleFunc("DELETE /v1/sessions/{sid}/queries/{id}", sv.withSession(sv.handleUnregister))
-	sv.mux.HandleFunc("GET /v1/sessions/{sid}/trace", sv.withSession(sv.handleTrace))
-	sv.mux.HandleFunc("GET /v1/sessions/{sid}/stats", sv.withSession(sv.handleSessionStats))
+	// A replica serves history-mode queries itself, so registration and
+	// removal admit their writes in runOp.
+	sv.mux.HandleFunc("GET /v1/sessions/{sid}", sv.withSession(admitRead, sv.handleGetSession))
+	sv.mux.HandleFunc("DELETE /v1/sessions/{sid}", sv.withSession(admitWrite, sv.handleDeleteSession))
+	sv.mux.HandleFunc("POST /v1/sessions/{sid}/ingest", sv.withSession(admitWrite, sv.handleIngest))
+	sv.mux.HandleFunc("POST /v1/sessions/{sid}/stream", sv.withSession(admitStream, sv.handleStream))
+	sv.mux.HandleFunc("POST /v1/sessions/{sid}/flush", sv.withSession(admitWrite, sv.handleFlush))
+	sv.mux.HandleFunc("GET /v1/sessions/{sid}/snapshot", sv.withSession(admitRead, sv.handleSnapshotAll))
+	sv.mux.HandleFunc("GET /v1/sessions/{sid}/snapshot/{tag}", sv.withSession(admitRead, sv.handleSnapshot))
+	sv.mux.HandleFunc("POST /v1/sessions/{sid}/queries", sv.withSession(admitRead, sv.handleRegister))
+	sv.mux.HandleFunc("GET /v1/sessions/{sid}/queries", sv.withSession(admitRead, sv.handleList))
+	sv.mux.HandleFunc("GET /v1/sessions/{sid}/queries/{id}/results", sv.withSession(admitRead, sv.handleResults))
+	sv.mux.HandleFunc("DELETE /v1/sessions/{sid}/queries/{id}", sv.withSession(admitRead, sv.handleUnregister))
+	sv.mux.HandleFunc("GET /v1/sessions/{sid}/trace", sv.withSession(admitRead, sv.handleTrace))
+	sv.mux.HandleFunc("GET /v1/sessions/{sid}/stats", sv.withSession(admitRead, sv.handleSessionStats))
 	sv.mux.HandleFunc("GET /v1/metrics", sv.handleMetrics)
 	sv.mux.HandleFunc("GET /v1/healthz", sv.handleHealthz)
 
@@ -774,13 +757,18 @@ func (sv *Server) routes() {
 	sv.mux.HandleFunc("POST /v1/promote", sv.handlePromote)
 }
 
-// withSession resolves the {sid} path value into a live session.
-func (sv *Server) withSession(h func(http.ResponseWriter, *http.Request, *session)) http.HandlerFunc {
+// withSession resolves the {sid} path value into a live session and admits
+// the request against it as kind k (see session.admit).
+func (sv *Server) withSession(k admitKind, h func(http.ResponseWriter, *http.Request, *session)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sid := r.PathValue("sid")
 		sess, ok := sv.session(sid)
 		if !ok {
 			writeError(w, http.StatusNotFound, api.ErrNotFound, "unknown session %q", sid)
+			return
+		}
+		if err := sess.admit(k); err != nil {
+			writeAPIError(w, err)
 			return
 		}
 		h(w, r, sess)
@@ -925,11 +913,8 @@ func (sv *Server) handleGetSession(w http.ResponseWriter, r *http.Request, sess 
 // handleDeleteSession answers DELETE /v1/sessions/{sid}: graceful close (for
 // durable sessions: seal + final checkpoint) and then removal of the
 // session's durable directory.
-func (sv *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	if sv.refuseReadOnly(w) {
-		return
-	}
-	if err := sv.removeSession(r.PathValue("sid")); err != nil {
+func (sv *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request, sess *session) {
+	if err := sv.removeSession(sess.id); err != nil {
 		writeAPIError(w, err)
 		return
 	}
@@ -943,7 +928,7 @@ func (sv *Server) sessionToAPI(s *session) api.Session {
 	st := s.runnerStats()
 	return api.Session{
 		ID:      s.id,
-		State:   serverState(s.state.Load()).String(),
+		State:   s.life.load().phase().String(),
 		Durable: s.durable(),
 		Source:  s.source,
 		Stats: api.SessionStats{
@@ -966,13 +951,6 @@ func (sv *Server) sessionToAPI(s *session) api.Session {
 // retry.
 func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *session) {
 	t0 := time.Now()
-	if sv.closed.Load() || sess.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "session is shutting down")
-		return
-	}
-	if sv.refuseReadOnly(w) {
-		return
-	}
 	var req api.IngestRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad ingest body: %v", err)
@@ -986,28 +964,27 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *ses
 	// With durability enabled the batch is acknowledged only after it reached
 	// the write-ahead log, so a 202 is a durability receipt (under the
 	// "always" fsync policy) rather than a queueing receipt.
+	var res opResult
+	var err error
 	if sess.durable() {
-		o.done = make(chan opResult, 1)
+		res, err = sess.call(o, r.Context().Done())
+	} else {
+		err = sess.enqueue(o, r.Context().Done())
 	}
-	if err := sess.enqueue(o, r.Context().Done()); err != nil {
+	switch {
+	case err == errSessionClosed:
+		writeUnavailable(w, 1000, "session closed during ingest")
+		return
+	case err != nil:
 		sess.rejected.Inc()
 		// The queue stayed full for the whole IngestWait: tell the client how
 		// long to back off before retrying (mirrored into Retry-After).
 		writeUnavailable(w, retryAfterMS(sv.cfg.IngestWait), "ingest: %v", err)
 		return
-	}
-	if o.done != nil {
-		select {
-		case res := <-o.done:
-			if res.err != nil {
-				sess.rejected.Inc()
-				writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "ingest not applied: %v", res.err)
-				return
-			}
-		case <-sess.quit:
-			writeUnavailable(w, 1000, "session closed during ingest")
-			return
-		}
+	case res.err != nil:
+		sess.rejected.Inc()
+		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "ingest not applied: %v", res.err)
+		return
 	}
 	sess.batches.Inc()
 	// Arrival-to-ack latency; under durability the ack waited for the WAL, so
@@ -1028,13 +1005,6 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *ses
 // everything ingested before the flush has been fully processed — the
 // deterministic synchronization point tests and batch clients use.
 func (sv *Server) handleFlush(w http.ResponseWriter, r *http.Request, sess *session) {
-	if sv.closed.Load() || sess.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "session is shutting down")
-		return
-	}
-	if sv.refuseReadOnly(w) {
-		return
-	}
 	// The pinned worker fills in the horizon: the watermark when the op runs.
 	rec := wal.Record{Type: wal.RecSeal, FlushWindows: r.URL.Query().Get("windows") == "true"}
 	res, ok := sv.runOp(w, r, sess, rec)
@@ -1054,7 +1024,7 @@ func (sv *Server) handleFlush(w http.ResponseWriter, r *http.Request, sess *sess
 // the engine rebuild + recovery).
 func (sv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *session) {
 	tag := r.PathValue("tag")
-	runner, err := sess.residentEngine(r.Context().Done())
+	runner, err := resident(sess, &sess.eng, r.Context().Done())
 	if err != nil {
 		writeUnavailable(w, 1000, "snapshot: %v", err)
 		return
@@ -1079,7 +1049,7 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *s
 // (the time-travel view: every object's MAP location as it was when epoch N
 // was sealed, served from the runner's bounded history).
 func (sv *Server) handleSnapshotAll(w http.ResponseWriter, r *http.Request, sess *session) {
-	runner, err := sess.residentEngine(r.Context().Done())
+	runner, err := resident(sess, &sess.eng, r.Context().Done())
 	if err != nil {
 		writeUnavailable(w, 1000, "snapshot: %v", err)
 		return
@@ -1141,10 +1111,6 @@ func (sv *Server) handleSnapshotAt(w http.ResponseWriter, runner *rfid.Runner, e
 // registration runs under the session pin (write-ahead logged, ordered
 // against epoch processing), so a crash after the 201 cannot lose it.
 func (sv *Server) handleRegister(w http.ResponseWriter, r *http.Request, sess *session) {
-	if sv.closed.Load() || sess.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "session is shutting down")
-		return
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad query spec: %v", err)
@@ -1157,40 +1123,31 @@ func (sv *Server) handleRegister(w http.ResponseWriter, r *http.Request, sess *s
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "%v", err)
 		return
 	}
+	var info query.Info
 	if sv.role.Load() != rolePrimary {
 		// A replica serves history-mode queries locally (they evaluate once,
 		// at registration, over this node's applied history — no primary
 		// round-trip and no WAL write), under ephemeral "h"-prefixed ids that
 		// live only on this node. Continuous registrations mutate replicated
 		// state and must go to the primary.
-		if spec.IsHistory() {
-			sv.registerReplicaHistory(w, sess, spec)
+		if !spec.IsHistory() {
+			writeError(w, http.StatusConflict, api.ErrReadOnly, "node is a %s: continuous-query registration must go to the primary (history-mode queries are served here)", sv.roleName())
 			return
 		}
-		writeError(w, http.StatusConflict, api.ErrReadOnly, "node is a %s: continuous-query registration must go to the primary (history-mode queries are served here)", sv.roleName())
-		return
+		// A read of the local registry, so it waits out a recovery first.
+		hr, rerr := resident(sess, &sess.histReg, r.Context().Done())
+		if rerr != nil {
+			writeUnavailable(w, 1000, "queries: %v", rerr)
+			return
+		}
+		info, err = hr.Register(spec)
+	} else {
+		res, ok := sv.runOp(w, r, sess, wal.Record{Type: wal.RecRegister, SpecJSON: string(body)})
+		if !ok {
+			return
+		}
+		info, err = res.info, res.err
 	}
-	res, ok := sv.runOp(w, r, sess, wal.Record{Type: wal.RecRegister, SpecJSON: string(body)})
-	if !ok {
-		return
-	}
-	if res.err != nil {
-		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "%v", res.err)
-		return
-	}
-	w.Header().Set("Location", fmt.Sprintf("/v1/sessions/%s/queries/%s", sess.id, res.info.ID))
-	writeJSON(w, http.StatusCreated, infoToAPI(res.info))
-}
-
-// registerReplicaHistory registers a history-mode query on the replica's
-// local (unreplicated) registry and answers with the staleness headers.
-func (sv *Server) registerReplicaHistory(w http.ResponseWriter, sess *session, spec query.Spec) {
-	reg := sess.historyRegistry()
-	if reg == nil {
-		writeUnavailable(w, 1000, "replica is still bootstrapping")
-		return
-	}
-	info, err := reg.Register(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "%v", err)
 		return
@@ -1210,7 +1167,7 @@ func (sv *Server) handleList(w http.ResponseWriter, r *http.Request, sess *sessi
 		writeAPIError(w, err)
 		return
 	}
-	reg, err := sess.residentRegistry(r.Context().Done())
+	reg, err := resident(sess, &sess.reg, r.Context().Done())
 	if err != nil {
 		writeUnavailable(w, 1000, "queries: %v", err)
 		return
@@ -1305,7 +1262,7 @@ func (sv *Server) handleResults(w http.ResponseWriter, r *http.Request, sess *se
 			}
 		} else {
 			var rerr error
-			reg, rerr = sess.residentRegistry(r.Context().Done())
+			reg, rerr = resident(sess, &sess.reg, r.Context().Done())
 			if rerr != nil {
 				writeUnavailable(w, 1000, "results: %v", rerr)
 				return
@@ -1350,10 +1307,6 @@ func (sv *Server) handleResults(w http.ResponseWriter, r *http.Request, sess *se
 // handleUnregister answers DELETE .../queries/{id}, routed through the
 // session's op queue like registration.
 func (sv *Server) handleUnregister(w http.ResponseWriter, r *http.Request, sess *session) {
-	if sv.closed.Load() || sess.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "session is shutting down")
-		return
-	}
 	if sv.role.Load() != rolePrimary {
 		// "h"-prefixed ids are this replica's local history queries; anything
 		// else is replicated state only the primary may change.
@@ -1384,22 +1337,20 @@ func (sv *Server) handleUnregister(w http.ResponseWriter, r *http.Request, sess 
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// runOp enqueues a mutation synchronously and waits for its result; on queue
-// timeout or shutdown it writes the error response itself and returns
-// ok == false.
+// runOp admits a mutation as a write, enqueues it synchronously and waits for
+// its result; on a refusal, queue timeout or shutdown it writes the error
+// response itself and returns ok == false.
 func (sv *Server) runOp(w http.ResponseWriter, r *http.Request, sess *session, rec wal.Record) (opResult, bool) {
-	o := op{rec: rec, done: make(chan opResult, 1)}
-	if err := sess.enqueue(o, r.Context().Done()); err != nil {
+	if err := sess.admit(admitWrite); err != nil {
+		writeAPIError(w, err)
+		return opResult{}, false
+	}
+	res, err := sess.call(op{rec: rec}, r.Context().Done())
+	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "%v", err)
 		return opResult{}, false
 	}
-	select {
-	case res := <-o.done:
-		return res, true
-	case <-sess.quit:
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "session closed")
-		return opResult{}, false
-	}
+	return res, true
 }
 
 // handleMetrics answers GET /v1/metrics in the Prometheus text format, or as
@@ -1425,24 +1376,22 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // still restoring its checkpoint and replaying its WAL, "failed" when one
 // could not, "serving" otherwise (a server with no sessions is serving) and
 // "closed" after Close.
-func (sv *Server) state() serverState {
+func (sv *Server) state() phase {
 	if sv.closed.Load() {
-		return stateClosed
+		return phaseClosed
 	}
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	state := stateServing
+	state := phaseServing
 	for _, s := range sv.sessions {
 		if !s.restored {
 			continue
 		}
-		select {
-		case <-s.ready:
-			if s.readyErr != nil {
-				return stateFailed
-			}
-		default:
-			state = stateRecovering
+		if s.life.startErr() != nil {
+			return phaseFailed
+		}
+		if s.life.load().phase() == phaseStarting {
+			state = phaseRecovering
 		}
 	}
 	return state
@@ -1455,7 +1404,7 @@ func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	n := len(sv.sessions)
 	sv.mu.Unlock()
 	body := api.Health{
-		OK:            state == stateServing,
+		OK:            state == phaseServing,
 		State:         state.String(),
 		Durable:       sv.cfg.DataDir != "",
 		UptimeSeconds: time.Since(sv.start).Seconds(),
@@ -1470,7 +1419,7 @@ func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.ReplicationLagSeconds = &lag
 	}
 	code := http.StatusOK
-	if state == stateFailed {
+	if state == phaseFailed {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, body)

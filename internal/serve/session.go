@@ -19,36 +19,41 @@ import (
 // ingest batch, a flush, a query registration or removal) or a control op (a
 // fence, an eviction request, the graceful shutdown, a replication command).
 type op struct {
+	kind opKind
 	// rec is the mutation, already in the form the WAL logs it: the handler
 	// that decoded the request filled it, and the pinned worker appends it and
 	// applies it (see mutate). Everything that changes replicated state rides
 	// the op queue as its own log record, so the order of mutations relative to
-	// epoch processing is exactly the order the WAL records. A zero Type marks
-	// a control op. With durability enabled ingest ops are synchronous
-	// (done != nil), so a 202 means the batch reached the WAL.
+	// epoch processing is exactly the order the WAL records. With durability
+	// enabled ingest ops are synchronous (done != nil), so a 202 means the
+	// batch reached the WAL.
 	rec wal.Record
-	// shutdown asks the pinned worker to seal the current epoch, write a
-	// final checkpoint and close the WAL (graceful shutdown).
-	shutdown bool
-	// evict asks the pinned worker to spill the session to its checkpoint and
-	// release the engine (skipped if newer work is already queued behind it).
-	evict bool
 	// sb, when non-nil, marks an ingest batch that arrived over a stream
 	// connection: rec's readings and locations alias the batch's scratch
 	// slices, and after applying, the pinned worker recycles the batch and
 	// raises the connection's ack mark instead of answering a done channel.
 	sb *streamBatch
-	// fence asks for an immediate empty completion: a handler that awaits a
-	// fence op knows every op enqueued before it has been applied (and that
-	// an evicted session has been hydrated).
-	fence bool
-	// repl, when non-nil, is a replication command (apply a shipped record,
-	// re-bootstrap from a checkpoint image, promote to writable) from the
-	// follower machinery; see replica.go. Replica sessions only.
+	// repl is what the follower shipped for opReplApply and opReplBootstrap;
+	// see replica.go.
 	repl *replOp
 	// done, when non-nil, receives the op's outcome.
 	done chan opResult
 }
+
+// opKind is what an op asks of the pinned worker.
+type opKind uint8
+
+const (
+	opMutate opKind = iota // append and apply rec
+	// opFence completes at once: whoever awaits it knows every op enqueued
+	// before it has applied (and that an evicted session has hydrated).
+	opFence
+	opEvict         // spill to the checkpoint unless newer work is queued behind
+	opShutdown      // seal, write a final checkpoint, close the WAL
+	opReplApply     // mirror and apply one shipped record (see replica.go)
+	opReplBootstrap // restart from a shipped checkpoint image
+	opReplPromote   // stop mirroring and become writable
+)
 
 // opResult is what an op did. For a mutation it is what applyWALRecord
 // reports of the record, wherever the record came from.
@@ -82,9 +87,9 @@ type sessionDeps struct {
 	// repl is the server-level replication tracker (follower acks on a
 	// primary, apply metrics on a replica).
 	repl *replTracker
-	// replicaMode marks sessions built on a follower node: they mirror a
-	// primary's WAL instead of appending their own.
-	replicaMode bool
+	// node is the server's closed flag and replication role. Sessions built
+	// on a follower node start in the replica role.
+	node *node
 }
 
 // session is one isolated inference world behind the HTTP surface: its own
@@ -123,13 +128,10 @@ type session struct {
 	eng atomic.Pointer[rfid.Runner]
 	reg atomic.Pointer[query.Registry]
 
-	ops    chan op
-	quit   chan struct{}
-	closed atomic.Bool
-	// halted flips once the session must never be scheduled again; dispatch
-	// and wake() check it, so after waitUnpinned no worker touches the
-	// session.
-	halted atomic.Bool
+	ops  chan op
+	quit chan struct{} // closed by stop: waiters give up, dispatch no longer runs
+	life lifecycle
+	node *node
 
 	// Scheduler plumbing (see sched.go): the pin is what keeps at most one
 	// worker on the session at a time.
@@ -137,7 +139,6 @@ type session struct {
 	res        *residency
 	schedState atomic.Int32
 	pinMu      sync.Mutex
-	started    atomic.Bool // startup (recovery) has run
 
 	// evictPending reserves the session for one in-flight eviction request.
 	evictPending atomic.Bool
@@ -165,30 +166,25 @@ type session struct {
 	// checkpoint's serve.stream section, so stream resume survives eviction.
 	lastStreamSeq atomic.Uint64
 
-	// Replication (see replica.go). replica is set at construction on a
-	// follower node and cleared by promotion; mirror replaces wal while the
-	// session follows a primary (pinned worker only). repl is the server-level
-	// follower tracker; replSeg/replOff/appliedEpoch are the atomically
-	// published apply cursor HTTP handlers and ack senders read without the pin.
-	replica      atomic.Bool
+	// Replication (see replica.go). mirror replaces wal while the session is
+	// a replica (pinned worker only). repl is the server-level follower
+	// tracker; replSeg/replOff/appliedEpoch are the atomically published apply
+	// cursor HTTP handlers and ack senders read without the pin, valid while
+	// the session is a serving replica.
 	mirror       *wal.Mirror
 	repl         *replTracker
-	replReady    atomic.Bool // mirror opened; the cursor atomics are valid
 	replSeg      atomic.Uint64
 	replOff      atomic.Int64
 	appliedEpoch atomic.Int64
-	// histReg holds replica-local history-mode queries (ids prefixed "h" so
-	// they can never collide with replicated "q" ids); rebuilt from scratch on
-	// re-bootstrap and discarded at promotion.
+	// histReg holds a replica's local history-mode queries (ids prefixed "h"
+	// so they can never collide with replicated "q" ids); installed beside
+	// every runner a replica installs, discarded at promotion.
 	histReg atomic.Pointer[query.Registry]
 
 	// Durability (nil / zero when cfg.DataDir is empty). The WAL and the
 	// checkpoint writer run exclusively under the session pin.
 	wal           *wal.Log
-	state         atomic.Int32 // serverState
-	ready         chan struct{}
-	readyErr      error                 // written before ready closes, read after
-	failErr       atomic.Pointer[error] // why the session is stateFailed
+	ready         chan struct{} // closed when startup has run
 	lastCkptEpoch atomic.Int64
 	lastCkptNanos atomic.Int64
 	epochsAtCkpt  int64     // pinned-worker-local
@@ -279,26 +275,12 @@ func (s *session) queryCount() int {
 	return 0
 }
 
-// fail marks the session permanently failed.
-func (s *session) fail(err error) {
-	s.failErr.Store(&err)
-	s.state.Store(int32(stateFailed))
-}
-
-// failure returns the error that put the session into stateFailed.
-func (s *session) failure() error {
-	if p := s.failErr.Load(); p != nil {
-		return *p
-	}
-	return s.readyErr
-}
-
 // newSession builds a session around its resident engine and schedules its
 // startup on the shared worker pool. cfg must already carry the session's
 // effective settings (its own DataDir, queue size, ...); manifest is the
 // creation request runner was built from, which hydration rebuilds it from.
 func newSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest, runner *rfid.Runner) *session {
-	s := buildSession(id, cfg, deps, manifest)
+	s := buildSession(id, cfg, deps, manifest, phaseStarting)
 	s.install(runner)
 	// Schedule startup (recovery for durable sessions) on the worker pool.
 	s.sched.wake(s)
@@ -306,16 +288,26 @@ func newSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSess
 }
 
 // install makes a freshly built runner the resident engine, with an empty
-// query registry beside it. Wherever a runner becomes resident (creation,
-// hydration, replica re-bootstrap) recovery then restores both from disk.
+// query registry beside it (and on a replica an empty history registry).
+// Wherever a runner becomes resident (creation, hydration, replica
+// re-bootstrap) recovery then restores the engine and registry from disk.
 func (s *session) install(runner *rfid.Runner) {
 	s.observeRunner(runner)
-	reg := query.NewRegistry(s.cfg.MaxBufferedResults)
-	// History-mode queries evaluate over the runner's time-travel ring (it
-	// reports "no history" when RunnerConfig.HistoryEpochs is zero).
-	reg.SetHistorySource(runner)
 	s.eng.Store(runner)
-	s.reg.Store(reg)
+	s.reg.Store(s.newRegistry(runner))
+	if s.life.load().replica() {
+		hr := s.newRegistry(runner)
+		hr.SetIDPrefix("h")
+		s.histReg.Store(hr)
+	}
+}
+
+// newRegistry returns an empty query registry whose history-mode queries
+// evaluate over runner's time-travel ring ("no history" without one).
+func (s *session) newRegistry(runner *rfid.Runner) *query.Registry {
+	reg := query.NewRegistry(s.cfg.MaxBufferedResults)
+	reg.SetHistorySource(runner)
+	return reg
 }
 
 // newEvictedSession builds a session that boots directly in the evicted
@@ -325,16 +317,15 @@ func (s *session) install(runner *rfid.Runner) {
 // rebuilding 10k particle filters up front. cfg.DataDir must be set: the
 // session restores from it.
 func newEvictedSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest) *session {
-	s := buildSession(id, cfg, deps, manifest)
-	s.started.Store(true)
-	s.state.Store(int32(stateEvicted))
+	s := buildSession(id, cfg, deps, manifest, phaseEvicted)
 	close(s.ready)
 	deps.res.addEvicted()
 	return s
 }
 
 // buildSession is the shared construction: struct, channels, metric series.
-func buildSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest) *session {
+// The session starts in phase p, in the replica role on a follower node.
+func buildSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest, p phase) *session {
 	s := &session{
 		id:           id,
 		label:        fmt.Sprintf(`{session=%q}`, id),
@@ -347,12 +338,17 @@ func buildSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSe
 		set:          deps.set,
 		sched:        deps.sched,
 		res:          deps.res,
+		node:         deps.node,
+		repl:         deps.repl,
 		start:        time.Now(),
 	}
 	s.log = cfg.Logger.With("session", id)
+	l := primaryIn(p) // the initial state, set before the session is shared
+	if deps.node.role.Load() == roleReplica {
+		l = replicaIn(p)
+	}
+	s.life.word.Store(uint32(l))
 	s.lastCkptEpoch.Store(-1)
-	s.repl = deps.repl
-	s.replica.Store(deps.replicaMode)
 	s.appliedEpoch.Store(-1)
 	s.engineErrs = s.counter("rfidserve_engine_errors_total", "epoch-processing errors (failing epochs are skipped)")
 	s.batches = s.counter("rfidserve_batches_total", "ingest batches accepted")
@@ -454,32 +450,22 @@ func (s *session) notifyResults() {
 func (s *session) waitReady(done <-chan struct{}) error {
 	select {
 	case <-s.ready:
-		return s.readyErr
+		return s.life.startErr()
 	case <-done:
 		return fmt.Errorf("serve: canceled waiting for session %q", s.id)
 	}
 }
 
-// waitUnpinned returns once no worker holds the session pin. Combined with
-// halted (checked first thing under the pin), it guarantees no worker will
-// ever touch the session's engine or WAL again.
-func (s *session) waitUnpinned() {
-	s.pinMu.Lock()
-	//lint:ignore SA2001 acquire-release is the whole point: the critical
-	// section is the in-flight dispatch we are waiting out.
-	s.pinMu.Unlock()
-}
-
-// close shuts the session down. With durability enabled this is the graceful
-// sequence: the pinned worker seals the current epoch, feeds the resulting
-// events to the registered queries, writes a final checkpoint and closes the
-// WAL. An EVICTED session skips all of that without hydrating: its durable
-// state already equals its checkpoint and its WAL is closed, so there is
-// nothing to seal — the fast path DELETE /v1/sessions/{sid} relies on.
-// Batches still queued behind the shutdown are dropped; new ingests fail with
-// 503. close is idempotent.
-func (s *session) close() {
-	if !s.closed.CompareAndSwap(false, true) {
+// stop shuts the session down; only the first call does anything. A graceful
+// stop is the durable shutdown sequence: the pinned worker seals the current
+// epoch, feeds the resulting events to the registered queries, writes a final
+// checkpoint and closes the WAL. Batches still queued behind the shutdown are
+// dropped; new ingests fail with 503. A stop that is not graceful is the
+// crash-simulation hook the recovery tests use: no final seal, no final
+// checkpoint, the WAL is left exactly as the last append left it — what a
+// kill -9 would leave behind (an in-flight dispatch finishes its current op).
+func (s *session) stop(graceful bool) {
+	if !s.life.markClosing() {
 		return
 	}
 	// Disconnect any active stream first, so its reader cannot keep feeding
@@ -487,79 +473,73 @@ func (s *session) close() {
 	if sc := s.stream.Load(); sc != nil {
 		sc.kill()
 	}
-	// Evicted fast path. Under the pin so it cannot race a dispatch that is
-	// mid-hydration; queued ops (they would have hydrated) are dropped, which
-	// is the same contract the graceful path applies to ops queued behind the
-	// shutdown op.
+	// An EVICTED session closes at once, without hydrating: its durable state
+	// already equals its checkpoint and its WAL is closed — the fast path
+	// DELETE /v1/sessions/{sid} relies on. Under the pin so it cannot race a
+	// dispatch that is mid-hydration; queued ops (they would have hydrated)
+	// are dropped, as ops queued behind the shutdown op are.
 	s.pinMu.Lock()
-	if s.started.Load() && serverState(s.state.Load()) == stateEvicted {
-		s.halted.Store(true)
-		s.state.Store(int32(stateClosed))
-		s.pinMu.Unlock()
-		close(s.quit)
-		s.res.drop(s, true)
-		return
+	cur := s.life.load()
+	evicted := cur.phase() == phaseEvicted
+	if evicted {
+		s.transition(cur, cur.in(phaseClosed), nil)
 	}
 	s.pinMu.Unlock()
-
-	done := make(chan opResult, 1)
-	select {
-	case s.ops <- op{shutdown: true, done: done}:
-		s.sched.wake(s)
+	if graceful && !evicted {
+		done := make(chan opResult, 1)
 		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			s.log.Warn("graceful shutdown timed out; forcing")
+		case s.ops <- op{kind: opShutdown, done: done}:
+			s.sched.wake(s)
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				s.log.Warn("graceful shutdown timed out; forcing")
+			}
+		default:
+			// Queue full (or the pool wedged): skip the graceful pass.
+			s.log.Warn("op queue full at shutdown; skipping final checkpoint")
 		}
-	default:
-		// Queue full (or the pool wedged): skip the graceful pass.
-		s.log.Warn("op queue full at shutdown; skipping final checkpoint")
 	}
-	s.halted.Store(true)
+	// Release every waiter, wait out the in-flight dispatch (it stops after
+	// its current op) and close the session under the pin: no worker touches
+	// its engine or WAL again.
 	close(s.quit)
-	s.waitUnpinned()
-	// The graceful path closed the WAL in shutdownDurable; the skipped/timed
-	// out paths did not — release it here (the session is halted and
-	// unpinned, so this is the only writer left).
+	s.pinMu.Lock()
+	if cur := s.life.load(); cur.phase() != phaseClosed {
+		s.transition(cur, cur.in(phaseClosed), nil)
+	}
+	s.pinMu.Unlock()
+	// A graceful pass closed the WAL in shutdownDurable; otherwise release it
+	// here, the only writer left (a plain close flushes nothing the kernel
+	// does not already have, so kill -9 semantics are preserved).
 	if s.wal != nil {
 		if err := s.wal.Close(); err != nil {
 			s.log.Error("closing wal failed", "err", err)
 		}
 		s.wal = nil
 	}
-	s.res.drop(s, false)
+	s.res.drop(s, evicted)
 }
 
-// closeNow stops the session WITHOUT the graceful durable shutdown: no final
-// seal, no final checkpoint, the WAL is left exactly as the last append left
-// it. This is the crash-simulation hook the recovery tests use — the on-disk
-// state afterwards is what a kill -9 would leave behind (an in-flight
-// dispatch finishes its current op).
-func (s *session) closeNow() {
-	if !s.closed.CompareAndSwap(false, true) {
-		return
+// stopped reports whether stop released the waiters: no worker may run the
+// session any more. (Until then a session the shutdown op closed drains,
+// refusing the ops queued behind it.)
+func (s *session) stopped() bool {
+	select {
+	case <-s.quit:
+		return true
+	default:
+		return false
 	}
-	if sc := s.stream.Load(); sc != nil {
-		sc.kill()
-	}
-	s.halted.Store(true)
-	close(s.quit)
-	s.waitUnpinned()
-	// Release the file descriptor (a plain close flushes nothing the kernel
-	// doesn't already have — kill -9 semantics are preserved).
-	if s.wal != nil {
-		_ = s.wal.Close()
-		s.wal = nil
-	}
-	s.res.drop(s, serverState(s.state.Load()) == stateEvicted)
 }
 
 // handleOp runs one op under the session pin.
 func (s *session) handleOp(o op) opResult {
-	switch serverState(s.state.Load()) {
-	case stateFailed:
-		return opResult{err: fmt.Errorf("session failed to recover: %v", s.failure())}
-	case stateClosed:
+	cur := s.life.load()
+	switch cur.phase() {
+	case phaseFailed:
+		return opResult{err: fmt.Errorf("session failed to recover: %v", s.life.cause)}
+	case phaseClosed:
 		// An op that slipped into the queue behind the shutdown op must not
 		// be applied: the final checkpoint is already written and the WAL is
 		// closed, so applying (and worse, acking) it would lose the data on
@@ -569,31 +549,30 @@ func (s *session) handleOp(o op) opResult {
 		}
 		return opResult{err: fmt.Errorf("session is shut down")}
 	}
-	if o.shutdown {
+	switch o.kind {
+	case opShutdown:
 		s.shutdownDurable()
 		s.syncWALMetrics()
 		return opResult{}
-	}
-	if o.fence {
+	case opFence:
 		// Nothing to do: completing the op proves every earlier op applied
 		// (and dispatch hydrated the session first if it was evicted).
 		return opResult{}
+	case opReplApply:
+		return s.handleReplApply(o.repl)
+	case opReplBootstrap:
+		return s.handleReplBootstrap(o.repl)
+	case opReplPromote:
+		return s.handleReplPromote()
 	}
-	if o.repl != nil {
-		return s.handleReplOp(o)
-	}
-	if s.replica.Load() {
+	if cur.replica() {
 		// Defense in depth: the HTTP layer already refuses writes on a
 		// replica, but an op that slipped through (e.g. queued just before a
 		// demotion) must not mutate state the primary does not know about.
 		return opResult{err: fmt.Errorf("session %q is a replica (read-only)", s.id)}
 	}
+	// Dispatch hydrated an evicted session, so it is serving: resident.
 	r, reg := s.eng.Load(), s.reg.Load()
-	if r == nil || reg == nil {
-		// Unreachable in practice (dispatch hydrates before every mutating
-		// op); kept so a future caller cannot nil-deref the engine.
-		return opResult{err: fmt.Errorf("session %q is not resident", s.id)}
-	}
 	res, ok := s.mutate(r, reg, o.rec)
 	if !ok {
 		if o.sb != nil {
@@ -691,6 +670,24 @@ func (s *session) enqueue(o op, cancel <-chan struct{}) error {
 	}
 }
 
+// call enqueues o and waits for the pinned worker's result. The error is why
+// the result never came: the op could not be queued, the caller canceled, or
+// the session stopped (errSessionClosed).
+func (s *session) call(o op, cancel <-chan struct{}) (opResult, error) {
+	o.done = make(chan opResult, 1)
+	if err := s.enqueue(o, cancel); err != nil {
+		return opResult{}, err
+	}
+	select {
+	case res := <-o.done:
+		return res, nil
+	case <-s.quit:
+		return opResult{}, errSessionClosed
+	case <-cancel:
+		return opResult{}, errCanceled
+	}
+}
+
 // scrapeGauges refreshes the gauges derived from live state at scrape time.
 func (s *session) scrapeGauges() {
 	st := s.runnerStats()
@@ -717,6 +714,7 @@ func (s *session) scrapeGauges() {
 
 // Sentinel queueing errors; the HTTP layer maps them onto 503 responses.
 var (
-	errBackpressure = fmt.Errorf("op queue full (backpressure); retry")
-	errCanceled     = fmt.Errorf("request canceled")
+	errBackpressure  = fmt.Errorf("op queue full (backpressure); retry")
+	errCanceled      = fmt.Errorf("request canceled")
+	errSessionClosed = fmt.Errorf("session closed")
 )

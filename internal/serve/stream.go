@@ -284,17 +284,6 @@ const streamUpgrade = "rfid-stream/1"
 // 101 upgrade + hello handshake and then pumps batch frames into the op
 // queue until the connection ends.
 func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *session) {
-	if sv.closed.Load() || sess.closed.Load() {
-		writeUnavailable(w, 1000, "session is shutting down")
-		return
-	}
-	if sv.refuseReadOnly(w) {
-		return
-	}
-	if err := sess.waitReady(r.Context().Done()); err != nil {
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "session not ready: %v", err)
-		return
-	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, api.ErrInternal, "streaming is not supported on this connection")
@@ -326,21 +315,20 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *ses
 
 	// Fence the op queue: wait for every already-queued op (including batches
 	// of the stream just taken over) to apply, so the resume point below is
-	// the true high-water mark and the client can never double-apply.
-	done := make(chan opResult, 1)
-	if err := sess.enqueue(op{fence: true, done: done}, r.Context().Done()); err != nil {
+	// the true high-water mark and the client can never double-apply. The
+	// fence queues behind the session's startup or recovery too, and reports
+	// its failure.
+	res, err := sess.call(op{kind: opFence}, r.Context().Done())
+	switch {
+	case err == errSessionClosed:
+		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "%v", err)
+		return
+	case err != nil:
 		sess.rejected.Inc()
 		writeUnavailable(w, retryAfterMS(sess.cfg.IngestWait), "stream: %v", err)
 		return
-	}
-	select {
-	case res := <-done:
-		if res.err != nil {
-			writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "stream: %v", res.err)
-			return
-		}
-	case <-sess.quit:
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "session closed")
+	case res.err != nil:
+		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "stream: %v", res.err)
 		return
 	}
 	resumeAfter := sess.lastStreamSeq.Load()
