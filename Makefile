@@ -91,8 +91,8 @@ cover:
 
 # Native fuzz smoke: each target runs briefly so CI catches panics and
 # round-trip regressions on the untrusted-input surfaces (CSV trace codecs,
-# JSON query specs, WAL segments and checkpoint files) without the cost of a
-# long campaign.
+# JSON query specs, WAL segments and checkpoint files, wire frames, the SDK's
+# snapshot-body decoder) without the cost of a long campaign.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeReading$$' -fuzztime=15s -run '^$$' ./internal/stream
 	$(GO) test -fuzz='^FuzzDecodeLocation$$' -fuzztime=10s -run '^$$' ./internal/stream
@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecoderPrimitives$$' -fuzztime=10s -run '^$$' ./internal/checkpoint
 	$(GO) test -fuzz='^FuzzWireFrame$$' -fuzztime=15s -run '^$$' ./rfid/wire
 	$(GO) test -fuzz='^FuzzWireBatch$$' -fuzztime=10s -run '^$$' ./rfid/wire
+	$(GO) test -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s -run '^$$' ./rfid/api
 
 # Godoc gate: every package (and command) must carry a package doc comment —
 # a comment block immediately above its package clause in at least one

@@ -11,9 +11,11 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/rfid"
+	"repro/rfid/api"
 )
 
 // The benchmarks below regenerate the paper's tables and figures (one
@@ -391,6 +393,52 @@ func BenchmarkRunnerHistoryScaling(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sealed), "ns/epoch")
 			b.ReportMetric(float64(seal.Nanoseconds())/float64(sealed), "seal-ns/epoch")
+		})
+	}
+}
+
+// BenchmarkSnapshotBody is the time-travel read's JSON body (GET
+// .../snapshot?epoch=N, every tracked object) at 200, 2 000 and 8 000 tracked
+// objects: build-ns/object is the server side (Runner.HistoryEvents plus
+// serve.SnapshotAtBody), decode-ns/object the SDK side
+// (api.DecodeHistorySnapshot), and allocs/op counts both.
+func BenchmarkSnapshotBody(b *testing.B) {
+	trace, cfg := trackedScalingWorld(b)
+	rc := rfid.RunnerConfig{HistoryEpochs: historyEpochsBench}
+	for _, tracked := range []int{200, 2000, 8000} {
+		b.Run(benchName("tracked", tracked), func(b *testing.B) {
+			epochs := append(trackedScalingPopulate(trace, tracked), trace.Epochs...)
+			r, err := rfid.NewRunner(cfg, rc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			feedRunner(b, r, runnerBatches(epochs, -epochs[0].Time))
+			_, epoch, _ := r.HistoryBounds()
+
+			var build, decode time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				events, _ := r.HistoryEvents(epoch)
+				body, err := serve.SnapshotAtBody(epoch, events)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				var snap api.HistorySnapshot
+				if err := api.DecodeHistorySnapshot(body, &snap); err != nil {
+					b.Fatal(err)
+				}
+				build += t1.Sub(t0)
+				decode += time.Since(t1)
+				if len(snap.Objects) != tracked {
+					b.Fatalf("body holds %d objects, want %d", len(snap.Objects), tracked)
+				}
+			}
+			perObject := float64(b.N * tracked)
+			b.ReportMetric(float64(build.Nanoseconds())/perObject, "build-ns/object")
+			b.ReportMetric(float64(decode.Nanoseconds())/perObject, "decode-ns/object")
 		})
 	}
 }

@@ -83,6 +83,31 @@ func resultsToAPI(in []query.Result) ([]api.QueryResult, error) {
 	return out, nil
 }
 
+// tagSnapshot converts one object estimate into its wire form.
+func tagSnapshot(tag rfid.TagID, loc rfid.Vec3, st rfid.EventStats) api.TagSnapshot {
+	return api.TagSnapshot{
+		Tag: string(tag), Found: true,
+		X: loc.X, Y: loc.Y, Z: loc.Z,
+		VarX: st.Variance.X, VarY: st.Variance.Y, VarZ: st.Variance.Z,
+		NumParticles: st.NumParticles,
+		Compressed:   st.Compressed,
+	}
+}
+
+// SnapshotAtBody is the GET .../snapshot?epoch=N body for the events
+// Runner.HistoryEvents returned for epoch, written object by object through
+// api.HistoryEncoder into one buffer. (Exported for the root package's
+// perf-ladder benchmark.)
+func SnapshotAtBody(epoch int, events []rfid.Event) ([]byte, error) {
+	// ~230 bytes per object is typical; size the whole body up front.
+	e := api.NewHistoryEncoder(make([]byte, 0, 64+256*len(events)), epoch)
+	for i := range events {
+		ts := tagSnapshot(events[i].Tag, events[i].Loc, events[i].Stats)
+		e.Add(&ts)
+	}
+	return e.Finish()
+}
+
 // badRequest builds the 400 api error.
 func badRequest(format string, args ...any) *api.Error {
 	return &api.Error{Code: api.ErrBadRequest, Message: fmt.Sprintf(format, args...), HTTPStatus: http.StatusBadRequest}

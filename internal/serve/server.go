@@ -783,6 +783,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeBody writes an already encoded 200 JSON body in one write, with its
+// Content-Length, or a 500 when the encoder refused the value.
+func writeBody(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, api.ErrInternal, "encode response: %v", err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 // writeError writes the structured error envelope every endpoint uses.
 func writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
 	writeJSON(w, status, api.ErrorEnvelope{Error: &api.Error{Code: code, Message: fmt.Sprintf(format, args...)}})
@@ -1035,13 +1049,9 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *s
 		writeError(w, http.StatusNotFound, api.ErrNotFound, "tag %q is not tracked", tag)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.TagSnapshot{
-		Tag: tag, Found: true,
-		X: loc.X, Y: loc.Y, Z: loc.Z,
-		VarX: st.Variance.X, VarY: st.Variance.Y, VarZ: st.Variance.Z,
-		NumParticles: st.NumParticles,
-		Compressed:   st.Compressed,
-	})
+	snap := tagSnapshot(rfid.TagID(tag), loc, st)
+	body, err := api.AppendTagSnapshot(nil, &snap)
+	writeBody(w, body, err)
 }
 
 // handleSnapshotAll answers GET .../snapshot (the live view: reader pose
@@ -1094,17 +1104,8 @@ func (sv *Server) handleSnapshotAt(w http.ResponseWriter, runner *rfid.Runner, e
 		}
 		return
 	}
-	objects := make([]api.TagSnapshot, 0, len(events))
-	for _, ev := range events {
-		objects = append(objects, api.TagSnapshot{
-			Tag: string(ev.Tag), Found: true,
-			X: ev.Loc.X, Y: ev.Loc.Y, Z: ev.Loc.Z,
-			VarX: ev.Stats.Variance.X, VarY: ev.Stats.Variance.Y, VarZ: ev.Stats.Variance.Z,
-			NumParticles: ev.Stats.NumParticles,
-			Compressed:   ev.Stats.Compressed,
-		})
-	}
-	writeJSON(w, http.StatusOK, api.HistorySnapshot{Epoch: epoch, Objects: objects})
+	body, err := SnapshotAtBody(epoch, events)
+	writeBody(w, body, err)
 }
 
 // handleRegister answers POST .../queries with an api.QuerySpec body. The

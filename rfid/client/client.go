@@ -7,6 +7,10 @@
 // The package deliberately has no dependency on the engine's internal
 // packages, so it can be vendored into external services unchanged.
 //
+// Every response body is read to its end before it is closed, so a Client
+// keeps its keep-alive connections across large reads such as a time-travel
+// snapshot of every tracked object.
+//
 // Typical use:
 //
 //	c := client.New("http://localhost:8080")
@@ -102,7 +106,7 @@ func (c *Client) OpenSession(ctx context.Context, req api.CreateSessionRequest) 
 		return nil, api.Session{}, decodeError(resp)
 	}
 	var out api.Session
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := readJSON(resp, &out); err != nil {
 		return nil, api.Session{}, fmt.Errorf("client: decode session: %w", err)
 	}
 	prefix := "/v1/sessions/" + url.PathEscape(out.ID)
@@ -199,7 +203,7 @@ func (c *Client) Promote(ctx context.Context) (api.PromoteResponse, error) {
 	if resp.StatusCode != http.StatusOK {
 		return out, decodeError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := readJSON(resp, &out); err != nil {
 		return out, fmt.Errorf("client: decode promote response: %w", err)
 	}
 	return out, nil
@@ -242,16 +246,41 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return decodeError(resp)
 	}
-	if out == nil {
-		// Drain so the connection is reusable.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := readJSON(resp, out); err != nil {
 		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 	}
 	return nil
 }
+
+// readJSON reads a 2xx body to EOF — a body closed before EOF costs the
+// transport its keep-alive connection — and decodes it into out (nil
+// discards it). The snapshot bodies, the largest the server sends, go through
+// api's one-pass decoder; everything else through encoding/json.
+func readJSON(resp *http.Response, out any) error {
+	if out == nil {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxPresize {
+		// MinRead spare bytes let the read that sees EOF land without a grow.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	switch v := out.(type) {
+	case *api.HistorySnapshot:
+		return api.DecodeHistorySnapshot(buf.Bytes(), v)
+	case *api.TagSnapshot:
+		return api.DecodeTagSnapshot(buf.Bytes(), v)
+	}
+	return json.Unmarshal(buf.Bytes(), out)
+}
+
+// maxPresize caps how much a response's Content-Length may make readJSON
+// allocate before any of the body has arrived.
+const maxPresize = 64 << 20
 
 // decodeError turns a non-2xx response into an *api.Error.
 func decodeError(resp *http.Response) error {
