@@ -155,9 +155,12 @@ stream-smoke:
 # constantly), SIGKILLs the child mid-churn, restarts it on the same data
 # directory and verifies every sampled session's state is byte-identical to an
 # uncapped, uninterrupted run; plus the scheduler/eviction determinism
-# property over the Workers x ShardCount matrix.
+# property over the Workers x ShardCount matrix and the eviction contract:
+# durable files byte-identical with and without evictions, kill -9 while
+# evicted, stale or damaged spills refused, read-only residencies writing no
+# spill, and the world build linear at the create-request caps.
 density-smoke:
-	$(GO) test -race -run 'TestDensitySmoke$$|TestSchedulerEvictionDeterminism' -v ./internal/serve
+	$(GO) test -race -run 'TestDensitySmoke$$|TestSchedulerEvictionDeterminism|TestDurableFilesIndependentOfResidency|TestKillWhileEvictedRecovers|TestStaleSpillFallsBackToRecovery|TestUnchangedResidencyWritesNoSpill|TestWorldBuildIsLinear' -v ./internal/serve
 
 # Replication smoke: a primary and a replica run as real subprocesses wired
 # over TCP; the parent ingests under -fsync always, waits for the replica to

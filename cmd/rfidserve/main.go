@@ -227,7 +227,7 @@ func main() {
 
 		maxSessions  = flag.Int("max-sessions", 32, "maximum concurrently live sessions")
 		maxWait      = flag.Duration("max-poll-wait", 60*time.Second, "cap on the results endpoint's ?wait= long-poll duration")
-		maxResident  = flag.Int("max-resident", 0, "maximum durable sessions kept resident in memory; idle sessions past the LRU threshold are evicted to their checkpoint and restored on first touch (0 = unlimited, requires -data-dir)")
+		maxResident  = flag.Int("max-resident", 0, "maximum durable sessions kept resident in memory; idle sessions past the LRU threshold are spilled to disk and restored on first touch; durable state (checkpoints + WAL) does not depend on residency (0 = unlimited, requires -data-dir)")
 		schedWorkers = flag.Int("sched-workers", 0, "worker pool size shared by every session's op queue (0 = GOMAXPROCS)")
 
 		replicaOf   = flag.String("replica-of", "", "follow the primary at this host:port as a read replica (requires -data-dir); writes are refused until promotion")

@@ -45,13 +45,10 @@ func (c Config) Fingerprint() uint64 {
 		put("fastmath=true|")
 	}
 	if w := cfg.World; w != nil {
-		put("shelves=%d|", len(w.Shelves))
-		for _, s := range w.Shelves {
-			put("shelf=%s:%v|", s.ID, s.Region)
-		}
-		for _, id := range w.ShelfTagIDs() {
-			put("tag=%s:%v|", id, w.ShelfTags[id])
-		}
+		// The world formats its shelves and tags once per world. Its bytes are
+		// exactly these fields' formatting, so every fingerprint — and every
+		// checkpoint that records one — stays valid.
+		h.Write(w.FingerprintInput())
 	}
 	return h.Sum64()
 }

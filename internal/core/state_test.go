@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -208,6 +209,23 @@ func TestRestoreRejectsCorruptPayload(t *testing.T) {
 func TestConfigFingerprint(t *testing.T) {
 	cfg, _ := durableTestConfig(t, 3)
 	base := cfg.Fingerprint()
+	// A recorded value: existing checkpoints carry fingerprints computed from
+	// this per-field formatting, so neither may ever change.
+	if base != 0x86a6ac04ed243144 {
+		t.Fatalf("fingerprint %#x, recorded %#x", base, uint64(0x86a6ac04ed243144))
+	}
+	var legacy []byte
+	w := cfg.World
+	legacy = fmt.Appendf(legacy, "shelves=%d|", len(w.Shelves))
+	for _, s := range w.Shelves {
+		legacy = fmt.Appendf(legacy, "shelf=%s:%v|", s.ID, s.Region)
+	}
+	for _, id := range w.ShelfTagIDs() {
+		legacy = fmt.Appendf(legacy, "tag=%s:%v|", id, w.ShelfTags[id])
+	}
+	if got := w.FingerprintInput(); string(got) != string(legacy) {
+		t.Fatalf("world fingerprint input\n got %q\nwant %q", got, legacy)
+	}
 
 	same := cfg
 	same.Workers = 8

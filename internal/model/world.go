@@ -8,6 +8,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/rng"
@@ -33,18 +34,28 @@ type World struct {
 	// ShelfTags maps a shelf tag id to its known, fixed location S_i.
 	ShelfTags map[stream.TagID]geom.Vec3
 
-	// Caches maintained by AddShelf/AddShelfTag so the per-epoch hot paths
-	// (shelf-tag weighting, uniform relocation, clamping fresh particles to
-	// the nearest shelf) do not rebuild them on every call. Build worlds
-	// through AddShelf/AddShelfTag: staleness from direct
-	// mutation is detected by length only, so adding or removing entries
-	// directly makes the accessors recompute on the fly (correct, just
-	// slower, never mutating the world — safe for concurrent readers), but
-	// replacing an existing shelf or tag in place without going through the
-	// Add methods leaves the caches stale.
-	sortedTagIDs []stream.TagID
+	// Caches, so the per-epoch hot paths (shelf-tag weighting, uniform
+	// relocation, clamping fresh particles to the nearest shelf) and every
+	// engine built over the world do not rebuild them. AddShelf extends the
+	// per-shelf caches in O(1); the tag order and the fingerprint input are
+	// built once, on first use after an Add, and published atomically, so
+	// concurrent readers of a finished world never race. Build worlds
+	// through AddShelf/AddShelfTag: staleness from direct mutation is
+	// detected by length only, so adding or removing entries directly makes
+	// the accessors recompute (correct, just slower), but replacing an
+	// existing shelf or tag in place without going through the Add methods
+	// leaves the caches stale.
 	shelfWeights []float64
 	shelfCenters []geom.Vec3
+	derived      atomic.Pointer[derived]
+}
+
+// derived is what a world holding shelves shelves and tags shelf tags
+// computes from them once they are in place.
+type derived struct {
+	shelves, tags int
+	tagIDs        []stream.TagID
+	fpInput       []byte
 }
 
 // NewWorld returns an empty world.
@@ -55,8 +66,14 @@ func NewWorld() *World {
 // AddShelf appends a shelf to the world.
 func (w *World) AddShelf(s Shelf) {
 	w.Shelves = append(w.Shelves, s)
-	w.shelfWeights = shelfVolumeWeights(w.Shelves)
-	w.shelfCenters = shelfCenters(w.Shelves)
+	if n := len(w.Shelves) - 1; len(w.shelfWeights) == n && len(w.shelfCenters) == n {
+		w.shelfWeights = append(w.shelfWeights, shelfVolumeWeight(s))
+		w.shelfCenters = append(w.shelfCenters, s.Region.Center())
+	} else {
+		w.shelfWeights = shelfVolumeWeights(w.Shelves)
+		w.shelfCenters = shelfCenters(w.Shelves)
+	}
+	w.derived.Store(nil)
 }
 
 // AddShelfTag registers a shelf tag with a known location.
@@ -65,7 +82,7 @@ func (w *World) AddShelfTag(id stream.TagID, loc geom.Vec3) {
 		w.ShelfTags = make(map[stream.TagID]geom.Vec3)
 	}
 	w.ShelfTags[id] = loc
-	w.sortedTagIDs = sortedShelfTagIDs(w.ShelfTags)
+	w.derived.Store(nil)
 }
 
 // IsShelfTag reports whether the id belongs to a shelf tag.
@@ -76,15 +93,33 @@ func (w *World) IsShelfTag(id stream.TagID) bool {
 
 // ShelfTagIDs returns the shelf tag ids in deterministic (sorted) order. The
 // returned slice is a world-owned cache that callers must treat as read-only;
-// it is rebuilt by AddShelfTag, so the per-epoch shelf-tag weighting pass
-// reads it without allocating.
-func (w *World) ShelfTagIDs() []stream.TagID {
-	if len(w.sortedTagIDs) == len(w.ShelfTags) {
-		return w.sortedTagIDs
+// it is sorted once after the last Add, so the per-epoch shelf-tag weighting
+// pass reads it without allocating.
+func (w *World) ShelfTagIDs() []stream.TagID { return w.cached().tagIDs }
+
+// FingerprintInput returns the world's part of the engine-configuration
+// fingerprint input: the shelf count, every shelf and every shelf tag in
+// ShelfTagIDs order. It is formatted once after the last Add, so building
+// another engine over the same world does not format it again. The returned
+// slice is world-owned and read-only.
+func (w *World) FingerprintInput() []byte { return w.cached().fpInput }
+
+// cached returns the world's derived caches, building them if an Add (or a
+// direct mutation that changed a length) made them stale.
+func (w *World) cached() *derived {
+	if d := w.derived.Load(); d != nil && d.shelves == len(w.Shelves) && d.tags == len(w.ShelfTags) {
+		return d
 	}
-	// ShelfTags was mutated directly; recompute without touching the cache
-	// (the world may be shared by concurrent readers).
-	return sortedShelfTagIDs(w.ShelfTags)
+	d := &derived{shelves: len(w.Shelves), tags: len(w.ShelfTags), tagIDs: sortedShelfTagIDs(w.ShelfTags)}
+	d.fpInput = fmt.Appendf(nil, "shelves=%d|", d.shelves)
+	for _, s := range w.Shelves {
+		d.fpInput = fmt.Appendf(d.fpInput, "shelf=%s:%v|", s.ID, s.Region)
+	}
+	for _, id := range d.tagIDs {
+		d.fpInput = fmt.Appendf(d.fpInput, "tag=%s:%v|", id, w.ShelfTags[id])
+	}
+	w.derived.Store(d)
+	return d
 }
 
 // sortedShelfTagIDs returns the map keys in sorted order.
@@ -126,22 +161,28 @@ func (w *World) UniformOnShelves(src *rng.Source) geom.Vec3 {
 }
 
 // shelfVolumeWeights computes the per-shelf selection weights for
-// UniformOnShelves: the shelf volume, or the largest face area for
-// degenerate (flat or linear) shelves so they are still selectable.
+// UniformOnShelves.
 func shelfVolumeWeights(shelves []Shelf) []float64 {
 	weights := make([]float64, len(shelves))
 	for i, s := range shelves {
-		v := s.Region.Volume()
-		if v <= 0 {
-			sz := s.Region.Size()
-			v = sz.X*sz.Y + sz.Y*sz.Z + sz.X*sz.Z
-			if v <= 0 {
-				v = 1
-			}
-		}
-		weights[i] = v
+		weights[i] = shelfVolumeWeight(s)
 	}
 	return weights
+}
+
+// shelfVolumeWeight is one shelf's selection weight: its volume, or the sum
+// of its face areas for a degenerate (flat or linear) shelf so it is still
+// selectable.
+func shelfVolumeWeight(s Shelf) float64 {
+	v := s.Region.Volume()
+	if v <= 0 {
+		sz := s.Region.Size()
+		v = sz.X*sz.Y + sz.Y*sz.Z + sz.X*sz.Z
+		if v <= 0 {
+			v = 1
+		}
+	}
+	return v
 }
 
 // shelfCenters returns the region center of every shelf.

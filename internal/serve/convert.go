@@ -235,6 +235,27 @@ func buildRunner(req api.CreateSessionRequest, traceEpochs int) (*rfid.Runner, e
 	if err != nil {
 		return nil, err
 	}
+	return runnerFor(req, world, traceEpochs)
+}
+
+// newRunner is buildRunner for the session's own manifest. The world is built
+// from the manifest once and shared by every runner the session builds (the
+// engine only reads it), so a hydration or a replica re-bootstrap neither
+// rebuilds it nor formats its part of the fingerprint again. Pinned worker
+// only.
+func (s *session) newRunner() (*rfid.Runner, error) {
+	if s.world == nil {
+		world, err := worldFromRequest(s.manifest)
+		if err != nil {
+			return nil, err
+		}
+		s.world = world
+	}
+	return runnerFor(s.manifest, s.world, s.cfg.TraceEpochs)
+}
+
+// runnerFor is buildRunner over a world already built from req.
+func runnerFor(req api.CreateSessionRequest, world *rfid.World, traceEpochs int) (*rfid.Runner, error) {
 	cfg := rfid.DefaultConfig(paramsFromRequest(req.Params), world)
 	// Continuous queries want a continuous clean stream, not delayed batch
 	// reports.

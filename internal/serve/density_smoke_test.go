@@ -248,7 +248,7 @@ func TestDensitySmoke(t *testing.T) {
 	if m["rfidserve_hydrations_total"] < 1 {
 		t.Fatal("no hydrations in the capped run")
 	}
-	// Eviction is asynchronous (each one checkpoints + fsyncs), so the
+	// Eviction is asynchronous (each one spills the session image), so the
 	// resident set converges to the cap rather than tracking it instantly;
 	// touches sweep the over-cap tail until it settles.
 	deadline := time.Now().Add(60 * time.Second)

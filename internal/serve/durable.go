@@ -95,27 +95,8 @@ func (s *session) recoverLocked() error {
 		return fmt.Errorf("scan checkpoints: %w", err)
 	}
 	if ok {
-		if snap.Fingerprint != r.Fingerprint() {
-			return fmt.Errorf("checkpoint %s was produced under a different engine configuration (fingerprint %#x, running %#x)",
-				path, snap.Fingerprint, r.Fingerprint())
-		}
-		dec := snap.PayloadDecoder()
-		if err := r.RestoreState(dec); err != nil {
-			return fmt.Errorf("restore runner from %s: %w", path, err)
-		}
-		if err := reg.RestoreState(dec); err != nil {
-			return fmt.Errorf("restore query registry from %s: %w", path, err)
-		}
-		// The serve-level section (stream resume point) was appended to the
-		// payload after the registry state; checkpoints written before it
-		// existed simply end here, which is a valid empty resume point.
-		if dec.Remaining() > 0 {
-			dec.Section(serveStreamSection)
-			seq := dec.Uvarint()
-			if err := dec.Err(); err != nil {
-				return fmt.Errorf("restore stream state from %s: %w", path, err)
-			}
-			s.lastStreamSeq.Store(seq)
+		if err := s.restoreImage(r, reg, snap, path); err != nil {
+			return err
 		}
 		fromSeg = snap.WALSegment
 		s.lastCkptEpoch.Store(int64(snap.Epoch))
@@ -172,6 +153,54 @@ func (s *session) recoverLocked() error {
 		s.epochs.Add(int(d))
 	}
 	return nil
+}
+
+// restoreImage restores the runner, the registry and the stream resume point
+// from a session image (a checkpoint, or an eviction spill) read from path.
+// The image must have been written under the running engine configuration.
+func (s *session) restoreImage(r *rfid.Runner, reg *query.Registry, snap checkpoint.Snapshot, path string) error {
+	if snap.Fingerprint != r.Fingerprint() {
+		return fmt.Errorf("%s was produced under a different engine configuration (fingerprint %#x, running %#x)",
+			path, snap.Fingerprint, r.Fingerprint())
+	}
+	dec := snap.PayloadDecoder()
+	if err := r.RestoreState(dec); err != nil {
+		return fmt.Errorf("restore runner from %s: %w", path, err)
+	}
+	if err := reg.RestoreState(dec); err != nil {
+		return fmt.Errorf("restore query registry from %s: %w", path, err)
+	}
+	// The serve-level section (stream resume point) was appended to the
+	// payload after the registry state; checkpoints written before it existed
+	// simply end here, which is a valid empty resume point.
+	if dec.Remaining() > 0 {
+		dec.Section(serveStreamSection)
+		seq := dec.Uvarint()
+		if err := dec.Err(); err != nil {
+			return fmt.Errorf("restore stream state from %s: %w", path, err)
+		}
+		s.lastStreamSeq.Store(seq)
+	}
+	return nil
+}
+
+// image encodes the runner, the registry and the stream resume point as the
+// snapshot of epoch whose replay starts at WAL segment seg: the content of a
+// checkpoint, and of an eviction spill. Pinned worker only.
+func (s *session) image(epoch int, seg uint64) checkpoint.Snapshot {
+	r, reg := s.eng.Load(), s.reg.Load()
+	enc := checkpoint.NewEncoder()
+	r.SaveState(enc)
+	reg.SaveState(enc)
+	enc.Section(serveStreamSection)
+	enc.Uvarint(s.lastStreamSeq.Load())
+	return checkpoint.Snapshot{
+		Version:     checkpoint.Version,
+		Fingerprint: r.Fingerprint(),
+		Epoch:       epoch,
+		WALSegment:  seg,
+		Payload:     enc.Bytes(),
+	}
 }
 
 // applyWALRecord applies one log record to the runner and the registry and
@@ -259,10 +288,7 @@ func (s *session) writeCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	epoch := s.eng.Load().Position().NextEpoch - 1
-	if epoch < 0 {
-		epoch = 0
-	}
+	epoch := max(s.eng.Load().Position().NextEpoch-1, 0)
 	if err := s.persistCheckpoint(t0, epoch, seg); err != nil {
 		return err
 	}
@@ -290,24 +316,11 @@ func (s *session) writeCheckpoint() error {
 // engine states are equal then and the encoder is deterministic, so the two
 // files are byte-identical. Pinned worker only.
 func (s *session) persistCheckpoint(t0 time.Time, epoch int, seg uint64) error {
-	r, reg := s.eng.Load(), s.reg.Load()
-	enc := checkpoint.NewEncoder()
-	r.SaveState(enc)
-	reg.SaveState(enc)
-	enc.Section(serveStreamSection)
-	enc.Uvarint(s.lastStreamSeq.Load())
-	snap := checkpoint.Snapshot{
-		Version:     checkpoint.Version,
-		Fingerprint: r.Fingerprint(),
-		Epoch:       epoch,
-		WALSegment:  seg,
-		Payload:     enc.Bytes(),
-	}
-	if _, err := checkpoint.Write(s.cfg.DataDir, snap); err != nil {
+	if _, err := checkpoint.Write(s.cfg.DataDir, s.image(epoch, seg)); err != nil {
 		return err
 	}
 	s.ckptHist.ObserveDuration(time.Since(t0))
-	s.epochsAtCkpt = int64(r.Position().Epochs)
+	s.epochsAtCkpt = int64(s.eng.Load().Position().Epochs)
 	s.lastCkptEpoch.Store(int64(epoch))
 	s.lastCkptNanos.Store(time.Now().UnixNano())
 	s.checkpoints.Inc()
@@ -320,8 +333,8 @@ func (s *session) persistCheckpoint(t0 time.Time, epoch int, seg uint64) error {
 // shutdownDurable seals the current epoch, writes a final checkpoint and
 // closes the WAL — the graceful-shutdown sequence SIGTERM triggers. Pinned
 // worker only. On an evicted session there is nothing to do: its durable
-// state already equals the checkpoint written at eviction and its WAL is
-// closed (sealing would require hydrating a session that is being torn down).
+// state is its checkpoint plus its WAL, which the eviction closed (sealing
+// would require hydrating a session that is being torn down).
 func (s *session) shutdownDurable() {
 	cur := s.life.load()
 	defer s.transition(cur, cur.in(phaseClosed), nil)

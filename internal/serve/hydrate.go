@@ -2,25 +2,61 @@ package serve
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
 // Lazy hydration: with Config.MaxResident set, idle durable sessions past the
-// LRU threshold are evicted — a checkpoint is written (no seal: eviction must
-// not change what the session would have computed), the WAL is closed, and
-// the engine + registry are released. The manifest that created the session
-// stays on the struct, so the first touch (ingest, stream attach, snapshot or
-// query poll) rebuilds an identical engine and recovers it through the exact
-// boot path. Because checkpoint + WAL replay is byte-exact (the recovery
-// property PR 4 established), an evict→hydrate→continue run is
-// indistinguishable from a never-evicted one. The moves between serving,
-// evicted and recovering are rows of lifeTable (lifecycle.go).
+// LRU threshold are evicted, and their first touch (ingest, stream attach,
+// snapshot or query poll) hydrates them. The moves between serving, evicted
+// and recovering are rows of lifeTable (lifecycle.go).
+//
+// Eviction is a spill, not a durability event. The WAL is closed (which
+// fsyncs it, as every Close does) and the session image — runner, registry
+// and stream resume point, in the checkpoint codec — is written to one
+// unsynced file, spillName, that supersedes nothing; no seal (eviction must
+// not change what the session would have computed), no checkpoint, no new
+// segment. Durable state therefore does not depend on residency: it is the
+// periodic checkpoint plus the WAL, byte for byte what a never-evicted
+// session has on disk, and after a crash or a restart an evicted session
+// replays at most CheckpointEvery epochs of it on first touch.
+//
+// Hydration trusts the spill only when this process wrote it: the session
+// keeps the (segment, size) its log was closed at, and the spill must pass the
+// checkpoint CRC, carry the running fingerprint, and find that segment still
+// the newest and still that long. Then the image is restored and the same
+// segment is reopened for appends (wal.Resume) — the WAL continues exactly as
+// if the session had never left memory. Anything else (a session that booted
+// evicted, a stale or damaged spill) takes the boot path: a fresh engine,
+// newest checkpoint + WAL replay, a new segment. Both paths are byte-exact,
+// so an evict→hydrate→continue run is indistinguishable from a never-evicted
+// one. A session that appended nothing since it was hydrated from its spill
+// still matches that spill, so its next eviction only closes the log.
+
+// spillName is the session image an eviction writes into the session's
+// directory. Only the process that wrote it reads it (see spillToken); boot
+// never does.
+const spillName = "evicted.spill"
+
+// spillToken is where a session's log stood when its spill was written: the
+// segment and its byte length. The zero token means there is no spill this
+// process may trust.
+type spillToken struct {
+	seg  uint64
+	size int64
+}
+
+// errNoSpill reports a hydration with no spill to restore.
+var errNoSpill = errors.New("no eviction spill written by this process")
 
 // residency tracks the resident set of hydratable sessions in LRU order and
 // owns the server-level eviction/hydration metrics.
@@ -48,11 +84,11 @@ func newResidency(max int, set *metrics.Set) *residency {
 		order:       list.New(),
 		elems:       make(map[*session]*list.Element),
 		resident:    set.Gauge("rfidserve_resident_sessions", "hydratable sessions with their engine resident in memory"),
-		evictedG:    set.Gauge("rfidserve_evicted_sessions", "sessions evicted to their on-disk checkpoint, awaiting first touch"),
+		evictedG:    set.Gauge("rfidserve_evicted_sessions", "sessions spilled to disk by eviction, awaiting first touch"),
 		evictions:   set.Counter("rfidserve_evictions_total", "sessions evicted to disk by the resident-set LRU"),
 		hydrations:  set.Counter("rfidserve_hydrations_total", "evicted sessions restored on first touch"),
 		hydrateSecs: set.FloatCounter("rfidserve_hydration_seconds_total", "cumulative seconds spent hydrating evicted sessions"),
-		hydrateHist: set.Histogram("rfidserve_hydration_seconds", "hydration latency (manifest rebuild + checkpoint restore + WAL replay)"),
+		hydrateHist: set.Histogram("rfidserve_hydration_seconds", "hydration latency (engine build + eviction spill restore + WAL segment resume, or + checkpoint restore + WAL replay when the spill is unusable)"),
 		hydrateLast: set.Gauge("rfidserve_hydration_last_seconds", "duration of the most recent hydration"),
 		hydrateMax:  set.Gauge("rfidserve_hydration_max_seconds", "slowest hydration observed"),
 	}
@@ -75,8 +111,9 @@ func (rs *residency) residentCount() int {
 // its cap, requests eviction of the least-recently-used evictable sessions.
 // Called from the pinned worker after a dispatch and from direct read paths
 // (snapshot, results), so read-hot sessions stay resident. Only durable
-// primaries are tracked: eviction checkpoints into the session's directory,
-// and a replica must keep its apply cursor live.
+// primaries are tracked: eviction spills into the session's directory and
+// hydration recovers from its WAL, and a replica must keep its apply cursor
+// live.
 func (rs *residency) touch(s *session) {
 	if !s.durable() || s.life.load().replica() {
 		return
@@ -186,11 +223,11 @@ func (s *session) requestEvict() {
 	}
 }
 
-// handleEvictOp evicts the session to disk (pinned worker only): write a
-// checkpoint (NOT a seal — the graceful shutdown seals because the run is
-// over; eviction must leave the buffered epochs exactly as a live session
-// would hold them, or the hydrated continuation would diverge from a
-// never-evicted run), close the WAL, release the engine and registry.
+// handleEvictOp evicts the session to disk (pinned worker only): close the
+// WAL, spill the session image, release the engine and registry. No seal —
+// the graceful shutdown seals because the run is over; eviction must leave
+// the buffered epochs exactly as a live session would hold them, or the
+// hydrated continuation would diverge from a never-evicted run.
 func (s *session) handleEvictOp() opResult {
 	defer s.evictPending.Store(false)
 	cur := s.life.load()
@@ -202,14 +239,22 @@ func (s *session) handleEvictOp() opResult {
 		// session is not idle after all; evicting would just thrash.
 		return opResult{}
 	}
-	if err := s.writeCheckpoint(); err != nil {
-		s.engineErrs.Inc()
-		s.log.Error("eviction checkpoint failed; session stays resident", "err", err)
-		return opResult{err: err}
-	}
+	at := spillToken{seg: s.wal.Segment(), size: s.wal.Size()}
 	s.syncWALMetrics()
 	if err := s.wal.Close(); err != nil {
+		// The segment may not hold what was appended: hydration must recover
+		// from what the disk does hold, not resume past it.
 		s.log.Error("closing wal at eviction failed", "err", err)
+		s.spill = spillToken{}
+	} else if at != s.spill {
+		// Unless the log still stands where the current spill was written —
+		// nothing was appended since it was restored — spill again.
+		s.spill = spillToken{}
+		if err := s.writeSpill(at.seg); err != nil {
+			s.log.Warn("writing the eviction spill failed; hydration will recover from checkpoint and WAL", "err", err)
+		} else {
+			s.spill = at
+		}
 	}
 	s.wal = nil
 	// A fresh wal.Log counts appends from zero; reset the delta mirror so the
@@ -226,23 +271,32 @@ func (s *session) handleEvictOp() opResult {
 	return opResult{}
 }
 
-// hydrate restores an evicted session (pinned worker only): rebuild the
-// engine from the manifest (identical fingerprint by construction — the same
-// buildRunner boot restore uses), then run the exact startup recovery path
-// against the checkpoint written at eviction plus any WAL tail.
+// writeSpill writes the session image whose log was closed in segment seg to
+// spillName. The file is not synced: only this process reads it, and a crash
+// discards it with the token. Pinned worker only.
+func (s *session) writeSpill(seg uint64) error {
+	data := checkpoint.Encode(s.image(max(s.eng.Load().Position().NextEpoch-1, 0), seg))
+	return os.WriteFile(filepath.Join(s.cfg.DataDir, spillName), data, 0o644)
+}
+
+// hydrate restores an evicted session (pinned worker only): from the spill
+// its eviction wrote, resuming the WAL segment that eviction closed, or else
+// through the exact startup recovery path — newest checkpoint plus WAL
+// replay — into a fresh engine. Either engine is built from the manifest
+// (identical fingerprint by construction, the same world and config boot
+// restore uses).
 func (s *session) hydrate() error {
 	start := time.Now()
 	evicted := s.life.load().in(phaseEvicted)
 	recovering := evicted.in(phaseRecovering)
 	s.transition(evicted, recovering, nil)
-	runner, err := buildRunner(s.manifest, s.cfg.TraceEpochs)
-	if err == nil {
-		s.install(runner)
-		err = s.recoverLocked()
-	}
-	var lg *wal.Log
-	if err == nil {
-		lg, err = wal.Open(s.cfg.DataDir, s.walOptions())
+	lg, err := s.restoreSpill()
+	if err != nil {
+		if s.spill != (spillToken{}) {
+			s.log.Warn("eviction spill not usable; recovering from checkpoint and WAL", "err", err)
+			s.spill = spillToken{}
+		}
+		lg, err = s.recoverEvicted()
 	}
 	if err != nil {
 		err = fmt.Errorf("serve: session %q hydration failed: %w", s.id, err)
@@ -259,6 +313,53 @@ func (s *session) hydrate() error {
 			"replayed_records", s.replayedRecords.Value())
 	}
 	return nil
+}
+
+// restoreSpill makes the spill this process wrote at the session's eviction
+// resident again and reopens the WAL where that eviction closed it. Any
+// mismatch is an error, after which the caller recovers from scratch (a
+// half-restored engine is discarded). Pinned worker only.
+func (s *session) restoreSpill() (*wal.Log, error) {
+	at := s.spill
+	if at == (spillToken{}) {
+		return nil, errNoSpill
+	}
+	path := filepath.Join(s.cfg.DataDir, spillName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("decode %s: %w", path, err)
+	}
+	if snap.WALSegment != at.seg {
+		return nil, fmt.Errorf("%s names wal segment %d, the eviction closed segment %d", path, snap.WALSegment, at.seg)
+	}
+	runner, err := s.newRunner()
+	if err != nil {
+		return nil, err
+	}
+	s.install(runner)
+	if err := s.restoreImage(runner, s.reg.Load(), snap, path); err != nil {
+		return nil, err
+	}
+	return wal.Resume(s.cfg.DataDir, at.seg, at.size, s.walOptions())
+}
+
+// recoverEvicted is the boot path for an evicted session: a fresh engine,
+// the newest checkpoint plus WAL replay, and a new WAL segment. Pinned worker
+// only.
+func (s *session) recoverEvicted() (*wal.Log, error) {
+	runner, err := s.newRunner()
+	if err != nil {
+		return nil, err
+	}
+	s.install(runner)
+	if err := s.recoverLocked(); err != nil {
+		return nil, err
+	}
+	return wal.Open(s.cfg.DataDir, s.walOptions())
 }
 
 // resident returns the session's engine or registry p points at, for a direct

@@ -218,7 +218,7 @@ func TestDeleteEvictedSessionSkipsHydration(t *testing.T) {
 
 // TestStreamResumeSurvivesEviction pins the stream resume point across an
 // evict→hydrate cycle: the highest durably-applied batch sequence is part of
-// the checkpoint, so a client reconnecting to a session that was evicted in
+// the session image, so a client reconnecting to a session that was evicted in
 // between resumes exactly where it left off.
 func TestStreamResumeSurvivesEviction(t *testing.T) {
 	sv, ts := startDensityServer(t, t.TempDir(), 2, 0)

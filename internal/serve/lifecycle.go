@@ -23,7 +23,7 @@ const (
 	phaseStarting   phase = iota // startup (recovery, when durable) not run yet
 	phaseRecovering              // replaying into a new engine: hydration, replica re-bootstrap
 	phaseServing                 // a replica here has its mirror open and its cursor published
-	phaseEvicted                 // spilled to the checkpoint; the first touch hydrates
+	phaseEvicted                 // spilled to disk (see hydrate.go); the first touch hydrates
 	phaseFailed                  // recovery or a role change failed; every op is refused
 	phaseClosed                  // shut down
 )

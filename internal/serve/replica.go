@@ -176,7 +176,7 @@ func (s *session) rebootstrap(ro *replOp) error {
 			return fmt.Errorf("write bootstrap checkpoint: %w", err)
 		}
 	}
-	runner, err := buildRunner(s.manifest, s.cfg.TraceEpochs)
+	runner, err := s.newRunner()
 	if err != nil {
 		return fmt.Errorf("rebuild engine: %w", err)
 	}

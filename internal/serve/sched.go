@@ -170,11 +170,12 @@ func (s *session) dispatch() {
 				continue
 			}
 			// First touch of an evicted session: transparently restore the
-			// engine from its checkpoint + WAL before the op applies. A
-			// shutdown op must NOT hydrate — closing an evicted session has
-			// nothing to seal (its durable state already equals the
-			// checkpoint), and rebuilding a particle filter just to close it
-			// is the bug the DELETE fast path exists to avoid.
+			// engine from its spill (or checkpoint + WAL) before the op
+			// applies. A shutdown op must NOT hydrate — closing an evicted
+			// session has nothing to seal (its durable state is already its
+			// checkpoint plus its closed WAL), and rebuilding a particle
+			// filter just to close it is the bug the DELETE fast path exists
+			// to avoid.
 			if o.kind != opShutdown && s.life.load().phase() == phaseEvicted {
 				if err := s.hydrate(); err != nil {
 					s.log.Error("hydration failed", "err", err)

@@ -34,12 +34,13 @@
 // pinned to at most one worker at a time, which preserves the per-session
 // ordering and determinism the old goroutine-per-session design had. With
 // Config.MaxResident set, idle durable sessions past the LRU threshold are
-// evicted to their checkpoint + manifest on disk and transparently restored
-// on first touch (see hydrate.go). Each session owns its own Prometheus
-// series (label session="<id>" on the shared /v1/metrics endpoint) and — when
-// Config.DataDir is set — its own WAL/checkpoint subdirectory
-// DataDir/sessions/<id>/, together with a manifest.json recording its
-// creation request, from which it is rebuilt and recovered on boot.
+// evicted — their image spilled to disk, their WAL closed — and
+// transparently restored on first touch (see hydrate.go). Each session owns
+// its own Prometheus series (label session="<id>" on the shared /v1/metrics
+// endpoint) and — when Config.DataDir is set — its own WAL/checkpoint
+// subdirectory DataDir/sessions/<id>/, together with a manifest.json
+// recording its creation request, from which it is rebuilt and recovered on
+// boot.
 package serve
 
 import (
@@ -138,8 +139,9 @@ type Config struct {
 	Logger *slog.Logger
 	// MaxResident, when > 0, bounds how many durable sessions keep their
 	// engine resident in memory: idle sessions past the LRU threshold are
-	// evicted to their checkpoint + manifest on disk and transparently
-	// restored on first touch (ingest, stream attach, snapshot, query poll).
+	// evicted — their image spilled to disk, their WAL closed — and
+	// transparently restored on first touch (ingest, stream attach,
+	// snapshot, query poll). Durable state does not depend on residency.
 	// Non-durable sessions are never evicted. 0 keeps everything resident.
 	MaxResident int
 
@@ -463,9 +465,12 @@ func (sv *Server) addSession(req api.CreateSessionRequest, restoring bool) (*ses
 	lazy := restoring && sv.cfg.DataDir != "" && sv.cfg.MaxResident > 0 &&
 		sv.res.residentCount() >= sv.cfg.MaxResident &&
 		sv.role.Load() != roleReplica
+	var world *rfid.World
 	var runner *rfid.Runner
 	if !lazy {
-		runner, err = buildRunner(req, sv.cfg.TraceEpochs)
+		if world, err = worldFromRequest(req); err == nil {
+			runner, err = runnerFor(req, world, sv.cfg.TraceEpochs)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -502,7 +507,7 @@ func (sv *Server) addSession(req api.CreateSessionRequest, restoring bool) (*ses
 	if lazy {
 		sess = newEvictedSession(id, sv.sessionConfig(dir, req.Engine), sv.deps(), req)
 	} else {
-		sess = newSession(id, sv.sessionConfig(dir, req.Engine), sv.deps(), req, runner)
+		sess = newSession(id, sv.sessionConfig(dir, req.Engine), sv.deps(), req, world, runner)
 	}
 	sess.restored = restoring
 	sess.source = req.Source

@@ -48,7 +48,7 @@ const (
 	// opFence completes at once: whoever awaits it knows every op enqueued
 	// before it has applied (and that an evicted session has hydrated).
 	opFence
-	opEvict         // spill to the checkpoint unless newer work is queued behind
+	opEvict         // spill the session image unless newer work is queued behind
 	opShutdown      // seal, write a final checkpoint, close the WAL
 	opReplApply     // mirror and apply one shipped record (see replica.go)
 	opReplBootstrap // restart from a shipped checkpoint image
@@ -120,6 +120,10 @@ type session struct {
 	// Hydration rebuilds the engine from it, which is what makes the
 	// checkpoint fingerprint match.
 	manifest api.CreateSessionRequest
+	// world is the manifest's world, built once and shared by every runner
+	// the session builds (see newRunner); nil on a session that booted
+	// evicted, until its first hydration. Pinned worker only.
+	world *rfid.World
 
 	// eng and reg are the resident engine and query registry; both are nil
 	// while the session is evicted. Swapped only under the session pin; read
@@ -189,6 +193,10 @@ type session struct {
 	lastCkptNanos atomic.Int64
 	epochsAtCkpt  int64     // pinned-worker-local
 	lastWal       wal.Stats // pinned-worker-local metric mirror
+	// spill is where the log stood when this process last wrote the
+	// session's eviction spill, or zero when there is no spill it may
+	// restore (see hydrate.go). Pinned-worker-local.
+	spill spillToken
 
 	// op-processing counters (written only under the pin)
 	engineErrs  *metrics.Counter
@@ -278,9 +286,11 @@ func (s *session) queryCount() int {
 // newSession builds a session around its resident engine and schedules its
 // startup on the shared worker pool. cfg must already carry the session's
 // effective settings (its own DataDir, queue size, ...); manifest is the
-// creation request runner was built from, which hydration rebuilds it from.
-func newSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest, runner *rfid.Runner) *session {
+// creation request runner was built from over world, which hydration rebuilds
+// it from.
+func newSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSessionRequest, world *rfid.World, runner *rfid.Runner) *session {
 	s := buildSession(id, cfg, deps, manifest, phaseStarting)
+	s.world = world
 	s.install(runner)
 	// Schedule startup (recovery for durable sessions) on the worker pool.
 	s.sched.wake(s)
@@ -474,7 +484,7 @@ func (s *session) stop(graceful bool) {
 		sc.kill()
 	}
 	// An EVICTED session closes at once, without hydrating: its durable state
-	// already equals its checkpoint and its WAL is closed — the fast path
+	// is its checkpoint plus its WAL, which the eviction closed — the fast path
 	// DELETE /v1/sessions/{sid} relies on. Under the pin so it cannot race a
 	// dispatch that is mid-hydration; queued ops (they would have hydrated)
 	// are dropped, as ops queued behind the shutdown op are.

@@ -353,6 +353,42 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
+// Resume reopens segment seq of the log in dir for appends at byte size: the
+// Segment and Size a Log of this process reported when it was closed. It
+// refuses unless seq is still the newest segment and still exactly size bytes
+// long, because anything else means the log changed after that Close and only
+// recovery knows what it now holds. Unlike Open it creates no segment and
+// syncs no directory.
+func Resume(dir string, seq uint64, size int64, opts Options) (*Log, error) {
+	opts.applyDefaults()
+	if size < int64(len(segMagic)) {
+		return nil, fmt.Errorf("wal: resume segment %d at %d bytes: shorter than the segment header", seq, size)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(seq+1))); err == nil {
+		return nil, fmt.Errorf("wal: resume segment %d: segment %d exists", seq, seq+1)
+	} else if !os.IsNotExist(err) {
+		return nil, fmt.Errorf("wal: resume segment %d: %w", seq, err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segName(seq)), os.O_WRONLY, 0)
+	if err != nil {
+		return nil, fmt.Errorf("wal: resume segment %d: %w", seq, err)
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() != size {
+		err = fmt.Errorf("%d bytes on disk, %d at close", fi.Size(), size)
+	}
+	if err == nil {
+		_, err = f.Seek(size, 0)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: resume segment %d: %w", seq, err)
+	}
+	l := &Log{dir: dir, opts: opts, f: f, seq: seq, size: size, last: time.Now()}
+	l.stats.Segment = seq
+	return l, nil
+}
+
 // openSegment creates and switches to segment seq.
 func (l *Log) openSegment(seq uint64) error {
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -386,6 +422,10 @@ func (l *Log) openSegment(seq uint64) error {
 // Segment returns the sequence number of the segment currently open for
 // appends.
 func (l *Log) Segment() uint64 { return l.seq }
+
+// Size returns the byte length of the segment currently open for appends,
+// header included: with Segment, the position Resume continues from.
+func (l *Log) Size() int64 { return l.size }
 
 // Stats returns the cumulative counters.
 func (l *Log) Stats() Stats { return l.stats }

@@ -183,6 +183,99 @@ func TestTornTailStopsCleanly(t *testing.T) {
 	}
 }
 
+// TestResume pins the contract the serving layer's eviction relies on: a log
+// closed at (Segment, Size) reopens there with no new segment, records
+// appended after the resume replay after the earlier ones (a torn tail after
+// them still ends the replay cleanly), and a segment that changed after the
+// close — grown, shrunk, or no longer the newest — is refused.
+func TestResume(t *testing.T) {
+	recs := testRecords()
+	closed := func(t *testing.T) (string, uint64, int64) {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, l, recs[:2])
+		seq, size := l.Segment(), l.Size()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, seq, size
+	}
+
+	t.Run("appends", func(t *testing.T) {
+		dir, seq, size := closed(t)
+		l, err := Resume(dir, seq, size, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Segment() != seq || l.Size() != size || l.Stats().AppendedRecords != 0 {
+			t.Fatalf("resumed at segment %d size %d stats %+v, want %d/%d", l.Segment(), l.Size(), l.Stats(), seq, size)
+		}
+		appendAll(t, l, recs[2:])
+		end := l.Size()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if segs, _ := Segments(dir); !reflect.DeepEqual(segs, []uint64{seq}) {
+			t.Fatalf("segments after resume: %v, want [%d]", segs, seq)
+		}
+		got, st := replayAll(t, dir, 0)
+		if !reflect.DeepEqual(got, recs) || st.Torn {
+			t.Fatalf("replay after resume: %+v (stats %+v)", got, st)
+		}
+		// A resumed log tears like any other: cut the last frame short.
+		path := filepath.Join(dir, segName(seq))
+		if err := os.Truncate(path, end-2); err != nil {
+			t.Fatal(err)
+		}
+		got, st = replayAll(t, dir, 0)
+		if !st.Torn || !reflect.DeepEqual(got, recs[:len(recs)-1]) {
+			t.Fatalf("torn replay after resume: %+v (stats %+v)", got, st)
+		}
+	})
+
+	for name, damage := range map[string]func(dir string, seq uint64, size int64) error{
+		"grown": func(dir string, seq uint64, _ int64) error {
+			f, err := os.OpenFile(filepath.Join(dir, segName(seq)), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				return err
+			}
+			_, err = f.Write([]byte{0, 0, 0})
+			f.Close()
+			return err
+		},
+		"shrunk": func(dir string, seq uint64, size int64) error {
+			return os.Truncate(filepath.Join(dir, segName(seq)), size-1)
+		},
+		"superseded": func(dir string, _ uint64, _ int64) error {
+			l, err := Open(dir, Options{Sync: SyncNever})
+			if err != nil {
+				return err
+			}
+			return l.Close()
+		},
+		"missing": func(dir string, seq uint64, _ int64) error {
+			return os.Remove(filepath.Join(dir, segName(seq)))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, seq, size := closed(t)
+			if err := damage(dir, seq, size); err != nil {
+				t.Fatal(err)
+			}
+			if l, err := Resume(dir, seq, size, Options{}); err == nil {
+				l.Close()
+				t.Fatalf("resumed a %s segment", name)
+			}
+		})
+	}
+	if _, err := Resume(t.TempDir(), 1, 2, Options{}); err == nil {
+		t.Fatal("resumed inside the segment header")
+	}
+}
+
 func TestSyncIntervalPolicy(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncInterval, SyncEvery: time.Hour})
