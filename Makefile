@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke baseline-serve loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile benchmark-test
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile benchmark-test
 
 all: build vet fmt-check doc-check test
 
@@ -196,13 +196,3 @@ loc:
 		pkg = (n == 2) ? "." : ((p[2] == "internal" || p[2] == "cmd") ? p[2] "/" p[3] : p[2]); \
 		loc[pkg] += $$1; total += $$1 } \
 	END { for (k in loc) printf "%7d  %s\n", loc[k], k | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'
-
-# Refresh the committed serving-path baseline: both data planes (JSON-over-
-# HTTP and the binary stream) at 1 vs 4 sessions, over the control-heavy
-# workload (16 objs/batch, 200 particles) and the read-dense one (128
-# objs/batch, 25 particles) that exposes the wire path; plus the density rows
-# (durable sessions far beyond the resident cap, LRU evict/hydrate on every
-# touch — the -density-sessions axis scales to 10k for longer runs).
-baseline-serve:
-	$(GO) run ./cmd/rfidbench -serve -stream -sessions 1,4 -epochs 120 -batch 16,128 -particles 200,25 \
-		-density-sessions 1000,2000 -max-resident 128 -density-epochs 6 -json BENCH_serve.json

@@ -88,15 +88,6 @@ type Config struct {
 	// is independent of the shard count.
 	ShardCount int
 
-	// FastMath selects the bounded-error approximate numeric kernels
-	// (polynomial exp/log/log-sigmoid) in the filters' weighting and
-	// normalization hot loops. Output remains deterministic for a given
-	// configuration and independent of Workers/ShardCount, but is no longer
-	// byte-identical to the default exact mode; compare fast-math runs
-	// against exact runs with CompareTolerance instead of CompareEvents.
-	// The per-call relative error of the kernels is below ~2e-8.
-	FastMath bool
-
 	// Seed seeds all random choices of the engine.
 	Seed int64
 }

@@ -129,7 +129,6 @@ func New(cfg Config) (*Engine, error) {
 			InitConeHalfAngle:      cfg.InitConeHalfAngle,
 			InitConeRange:          cfg.InitConeRange,
 			UseMotionModel:         !cfg.DisableMotionModel,
-			FastMath:               cfg.FastMath,
 			Seed:                   cfg.Seed,
 		})
 		if cfg.SpatialIndex {
@@ -155,7 +154,6 @@ func New(cfg Config) (*Engine, error) {
 			World:             cfg.World,
 			InitConeHalfAngle: cfg.InitConeHalfAngle,
 			InitConeRange:     cfg.InitConeRange,
-			FastMath:          cfg.FastMath,
 			Seed:              cfg.Seed,
 		})
 	}

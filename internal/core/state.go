@@ -39,11 +39,6 @@ func (c Config) Fingerprint() uint64 {
 	put("motion=%t cone=%g/%g|", cfg.DisableMotionModel, cfg.InitConeHalfAngle, cfg.InitConeRange)
 	put("report=%d/%d/%d|", cfg.ReportPolicy, cfg.ReportDelay, cfg.ScopeGapEpochs)
 	put("seed=%d|", cfg.Seed)
-	// Appended only when set so that every pre-existing (FastMath=false)
-	// fingerprint — and thus every existing checkpoint — stays valid.
-	if cfg.FastMath {
-		put("fastmath=true|")
-	}
 	if w := cfg.World; w != nil {
 		// The world formats its shelves and tags once per world. Its bytes are
 		// exactly these fields' formatting, so every fingerprint — and every

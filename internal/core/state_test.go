@@ -239,7 +239,6 @@ func TestConfigFingerprint(t *testing.T) {
 		"particles": func(c *Config) { c.NumObjectParticles++ },
 		"policy":    func(c *Config) { c.ReportDelay++ },
 		"filter":    func(c *Config) { c.Factored = false; c.SpatialIndex = false; c.Compression = false },
-		"fastmath":  func(c *Config) { c.FastMath = true },
 	} {
 		mut := cfg
 		mutate(&mut)

@@ -14,19 +14,12 @@ import (
 // has exercised the arena double buffers. It returns the filter plus a
 // representative steady-state epoch (reader mid-shelf, all objects read).
 func steadyStateFilter(nObjects, particles, warm int) (*Filter, *stream.Epoch) {
-	return steadyStateFilterMode(nObjects, particles, warm, false)
-}
-
-// steadyStateFilterMode is steadyStateFilter with the numerics mode exposed
-// (fastMath selects the approximate kernels).
-func steadyStateFilterMode(nObjects, particles, warm int, fastMath bool) (*Filter, *stream.Epoch) {
 	f := New(Config{
 		NumReaderParticles: 30,
 		NumObjectParticles: particles,
 		Params:             testParams(),
 		World:              testWorld(),
 		UseMotionModel:     true,
-		FastMath:           fastMath,
 		Seed:               42,
 	})
 	ids := make([]stream.TagID, nObjects)
@@ -142,20 +135,9 @@ func BenchmarkStepObject(b *testing.B) {
 }
 
 // BenchmarkEpoch measures a full serial epoch (prologue, all object steps,
-// epilogue) over a steady-state population of 16 objects, in both numerics
-// modes (exact = the byte-identical default, fast = the bounded-error
-// kernels behind Config.FastMath).
+// epilogue) over a steady-state population of 16 objects.
 func BenchmarkEpoch(b *testing.B) {
 	f, ep := steadyStateFilter(16, 150, 80)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Step(ep, nil)
-	}
-}
-
-func BenchmarkEpochFastMath(b *testing.B) {
-	f, ep := steadyStateFilterMode(16, 150, 80, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -201,10 +201,8 @@ func (b *ObjectBelief) HasParticleIn(box geom.BBox) bool {
 
 // normalizeParticles converts the particles' cumulative log weights into
 // normalized weights and returns the effective sample size. It works entirely
-// in the belief's own weight columns — no temporaries. With fast set the
-// per-particle exponentials use the bounded-error FastExp kernel; the exact
-// path is bit-identical to the pre-kernel code.
-func (b *ObjectBelief) normalizeParticles(fast bool) float64 {
+// in the belief's own weight columns — no temporaries.
+func (b *ObjectBelief) normalizeParticles() float64 {
 	n := len(b.logW)
 	if n == 0 {
 		return 0
@@ -226,18 +224,10 @@ func (b *ObjectBelief) normalizeParticles(fast bool) float64 {
 	// from exactly those values (as before the SoA rewrite), then the column
 	// is normalized in place.
 	sum := 0.0
-	if fast {
-		for i, lw := range b.logW {
-			e := stats.FastExp(lw - maxLog)
-			b.normW[i] = e
-			sum += e
-		}
-	} else {
-		for i, lw := range b.logW {
-			e := math.Exp(lw - maxLog)
-			b.normW[i] = e
-			sum += e
-		}
+	for i, lw := range b.logW {
+		e := math.Exp(lw - maxLog)
+		b.normW[i] = e
+		sum += e
 	}
 	ess := stats.EffectiveSampleSize(b.normW)
 	for i := range b.normW {

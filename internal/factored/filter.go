@@ -49,13 +49,6 @@ type Config struct {
 	// paper's system) or taken verbatim from the reported location (false,
 	// the "motion model Off" baseline of Fig. 5(g)).
 	UseMotionModel bool
-	// FastMath replaces the exact exp/log kernels of the weighting and
-	// normalization hot loops with bounded-error approximations (relative
-	// error < 2e-8 per call; see package stats). Output is still fully
-	// deterministic for a given seed — and still independent of sharding —
-	// but no longer byte-identical to the default build; equivalence is
-	// checked with tolerance comparisons instead (core.CompareTolerance).
-	FastMath bool
 	// Seed seeds the filter's random source.
 	Seed int64
 }
@@ -504,7 +497,7 @@ func (f *Filter) stepReaders(ep *stream.Epoch) {
 			}
 		}
 		for k := range shelfIDs {
-			f.model.AccumLogObsFixed(lw, f.shelfObsBuf[k], f.frames, f.shelfLocsBuf[k], f.cfg.FastMath)
+			f.model.AccumLogObsFixed(lw, f.shelfObsBuf[k], f.frames, f.shelfLocsBuf[k], false)
 		}
 		for j := range f.readers {
 			f.readers[j].logW += lw[j]
@@ -589,11 +582,7 @@ func (f *Filter) normalizeReaders() {
 	for j, r := range f.readers {
 		logs[j] = r.logW
 	}
-	if f.cfg.FastMath {
-		stats.NormalizeLogWeightsFast(logs)
-	} else {
-		stats.NormalizeLogWeights(logs)
-	}
+	stats.NormalizeLogWeights(logs)
 	for j := range f.readers {
 		f.readers[j].normW = logs[j]
 		f.readerNorm[j] = logs[j]

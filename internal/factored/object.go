@@ -70,7 +70,7 @@ func (f *Filter) stepObject(ep *stream.Epoch, id stream.TagID, readerPos geom.Ve
 	// state readerPoseFor's fallback exists for.
 	kernelDone := false
 	if f.hasModel && len(f.frames) == len(f.readers) {
-		kernelDone = f.model.AccumLogObs(b.logW[:len(b.locs)], observed, f.frames, b.reader, b.locs, f.cfg.FastMath)
+		kernelDone = f.model.AccumLogObs(b.logW[:len(b.locs)], observed, f.frames, b.reader, b.locs, false)
 	}
 	if !kernelDone {
 		for i := range b.locs {
@@ -79,7 +79,7 @@ func (f *Filter) stepObject(ep *stream.Epoch, id stream.TagID, readerPos geom.Ve
 		}
 	}
 
-	ess := b.normalizeParticles(f.cfg.FastMath)
+	ess := b.normalizeParticles()
 	if ess < f.cfg.ResampleThreshold*float64(b.NumParticles()) {
 		f.resampleObject(b, a)
 	}

@@ -98,7 +98,7 @@ func TestNormalizeParticlesHandlesDegenerateWeights(t *testing.T) {
 		{Loc: geom.V(0, 0, 0), logW: -5},
 		{Loc: geom.V(0, 1, 0), logW: -5},
 	})
-	ess := b.normalizeParticles(false)
+	ess := b.normalizeParticles()
 	if math.Abs(ess-2) > 1e-9 {
 		t.Errorf("equal weights should give ESS 2, got %v", ess)
 	}
@@ -113,13 +113,13 @@ func TestNormalizeParticlesHandlesDegenerateWeights(t *testing.T) {
 		{Loc: geom.V(0, 0, 0), logW: inf},
 		{Loc: geom.V(0, 1, 0), logW: inf},
 	})
-	b2.normalizeParticles(false)
+	b2.normalizeParticles()
 	for i := 0; i < b2.NumParticles(); i++ {
 		if p := b2.Particle(i); math.IsNaN(p.normW) || p.normW <= 0 {
 			t.Errorf("degenerate weights not recovered: %v", p.normW)
 		}
 	}
-	if (&ObjectBelief{}).normalizeParticles(false) != 0 {
+	if (&ObjectBelief{}).normalizeParticles() != 0 {
 		t.Error("empty belief should have zero ESS")
 	}
 }

@@ -37,11 +37,6 @@ type Config struct {
 	// ResampleThreshold is the effective-sample-size fraction below which
 	// resampling is triggered (default 0.5).
 	ResampleThreshold float64
-	// FastMath replaces the exact exp/log kernels of the weighting and
-	// normalization loops with bounded-error approximations (see package
-	// stats); output is deterministic but no longer byte-identical to the
-	// default build.
-	FastMath bool
 	// Seed seeds the filter's random source.
 	Seed int64
 }
@@ -257,20 +252,11 @@ func (f *Filter) Step(ep *stream.Epoch) {
 		}
 		if f.hasModel {
 			fr := sensor.FrameFor(f.readers[j])
-			if f.cfg.FastMath {
-				for k := range shelfIDs {
-					lw += f.model.LogObsFrameFast(fr, f.shelfLocsBuf[k], f.shelfObsBuf[k])
-				}
-				for k := range row {
-					lw += f.model.LogObsFrameFast(fr, row[k], f.objObsBuf[k])
-				}
-			} else {
-				for k := range shelfIDs {
-					lw += f.model.LogObsFrame(fr, f.shelfLocsBuf[k], f.shelfObsBuf[k])
-				}
-				for k := range row {
-					lw += f.model.LogObsFrame(fr, row[k], f.objObsBuf[k])
-				}
+			for k := range shelfIDs {
+				lw += f.model.LogObsFrame(fr, f.shelfLocsBuf[k], f.shelfObsBuf[k])
+			}
+			for k := range row {
+				lw += f.model.LogObsFrame(fr, row[k], f.objObsBuf[k])
 			}
 		} else {
 			for k := range shelfIDs {
@@ -285,11 +271,7 @@ func (f *Filter) Step(ep *stream.Epoch) {
 
 	// Normalize and resample when the effective sample size collapses.
 	copy(f.normW, f.logW)
-	if f.cfg.FastMath {
-		stats.NormalizeLogWeightsFast(f.normW)
-	} else {
-		stats.NormalizeLogWeights(f.normW)
-	}
+	stats.NormalizeLogWeights(f.normW)
 	ess := stats.EffectiveSampleSize(f.normW)
 	if ess < f.cfg.ResampleThreshold*float64(len(f.readers)) {
 		f.resample()

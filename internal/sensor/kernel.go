@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/stats"
 )
 
 // Batch observation-likelihood kernels for the particle-weighting hot loops.
@@ -18,15 +17,12 @@ import (
 //     per reader particle per epoch instead of once per (particle, tag) pair;
 //   - tags beyond MaxRange short-circuit before touching exp/log (for an
 //     unobserved tag the exact contribution is log(1) == 0);
-//   - the loops are 4-wide unrolled over the columns;
-//   - an opt-in fast mode replaces exp/log with the bounded-error kernels of
-//     package stats (relative error < 2e-8, see FastExp/FastLogSigmoid).
+//   - the loops are 4-wide unrolled over the columns.
 //
-// In the default (exact) mode every arithmetic expression repeats the
-// scalar path — DistanceAngleTo, ReadProb, LogObservationProb — operation
-// for operation, so results are bit-identical and the golden/property suites
-// hold unchanged. Fast mode changes output bits and is covered by the
-// tolerance-equality suite instead (core.CompareTolerance).
+// Every arithmetic expression repeats the scalar path — DistanceAngleTo,
+// ReadProb, LogObservationProb — operation for operation, so results are
+// bit-identical and the golden/property suites hold unchanged. LogObsFrame
+// is the one per-element sensor kernel every weighting loop goes through.
 
 // logObsFloor mirrors the probability floor of LogObservationProb.
 const logObsFloor = 1e-9
@@ -92,48 +88,18 @@ func (m Model) LogObsFrame(fr Frame, loc geom.Vec3, observed bool) float64 {
 	return math.Log(q)
 }
 
-// LogObsFrameFast is LogObsFrame with the logistic term computed by the
-// approximate kernels: log σ(z) (observed) and log σ(-z) (missed), floored
-// at log(1e-9) like the exact path. Absolute error stays below ~1e-7 on the
-// log scale; see ARCHITECTURE.md for the derivation.
-func (m Model) LogObsFrameFast(fr Frame, loc geom.Vec3, observed bool) float64 {
-	d, theta := distanceAngle(fr, loc)
-	if m.MaxRange > 0 && d > m.MaxRange {
-		if observed {
-			return logOfFloor
-		}
-		return 0
-	}
-	z := m.linear(d, theta)
-	if !observed {
-		z = -z
-	}
-	v := stats.FastLogSigmoid(z)
-	if v < logOfFloor {
-		// Mirrors the exact path's probability floor. For the missed case the
-		// exact path floors q = 1 - σ(z) rather than σ(-z); the two agree to
-		// ~1e-16, far inside fast mode's tolerance.
-		v = logOfFloor
-	}
-	return v
-}
-
-// logObsAt dispatches one element between the exact and fast scalar paths.
-func (m Model) logObsAt(fr Frame, loc geom.Vec3, observed, fast bool) float64 {
-	if fast {
-		return m.LogObsFrameFast(fr, loc, observed)
-	}
-	return m.LogObsFrame(fr, loc, observed)
-}
-
 // AccumLogObs adds each particle's observation log-likelihood to its entry in
-// the logW column: logW[i] += logObs(frames[reader[i]], locs[i]). It is the
-// factored filter's per-object weighting step (Eq. 5: each object particle is
-// weighted against its associated reader particle only) over the belief's
-// structure-of-arrays columns. It returns false — leaving logW untouched —
-// when any reader index is out of range (possible transiently after reader
-// resampling); the caller then falls back to the scalar path.
-func (m Model) AccumLogObs(logW []float64, observed bool, frames []Frame, reader []int32, locs []geom.Vec3, fast bool) bool {
+// the logW column: logW[i] += LogObsFrame(frames[reader[i]], locs[i]). It is
+// the factored filter's per-object weighting step (Eq. 5: each object
+// particle is weighted against its associated reader particle only) over the
+// belief's structure-of-arrays columns. It returns false — leaving logW
+// untouched — when any reader index is out of range (possible transiently
+// after reader resampling); the caller then falls back to the scalar path.
+//
+// The trailing bool is ignored. It selected an approximate numeric mode that
+// no longer exists, and stays only because the frozen benchmark module still
+// passes it; callers pass false.
+func (m Model) AccumLogObs(logW []float64, observed bool, frames []Frame, reader []int32, locs []geom.Vec3, _ bool) bool {
 	n := len(locs)
 	if len(logW) < n || len(reader) < n {
 		return false
@@ -146,33 +112,34 @@ func (m Model) AccumLogObs(logW []float64, observed bool, frames []Frame, reader
 	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		logW[i] += m.logObsAt(frames[reader[i]], locs[i], observed, fast)
-		logW[i+1] += m.logObsAt(frames[reader[i+1]], locs[i+1], observed, fast)
-		logW[i+2] += m.logObsAt(frames[reader[i+2]], locs[i+2], observed, fast)
-		logW[i+3] += m.logObsAt(frames[reader[i+3]], locs[i+3], observed, fast)
+		logW[i] += m.LogObsFrame(frames[reader[i]], locs[i], observed)
+		logW[i+1] += m.LogObsFrame(frames[reader[i+1]], locs[i+1], observed)
+		logW[i+2] += m.LogObsFrame(frames[reader[i+2]], locs[i+2], observed)
+		logW[i+3] += m.LogObsFrame(frames[reader[i+3]], locs[i+3], observed)
 	}
 	for ; i < n; i++ {
-		logW[i] += m.logObsAt(frames[reader[i]], locs[i], observed, fast)
+		logW[i] += m.LogObsFrame(frames[reader[i]], locs[i], observed)
 	}
 	return true
 }
 
 // AccumLogObsFixed adds the log-likelihood of one fixed tag location to every
-// frame's accumulator: logW[j] += logObs(frames[j], loc). It is the
+// frame's accumulator: logW[j] += LogObsFrame(frames[j], loc). It is the
 // reader-particle weighting step against a shelf tag with a known location.
-func (m Model) AccumLogObsFixed(logW []float64, observed bool, frames []Frame, loc geom.Vec3, fast bool) {
+// The trailing bool is ignored, as for AccumLogObs.
+func (m Model) AccumLogObsFixed(logW []float64, observed bool, frames []Frame, loc geom.Vec3, _ bool) {
 	n := len(frames)
 	if len(logW) < n {
 		n = len(logW)
 	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		logW[i] += m.logObsAt(frames[i], loc, observed, fast)
-		logW[i+1] += m.logObsAt(frames[i+1], loc, observed, fast)
-		logW[i+2] += m.logObsAt(frames[i+2], loc, observed, fast)
-		logW[i+3] += m.logObsAt(frames[i+3], loc, observed, fast)
+		logW[i] += m.LogObsFrame(frames[i], loc, observed)
+		logW[i+1] += m.LogObsFrame(frames[i+1], loc, observed)
+		logW[i+2] += m.LogObsFrame(frames[i+2], loc, observed)
+		logW[i+3] += m.LogObsFrame(frames[i+3], loc, observed)
 	}
 	for ; i < n; i++ {
-		logW[i] += m.logObsAt(frames[i], loc, observed, fast)
+		logW[i] += m.LogObsFrame(frames[i], loc, observed)
 	}
 }

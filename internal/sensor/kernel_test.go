@@ -42,24 +42,6 @@ func TestLogObsFrameBitIdentical(t *testing.T) {
 	}
 }
 
-func TestLogObsFrameFastWithinTolerance(t *testing.T) {
-	m := DefaultModel()
-	poses, locs := randomPosesAndLocs(500)
-	for _, observed := range []bool{true, false} {
-		for i, p := range poses {
-			fr := FrameFor(p)
-			got := m.LogObsFrameFast(fr, locs[i], observed)
-			want := m.LogObservationProb(observed, p, locs[i])
-			// The fast kernels are accurate to ~2e-8 relative; the missed
-			// case additionally swaps 1-sigmoid(z) for sigmoid(-z), so allow
-			// a small absolute slack on the log scale.
-			if math.Abs(got-want) > 1e-7+1e-7*math.Abs(want) {
-				t.Fatalf("LogObsFrameFast(obs=%v, loc=%v) = %v, want %v within tolerance", observed, locs[i], got, want)
-			}
-		}
-	}
-}
-
 func TestAccumLogObsMatchesScalar(t *testing.T) {
 	m := DefaultModel()
 	poses, locs := randomPosesAndLocs(101) // odd length exercises the unroll tail
@@ -146,18 +128,12 @@ func BenchmarkAccumLogObs(b *testing.B) {
 		reader[i] = int32(i % len(frames))
 	}
 	logW := make([]float64, len(locs))
-	for _, bench := range []struct {
-		name string
-		fast bool
-	}{{"exact", false}, {"fast", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.AccumLogObs(logW, false, frames, reader, locs, bench.fast)
-			}
-			sinkKernel = logW[0]
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.AccumLogObs(logW, false, frames, reader, locs, false)
 	}
+	sinkKernel = logW[0]
 }
 
 func BenchmarkAccumLogObsFixed(b *testing.B) {
@@ -168,18 +144,12 @@ func BenchmarkAccumLogObsFixed(b *testing.B) {
 		frames[j] = FrameFor(poses[j])
 	}
 	logW := make([]float64, len(frames))
-	for _, bench := range []struct {
-		name string
-		fast bool
-	}{{"exact", false}, {"fast", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.AccumLogObsFixed(logW, false, frames, locs[3], bench.fast)
-			}
-			sinkKernel = logW[0]
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.AccumLogObsFixed(logW, false, frames, locs[3], false)
 	}
+	sinkKernel = logW[0]
 }
 
 // BenchmarkLogObsScalarBaseline is the pre-kernel per-call path (interface-free

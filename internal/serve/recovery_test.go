@@ -330,41 +330,67 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 }
 
 // TestRecoveryRejectsForeignCheckpoint pins the fingerprint gate: state
-// produced under different model parameters must not load.
+// produced under a different engine configuration must not load.
 func TestRecoveryRejectsForeignCheckpoint(t *testing.T) {
 	trace, rByT, lByT, _ := recoveryTrace(t)
-	dataDir := t.TempDir()
+	// The fingerprints of recoveryRequest's engine, recorded when the engine
+	// still had an approximate numeric mode: exact is what every checkpoint of
+	// this session carries, fastMath what one written in that mode carried.
+	const exact, fastMath = 0xea56f1c007d1a13d, 0xf0ed408a2654d958
+	for name, makeForeign := range map[string]func(t *testing.T, dataDir string){
+		// A session rebuilt under a different seed has a different fingerprint.
+		"seed": func(t *testing.T, dataDir string) {
+			foreign := recoveryRequest(trace, 1, 1)
+			foreign.Engine.Seed++
+			putManifest(t, dataDir, foreign)
+		},
+		// The approximate mode is gone, so its checkpoints must be refused.
+		"fastmath": func(t *testing.T, dataDir string) {
+			dir := filepath.Join(dataDir, "sessions", recoveryRequest(trace, 1, 1).ID)
+			_, snap, ok, err := checkpoint.Latest(dir)
+			if err != nil || !ok {
+				t.Fatalf("no checkpoint after graceful close (err %v)", err)
+			}
+			if snap.Fingerprint != exact {
+				t.Fatalf("checkpoint fingerprint %#x, recorded %#x", snap.Fingerprint, uint64(exact))
+			}
+			snap.Fingerprint = fastMath
+			if _, err := checkpoint.Write(dir, snap); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dataDir := t.TempDir()
+			srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+			ingestEpochs(t, tsA.URL, rByT, lByT, 0, 10)
+			tsA.Close()
+			srvA.Close() // graceful: writes a checkpoint
 
-	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
-	ingestEpochs(t, tsA.URL, rByT, lByT, 0, 10)
-	tsA.Close()
-	srvA.Close() // graceful: writes a checkpoint
-
-	// A session rebuilt under a different seed has a different fingerprint.
-	foreign := recoveryRequest(trace, 1, 1)
-	foreign.Engine.Seed++
-	putManifest(t, dataDir, foreign)
-	srvB, err := New(Config{DataDir: dataDir, Fsync: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvB.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srvB.WaitReady(ctx); err == nil {
-		t.Fatal("foreign checkpoint accepted")
-	}
-	ts := httptest.NewServer(srvB.Handler())
-	defer ts.Close()
-	var hz struct {
-		State string `json:"state"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/healthz", &hz); code != http.StatusServiceUnavailable || hz.State != "failed" {
-		t.Fatalf("failed server healthz: code %d state %q", code, hz.State)
-	}
-	// Ops are rejected, not hung.
-	if code := postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil); code == http.StatusOK {
-		t.Fatal("flush succeeded on a failed server")
+			makeForeign(t, dataDir)
+			srvB, err := New(Config{DataDir: dataDir, Fsync: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srvB.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srvB.WaitReady(ctx); err == nil {
+				t.Fatal("foreign checkpoint accepted")
+			}
+			ts := httptest.NewServer(srvB.Handler())
+			defer ts.Close()
+			var hz struct {
+				State string `json:"state"`
+			}
+			if code := getJSON(t, ts.URL+"/v1/healthz", &hz); code != http.StatusServiceUnavailable || hz.State != "failed" {
+				t.Fatalf("failed server healthz: code %d state %q", code, hz.State)
+			}
+			// Ops are rejected, not hung.
+			if code := postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil); code == http.StatusOK {
+				t.Fatal("flush succeeded on a failed server")
+			}
+		})
 	}
 }
 

@@ -56,6 +56,45 @@ func (g DiagGaussian3) Sample(src *rng.Source) geom.Vec3 {
 	return src.NormalVec(g.Mu, g.Sigma)
 }
 
+// HoistedDiagGaussian3 is DiagGaussian3 with the per-axis sigma floors and
+// log-sigma terms precomputed, for hot loops that evaluate many densities
+// under one fixed covariance (the reader location-sensing likelihood
+// evaluates every reader particle against the same Sigma_s each epoch).
+// LogPDFAt(mu, x) is bit-identical to
+// DiagGaussian3{Mu: mu, Sigma: sigma}.LogPDF(x): hoisting only moves the
+// pure math.Log(sigma) subexpressions out of the loop.
+type HoistedDiagGaussian3 struct {
+	sigma    [3]float64 // floored per-axis standard deviations
+	logSigma [3]float64 // log of the floored standard deviations
+}
+
+// HoistDiagGaussian3 precomputes the sigma-dependent terms of a diagonal
+// Gaussian log density.
+func HoistDiagGaussian3(sigma geom.Vec3) HoistedDiagGaussian3 {
+	var h HoistedDiagGaussian3
+	for i, s := range [3]float64{sigma.X, sigma.Y, sigma.Z} {
+		if s < 1e-9 {
+			s = 1e-9
+		}
+		h.sigma[i] = s
+		h.logSigma[i] = math.Log(s)
+	}
+	return h
+}
+
+// LogPDFAt returns the log density of x under N(mu, diag(sigma^2)). The
+// per-axis expression repeats Gaussian1D.LogPDF operation for operation, so
+// the result is bit-identical to the unhoisted form.
+func (h HoistedDiagGaussian3) LogPDFAt(mu, x geom.Vec3) float64 {
+	zx := (x.X - mu.X) / h.sigma[0]
+	zy := (x.Y - mu.Y) / h.sigma[1]
+	zz := (x.Z - mu.Z) / h.sigma[2]
+	lx := -0.5*zx*zx - h.logSigma[0] - 0.5*log2Pi
+	ly := -0.5*zy*zy - h.logSigma[1] - 0.5*log2Pi
+	lz := -0.5*zz*zz - h.logSigma[2] - 0.5*log2Pi
+	return lx + ly + lz
+}
+
 // Gaussian3 is a full-covariance three-dimensional Gaussian. It is the
 // parametric form used by belief compression: a compressed object location is
 // stored as nine numbers (mean plus symmetric covariance).

@@ -62,6 +62,28 @@ func TestDiagGaussian3(t *testing.T) {
 	}
 }
 
+func TestHoistDiagGaussian3BitIdentical(t *testing.T) {
+	sigmas := []geom.Vec3{
+		{X: 0.3, Y: 0.25, Z: 0.1},
+		{X: 1, Y: 2, Z: 3},
+		{X: 0, Y: -1, Z: 1e-12}, // degenerate axes hit the 1e-9 floor
+	}
+	mus := []geom.Vec3{{}, {X: 1.5, Y: -2.25, Z: 0.75}, {X: -10, Y: 3, Z: 0.01}}
+	xs := []geom.Vec3{{}, {X: 1.37, Y: -2.5, Z: 1}, {X: 9.7, Y: -4.2, Z: -0.3}}
+	for _, s := range sigmas {
+		h := HoistDiagGaussian3(s)
+		for _, mu := range mus {
+			for _, x := range xs {
+				want := DiagGaussian3{Mu: mu, Sigma: s}.LogPDF(x)
+				got := h.LogPDFAt(mu, x)
+				if got != want {
+					t.Fatalf("LogPDFAt(sigma=%v, mu=%v, x=%v) = %v, want bit-identical %v", s, mu, x, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestGaussian3LogPDFAndSample(t *testing.T) {
 	g := NewGaussian3(geom.V(1, -1, 0.5), Diag3(0.25, 1, 0.04))
 	if g.LogPDF(g.Mean) < g.LogPDF(geom.V(3, 3, 3)) {

@@ -58,46 +58,64 @@ func OpenMirror(dir string, opts Options) (*Mirror, error) {
 		return m, nil
 	}
 	seg := segs[len(segs)-1]
-	path := filepath.Join(dir, segName(seg))
-	data, err := os.ReadFile(path)
+	f, valid, err := trimTornTail(dir, seg)
 	if err != nil {
-		return nil, fmt.Errorf("wal: read mirrored segment %d: %w", seg, err)
-	}
-	valid, err := validFrameLength(data)
-	if err != nil {
-		return nil, fmt.Errorf("wal: mirrored segment %d: %w", seg, err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open mirrored segment %d: %w", seg, err)
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate mirrored segment %d: %w", seg, err)
-	}
-	if _, err := f.Seek(valid, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek mirrored segment %d: %w", seg, err)
-	}
-	if valid < int64(len(segMagic)) {
-		// The previous life crashed inside segment creation: rebuild the
-		// header so the file is a well-formed empty segment again.
-		if _, err := f.Write([]byte(segMagic)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: rewrite segment header: %w", err)
-		}
-		valid = int64(len(segMagic))
+		return nil, err
 	}
 	m.f, m.seg, m.off = f, seg, valid
 	m.stats.Segment = seg
 	return m, nil
 }
 
+// trimTornTail cuts segment seg of the log in dir back to its whole-frame
+// prefix, discarding any tail torn by a crash, and returns the file open for
+// writing at its new end. A segment shorter than its header (a crash inside
+// segment creation) gets the header rebuilt, so the file is a well-formed
+// empty segment again. A segment that changed is fsynced before the return.
+func trimTornTail(dir string, seg uint64) (*os.File, int64, error) {
+	path := filepath.Join(dir, segName(seg))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: read segment %d: %w", seg, err)
+	}
+	valid, err := validFrameLength(data)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: segment %d: %w", seg, err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: open segment %d: %w", seg, err)
+	}
+	fail := func(op string, err error) (*os.File, int64, error) {
+		f.Close()
+		return nil, 0, fmt.Errorf("wal: %s segment %d: %w", op, seg, err)
+	}
+	if err := f.Truncate(valid); err != nil {
+		return fail("truncate", err)
+	}
+	if _, err := f.Seek(valid, 0); err != nil {
+		return fail("seek", err)
+	}
+	changed := valid != int64(len(data))
+	if valid < int64(len(segMagic)) {
+		if _, err := f.Write([]byte(segMagic)); err != nil {
+			return fail("rewrite header of", err)
+		}
+		valid, changed = int64(len(segMagic)), true
+	}
+	if changed {
+		if err := f.Sync(); err != nil {
+			return fail("fsync", err)
+		}
+	}
+	return f, valid, nil
+}
+
 // validFrameLength scans a segment image and returns the byte length of its
 // whole-frame prefix (header included). A torn or short tail is simply where
 // the valid prefix ends; only a wrong magic — bytes that were written whole
 // but are not a segment — is an error. A file shorter than the magic (a crash
-// inside segment creation) reports 0, and OpenMirror rebuilds the header.
+// inside segment creation) reports 0, and trimTornTail rebuilds the header.
 func validFrameLength(data []byte) (int64, error) {
 	if len(data) < len(segMagic) {
 		return 0, nil

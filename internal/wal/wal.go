@@ -332,7 +332,9 @@ func Segments(dir string) ([]uint64, error) {
 // Open creates (or reuses) the log directory and opens a FRESH segment after
 // the highest existing one. Existing segments are never appended to — a
 // recovering process replays them read-only and then writes into its own new
-// segment, so a torn tail from the previous life can never be written past.
+// segment. The newest existing segment is first cut back to its whole-frame
+// prefix: once the new segment exists it is no longer the tail, and a torn
+// frame left in it would make every later replay refuse the log.
 func Open(dir string, opts Options) (*Log, error) {
 	opts.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -344,7 +346,15 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	next := uint64(1)
 	if len(segs) > 0 {
-		next = segs[len(segs)-1] + 1
+		last := segs[len(segs)-1]
+		f, _, err := trimTornTail(dir, last)
+		if err != nil {
+			return nil, err
+		}
+		if err := f.Close(); err != nil {
+			return nil, fmt.Errorf("wal: close segment %d: %w", last, err)
+		}
+		next = last + 1
 	}
 	l := &Log{dir: dir, opts: opts, last: time.Now()}
 	if err := l.openSegment(next); err != nil {

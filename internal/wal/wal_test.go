@@ -172,14 +172,69 @@ func TestTornTailStopsCleanly(t *testing.T) {
 	}
 
 	// The same damage in a NON-final segment is corruption, not a torn tail.
+	// Open trims the torn tail it finds, so tear segment 1 again after it.
 	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, l2, recs[:1])
 	l2.Close()
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Replay(dir, 0, func(Record) error { return nil }); err == nil {
 		t.Fatal("mid-log corruption not surfaced as an error")
+	}
+}
+
+// TestOpenTrimsTornTail pins recovery across two crashes: a crash tears the
+// newest segment, recovery replays it as the tail and Open starts the next
+// one, then a second crash comes before any checkpoint. Open must have cut
+// the torn segment back to its whole frames, or the next replay meets the
+// torn frame in a non-final segment and refuses the whole log.
+func TestOpenTrimsTornTail(t *testing.T) {
+	recs := testRecords()
+	for name, tear := range map[string]func(data []byte) []byte{
+		"cut frame":    func(data []byte) []byte { return data[:len(data)-3] },
+		"short header": func(data []byte) []byte { return data[:len(segMagic)-2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(dir, Options{Sync: SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, recs[:2])
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, segName(1))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tear(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			survived, st := replayAll(t, dir, 0)
+			if !st.Torn {
+				t.Fatal("first recovery did not see the torn tail")
+			}
+
+			l2, err := Open(dir, Options{Sync: SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l2, recs[2:])
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, st := replayAll(t, dir, 0)
+			want := append(append([]Record(nil), survived...), recs[2:]...)
+			if st.Torn || !reflect.DeepEqual(got, want) {
+				t.Fatalf("second recovery replayed %+v (stats %+v), want %+v", got, st, want)
+			}
+		})
 	}
 }
 

@@ -84,21 +84,7 @@ type (
 	Config = core.Config
 	// Stats are the engine's cumulative work counters.
 	Stats = core.Stats
-	// Tolerance bounds the numeric difference CompareTolerance allows.
-	Tolerance = core.Tolerance
 )
-
-// CompareTolerance compares two event streams under a numeric tolerance:
-// schedules (count, Time, Tag) exactly, locations per axis within the bound.
-// Use it to check a Config.FastMath run against the exact default, which is
-// deterministic but not byte-identical to it.
-func CompareTolerance(got, want []Event, tol Tolerance) error {
-	return core.CompareTolerance(got, want, tol)
-}
-
-// FastMathTolerance is the documented equivalence bound between a
-// Config.FastMath run and the exact default.
-func FastMathTolerance() Tolerance { return core.FastMathTolerance() }
 
 // NewWorld returns an empty world description.
 func NewWorld() *World { return model.NewWorld() }
