@@ -209,6 +209,61 @@ func TestRestoreVersion1Checkpoint(t *testing.T) {
 	}
 }
 
+// v2Snapshot is how testdata/runner-v2.ckpt was made: the v1Fixture run with
+// HistoryEpochs 16, sealed through upTo, saved by SaveState in the current
+// payload version and wrapped as the checkpoint of epoch upTo whose replay
+// starts at WAL segment 1.
+func v2Snapshot(t *testing.T, r *rfid.Runner, upTo int) []byte {
+	t.Helper()
+	enc := checkpoint.NewEncoder()
+	r.SaveState(enc)
+	return checkpoint.Encode(checkpoint.Snapshot{
+		Version: checkpoint.Version, Fingerprint: r.Fingerprint(),
+		Epoch: upTo, WALSegment: 1, Payload: enc.Bytes(),
+	})
+}
+
+// TestRestoreVersion2Checkpoint pins the payload-version-2 bytes: the
+// v1Fixture run must encode to exactly testdata/runner-v2.ckpt, and the file
+// must restore into a runner that re-saves the same payload and continues
+// identically to the uninterrupted run.
+func TestRestoreVersion2Checkpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "runner-v2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != 2 {
+		t.Fatalf("fixture is payload version %d, want 2", snap.Version)
+	}
+	cfg, rByT, lByT, upTo, maxT := v1Fixture(t)
+	rc := rfid.RunnerConfig{HistoryEpochs: 16}
+	ref, err := rfid.NewRunner(cfg, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveRunner(t, ref, rByT, lByT, 0, upTo+1)
+	if !bytes.Equal(v2Snapshot(t, ref, upTo), data) {
+		t.Fatal("the fixture run no longer encodes to testdata/runner-v2.ckpt")
+	}
+	got, err := rfid.NewRunner(cfg, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.RestoreState(snap.PayloadDecoder()); err != nil {
+		t.Fatalf("restore version-2 payload: %v", err)
+	}
+	if !bytes.Equal(v2Snapshot(t, got, upTo), data) {
+		t.Fatal("the restored runner re-saves different bytes")
+	}
+	if !reflect.DeepEqual(driveRunner(t, got, rByT, lByT, upTo+1, maxT+1), driveRunner(t, ref, rByT, lByT, upTo+1, maxT+1)) {
+		t.Fatal("events diverged after the version-2 restore")
+	}
+}
+
 // TestRunnerHistoryRing pins the bounded-retention and lookup behaviour of
 // the time-travel ring.
 func TestRunnerHistoryRing(t *testing.T) {
