@@ -167,10 +167,11 @@ density-smoke:
 # converge, SIGKILLs the primary, promotes the replica and verifies the
 # promoted node serves snapshots and query results byte-identical to both the
 # pre-kill primary and an uninterrupted reference process; plus the in-process
-# convergence-across-parallelism, resume-after-restart and
-# long-poll-wakes-on-replicated-removal properties.
+# convergence-across-parallelism, resume-after-restart,
+# long-poll-wakes-on-replicated-removal and close-releases-replica-files
+# properties.
 replica-smoke:
-	$(GO) test -race -run 'TestReplicaSmoke$$|TestReplicaConvergesAcrossTransposition$$|TestReplicaResumeAfterRestart$$|TestReplicaLongPollWakesOnRemoval$$' -v ./internal/serve
+	$(GO) test -race -run 'TestReplicaSmoke$$|TestReplicaConvergesAcrossTransposition$$|TestReplicaResumeAfterRestart$$|TestReplicaLongPollWakesOnRemoval$$|TestCloseNowReleasesReplicaFiles$$' -v ./internal/serve
 
 # Full benchmark run (slow; minutes).
 bench:

@@ -148,14 +148,14 @@ func TestDecodeVersions(t *testing.T) {
 	// reencode is Encode with the header's version chosen by the caller.
 	reencode := func(s Snapshot, v uint64) []byte {
 		e := NewEncoder()
-		e.buf = append(e.buf, Magic...)
+		e.Raw([]byte(Magic))
 		e.Uvarint(v)
 		e.Uvarint(s.Fingerprint)
 		e.Varint(int64(s.Epoch))
 		e.Uvarint(s.WALSegment)
 		e.Uvarint(uint64(len(s.Payload)))
-		e.buf = append(e.buf, s.Payload...)
-		e.Uvarint(uint64(crc32.Checksum(e.buf, crcTable)))
+		e.Raw(s.Payload)
+		e.Uvarint(uint64(crc32.Checksum(e.Bytes(), crcTable)))
 		return e.Bytes()
 	}
 	if got, want := reencode(Snapshot{Epoch: 4, Payload: []byte("p")}, Version), Encode(Snapshot{Epoch: 4, Payload: []byte("p")}); string(got) != string(want) {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/rfid/wire"
 )
 
 // Magic identifies a checkpoint file; the trailing digits are the format
@@ -48,16 +50,15 @@ type Snapshot struct {
 //	magic(8) | version | fingerprint | epoch | walSegment | len(payload)
 //	| payload | crc32c(everything before the crc)
 func Encode(s Snapshot) []byte {
-	e := NewEncoder()
-	e.buf = append(e.buf, Magic...)
+	var e wire.Encoder
+	e.Raw([]byte(Magic))
 	e.Uvarint(Version)
 	e.Uvarint(s.Fingerprint)
 	e.Varint(int64(s.Epoch))
 	e.Uvarint(s.WALSegment)
 	e.Uvarint(uint64(len(s.Payload)))
-	e.buf = append(e.buf, s.Payload...)
-	crc := crc32.Checksum(e.buf, crcTable)
-	e.Uvarint(uint64(crc))
+	e.Raw(s.Payload)
+	e.Uvarint(uint64(crc32.Checksum(e.Bytes(), crcTable)))
 	return e.Bytes()
 }
 
@@ -79,8 +80,8 @@ func Decode(data []byte) (Snapshot, error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return Snapshot{}, fmt.Errorf("checkpoint: bad magic (not a checkpoint file)")
 	}
-	d := NewDecoder(data)
-	d.off = len(Magic)
+	var d wire.Decoder
+	d.Reset(data[len(Magic):])
 	var s Snapshot
 	s.Version = d.Uvarint()
 	if d.Err() == nil && (s.Version < 1 || s.Version > Version) {
@@ -93,9 +94,10 @@ func Decode(data []byte) (Snapshot, error) {
 	if d.Err() != nil {
 		return Snapshot{}, d.Err()
 	}
-	s.Payload = append([]byte(nil), data[d.off:d.off+n]...)
-	d.off += n
-	crcEnd := d.off
+	start := len(data) - d.Remaining()
+	crcEnd := start + n
+	s.Payload = append([]byte(nil), data[start:crcEnd]...)
+	d.Reset(data[crcEnd:])
 	want := d.Uvarint()
 	if d.Err() != nil {
 		return Snapshot{}, d.Err()
@@ -118,56 +120,30 @@ func FileName(epoch int) string {
 
 const fileExt = ".ckpt"
 
-// Write atomically persists a snapshot into dir under FileName(s.Epoch): the
-// bytes go to a temp file first, are fsynced, and only then renamed into
-// place, so a crash mid-write leaves the previous checkpoint untouched and
-// never a torn file under the canonical name.
+// Write atomically persists a snapshot into dir under FileName(s.Epoch)
+// through WriteFileAtomic, so a crash mid-write leaves the previous
+// checkpoint untouched and never a torn file under the canonical name.
 func Write(dir string, s Snapshot) (string, error) {
-	data := Encode(s)
-	path := filepath.Join(dir, FileName(s.Epoch))
-	tmp, err := os.CreateTemp(dir, "checkpoint-*.tmp")
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: create temp: %w", err)
+	name := FileName(s.Epoch)
+	if err := WriteFileAtomic(dir, name, Encode(s)); err != nil {
+		return "", err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", fmt.Errorf("checkpoint: write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", fmt.Errorf("checkpoint: sync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", fmt.Errorf("checkpoint: close temp: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return "", fmt.Errorf("checkpoint: rename into place: %w", err)
-	}
-	syncDir(dir)
-	return path, nil
+	return filepath.Join(dir, name), nil
 }
 
-// syncDir fsyncs a directory so a rename survives power loss; best-effort
-// (some filesystems reject directory fsync).
-func syncDir(dir string) {
+// SyncDir fsyncs a directory so a rename survives power loss; best-effort
+// (some filesystems reject directory fsync). Sibling durability layers (the
+// serving layer's session manifests) share it, so the crash-safe directory
+// handling lives in exactly one place.
+func SyncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
 }
 
-// SyncDir is the exported form of syncDir for sibling durability layers
-// (e.g. the serving layer's session manifests) so the crash-safe directory
-// handling lives in exactly one place.
-func SyncDir(dir string) { syncDir(dir) }
-
-// WriteFileAtomic persists data under dir/name with the same crash-safety
-// contract as Write: temp file, fsync, rename into place, directory fsync. A
+// WriteFileAtomic persists data under dir/name: the bytes go to a temp file
+// first, are fsynced, renamed into place and the directory is fsynced. A
 // crash mid-write leaves either the previous file or no file — never a torn
 // one — and once the call returns the bytes survive power loss.
 func WriteFileAtomic(dir, name string, data []byte) error {
@@ -194,7 +170,7 @@ func WriteFileAtomic(dir, name string, data []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("checkpoint: rename into place: %w", err)
 	}
-	syncDir(dir)
+	SyncDir(dir)
 	return nil
 }
 

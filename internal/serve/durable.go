@@ -54,10 +54,10 @@ func (s *session) openDurable(replica bool) error {
 		return fmt.Errorf("recovery failed: %w", err)
 	}
 	if replica {
-		// A replica session never appends its own records: instead of a Log it
-		// opens a Mirror positioned at the end of the last whole mirrored
-		// frame — exactly where the replay above stopped — and resumes tailing
-		// the primary from there.
+		// A replica session never appends its own records: its log is a
+		// mirror positioned at the end of the last whole mirrored frame —
+		// exactly where the replay above stopped — and it resumes tailing the
+		// primary from there.
 		if err := s.openMirrorLocked(); err != nil {
 			return fmt.Errorf("open mirror: %w", err)
 		}
@@ -71,8 +71,7 @@ func (s *session) openDurable(replica bool) error {
 	return nil
 }
 
-// walOptions are the options the session opens its log (or, on a replica, its
-// mirror) with.
+// walOptions are the options the session opens its log with, in either role.
 func (s *session) walOptions() wal.Options {
 	return wal.Options{
 		SegmentBytes: s.cfg.WALSegmentBytes,
@@ -266,7 +265,7 @@ func (s *session) applyWALRecord(r *rfid.Runner, reg *query.Registry, rec wal.Re
 // maybeCheckpoint writes a checkpoint when enough epochs have been processed
 // since the last one. Pinned worker only.
 func (s *session) maybeCheckpoint() {
-	if s.wal == nil {
+	if s.wal == nil || s.life.load().replica() {
 		return
 	}
 	epochs := int64(s.eng.Load().Position().Epochs)
@@ -334,56 +333,47 @@ func (s *session) persistCheckpoint(t0 time.Time, epoch int, seg uint64) error {
 // closes the WAL — the graceful-shutdown sequence SIGTERM triggers. Pinned
 // worker only. On an evicted session there is nothing to do: its durable
 // state is its checkpoint plus its WAL, which the eviction closed (sealing
-// would require hydrating a session that is being torn down).
+// would require hydrating a session that is being torn down). A replica only
+// closes its mirror: no seal, no checkpoint — the mirrored directory must
+// stay byte-exact with what the primary shipped.
 func (s *session) shutdownDurable() {
 	cur := s.life.load()
 	defer s.transition(cur, cur.in(phaseClosed), nil)
-	if cur.replica() {
-		// A replica owns no log of its own: flush the mirror and stop. No
-		// seal, no checkpoint — the mirrored directory must stay byte-exact
-		// with what the primary shipped.
-		if s.mirror != nil {
-			if err := s.mirror.Sync(); err != nil {
-				s.log.Error("syncing mirror at shutdown failed", "err", err)
+	if r := s.eng.Load(); r != nil && !cur.replica() {
+		// The run is over: seal what is buffered, as a flush would (a refused
+		// or failing seal is logged by mutate and the checkpoint below still
+		// lands).
+		s.mutate(r, s.reg.Load(), wal.Record{Type: wal.RecSeal})
+		if s.wal != nil {
+			if err := s.writeCheckpoint(); err != nil {
+				s.log.Error("final checkpoint failed", "err", err)
 			}
-			if err := s.mirror.Close(); err != nil {
-				s.log.Error("closing mirror failed", "err", err)
-			}
-			s.mirror = nil
 		}
-		return
 	}
-	r := s.eng.Load()
-	if r == nil {
-		return
-	}
-	// The run is over: seal what is buffered, as a flush would (a refused or
-	// failing seal is logged by mutate and the checkpoint below still lands).
-	s.mutate(r, s.reg.Load(), wal.Record{Type: wal.RecSeal})
-	if s.wal != nil {
-		if err := s.writeCheckpoint(); err != nil {
-			s.log.Error("final checkpoint failed", "err", err)
-		}
-		if err := s.wal.Close(); err != nil {
-			s.log.Error("closing wal failed", "err", err)
-		}
-		s.wal = nil
+	if err := s.closeWAL(); err != nil {
+		s.log.Error("closing wal failed", "err", err)
 	}
 }
 
-// syncWALMetrics mirrors the counters of the WAL — on a replica, of the mirror
-// that stands in for it — into the metric set (counters take deltas so they
-// stay monotone). Pinned worker only.
+// closeWAL closes the session's log, in either role, and drops it. Pinned
+// worker, or stop once no worker runs the session.
+func (s *session) closeWAL() error {
+	if s.wal == nil {
+		return nil
+	}
+	err := s.wal.Close()
+	s.wal = nil
+	return err
+}
+
+// syncWALMetrics mirrors the counters of the WAL (on a replica, of its
+// mirror) into the metric set (counters take deltas so they stay monotone).
+// Pinned worker only.
 func (s *session) syncWALMetrics() {
-	var st wal.Stats
-	switch {
-	case s.wal != nil:
-		st = s.wal.Stats()
-	case s.mirror != nil:
-		st = s.mirror.Stats()
-	default:
+	if s.wal == nil {
 		return
 	}
+	st := s.wal.Stats()
 	s.walRecords.Add(int(st.AppendedRecords - s.lastWal.AppendedRecords))
 	s.walBytes.Add(int(st.AppendedBytes - s.lastWal.AppendedBytes))
 	s.walFsyncs.Add(int(st.Fsyncs - s.lastWal.Fsyncs))

@@ -339,7 +339,7 @@ func TestLifecyclePaths(t *testing.T) {
 	rs, _ := rsv.session(churnSessionID(4))
 	expectLife(t, rs, replicaIn(phaseServing), "replica startup")
 	oldEng, oldHist := rs.eng.Load(), rs.histReg.Load()
-	res, err := rs.call(op{kind: opReplBootstrap, repl: &replOp{seg: 1, off: walHeaderLen}}, nil)
+	res, err := rs.call(op{kind: opReplBootstrap, repl: &replOp{seg: 1, off: wal.HeaderLen}}, nil)
 	if err != nil || res.err != nil {
 		t.Fatalf("re-bootstrap: %v / %v", err, res.err)
 	}

@@ -1,7 +1,8 @@
 package serve
 
 // The replica side of WAL shipping: a session on a follower node mirrors the
-// primary's log byte-for-byte (wal.Mirror), applies every shipped record
+// primary's log byte-for-byte (s.wal, opened by wal.OpenMirror and written
+// with Log.AppendAt), applies every shipped record
 // through the exact replay path recovery uses (applyWALRecord), and writes its
 // own checkpoints only at shipped RecCheckpoint markers — the moments the
 // primary checkpointed — so the replica's data directory is indistinguishable
@@ -49,7 +50,7 @@ func (s *session) openMirrorLocked() error {
 	if err != nil {
 		return err
 	}
-	s.mirror = m
+	s.wal = m
 	s.lastWal = wal.Stats{}
 	seg, off := m.Pos()
 	s.replSeg.Store(seg)
@@ -77,14 +78,14 @@ func lastSealedEpoch(r *rfid.Runner) int64 {
 // the connection (the follower reconnects and resumes from the mirror's
 // position, which heals gaps and duplicates alike).
 func (s *session) handleReplApply(ro *replOp) opResult {
-	if !s.life.load().replica() || s.mirror == nil {
+	if !s.life.load().replica() || s.wal == nil {
 		return opResult{err: fmt.Errorf("session %q is not following a primary", s.id)}
 	}
-	mseg, moff := s.mirror.Pos()
+	mseg, moff := s.wal.Pos()
 	if ro.seg < mseg || (ro.seg == mseg && ro.off < moff) {
 		return opResult{} // already mirrored and applied; ack resyncs the primary
 	}
-	if err := s.mirror.Append(ro.seg, ro.off, ro.payload); err != nil {
+	if err := s.wal.AppendAt(ro.seg, ro.off, ro.payload); err != nil {
 		s.engineErrs.Inc()
 		s.log.Error("mirror append failed", "err", err)
 		return opResult{err: err}
@@ -108,7 +109,7 @@ func (s *session) handleReplApply(ro *replOp) opResult {
 		}
 		s.account(r, res)
 	}
-	seg, off := s.mirror.Pos()
+	seg, off := s.wal.Pos()
 	s.replSeg.Store(seg)
 	s.replOff.Store(off)
 	s.appliedEpoch.Store(lastSealedEpoch(r))
@@ -126,7 +127,7 @@ func (s *session) replicaCheckpoint(epoch int, seg uint64) error {
 	if err := s.persistCheckpoint(time.Now(), epoch, seg); err != nil {
 		return err
 	}
-	if err := s.mirror.RemoveSegmentsBefore(seg); err != nil {
+	if err := s.wal.RemoveSegmentsBefore(seg); err != nil {
 		s.log.Warn("pruning covered wal segments failed", "err", err)
 	}
 	return nil
@@ -151,11 +152,8 @@ func (s *session) handleReplBootstrap(ro *replOp) opResult {
 
 // rebootstrap is handleReplBootstrap's work.
 func (s *session) rebootstrap(ro *replOp) error {
-	if s.mirror != nil {
-		if err := s.mirror.Close(); err != nil {
-			s.log.Warn("closing mirror for re-bootstrap failed", "err", err)
-		}
-		s.mirror = nil
+	if err := s.closeWAL(); err != nil {
+		s.log.Warn("closing mirror for re-bootstrap failed", "err", err)
 	}
 	// Only the log and checkpoints are replaced; the manifest stays.
 	for _, pat := range durableFilePatterns {
@@ -197,18 +195,14 @@ func (s *session) rebootstrap(ro *replOp) error {
 	return nil
 }
 
-// walHeaderLen is the segment-header length every frame offset starts past
-// (the 8-byte "RFWAL002" magic; see internal/wal).
-const walHeaderLen = 8
-
 // setReplCursor publishes an explicit resume position (normalized past the
 // segment header, matching wal.OpenCursor). Only an empty mirror adopts it —
 // a mirror with mirrored frames already knows its true position.
 func (s *session) setReplCursor(seg uint64, off int64) {
-	if off < walHeaderLen {
-		off = walHeaderLen
+	if off < wal.HeaderLen {
+		off = wal.HeaderLen
 	}
-	if mseg, moff := s.mirror.Pos(); mseg == 0 && moff == 0 {
+	if mseg, moff := s.wal.Pos(); mseg == 0 && moff == 0 {
 		s.replSeg.Store(seg)
 		s.replOff.Store(off)
 	}
@@ -233,11 +227,8 @@ func (s *session) handleReplPromote() opResult {
 // openWritable closes the mirror and opens the directory as the session's
 // WAL (handleReplPromote's work).
 func (s *session) openWritable() error {
-	if s.mirror != nil {
-		if err := s.mirror.Close(); err != nil {
-			return fmt.Errorf("close mirror at promotion: %w", err)
-		}
-		s.mirror = nil
+	if err := s.closeWAL(); err != nil {
+		return fmt.Errorf("close mirror at promotion: %w", err)
 	}
 	lg, err := wal.Open(s.cfg.DataDir, s.walOptions())
 	if err != nil {

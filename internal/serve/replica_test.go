@@ -122,10 +122,10 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	if cur := rsv.replCursors(); len(cur) != 1 || cur[0].SID != "default" {
 		t.Fatalf("replica hello cursors = %+v, want one for session %q", cur, "default")
 	}
-	if _, err := rsv.replApply(wire.ReplRecord{SID: "", Seg: 1, Off: walHeaderLen}); err == nil || !strings.Contains(err.Error(), "empty session id") {
+	if _, err := rsv.replApply(wire.ReplRecord{SID: "", Seg: 1, Off: wal.HeaderLen}); err == nil || !strings.Contains(err.Error(), "empty session id") {
 		t.Fatalf("record with an empty session id: err = %v, want a refusal naming it", err)
 	}
-	if err := rsv.replBootstrap("", `{"source":"synthetic"}`, nil, 1, walHeaderLen); err == nil || !strings.Contains(err.Error(), "empty session id") {
+	if err := rsv.replBootstrap("", `{"source":"synthetic"}`, nil, 1, wal.HeaderLen); err == nil || !strings.Contains(err.Error(), "empty session id") {
 		t.Fatalf("bootstrap with an empty session id: err = %v, want a refusal naming it", err)
 	}
 	if n := len(rsv.snapshotSessions()); n != 1 {
@@ -319,6 +319,69 @@ func TestReplicaResumeAfterRestart(t *testing.T) {
 	want = stateFingerprint(t, pts.URL, "default")
 	waitReplicaConverged(t, pts.URL, rts.URL, pDir, rDir, want)
 	compareReplicaDirs(t, pDir, rDir)
+}
+
+// TestCloseNowReleasesReplicaFiles: an immediate close of a converged
+// replica releases every file it holds in its data directory — the mirrored
+// WAL segment included — as a primary's immediate close does.
+func TestCloseNowReleasesReplicaFiles(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to list open files in")
+	}
+	pDir, rDir := t.TempDir(), t.TempDir()
+	pReq, readings, locations := replRequest(t, 1, 1)
+	psv, err := New(Config{
+		DataDir: pDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
+		IngestWait: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("primary New: %v", err)
+	}
+	openSession(t, psv, pReq)
+	pts := httptest.NewServer(psv.Handler())
+	defer func() {
+		pts.Close()
+		psv.Close()
+	}()
+	if code := postJSON(t, pts.URL+"/v1/sessions/default/ingest", ingestBody(readings, locations), nil); code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d", code)
+	}
+	if code := postJSON(t, pts.URL+"/v1/sessions/default/flush", struct{}{}, nil); code != http.StatusOK {
+		t.Fatalf("flush: status %d", code)
+	}
+
+	rReq, _, _ := replRequest(t, 1, 1)
+	putManifest(t, rDir, rReq)
+	rsv, err := New(Config{
+		DataDir: rDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
+		ReplicaOf: pts.Listener.Addr().String(),
+	})
+	if err != nil {
+		t.Fatalf("replica New: %v", err)
+	}
+	rts := httptest.NewServer(rsv.Handler())
+	waitReplicaConverged(t, pts.URL, rts.URL, pDir, rDir, stateFingerprint(t, pts.URL, "default"))
+	rts.Close()
+	rsv.CloseNow()
+
+	root, err := filepath.EvalSymlinks(rDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open []string
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, root+string(filepath.Separator)) {
+			open = append(open, strings.TrimPrefix(target, root+string(filepath.Separator)))
+		}
+	}
+	if len(open) > 0 {
+		t.Fatalf("replica files still open after CloseNow: %v", open)
+	}
 }
 
 // waitReplicaConverged polls until the replica's fingerprint matches want AND

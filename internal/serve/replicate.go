@@ -414,7 +414,7 @@ func (sv *Server) announceSession(enc *wire.Encoder, writeFrame func() error, st
 		wire.AppendReplSession(enc, wire.ReplSession{
 			SID: st.sid, Manifest: manifest,
 			SnapshotBytes: int64(len(image)),
-			Seg:           snap.WALSegment, Off: walHeaderLen,
+			Seg:           snap.WALSegment, Off: wal.HeaderLen,
 		})
 		if err := writeFrame(); err != nil {
 			return false, err
@@ -430,7 +430,7 @@ func (sv *Server) announceSession(enc *wire.Encoder, writeFrame func() error, st
 				return false, err
 			}
 		}
-		cur, err := wal.OpenCursor(st.dir, snap.WALSegment, walHeaderLen)
+		cur, err := wal.OpenCursor(st.dir, snap.WALSegment, wal.HeaderLen)
 		if err != nil {
 			return false, err
 		}
@@ -444,11 +444,11 @@ func (sv *Server) announceSession(enc *wire.Encoder, writeFrame func() error, st
 	// resume branch above would have fired.)
 	if len(segs) > 0 {
 		enc.Reset()
-		wire.AppendReplSession(enc, wire.ReplSession{SID: st.sid, Manifest: manifest, Seg: segs[0], Off: walHeaderLen})
+		wire.AppendReplSession(enc, wire.ReplSession{SID: st.sid, Manifest: manifest, Seg: segs[0], Off: wal.HeaderLen})
 		if err := writeFrame(); err != nil {
 			return false, err
 		}
-		cur, err := wal.OpenCursor(st.dir, segs[0], walHeaderLen)
+		cur, err := wal.OpenCursor(st.dir, segs[0], wal.HeaderLen)
 		if err != nil {
 			return false, err
 		}

@@ -170,12 +170,10 @@ type session struct {
 	// checkpoint's serve.stream section, so stream resume survives eviction.
 	lastStreamSeq atomic.Uint64
 
-	// Replication (see replica.go). mirror replaces wal while the session is
-	// a replica (pinned worker only). repl is the server-level follower
+	// Replication (see replica.go). repl is the server-level follower
 	// tracker; replSeg/replOff/appliedEpoch are the atomically published apply
 	// cursor HTTP handlers and ack senders read without the pin, valid while
 	// the session is a serving replica.
-	mirror       *wal.Mirror
 	repl         *replTracker
 	replSeg      atomic.Uint64
 	replOff      atomic.Int64
@@ -186,7 +184,9 @@ type session struct {
 	histReg atomic.Pointer[query.Registry]
 
 	// Durability (nil / zero when cfg.DataDir is empty). The WAL and the
-	// checkpoint writer run exclusively under the session pin.
+	// checkpoint writer run exclusively under the session pin. On a replica
+	// wal is the mirror of the primary's log (wal.OpenMirror), written only by
+	// shipped records.
 	wal           *wal.Log
 	ready         chan struct{} // closed when startup has run
 	lastCkptEpoch atomic.Int64
@@ -520,13 +520,11 @@ func (s *session) stop(graceful bool) {
 	}
 	s.pinMu.Unlock()
 	// A graceful pass closed the WAL in shutdownDurable; otherwise release it
-	// here, the only writer left (a plain close flushes nothing the kernel
-	// does not already have, so kill -9 semantics are preserved).
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil {
-			s.log.Error("closing wal failed", "err", err)
-		}
-		s.wal = nil
+	// here — a replica's mirror as much as a primary's log — as the only
+	// writer left (a plain close flushes nothing the kernel does not already
+	// have, so kill -9 semantics are preserved).
+	if err := s.closeWAL(); err != nil {
+		s.log.Error("closing wal failed", "err", err)
 	}
 	s.res.drop(s, evicted)
 }

@@ -27,10 +27,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/rfid/wire"
 )
 
 // ErrSegmentGone reports that the cursor's position (or a segment between it
@@ -57,7 +58,7 @@ func DecodeRecord(payload []byte) (Record, error) { return decodeRecord(payload)
 
 // Cursor is a tailing reader positioned in a log directory. Not safe for
 // concurrent use by multiple goroutines, but safe to run against a directory
-// with one live appender (Log or Mirror).
+// with one live appender (a Log in either role).
 type Cursor struct {
 	dir string
 	seg uint64
@@ -83,8 +84,8 @@ type Cursor struct {
 // "the oldest segment present when reading starts" — the bootstrap position
 // for a log that has never checkpointed.
 func OpenCursor(dir string, seg uint64, off int64) (*Cursor, error) {
-	if off < int64(len(segMagic)) {
-		off = int64(len(segMagic))
+	if off < HeaderLen {
+		off = HeaderLen
 	}
 	return &Cursor{dir: dir, seg: seg, off: off, segments: Segments}, nil
 }
@@ -138,7 +139,7 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 			if len(segs) == 0 {
 				return nil, io.EOF
 			}
-			c.seg, c.off = segs[0], int64(len(segMagic))
+			c.seg, c.off = segs[0], HeaderLen
 		}
 		if c.f == nil {
 			f, err := os.Open(filepath.Join(c.dir, segName(c.seg)))
@@ -193,7 +194,7 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 		}
 		c.f.Close()
 		c.f = nil
-		c.seg, c.off = next, int64(len(segMagic))
+		c.seg, c.off = next, HeaderLen
 	}
 }
 
@@ -237,24 +238,28 @@ func (c *Cursor) readFrameAt() ([]byte, error) {
 		return nil, errStall
 	}
 	plen := int(binary.LittleEndian.Uint32(c.hdr[0:4]))
-	want := binary.LittleEndian.Uint32(c.hdr[4:8])
 	if plen > maxCursorFrame {
 		return nil, errStall
 	}
-	if cap(c.buf) < plen {
-		c.buf = make([]byte, plen)
+	flen := len(c.hdr) + plen
+	if cap(c.buf) < flen {
+		c.buf = make([]byte, flen)
 	}
-	buf := c.buf[:plen]
-	n, err = c.f.ReadAt(buf, c.off+int64(len(c.hdr)))
+	frame := c.buf[:flen]
+	copy(frame, c.hdr[:])
+	n, err = c.f.ReadAt(frame[len(c.hdr):], c.off+int64(len(c.hdr)))
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
 	if n < plen {
 		return nil, errStall
 	}
-	if crc32.Checksum(buf, crcTable) != want {
+	// The frame is whole; wire.NextFrame checks its CRC, and a mismatch is a
+	// write in flight like any other unreadable frame.
+	payload, _, err := wire.NextFrame(frame)
+	if err != nil {
 		return nil, errStall
 	}
-	c.off += int64(len(c.hdr)) + int64(plen)
-	return buf, nil
+	c.off += int64(flen)
+	return payload, nil
 }

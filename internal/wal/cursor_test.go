@@ -338,7 +338,7 @@ func TestCursorConcurrentAppendTail(t *testing.T) {
 // frame in N, rotates, and appends to N+1. The scan then reports a newer
 // segment; the cursor must still deliver N's last frame before crossing. The
 // shipped stream is mirrored too: a skipped segment tail is position-valid
-// for a Mirror (the next append lands on the next segment's first frame
+// for a mirror (the next append lands on the next segment's first frame
 // boundary), so the only loud signal is the byte comparison made here.
 func TestCursorRotationBetweenStallAndScan(t *testing.T) {
 	src, dst := t.TempDir(), t.TempDir()
@@ -383,7 +383,7 @@ func TestCursorRotationBetweenStallAndScan(t *testing.T) {
 		}
 		got = append(got, rec)
 		seg, off := c.RecordPos()
-		if err := m.Append(seg, off, payload); err != nil {
+		if err := m.AppendAt(seg, off, payload); err != nil {
 			t.Fatalf("mirror append: %v", err)
 		}
 	}
@@ -426,7 +426,7 @@ func readSegments(t *testing.T, dir string) map[uint64][]byte {
 
 // shipAll tails src with a cursor and appends every record's payload to m at
 // its source position — the replication ship/apply loop in miniature.
-func shipAll(t *testing.T, src string, m *Mirror) int {
+func shipAll(t *testing.T, src string, m *Log) int {
 	t.Helper()
 	c, err := OpenCursor(src, 0, 0)
 	if err != nil {
@@ -443,7 +443,7 @@ func shipAll(t *testing.T, src string, m *Mirror) int {
 			t.Fatalf("ship next: %v", err)
 		}
 		seg, off := c.RecordPos()
-		if err := m.Append(seg, off, payload); err != nil {
+		if err := m.AppendAt(seg, off, payload); err != nil {
 			t.Fatalf("mirror append: %v", err)
 		}
 		n++
@@ -559,7 +559,7 @@ func TestMirrorReopenTruncatesTornTail(t *testing.T) {
 			t.Fatalf("resume next: %v", err)
 		}
 		rseg, roff := c.RecordPos()
-		if err := m2.Append(rseg, roff, payload); err != nil {
+		if err := m2.AppendAt(rseg, roff, payload); err != nil {
 			t.Fatalf("resume mirror append: %v", err)
 		}
 	}
@@ -583,28 +583,28 @@ func TestMirrorDesyncRejected(t *testing.T) {
 	}
 	payload := sealRecord(1).encode()
 	// First append to an empty mirror must be a segment start.
-	if err := m.Append(3, 99, payload); err == nil {
+	if err := m.AppendAt(3, 99, payload); err == nil {
 		t.Fatal("mid-segment first append accepted")
 	}
-	if err := m.Append(3, int64(len(segMagic)), payload); err != nil {
+	if err := m.AppendAt(3, int64(len(segMagic)), payload); err != nil {
 		t.Fatal(err)
 	}
 	_, off := m.Pos()
 	// Wrong offset, wrong segment, and skipped rotation are all desyncs.
-	if err := m.Append(3, off+1, payload); err == nil {
+	if err := m.AppendAt(3, off+1, payload); err == nil {
 		t.Fatal("wrong offset accepted")
 	}
-	if err := m.Append(2, off, payload); err == nil {
+	if err := m.AppendAt(2, off, payload); err == nil {
 		t.Fatal("wrong segment accepted")
 	}
-	if err := m.Append(5, int64(len(segMagic)), payload); err == nil {
+	if err := m.AppendAt(5, int64(len(segMagic)), payload); err == nil {
 		t.Fatal("skipped rotation accepted")
 	}
 	// The exact position, and the next segment's start, are accepted.
-	if err := m.Append(3, off, payload); err != nil {
+	if err := m.AppendAt(3, off, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(4, int64(len(segMagic)), payload); err != nil {
+	if err := m.AppendAt(4, int64(len(segMagic)), payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {

@@ -10,6 +10,9 @@ import (
 	"repro/internal/stream"
 )
 
+// crcTable is the frame checksum polynomial, for building frames by hand.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 // frame wraps a payload in the on-disk frame format (test helper mirroring
 // Append's framing).
 func frame(payload []byte) []byte {

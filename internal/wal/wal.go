@@ -16,11 +16,17 @@
 // else is surfaced as an error. The fsync policy is configurable: every
 // append (strongest), periodic (bounded loss window) or never (leave flushing
 // to the OS).
+//
+// One segment writer, Log, serves both ends of WAL shipping: a primary's log
+// appends its own records (Open, Append), a follower's mirror writes the
+// primary's shipped records at the positions they hold there (OpenMirror,
+// AppendAt), and both share rotation, fsync, Close and GC. Every reader —
+// Replay, the tailing Cursor, the torn-tail trim — checks frames with
+// wire.NextFrame.
 package wal
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -269,8 +275,15 @@ type Stats struct {
 	Segment uint64
 }
 
-// Log is an open write-ahead log. It is not safe for concurrent use; the
-// serving layer appends only from the session's pinned worker.
+// Log is an open write-ahead log in one of two roles. A primary's log (Open,
+// Resume) frames and appends its own records and rotates by size. A
+// follower's mirror (OpenMirror) rebuilds the primary's segment files byte
+// for byte: it frames each shipped payload with the same codec and writes it
+// at the (segment, offset) the record occupies on the primary, so a promoted
+// follower's directory is indistinguishable from the primary's. Both roles
+// share one segment writer, fsync policy, Close and GC. A Log is not safe for
+// concurrent use; the serving layer appends only from the session's pinned
+// worker.
 type Log struct {
 	dir   string
 	opts  Options
@@ -285,6 +298,10 @@ type Log struct {
 	enc   wire.Encoder
 	frame []byte
 }
+
+// HeaderLen is the length of the header every segment file starts with: the
+// offset of its first frame.
+const HeaderLen = int64(len(segMagic))
 
 // segName returns the canonical file name for a segment sequence number.
 func segName(seq uint64) string { return fmt.Sprintf("wal-%016d.seg", seq) }
@@ -333,9 +350,28 @@ func Segments(dir string) ([]uint64, error) {
 // the highest existing one. Existing segments are never appended to — a
 // recovering process replays them read-only and then writes into its own new
 // segment. The newest existing segment is first cut back to its whole-frame
-// prefix: once the new segment exists it is no longer the tail, and a torn
-// frame left in it would make every later replay refuse the log.
+// prefix, as OpenMirror cuts it: once the new segment exists it is no longer
+// the tail, and a torn frame left in it would make every later replay refuse
+// the log.
 func Open(dir string, opts Options) (*Log, error) {
+	l, err := OpenMirror(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.openSegment(l.seq+1, os.O_EXCL); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+// OpenMirror opens (or creates) dir as a follower's mirror of a primary's
+// log. If segments exist — a follower restarting — the newest is cut back to
+// its whole-frame prefix, discarding any tail torn by the previous life's
+// crash, and stays open at its end: exactly where recovery's replay stopped.
+// An empty directory yields a log that adopts its position from the first
+// AppendAt.
+func OpenMirror(dir string, opts Options) (*Log, error) {
 	opts.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
@@ -344,23 +380,82 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: scan segments: %w", err)
 	}
-	next := uint64(1)
+	l := &Log{dir: dir, opts: opts, last: time.Now()}
 	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		f, _, err := trimTornTail(dir, last)
-		if err != nil {
+		seq := segs[len(segs)-1]
+		if l.f, l.size, err = trimTornTail(dir, seq); err != nil {
 			return nil, err
 		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("wal: close segment %d: %w", last, err)
-		}
-		next = last + 1
-	}
-	l := &Log{dir: dir, opts: opts, last: time.Now()}
-	if err := l.openSegment(next); err != nil {
-		return nil, err
+		l.seq, l.stats.Segment = seq, seq
 	}
 	return l, nil
+}
+
+// trimTornTail cuts segment seg of the log in dir back to its whole-frame
+// prefix, discarding any tail torn by a crash, and returns the file open for
+// writing at its new end. A segment shorter than its header (a crash inside
+// segment creation) gets the header rebuilt, so the file is a well-formed
+// empty segment again. A segment that changed is fsynced before the return.
+func trimTornTail(dir string, seg uint64) (*os.File, int64, error) {
+	path := filepath.Join(dir, segName(seg))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: read segment %d: %w", seg, err)
+	}
+	valid, err := validFrameLength(data)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: segment %d: %w", seg, err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: open segment %d: %w", seg, err)
+	}
+	fail := func(op string, err error) (*os.File, int64, error) {
+		f.Close()
+		return nil, 0, fmt.Errorf("wal: %s segment %d: %w", op, seg, err)
+	}
+	if err := f.Truncate(valid); err != nil {
+		return fail("truncate", err)
+	}
+	if _, err := f.Seek(valid, 0); err != nil {
+		return fail("seek", err)
+	}
+	changed := valid != int64(len(data))
+	if valid < HeaderLen {
+		if _, err := f.Write([]byte(segMagic)); err != nil {
+			return fail("rewrite header of", err)
+		}
+		valid, changed = HeaderLen, true
+	}
+	if changed {
+		if err := f.Sync(); err != nil {
+			return fail("fsync", err)
+		}
+	}
+	return f, valid, nil
+}
+
+// validFrameLength scans a segment image and returns the byte length of its
+// whole-frame prefix (header included). A torn or short tail is simply where
+// the valid prefix ends; only a wrong magic — bytes that were written whole
+// but are not a segment — is an error. A file shorter than the magic (a crash
+// inside segment creation) reports 0, and trimTornTail rebuilds the header.
+func validFrameLength(data []byte) (int64, error) {
+	if len(data) < len(segMagic) {
+		return 0, nil
+	}
+	if string(data[:len(segMagic)]) != segMagic {
+		return 0, fmt.Errorf("bad segment magic")
+	}
+	rest := data[len(segMagic):]
+	for len(rest) > 0 {
+		_, next, err := wire.NextFrame(rest)
+		if err != nil {
+			break
+		}
+		rest = next
+	}
+	return int64(len(data) - len(rest)), nil
 }
 
 // Resume reopens segment seq of the log in dir for appends at byte size: the
@@ -371,7 +466,7 @@ func Open(dir string, opts Options) (*Log, error) {
 // syncs no directory.
 func Resume(dir string, seq uint64, size int64, opts Options) (*Log, error) {
 	opts.applyDefaults()
-	if size < int64(len(segMagic)) {
+	if size < HeaderLen {
 		return nil, fmt.Errorf("wal: resume segment %d at %d bytes: shorter than the segment header", seq, size)
 	}
 	if _, err := os.Stat(filepath.Join(dir, segName(seq+1))); err == nil {
@@ -399,9 +494,12 @@ func Resume(dir string, seq uint64, size int64, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// openSegment creates and switches to segment seq.
-func (l *Log) openSegment(seq uint64) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+// openSegment creates segment seq and switches to it, durably finishing the
+// previous segment first. mode is os.O_EXCL for a log writing its own
+// records and os.O_TRUNC for a mirror, which overwrites what a previous life
+// wrote there without the primary's acknowledgement.
+func (l *Log) openSegment(seq uint64, mode int) error {
+	f, err := os.OpenFile(filepath.Join(l.dir, segName(seq)), os.O_CREATE|mode|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment %d: %w", seq, err)
 	}
@@ -410,7 +508,7 @@ func (l *Log) openSegment(seq uint64) error {
 		return fmt.Errorf("wal: write segment header: %w", err)
 	}
 	if l.f != nil {
-		syncErr := l.syncFile() // durably finish the old segment
+		syncErr := l.syncFile()
 		closeErr := l.f.Close()
 		if syncErr != nil {
 			f.Close()
@@ -423,26 +521,27 @@ func (l *Log) openSegment(seq uint64) error {
 	}
 	l.f = f
 	l.seq = seq
-	l.size = int64(len(segMagic))
+	l.size = HeaderLen
 	l.stats.Segment = seq
 	syncDir(l.dir)
 	return nil
 }
 
 // Segment returns the sequence number of the segment currently open for
-// appends.
+// appends (0 before the first append to an empty mirror).
 func (l *Log) Segment() uint64 { return l.seq }
 
 // Size returns the byte length of the segment currently open for appends,
 // header included: with Segment, the position Resume continues from.
 func (l *Log) Size() int64 { return l.size }
 
+// Pos returns the write position (Segment, Size): on a mirror, the
+// (segment, offset) the next shipped record must carry and the resume cursor
+// a follower sends in its hello and acks.
+func (l *Log) Pos() (seg uint64, off int64) { return l.seq, l.size }
+
 // Stats returns the cumulative counters.
 func (l *Log) Stats() Stats { return l.stats }
-
-// crcTable retains the frame checksum polynomial for test helpers; the
-// framing itself lives in rfid/wire.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Append frames and writes one record, rotating the segment first when the
 // write would cross the size threshold, then applies the fsync policy. The
@@ -455,19 +554,53 @@ func (l *Log) Append(rec Record) error {
 	l.enc.Reset()
 	rec.encodeTo(&l.enc)
 	l.frame = wire.AppendFrame(l.frame[:0], l.enc.Bytes())
-	frame := int64(len(l.frame))
-	if l.size+frame > l.opts.SegmentBytes && l.size > int64(len(segMagic)) {
-		if err := l.openSegment(l.seq + 1); err != nil {
+	if l.size+int64(len(l.frame)) > l.opts.SegmentBytes && l.size > HeaderLen {
+		if err := l.openSegment(l.seq+1, os.O_EXCL); err != nil {
 			return err
 		}
 	}
+	return l.write()
+}
+
+// AppendAt frames a shipped record payload and writes it at (seg, off), the
+// position it occupies in the primary's log. That must be the mirror's exact
+// write position (Pos), or the first frame boundary of segment seg+1, which
+// durably finishes the current segment and starts the next (the shipped
+// image of the primary's rotation); an empty mirror adopts any segment
+// number from its first append, which must be a segment start. Anything else
+// is a desync: the follower reconnects and resumes from Pos, which heals
+// duplicates and gaps alike.
+func (l *Log) AppendAt(seg uint64, off int64, payload []byte) error {
+	switch {
+	case l.f == nil && l.size == 0 && off == HeaderLen:
+		// Empty mirror: adopt the shipper's segment, at its start only.
+		if err := l.openSegment(seg, os.O_TRUNC); err != nil {
+			return err
+		}
+	case l.f != nil && seg == l.seq && off == l.size:
+		// In sequence.
+	case l.f != nil && seg == l.seq+1 && off == HeaderLen:
+		if err := l.openSegment(seg, os.O_TRUNC); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("wal: mirror desync: append at segment %d offset %d, mirror at segment %d offset %d", seg, off, l.seq, l.size)
+	}
+	l.frame = wire.AppendFrame(l.frame[:0], payload)
+	return l.write()
+}
+
+// write appends the frame built in l.frame to the open segment, counts it and
+// applies the fsync policy.
+func (l *Log) write() error {
 	if _, err := l.f.Write(l.frame); err != nil {
 		return fmt.Errorf("wal: append frame: %w", err)
 	}
-	l.size += frame
+	n := int64(len(l.frame))
+	l.size += n
 	l.dirty = true
 	l.stats.AppendedRecords++
-	l.stats.AppendedBytes += frame
+	l.stats.AppendedBytes += n
 	switch l.opts.Sync {
 	case SyncAlways:
 		return l.Sync()
@@ -518,23 +651,18 @@ func (l *Log) Rotate() (uint64, error) {
 	if l.f == nil {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
-	if err := l.openSegment(l.seq + 1); err != nil {
+	if err := l.openSegment(l.seq+1, os.O_EXCL); err != nil {
 		return 0, err
 	}
 	return l.seq, nil
 }
 
-// RemoveSegmentsBefore deletes every segment with sequence < seq; the
-// checkpointing path calls it after a checkpoint recording seq as its replay
-// start has been durably written.
+// RemoveSegmentsBefore deletes every segment with sequence < seq: a primary
+// after a checkpoint recording seq as its replay start has been durably
+// written, a follower after writing its own checkpoint at the shipped
+// RecCheckpoint marker of that moment.
 func (l *Log) RemoveSegmentsBefore(seq uint64) error {
-	return removeSegmentsBefore(l.dir, seq)
-}
-
-// removeSegmentsBefore is the shared GC sweep behind Log.RemoveSegmentsBefore
-// and Mirror.RemoveSegmentsBefore.
-func removeSegmentsBefore(dir string, seq uint64) error {
-	segs, err := Segments(dir)
+	segs, err := Segments(l.dir)
 	if err != nil {
 		return err
 	}
@@ -542,7 +670,7 @@ func removeSegmentsBefore(dir string, seq uint64) error {
 		if s >= seq {
 			break
 		}
-		if err := os.Remove(filepath.Join(dir, segName(s))); err != nil {
+		if err := os.Remove(filepath.Join(l.dir, segName(s))); err != nil {
 			return fmt.Errorf("wal: remove segment %d: %w", s, err)
 		}
 	}

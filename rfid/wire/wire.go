@@ -180,6 +180,10 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// Raw appends b as is, without a length prefix: for bytes whose length the
+// layout fixes or states elsewhere (a magic, a payload after its length).
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Decoder reads primitive values back from a payload. Errors are sticky: the
 // first malformed read poisons the decoder, every later read returns zero
 // values, and Err reports the failure — callers decode a whole message and
@@ -202,7 +206,10 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining returns the number of undecoded bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-func (d *Decoder) fail(format string, args ...any) {
+// Fail poisons the decoder with a formatted error at the current offset,
+// unless it already failed: for layouts built on these primitives that find
+// well-formed bytes they must refuse.
+func (d *Decoder) Fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("wire: "+format+" (offset %d)", append(args, d.off)...)
 	}
@@ -215,7 +222,7 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		d.fail("truncated uvarint")
+		d.Fail("truncated uvarint")
 		return 0
 	}
 	d.off += n
@@ -229,7 +236,7 @@ func (d *Decoder) Varint() int64 {
 	}
 	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 {
-		d.fail("truncated varint")
+		d.Fail("truncated varint")
 		return 0
 	}
 	d.off += n
@@ -245,13 +252,13 @@ func (d *Decoder) Bool() bool {
 		return false
 	}
 	if d.off >= len(d.buf) {
-		d.fail("truncated bool")
+		d.Fail("truncated bool")
 		return false
 	}
 	b := d.buf[d.off]
 	d.off++
 	if b > 1 {
-		d.fail("invalid bool byte %d", b)
+		d.Fail("invalid bool byte %d", b)
 		return false
 	}
 	return b == 1
@@ -263,7 +270,7 @@ func (d *Decoder) Float64() float64 {
 		return 0
 	}
 	if d.off+8 > len(d.buf) {
-		d.fail("truncated float64")
+		d.Fail("truncated float64")
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
@@ -286,7 +293,7 @@ func (d *Decoder) StringBytes() []byte {
 		return nil
 	}
 	if n > uint64(d.Remaining()) {
-		d.fail("string length %d exceeds remaining %d bytes", n, d.Remaining())
+		d.Fail("string length %d exceeds remaining %d bytes", n, d.Remaining())
 		return nil
 	}
 	b := d.buf[d.off : d.off+int(n)]
@@ -307,7 +314,7 @@ func (d *Decoder) SliceLen(minElemBytes int) int {
 		minElemBytes = 1
 	}
 	if n > uint64(d.Remaining()/minElemBytes) {
-		d.fail("slice length %d exceeds remaining payload", n)
+		d.Fail("slice length %d exceeds remaining payload", n)
 		return 0
 	}
 	return int(n)
