@@ -167,11 +167,11 @@ density-smoke:
 # converge, SIGKILLs the primary, promotes the replica and verifies the
 # promoted node serves snapshots and query results byte-identical to both the
 # pre-kill primary and an uninterrupted reference process; plus the in-process
-# convergence-across-parallelism, resume-after-restart,
-# long-poll-wakes-on-replicated-removal and close-releases-replica-files
-# properties.
+# convergence-across-parallelism, resume-in-place (after a replica restart
+# and after a cut link), long-poll-wakes-on-replicated-removal,
+# close-releases-replica-files and stop-during-dial properties.
 replica-smoke:
-	$(GO) test -race -run 'TestReplicaSmoke$$|TestReplicaConvergesAcrossTransposition$$|TestReplicaResumeAfterRestart$$|TestReplicaLongPollWakesOnRemoval$$|TestCloseNowReleasesReplicaFiles$$' -v ./internal/serve
+	$(GO) test -race -run 'TestReplicaSmoke$$|TestReplicaConvergesAcrossTransposition$$|TestReplicaResumeAfterRestart$$|TestReplicaLongPollWakesOnRemoval$$|TestCloseNowReleasesReplicaFiles$$|TestFollowerStopDuringDial$$' -v ./internal/serve
 
 # Full benchmark run (slow; minutes).
 bench:

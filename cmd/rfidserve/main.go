@@ -45,8 +45,9 @@
 // served locally with Rfid-Role / Rfid-Applied-Epoch /
 // Rfid-Replication-Lag-Seconds staleness headers; writes are refused with
 // code "read_only". SIGUSR1 or POST /v1/promote promotes the replica: the
-// link is torn down, mirrored logs sealed, and the node starts accepting
-// writes exactly where the primary left off.
+// link is torn down, each mirrored log is closed and its directory reopened
+// for writing in a fresh segment (nothing is sealed), and the node starts
+// accepting writes exactly where the primary left off.
 //
 // Observability: every sealed epoch's per-stage timings (decode, prologue,
 // step, estimate, query-eval, WAL append, seal) are retained in a bounded

@@ -16,22 +16,27 @@ import (
 	"repro/rfid/api"
 )
 
-// tracesToAPI converts recorded epoch traces into their wire form. Stages
-// that recorded no time are omitted from the map, keeping bodies small when
-// only a few stages run.
+// stagesToAPI converts per-stage durations into seconds by stage name.
+// Stages that recorded no time are omitted, keeping bodies small when only a
+// few stages run.
+func stagesToAPI(stages [trace.NumStages]time.Duration) map[string]float64 {
+	out := make(map[string]float64, trace.NumStages)
+	for st, d := range stages {
+		if d > 0 {
+			out[trace.Stage(st).String()] = d.Seconds()
+		}
+	}
+	return out
+}
+
+// tracesToAPI converts recorded epoch traces into their wire form.
 func tracesToAPI(traces []trace.EpochTrace) []api.TraceEpoch {
 	out := make([]api.TraceEpoch, len(traces))
 	for i, et := range traces {
-		stages := make(map[string]float64, trace.NumStages)
-		for st, d := range et.Stages {
-			if d > 0 {
-				stages[trace.Stage(st).String()] = d.Seconds()
-			}
-		}
 		out[i] = api.TraceEpoch{
 			Epoch:       et.Epoch,
 			WallSeconds: et.Wall.Seconds(),
-			Stages:      stages,
+			Stages:      stagesToAPI(et.Stages),
 		}
 	}
 	return out
@@ -66,7 +71,6 @@ func (sv *Server) handleTrace(w http.ResponseWriter, r *http.Request, sess *sess
 // by the HTTP handler and nothing else server-side; the SDK exposes the same
 // struct through client.Session.Stats).
 func (sv *Server) debugStats(sess *session) api.SessionDebugStats {
-	st := sess.runnerStats()
 	out := api.SessionDebugStats{
 		ID:            sess.id,
 		State:         sess.life.load().phase().String(),
@@ -77,16 +81,7 @@ func (sv *Server) debugStats(sess *session) api.SessionDebugStats {
 		StreamActive:  sess.stream.Load() != nil,
 		StreamSeq:     sess.lastStreamSeq.Load(),
 		UptimeSeconds: time.Since(sess.start).Seconds(),
-		Stats: api.SessionStats{
-			Epochs:         st.Epochs,
-			NextEpoch:      st.NextEpoch,
-			Watermark:      st.Watermark,
-			BufferedEpochs: st.BufferedEpochs,
-			Particles:      st.Particles,
-			TrackedObjects: st.TrackedObjects,
-			LateDropped:    st.LateDropped,
-			Queries:        sess.queryCount(),
-		},
+		Stats:         sv.sessionToAPI(sess).Stats,
 	}
 	if sess.durable() {
 		out.CheckpointEpoch = sess.lastCkptEpoch.Load()
@@ -99,14 +94,7 @@ func (sv *Server) debugStats(sess *session) api.SessionDebugStats {
 		if rec := runner.TraceRecorder(); rec != nil {
 			out.TraceEnabled = true
 			out.TracedEpochs = rec.Epochs()
-			cum := rec.CumulativeStages()
-			stages := make(map[string]float64, trace.NumStages)
-			for st, d := range cum {
-				if d > 0 {
-					stages[trace.Stage(st).String()] = d.Seconds()
-				}
-			}
-			out.StageSeconds = stages
+			out.StageSeconds = stagesToAPI(rec.CumulativeStages())
 			out.RecentEpochs = tracesToAPI(rec.Snapshot(debugStatsRecentEpochs))
 		}
 	}

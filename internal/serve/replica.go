@@ -242,7 +242,7 @@ func (s *session) openWritable() error {
 	return nil
 }
 
-// --- server-side follower target (the replica node's end of the protocol) ---
+// --- the follower's hand-offs (follow.go calls these in shipping order) ---
 
 // errReplNoSID refuses a shipped frame that names no session. A session's wire
 // id is its id; an empty one comes from a primary this node cannot follow (one
@@ -353,12 +353,6 @@ func (sv *Server) replApply(rec wire.ReplRecord) (wire.ReplCursor, error) {
 		Off:          sess.replOff.Load(),
 		AppliedEpoch: sess.appliedEpoch.Load(),
 	}, nil
-}
-
-// replHeartbeat records the primary's clock from an idle-gap heartbeat: the
-// staleness estimate while fully caught up.
-func (sv *Server) replHeartbeat(nanos int64) {
-	sv.repl.noteLag(nanos)
 }
 
 // --- replica-served reads ---

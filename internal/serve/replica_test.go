@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -256,69 +258,199 @@ func TestReplicaLongPollWakesOnRemoval(t *testing.T) {
 	}
 }
 
-// TestReplicaResumeAfterRestart: a replica that restarts on its mirrored
-// directory announces its durable cursor and resumes tailing in place —
-// converging again without a fresh bootstrap wiping what it already holds.
+// TestReplicaResumeAfterRestart: a replica whose link to the primary ends —
+// the replica restarts on its mirrored directory, or its TCP connection is cut
+// — announces its durable cursor and resumes tailing in place. Every WAL
+// segment and checkpoint it held is still the same file after the reconnect
+// (a fresh bootstrap would have wiped and rewritten them), and it converges
+// again once the primary ingests more.
 func TestReplicaResumeAfterRestart(t *testing.T) {
-	pDir, rDir := t.TempDir(), t.TempDir()
-	pReq, readings, locations := replRequest(t, 2, 4)
-	psv, err := New(Config{
-		DataDir: pDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
-		IngestWait: 5 * time.Second,
-	})
+	for _, tc := range []struct {
+		name    string
+		restart bool // restart the replica; otherwise cut its link in-process
+	}{{"restart", true}, {"link-cut", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pDir, rDir := t.TempDir(), t.TempDir()
+			pReq, readings, locations := replRequest(t, 2, 4)
+			psv, err := New(Config{
+				DataDir: pDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
+				IngestWait: 5 * time.Second,
+			})
+			if err != nil {
+				t.Fatalf("primary New: %v", err)
+			}
+			openSession(t, psv, pReq)
+			pts := httptest.NewServer(psv.Handler())
+			defer func() {
+				pts.Close()
+				psv.Close()
+			}()
+			primaryAddr := pts.Listener.Addr().String()
+
+			newReplica := func() (*Server, *httptest.Server) {
+				rReq, _, _ := replRequest(t, 1, 2)
+				putManifest(t, rDir, rReq)
+				rsv, err := New(Config{
+					DataDir: rDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
+					ReplicaOf: primaryAddr,
+				})
+				if err != nil {
+					t.Fatalf("replica New: %v", err)
+				}
+				return rsv, httptest.NewServer(rsv.Handler())
+			}
+
+			halfR, halfL := len(readings)/2, len(locations)/2
+			if code := postJSON(t, pts.URL+"/v1/sessions/default/ingest", ingestBody(readings[:halfR], locations[:halfL]), nil); code != http.StatusAccepted {
+				t.Fatalf("ingest: status %d", code)
+			}
+			if code := postJSON(t, pts.URL+"/v1/sessions/default/flush", struct{}{}, nil); code != http.StatusOK {
+				t.Fatalf("flush: status %d", code)
+			}
+			rsv, rts := newReplica()
+			want := stateFingerprint(t, pts.URL, "default")
+			waitReplicaConverged(t, pts.URL, rts.URL, pDir, rDir, want)
+
+			before := holdDurableFiles(t, rDir)
+			links := psv.repl.reconnects.Value()
+			if tc.restart {
+				rts.Close()
+				rsv.Close()
+				rsv, rts = newReplica()
+			} else {
+				rsv.follower.mu.Lock()
+				conn := rsv.follower.conn
+				rsv.follower.mu.Unlock()
+				if conn == nil {
+					t.Fatal("converged replica has no link to cut")
+				}
+				conn.Close()
+			}
+			defer func() {
+				rts.Close()
+				rsv.Close()
+			}()
+			// The reconnect has settled once the primary registered the new
+			// link and the replica handled a frame shipped on it after the
+			// registration: the announcements go first, so a bootstrap would
+			// have run by then.
+			waitFor(t, "the primary to register the new link", func() bool { return psv.repl.reconnects.Value() > links })
+			rsv.repl.lagNanos.Store(0)
+			waitFor(t, "a frame shipped on the new link", func() bool { return rsv.repl.lagNanos.Load() != 0 })
+			after := holdDurableFiles(t, rDir)
+			if len(after) != len(before) {
+				t.Fatalf("replica durable files changed across the reconnect: %d before, %d after", len(before), len(after))
+			}
+			for name, held := range before {
+				f, ok := after[name]
+				if !ok {
+					t.Fatalf("replica %s is gone after the reconnect", name)
+				}
+				hi, err := held.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fi, err := f.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !os.SameFile(hi, fi) {
+					t.Fatalf("replica %s is not the file it was before the reconnect: the session was re-bootstrapped instead of resumed", name)
+				}
+			}
+
+			if code := postJSON(t, pts.URL+"/v1/sessions/default/ingest", ingestBody(readings[halfR:], locations[halfL:]), nil); code != http.StatusAccepted {
+				t.Fatalf("ingest after reconnect: status %d", code)
+			}
+			if code := postJSON(t, pts.URL+"/v1/sessions/default/flush", struct{}{}, nil); code != http.StatusOK {
+				t.Fatalf("flush after reconnect: status %d", code)
+			}
+			want = stateFingerprint(t, pts.URL, "default")
+			waitReplicaConverged(t, pts.URL, rts.URL, pDir, rDir, want)
+			compareReplicaDirs(t, pDir, rDir)
+		})
+	}
+}
+
+// holdDurableFiles opens every WAL segment and checkpoint in the replica's
+// session directory, by name. Holding them open keeps a deleted file from
+// handing its inode number to its replacement, which os.SameFile would take
+// for the original.
+func holdDurableFiles(t *testing.T, rDir string) map[string]*os.File {
+	t.Helper()
+	dir := filepath.Join(rDir, "sessions", "default")
+	out := make(map[string]*os.File)
+	for _, pat := range durableFilePatterns {
+		matches, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range matches {
+			f, err := os.Open(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			out[filepath.Base(m)] = f
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("replica holds no durable files")
+	}
+	return out
+}
+
+// waitFor polls cond until it holds, failing the test after 30s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestFollowerStopDuringDial: a stop that lands after the follower's dial
+// connected but before the connection was published still ends the link. It
+// must not wait on a connection nobody closes, which the primary's heartbeats
+// would keep open for as long as the primary is up.
+func TestFollowerStopDuringDial(t *testing.T) {
+	psv, err := New(Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("primary New: %v", err)
 	}
-	openSession(t, psv, pReq)
 	pts := httptest.NewServer(psv.Handler())
 	defer func() {
 		pts.Close()
 		psv.Close()
 	}()
-	primaryAddr := pts.Listener.Addr().String()
-
-	newReplica := func() (*Server, *httptest.Server) {
-		rReq, _, _ := replRequest(t, 1, 2)
-		putManifest(t, rDir, rReq)
-		rsv, err := New(Config{
-			DataDir: rDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
-			ReplicaOf: primaryAddr,
-		})
-		if err != nil {
-			t.Fatalf("replica New: %v", err)
-		}
-		return rsv, httptest.NewServer(rsv.Handler())
+	sv, err := New(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
+	defer sv.Close()
 
-	halfR, halfL := len(readings)/2, len(locations)/2
-	if code := postJSON(t, pts.URL+"/v1/sessions/default/ingest", ingestBody(readings[:halfR], locations[:halfL]), nil); code != http.StatusAccepted {
-		t.Fatalf("ingest: status %d", code)
-	}
-	if code := postJSON(t, pts.URL+"/v1/sessions/default/flush", struct{}{}, nil); code != http.StatusOK {
-		t.Fatalf("flush: status %d", code)
-	}
-	rsv, rts := newReplica()
-	want := stateFingerprint(t, pts.URL, "default")
-	waitReplicaConverged(t, pts.URL, rts.URL, pDir, rDir, want)
-
-	// Clean replica restart on the same directory.
-	rts.Close()
-	rsv.Close()
-	rsv, rts = newReplica()
-	defer func() {
-		rts.Close()
-		rsv.Close()
+	dialed := make(chan struct{})
+	f := sv.startFollower(pts.Listener.Addr().String(), func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := new(net.Dialer).DialContext(ctx, network, addr)
+		close(dialed)
+		// Hold the connection back until the stop has cancelled, and give it
+		// time to look for a connection to close and find none.
+		<-ctx.Done()
+		time.Sleep(50 * time.Millisecond)
+		return conn, err
+	})
+	<-dialed
+	stopped := make(chan struct{})
+	go func() {
+		f.stop()
+		close(stopped)
 	}()
-
-	if code := postJSON(t, pts.URL+"/v1/sessions/default/ingest", ingestBody(readings[halfR:], locations[halfL:]), nil); code != http.StatusAccepted {
-		t.Fatalf("ingest after restart: status %d", code)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower stop still blocked 5s after it raced the dial")
 	}
-	if code := postJSON(t, pts.URL+"/v1/sessions/default/flush", struct{}{}, nil); code != http.StatusOK {
-		t.Fatalf("flush after restart: status %d", code)
-	}
-	want = stateFingerprint(t, pts.URL, "default")
-	waitReplicaConverged(t, pts.URL, rts.URL, pDir, rDir, want)
-	compareReplicaDirs(t, pDir, rDir)
 }
 
 // TestCloseNowReleasesReplicaFiles: an immediate close of a converged

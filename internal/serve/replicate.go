@@ -1,23 +1,23 @@
 package serve
 
 // The primary side of WAL shipping: POST /v1/replicate upgrades the connection
-// (the same hijack handshake the streaming-ingest endpoint performs, Upgrade
-// token rfid-repl/1), the follower opens with a ReplHello carrying a resume
-// cursor per session it already mirrors, and this handler ships every durable
-// session's log: a ReplSession announcement per session (with the newest
-// checkpoint image chunked in ReplSnapshot frames when the follower must
-// bootstrap), then ReplRecord frames — raw WAL record payloads stamped with
-// the exact (segment, offset) they occupy, read by a tailing wal.Cursor that
-// coexists with the live appender. The follower answers with cumulative
-// ReplAck frames; unacknowledged segments are held back from checkpoint GC
-// (the replication slot), so a briefly-lagging follower keeps tailing instead
-// of re-bootstrapping.
+// (upgrade, shared with the streaming-ingest endpoint, with token
+// wire.ReplUpgrade), the follower (follow.go) opens with a ReplHello carrying
+// a resume cursor per session it already mirrors, and this handler ships
+// every durable session's log: a ReplSession announcement per session (with
+// the newest checkpoint image chunked in ReplSnapshot frames when the
+// follower must bootstrap), then ReplRecord frames — raw WAL record payloads
+// stamped with the exact (segment, offset) they occupy, read by a tailing
+// wal.Cursor that coexists with the live appender. The follower answers with
+// cumulative ReplAck frames; unacknowledged segments are held back from
+// checkpoint GC (the replication slot), so a briefly-lagging follower keeps
+// tailing instead of re-bootstrapping.
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -172,9 +172,7 @@ func (t *replTracker) lagSeconds() float64 {
 
 // shipState is one session's shipping position on one follower connection.
 type shipState struct {
-	sid  string
 	sess *session
-	dir  string
 	cur  *wal.Cursor
 	// noResume forces the next announcement to bootstrap from a checkpoint
 	// even if the follower's hello carried a cursor (set when GC outran it).
@@ -196,23 +194,11 @@ func (sv *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, api.ErrConflict, "replication requires a durable primary (data dir)")
 		return
 	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, api.ErrInternal, "replication is not supported on this connection")
-		return
-	}
-	conn, bufrw, err := hj.Hijack()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.ErrInternal, "hijack: %v", err)
+	conn, bufrw := upgrade(w, wire.ReplUpgrade)
+	if conn == nil {
 		return
 	}
 	defer conn.Close()
-	// The http.Server's read timeout armed a deadline; a long-lived
-	// replication connection must not inherit it.
-	_ = conn.SetDeadline(time.Time{})
-	if _, err := fmt.Fprintf(bufrw, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: %s\r\nConnection: Upgrade\r\n\r\n", wire.ReplUpgrade); err != nil {
-		return
-	}
 	if err := bufrw.Flush(); err != nil {
 		return
 	}
@@ -277,9 +263,7 @@ func (sv *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // shipping up to replShipBurst records each, until the connection or server
 // ends. Sessions created mid-connection are adopted on the next round; deleted
 // sessions are dropped.
-func (sv *Server) shipLoop(conn net.Conn, hello wire.ReplHello, stop <-chan struct{}, log interface {
-	Warn(string, ...any)
-}) {
+func (sv *Server) shipLoop(conn net.Conn, hello wire.ReplHello, stop <-chan struct{}, log *slog.Logger) {
 	helloCur := make(map[string]wire.ReplCursor, len(hello.Cursors))
 	for _, c := range hello.Cursors {
 		helloCur[c.SID] = c
@@ -315,7 +299,7 @@ func (sv *Server) shipLoop(conn net.Conn, hello wire.ReplHello, stop <-chan stru
 				continue
 			}
 			if _, ok := states[s.id]; !ok {
-				states[s.id] = &shipState{sid: s.id, sess: s, dir: s.cfg.DataDir}
+				states[s.id] = &shipState{sess: s}
 			}
 		}
 		shipped := 0
@@ -370,93 +354,70 @@ func (sv *Server) shipLoop(conn net.Conn, hello wire.ReplHello, stop <-chan stru
 	}
 }
 
-// announceSession sends the ReplSession frame (and checkpoint chunks on a
-// bootstrap) and opens the shipping cursor. Returns ok=false when the session
-// has nothing durable on disk yet.
+// announceSession sends the ReplSession frame (and the checkpoint image's
+// chunks on a bootstrap) and opens the shipping cursor. Returns ok=false when
+// the session has nothing durable on disk yet.
 func (sv *Server) announceSession(enc *wire.Encoder, writeFrame func() error, st *shipState, helloCur map[string]wire.ReplCursor) (bool, error) {
-	segs, err := wal.Segments(st.dir)
+	dir := st.sess.cfg.DataDir
+	segs, err := wal.Segments(dir)
 	if err != nil {
 		return false, err
 	}
-	// Resume: the follower's position is still on disk — no bootstrap, ship
-	// from exactly where it stopped.
-	if hc, ok := helloCur[st.sid]; ok && !st.noResume && len(segs) > 0 && hc.Seg >= segs[0] {
-		enc.Reset()
-		wire.AppendReplSession(enc, wire.ReplSession{SID: st.sid, Seg: hc.Seg, Off: hc.Off})
-		if err := writeFrame(); err != nil {
-			return false, err
-		}
-		cur, err := wal.OpenCursor(st.dir, hc.Seg, hc.Off)
+	ann := wire.ReplSession{SID: st.sess.id}
+	var image []byte
+	if hc, ok := helloCur[ann.SID]; ok && !st.noResume && len(segs) > 0 && hc.Seg >= segs[0] {
+		// Resume: the follower's position is still on disk — no bootstrap,
+		// ship from exactly where it stopped.
+		ann.Seg, ann.Off = hc.Seg, hc.Off
+	} else {
+		b, err := json.Marshal(st.sess.manifest)
 		if err != nil {
 			return false, err
 		}
-		st.cur = cur
-		return true, nil
-	}
-	b, err := json.Marshal(st.sess.manifest)
-	if err != nil {
-		return false, err
-	}
-	manifest := string(b)
-	// Bootstrap from the newest checkpoint: ship the raw file bytes (the
-	// follower writes them verbatim, keeping the image byte-identical) and
-	// start the cursor at the checkpoint's replay position.
-	path, snap, ok, err := checkpoint.Latest(st.dir)
-	if err != nil {
-		return false, err
-	}
-	if ok {
-		image, err := os.ReadFile(path)
-		if err != nil {
+		ann.Manifest = string(b)
+		// Bootstrap from the newest checkpoint: ship the raw file bytes (the
+		// follower writes them verbatim, keeping the image byte-identical) and
+		// start the cursor at the checkpoint's replay position. With no
+		// checkpoint yet but a log, start fresh from the oldest segment (the
+		// follower tells this from a resume because the announced position
+		// cannot match the cursor it sent — had it matched, this would be a
+		// resume).
+		path, snap, ok, err := checkpoint.Latest(dir)
+		switch {
+		case err != nil:
 			return false, err
-		}
-		enc.Reset()
-		wire.AppendReplSession(enc, wire.ReplSession{
-			SID: st.sid, Manifest: manifest,
-			SnapshotBytes: int64(len(image)),
-			Seg:           snap.WALSegment, Off: wal.HeaderLen,
-		})
-		if err := writeFrame(); err != nil {
-			return false, err
-		}
-		for o := 0; o < len(image); o += replChunkBytes {
-			end := o + replChunkBytes
-			if end > len(image) {
-				end = len(image)
-			}
-			enc.Reset()
-			wire.AppendReplSnapshot(enc, wire.ReplSnapshot{SID: st.sid, Last: end == len(image), Chunk: image[o:end]})
-			if err := writeFrame(); err != nil {
+		case ok:
+			if image, err = os.ReadFile(path); err != nil {
 				return false, err
 			}
+			ann.SnapshotBytes = int64(len(image))
+			ann.Seg, ann.Off = snap.WALSegment, wal.HeaderLen
+		case len(segs) > 0:
+			ann.Seg, ann.Off = segs[0], wal.HeaderLen
+		default:
+			return false, nil
 		}
-		cur, err := wal.OpenCursor(st.dir, snap.WALSegment, wal.HeaderLen)
-		if err != nil {
-			return false, err
-		}
-		st.cur = cur
-		st.noResume = false
-		return true, nil
 	}
-	// No checkpoint yet but the log exists: fresh start from the oldest
-	// segment. (The follower distinguishes this from a resume because the
-	// announced position cannot match the cursor it sent — had it matched, the
-	// resume branch above would have fired.)
-	if len(segs) > 0 {
+	enc.Reset()
+	wire.AppendReplSession(enc, ann)
+	if err := writeFrame(); err != nil {
+		return false, err
+	}
+	for o := 0; o < len(image); o += replChunkBytes {
+		end := min(o+replChunkBytes, len(image))
 		enc.Reset()
-		wire.AppendReplSession(enc, wire.ReplSession{SID: st.sid, Manifest: manifest, Seg: segs[0], Off: wal.HeaderLen})
+		wire.AppendReplSnapshot(enc, wire.ReplSnapshot{SID: ann.SID, Last: end == len(image), Chunk: image[o:end]})
 		if err := writeFrame(); err != nil {
 			return false, err
 		}
-		cur, err := wal.OpenCursor(st.dir, segs[0], wal.HeaderLen)
-		if err != nil {
-			return false, err
-		}
-		st.cur = cur
-		st.noResume = false
-		return true, nil
 	}
-	return false, nil
+	cur, err := wal.OpenCursor(dir, ann.Seg, ann.Off)
+	if err != nil {
+		return false, err
+	}
+	st.cur = cur
+	st.noResume = false
+	return true, nil
 }
 
 // shipRecords forwards up to replShipBurst records from the session's cursor,
@@ -481,7 +442,7 @@ func (sv *Server) shipRecords(enc *wire.Encoder, writeFrame func() error, st *sh
 		seg, off := st.cur.RecordPos()
 		enc.Reset()
 		wire.AppendReplRecord(enc, wire.ReplRecord{
-			SID: st.sid, Seg: seg, Off: off,
+			SID: st.sess.id, Seg: seg, Off: off,
 			ShipNanos: time.Now().UnixNano(),
 			Payload:   payload,
 		})

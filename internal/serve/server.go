@@ -65,11 +65,9 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 	"repro/internal/query"
-	"repro/internal/replica"
 	"repro/internal/wal"
 	"repro/rfid"
 	"repro/rfid/api"
-	"repro/rfid/wire"
 )
 
 // Config configures a Server. The queue/durability fields double as the
@@ -147,8 +145,9 @@ type Config struct {
 
 	// ReplicaOf, when non-empty, boots the server as a read-only replica of
 	// the primary at this host:port: every session mirrors the primary's
-	// shipped WAL byte-for-byte (see replica.go / replicate.go) and write
-	// endpoints answer 409 read_only until Promote. Requires DataDir.
+	// shipped WAL byte-for-byte (see follow.go, replica.go, replicate.go)
+	// and write endpoints answer 409 read_only until Promote. Requires
+	// DataDir.
 	ReplicaOf string
 	// ReplicaName identifies this follower in the primary's logs and the
 	// replication hello (default: the process hostname).
@@ -205,7 +204,7 @@ type Server struct {
 	// follower is the replication client driving this node when it boots
 	// with ReplicaOf.
 	repl     *replTracker
-	follower *replica.Follower
+	follower *follower
 
 	sessionsLive    *metrics.Gauge
 	sessionsCreated *metrics.Counter
@@ -237,20 +236,6 @@ func (n *node) roleName() string {
 		return api.RolePrimary
 	}
 }
-
-// followerTarget adapts the Server to the replica package's Target interface
-// (the replication client lives in its own package and speaks only wire
-// types, so it cannot name *Server).
-type followerTarget struct{ sv *Server }
-
-func (t followerTarget) Cursors() []wire.ReplCursor { return t.sv.replCursors() }
-func (t followerTarget) Bootstrap(sid, manifest string, image []byte, seg uint64, off int64) error {
-	return t.sv.replBootstrap(sid, manifest, image, seg, off)
-}
-func (t followerTarget) Apply(rec wire.ReplRecord) (wire.ReplCursor, error) {
-	return t.sv.replApply(rec)
-}
-func (t followerTarget) Heartbeat(nanos int64) { t.sv.replHeartbeat(nanos) }
 
 // durableFilePatterns match the files a session's durability directory holds
 // besides its manifest: WAL segments and checkpoints.
@@ -319,17 +304,7 @@ func New(cfg Config) (*Server, error) {
 	// cursors are accurate) and the read surface exists before the first
 	// connection to the primary.
 	if cfg.ReplicaOf != "" {
-		name := cfg.ReplicaName
-		if name == "" {
-			name, _ = os.Hostname()
-		}
-		sv.follower = replica.Start(replica.Config{
-			Primary:       cfg.ReplicaOf,
-			Name:          name,
-			Target:        followerTarget{sv},
-			Logger:        cfg.Logger,
-			MaxFrameBytes: int(cfg.MaxBodyBytes) + (4 << 10),
-		})
+		sv.follower = sv.startFollower(cfg.ReplicaOf, new(net.Dialer).DialContext)
 	}
 	return sv, nil
 }
@@ -657,7 +632,7 @@ func (sv *Server) shutdown(graceful bool) {
 		return
 	}
 	if sv.follower != nil {
-		sv.follower.Stop()
+		sv.follower.stop()
 	}
 	for _, s := range sv.snapshotSessions() {
 		s.stop(graceful)
@@ -676,7 +651,7 @@ func (sv *Server) Promote() (api.PromoteResponse, error) {
 	case sv.role.CompareAndSwap(roleReplica, rolePromoting):
 		sv.cfg.Logger.Info("promoting replica to primary", "was_following", sv.cfg.ReplicaOf)
 		if sv.follower != nil {
-			sv.follower.Stop()
+			sv.follower.stop()
 			sv.follower = nil
 		}
 	case sv.role.Load() != rolePrimary:

@@ -275,8 +275,30 @@ func (sc *streamConn) writeLoop(conn net.Conn) {
 	}
 }
 
-// streamUpgrade is the Upgrade token the stream endpoint speaks.
-const streamUpgrade = "rfid-stream/1"
+// upgrade hijacks the connection behind w and switches it to the framed
+// protocol named by token: it clears the deadline the http.Server's read
+// timeout armed, which a long-lived connection must not inherit, and writes
+// the 101 into the buffered writer (the caller flushes it). A failure before
+// the hijack is answered on w; after it the connection is closed. Either way
+// conn is nil and the handler returns.
+func upgrade(w http.ResponseWriter, token string) (conn net.Conn, bufrw *bufio.ReadWriter) {
+	hj, ok := w.(http.Hijacker)
+	if !ok {
+		writeError(w, http.StatusInternalServerError, api.ErrInternal, "connection upgrade is not supported on this connection")
+		return nil, nil
+	}
+	conn, bufrw, err := hj.Hijack()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, api.ErrInternal, "hijack: %v", err)
+		return nil, nil
+	}
+	_ = conn.SetDeadline(time.Time{})
+	if _, err := fmt.Fprintf(bufrw, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: %s\r\nConnection: Upgrade\r\n\r\n", token); err != nil {
+		_ = conn.Close()
+		return nil, nil
+	}
+	return conn, bufrw
+}
 
 // handleStream answers POST /v1/sessions/{sid}/stream: it claims the
 // session's single stream slot (taking over any existing stream), fences the
@@ -284,12 +306,6 @@ const streamUpgrade = "rfid-stream/1"
 // 101 upgrade + hello handshake and then pumps batch frames into the op
 // queue until the connection ends.
 func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *session) {
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, api.ErrInternal, "streaming is not supported on this connection")
-		return
-	}
-
 	window := sess.cfg.QueueSize
 	if window > streamWindowCap {
 		window = streamWindowCap
@@ -334,9 +350,10 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *ses
 	resumeAfter := sess.lastStreamSeq.Load()
 	maxFrame := int(sess.cfg.MaxBodyBytes)
 
-	conn, bufrw, err := hj.Hijack()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.ErrInternal, "hijack: %v", err)
+	// 101 + hello are written synchronously here, before the writer goroutine
+	// exists, so the connection always has exactly one writer.
+	conn, bufrw := upgrade(w, wire.StreamUpgrade)
+	if conn == nil {
 		return
 	}
 	if !sc.adopt(conn) {
@@ -344,15 +361,6 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *ses
 		return
 	}
 	defer sc.kill()
-	// The server's http.Server read timeout armed a deadline on this
-	// connection; a long-lived stream must not inherit it.
-	_ = conn.SetDeadline(time.Time{})
-
-	// 101 + hello are written synchronously here, before the writer goroutine
-	// exists, so the connection always has exactly one writer.
-	if _, err := fmt.Fprintf(bufrw, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: %s\r\nConnection: Upgrade\r\n\r\n", streamUpgrade); err != nil {
-		return
-	}
 	var enc wire.Encoder
 	wire.AppendHello(&enc, api.StreamHello{
 		Version:       wire.ProtoVersion,

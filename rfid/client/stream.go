@@ -508,7 +508,7 @@ func (st *StreamIngester) dial() (net.Conn, *bufio.Reader, api.StreamHello, erro
 		conn.Close()
 		return nil, nil, zero, err
 	}
-	req := fmt.Sprintf("POST %s/stream HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: rfid-stream/1\r\nContent-Length: 0\r\n\r\n", st.s.prefix, u.Host)
+	req := fmt.Sprintf("POST %s/stream HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\nContent-Length: 0\r\n\r\n", st.s.prefix, u.Host, wire.StreamUpgrade)
 	if _, err := io.WriteString(conn, req); err != nil {
 		return fail(fmt.Errorf("client: stream: handshake write: %w", err))
 	}

@@ -18,8 +18,13 @@ package wire
 
 import "fmt"
 
-// ReplUpgrade is the Upgrade header token of the replication handshake.
-const ReplUpgrade = "rfid-repl/1"
+// The Upgrade header tokens of the two framed connection types: a POST
+// .../stream connection switches to streaming ingest, a POST /v1/replicate
+// connection to replication.
+const (
+	StreamUpgrade = "rfid-stream/1"
+	ReplUpgrade   = "rfid-repl/1"
+)
 
 // ReplProtoVersion is the replication protocol version carried in the hello.
 const ReplProtoVersion = 1
