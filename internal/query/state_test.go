@@ -1,12 +1,16 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/geom"
+	"repro/internal/rng"
 	"repro/internal/stream"
 )
 
@@ -195,5 +199,59 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	got := restoreEvents(checkpoint.NewDecoder(enc.Bytes()))
 	if !reflect.DeepEqual(got, evs) {
 		t.Fatalf("event codec round trip: %+v vs %+v", got, evs)
+	}
+}
+
+// registryFixture is how testdata/registry-v2.state was made: a registry
+// holding one query of each continuous kind, fed the first split events of
+// the stream and saved mid-window by SaveState.
+func registryFixture() (specs []Spec, events []stream.Event, split int) {
+	specs = []Spec{
+		{Kind: KindLocationUpdates, MinChange: 0.25},
+		{Kind: KindFireCode, WindowEpochs: 4, ThresholdPounds: 2.5},
+		{Kind: KindWindowedAggregate, WindowEpochs: 3, Op: AggSumWeight, GroupBy: GroupByArea, WeightPounds: 2},
+	}
+	return specs, randomStream(rng.New(23), 160), 80
+}
+
+// TestRegistryFixtureRestores pins the registry checkpoint format against a
+// saved payload: testdata/registry-v2.state must restore and, fed the rest of
+// the stream, poll exactly the rows of an uninterrupted run.
+func TestRegistryFixtureRestores(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "registry-v2.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, events, split := registryFixture()
+	ref := NewRegistry(0)
+	for _, s := range specs {
+		if _, err := ref.Register(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.Feed(events)
+	ref.FlushAll()
+
+	got := NewRegistry(0)
+	if err := got.RestoreState(checkpoint.NewDecoder(data)); err != nil {
+		t.Fatalf("restore fixture: %v", err)
+	}
+	got.Feed(events[split:])
+	got.FlushAll()
+
+	if len(got.List()) != len(specs) {
+		t.Fatalf("fixture restored %d queries, want %d", len(got.List()), len(specs))
+	}
+	for _, info := range ref.List() {
+		want, _, _ := ref.Results(info.ID, -1, 0)
+		have, _, err := got.Results(info.ID, -1, 0)
+		if err != nil {
+			t.Fatalf("fixture lost query %s: %v", info.ID, err)
+		}
+		wantJSON, _ := json.Marshal(want)
+		haveJSON, _ := json.Marshal(have)
+		if !bytes.Equal(haveJSON, wantJSON) {
+			t.Fatalf("%s (%s): rows after the fixture restore differ:\n got %s\nwant %s", info.ID, info.Spec.Kind, haveJSON, wantJSON)
+		}
 	}
 }
