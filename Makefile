@@ -91,12 +91,13 @@ cover:
 
 # Native fuzz smoke: each target runs briefly so CI catches panics and
 # round-trip regressions on the untrusted-input surfaces (CSV trace codecs,
-# JSON query specs, WAL segments and checkpoint files, wire frames, the SDK's
+# JSON query specs, registry checkpoints, WAL segments and checkpoint files, wire frames, the SDK's
 # snapshot-body decoder) without the cost of a long campaign.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeReading$$' -fuzztime=15s -run '^$$' ./internal/stream
 	$(GO) test -fuzz='^FuzzDecodeLocation$$' -fuzztime=10s -run '^$$' ./internal/stream
 	$(GO) test -fuzz='^FuzzParseSpec$$' -fuzztime=15s -run '^$$' ./internal/query
+	$(GO) test -fuzz='^FuzzRegistryRestore$$' -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/query
 	$(GO) test -fuzz='^FuzzWALDecode$$' -fuzztime=15s -run '^$$' ./internal/wal
 	$(GO) test -fuzz='^FuzzRecordDecode$$' -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz='^FuzzCheckpointDecode$$' -fuzztime=15s -run '^$$' ./internal/checkpoint

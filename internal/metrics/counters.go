@@ -39,20 +39,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// SetMax raises the gauge to v if v exceeds the current value — a lock-free
-// high-water mark (e.g. slowest hydration, slowest fsync observed).
-func (g *Gauge) SetMax(v float64) {
-	for {
-		old := g.bits.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Set is a named collection of counters and gauges that a serving process
 // exposes on its /metrics endpoint. Names follow the Prometheus convention
 // (snake_case, counters suffixed _total); registration is idempotent so

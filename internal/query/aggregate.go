@@ -111,90 +111,35 @@ type AggregateRow struct {
 }
 
 // WindowedAggregateQuery evaluates a windowed aggregate in a streaming
-// fashion: per epoch, it emits one row per group computed over the distinct
-// objects (latest event per tag) inside the range window. The groups are
-// maintained incrementally beside the window (latestGroups), so an epoch's
-// evaluation recomputes only the groups that changed in it.
-type WindowedAggregateQuery struct {
-	cfg      AggregateConfig
-	window   *TimeWindow
-	groups   *latestGroups
-	lastTime int
-	started  bool
-}
+// fashion: the windowed operator emitting, per epoch, one row per group
+// computed over the distinct objects (latest event per tag) inside the range
+// window.
+type WindowedAggregateQuery = windowed[AggregateRow]
 
 // NewWindowedAggregateQuery returns a streaming windowed aggregate query.
 func NewWindowedAggregateQuery(cfg AggregateConfig) *WindowedAggregateQuery {
 	cfg.applyDefaults()
+	grouped, op := cfg.GroupBy == GroupByArea, cfg.Op
 	key := func(stream.Event) AreaID { return AreaID{} }
-	if cfg.GroupBy == GroupByArea {
+	if grouped {
 		key = func(ev stream.Event) AreaID { return cfg.Area(ev.Loc) }
 	}
 	return &WindowedAggregateQuery{
-		cfg:    cfg,
-		window: NewTimeWindow(cfg.WindowEpochs),
-		groups: newLatestGroups(key, cfg.Weight, cfg.Op != AggCount,
-			func(*areaGroup) bool { return true }),
+		section: "q.aggregate",
+		window:  NewTimeWindow(cfg.WindowEpochs),
+		groups:  newLatestGroups(key, cfg.Weight, op != AggCount, func(*areaGroup) bool { return true }),
+		row: func(now int, g *areaGroup) AggregateRow {
+			objects := len(g.members)
+			row := AggregateRow{Time: now, Area: g.area, Grouped: grouped, Objects: objects}
+			switch op {
+			case AggCount:
+				row.Value = float64(objects)
+			case AggSumWeight:
+				row.Value = g.sum
+			case AggMeanWeight:
+				row.Value = g.sum / float64(objects)
+			}
+			return row
+		},
 	}
-}
-
-// Push feeds one event; like FireCodeQuery, results for an epoch are emitted
-// once a later epoch's first event arrives (Rstream-per-epoch semantics).
-func (q *WindowedAggregateQuery) Push(ev stream.Event) []AggregateRow {
-	var out []AggregateRow
-	if q.started && ev.Time != q.lastTime {
-		out = q.evaluate(q.lastTime)
-	}
-	q.groups.push(q.window, ev)
-	q.lastTime = ev.Time
-	q.started = true
-	return out
-}
-
-// Flush evaluates the final epoch after the stream ends.
-func (q *WindowedAggregateQuery) Flush() []AggregateRow {
-	if !q.started {
-		return nil
-	}
-	return q.evaluate(q.lastTime)
-}
-
-// Run evaluates the query over a complete event stream in time order.
-func (q *WindowedAggregateQuery) Run(events []stream.Event) []AggregateRow {
-	sorted := make([]stream.Event, len(events))
-	copy(sorted, events)
-	stream.ByTimeThenTag(sorted)
-	var out []AggregateRow
-	for _, ev := range sorted {
-		out = append(out, q.Push(ev)...)
-	}
-	return append(out, q.Flush()...)
-}
-
-// evaluate returns one row per group of epoch now, in area order. Distinct
-// objects: only the latest event per tag contributes, and a group's weight is
-// summed over its objects in tag order.
-func (q *WindowedAggregateQuery) evaluate(now int) []AggregateRow {
-	q.groups.advance(q.window, now)
-	groups := q.groups.settle()
-	out := make([]AggregateRow, 0, len(groups))
-	for _, g := range groups {
-		objects := len(g.members)
-		row := AggregateRow{
-			Time:    now,
-			Area:    g.area,
-			Grouped: q.cfg.GroupBy == GroupByArea,
-			Objects: objects,
-		}
-		switch q.cfg.Op {
-		case AggCount:
-			row.Value = float64(objects)
-		case AggSumWeight:
-			row.Value = g.sum
-		case AggMeanWeight:
-			row.Value = g.sum / float64(objects)
-		}
-		out = append(out, row)
-	}
-	return out
 }

@@ -1,8 +1,13 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 // FuzzParseSpec hardens the untrusted-input surface of the query layer: the
@@ -57,6 +62,43 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if again != spec {
 			t.Fatalf("spec round trip changed: %+v -> %+v", spec, again)
+		}
+	})
+}
+
+// FuzzRegistryRestore hardens the registry's checkpoint restore, which reads
+// whatever a checkpoint file or a replica bootstrap holds. RestoreState must
+// return an error rather than panic on arbitrary input, and on a payload it
+// accepts, save → restore → save must be a fixed point (a restored registry
+// re-saves exactly what it was restored from).
+func FuzzRegistryRestore(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join("testdata", "registry-v2.state"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	specs, events, split := registryFixture()
+	r := NewRegistry(0)
+	for _, s := range specs {
+		if _, err := r.Register(s); err != nil {
+			f.Fatal(err)
+		}
+	}
+	r.Feed(events[:split])
+	f.Add(stateBytes(r.SaveState))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewRegistry(0)
+		if r.RestoreState(checkpoint.NewDecoder(data)) != nil {
+			return
+		}
+		saved := stateBytes(r.SaveState)
+		again := NewRegistry(0)
+		if err := again.RestoreState(checkpoint.NewDecoder(saved)); err != nil {
+			t.Fatalf("restoring a re-saved registry failed: %v", err)
+		}
+		if !bytes.Equal(stateBytes(again.SaveState), saved) {
+			t.Fatal("save → restore → save is not a fixed point")
 		}
 	})
 }

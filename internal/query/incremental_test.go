@@ -157,10 +157,13 @@ func (q *recomputeQuery) push(ev stream.Event) []any {
 	return out
 }
 
+// flush evaluates the open epoch and closes it, so feeding on does not
+// report it again.
 func (q *recomputeQuery) flush() []any {
 	if !q.started {
 		return nil
 	}
+	q.started = false
 	return q.eval(&q.window, q.lastTime)
 }
 
@@ -219,7 +222,9 @@ func TestIncrementalWindowsEqualRecompute(t *testing.T) {
 		"fire-code": func(window int, weight float64) (Continuous, *recomputeQuery) {
 			spec := Spec{Kind: KindFireCode, WindowEpochs: window, ThresholdPounds: 2.5 * weight, WeightPounds: weight}
 			q, _ := NewContinuous(spec)
-			cfg := q.(fireCodeAdapter).q.cfg
+			cfg := FireCodeConfig{WindowEpochs: spec.WindowEpochs, ThresholdPounds: spec.ThresholdPounds,
+				Weight: func(stream.TagID) float64 { return spec.WeightPounds }}
+			cfg.applyDefaults()
 			return q, &recomputeQuery{section: "q.firecode", window: recomputeWindow{rangeEpochs: window},
 				eval: func(w *recomputeWindow, now int) []any { return wrapRows(recomputeFireCode(cfg, w, now)) }}
 		},
@@ -230,7 +235,9 @@ func TestIncrementalWindowsEqualRecompute(t *testing.T) {
 			kinds[fmt.Sprintf("aggregate-%s-%s", op, by)] = func(window int, weight float64) (Continuous, *recomputeQuery) {
 				spec := Spec{Kind: KindWindowedAggregate, WindowEpochs: window, Op: op, GroupBy: by, WeightPounds: weight}
 				q, _ := NewContinuous(spec)
-				cfg := q.(aggregateAdapter).q.cfg
+				cfg := AggregateConfig{WindowEpochs: spec.WindowEpochs, Op: spec.Op, GroupBy: spec.GroupBy,
+					Weight: func(stream.TagID) float64 { return spec.WeightPounds }}
+				cfg.applyDefaults()
 				return q, &recomputeQuery{section: "q.aggregate", window: recomputeWindow{rangeEpochs: window},
 					eval: func(w *recomputeWindow, now int) []any { return wrapRows(recomputeAggregate(cfg, w, now)) }}
 			}
@@ -251,12 +258,12 @@ func TestIncrementalWindowsEqualRecompute(t *testing.T) {
 				q, ref := kinds[name](window, weight)
 				for i, ev := range events {
 					if i == restoreAt {
-						saved := stateBytes(q.(stateful).saveState)
+						saved := stateBytes(q.saveState)
 						if want := stateBytes(ref.saveState); !bytes.Equal(saved, want) {
 							t.Fatalf("%s w=%d weight=%g: checkpointed state differs from the reference's at event %d", name, window, weight, i)
 						}
 						fresh, _ := kinds[name](window, weight)
-						if err := fresh.(stateful).restoreState(checkpoint.NewDecoder(saved)); err != nil {
+						if err := fresh.restoreState(checkpoint.NewDecoder(saved)); err != nil {
 							t.Fatal(err)
 						}
 						q = fresh
@@ -269,7 +276,7 @@ func TestIncrementalWindowsEqualRecompute(t *testing.T) {
 				if got, want := rowsJSON(t, q.FlushFinal()), rowsJSON(t, ref.flush()); got != want {
 					t.Fatalf("%s w=%d weight=%g flush:\n got %s\nwant %s", name, window, weight, got, want)
 				}
-				if !bytes.Equal(stateBytes(q.(stateful).saveState), stateBytes(ref.saveState)) {
+				if !bytes.Equal(stateBytes(q.saveState), stateBytes(ref.saveState)) {
 					t.Fatalf("%s w=%d weight=%g: final checkpointed state differs from the reference's", name, window, weight)
 				}
 			}

@@ -28,30 +28,25 @@ type LocationUpdate struct {
 }
 
 // LocationUpdateQuery evaluates the location-update query in a streaming
-// fashion.
+// fashion. Per tag it keeps the location of the tag's last update, which is
+// all it needs to decide whether a new report is one.
 type LocationUpdateQuery struct {
 	// MinChange suppresses updates whose location moved less than this
 	// distance (zero emits every change, exactly like Istream semantics over
 	// real-valued locations).
 	MinChange float64
 
-	window *RowWindow
-	last   map[stream.TagID]geom.Vec3
+	last map[stream.TagID]geom.Vec3
 }
 
 // NewLocationUpdateQuery returns a streaming location-update query.
 func NewLocationUpdateQuery(minChange float64) *LocationUpdateQuery {
-	return &LocationUpdateQuery{
-		MinChange: minChange,
-		window:    NewRowWindow(1),
-		last:      make(map[stream.TagID]geom.Vec3),
-	}
+	return &LocationUpdateQuery{MinChange: minChange, last: make(map[stream.TagID]geom.Vec3)}
 }
 
 // Push feeds one event and returns the update it produced, if any.
 func (q *LocationUpdateQuery) Push(ev stream.Event) (LocationUpdate, bool) {
 	prev, hasPrev := q.last[ev.Tag]
-	q.window.Push(ev)
 	if hasPrev && prev.Dist(ev.Loc) <= q.MinChange {
 		return LocationUpdate{}, false
 	}
@@ -75,6 +70,18 @@ func (q *LocationUpdateQuery) Run(events []stream.Event) []LocationUpdate {
 	}
 	return out
 }
+
+// PushEvent implements Continuous.
+func (q *LocationUpdateQuery) PushEvent(ev stream.Event) []any {
+	if u, ok := q.Push(ev); ok {
+		return []any{u}
+	}
+	return nil
+}
+
+// FlushFinal implements Continuous; location updates are emitted eagerly so
+// there is nothing to flush.
+func (q *LocationUpdateQuery) FlushFinal() []any { return nil }
 
 // AreaID identifies one square-foot cell of the storage area.
 type AreaID struct {
@@ -134,77 +141,96 @@ func (c *FireCodeConfig) applyDefaults() {
 	}
 }
 
-// FireCodeQuery evaluates the fire-code query in a streaming fashion. Each
-// pushed event advances the range window; the Rstream of the grouped,
-// filtered relation is emitted per epoch. The grouping is maintained
-// incrementally beside the window (latestGroups), so an epoch's evaluation
-// costs its changed areas plus its output rows.
-type FireCodeQuery struct {
-	cfg      FireCodeConfig
-	window   *TimeWindow
-	areas    *latestGroups
-	lastTime int
-	started  bool
-}
+// FireCodeQuery evaluates the fire-code query in a streaming fashion: the
+// windowed operator whose groups are square-foot areas, qualifying when
+// their total weight exceeds the threshold.
+type FireCodeQuery = windowed[Violation]
 
 // NewFireCodeQuery returns a streaming fire-code query.
 func NewFireCodeQuery(cfg FireCodeConfig) *FireCodeQuery {
 	cfg.applyDefaults()
 	threshold := cfg.ThresholdPounds
 	return &FireCodeQuery{
-		cfg:    cfg,
-		window: NewTimeWindow(cfg.WindowEpochs),
-		areas: newLatestGroups(func(ev stream.Event) AreaID { return cfg.Area(ev.Loc) }, cfg.Weight, true,
+		section: "q.firecode",
+		window:  NewTimeWindow(cfg.WindowEpochs),
+		groups: newLatestGroups(func(ev stream.Event) AreaID { return cfg.Area(ev.Loc) }, cfg.Weight, true,
 			func(g *areaGroup) bool { return g.sum > threshold }),
+		row: func(now int, g *areaGroup) Violation {
+			return Violation{Time: now, Area: g.area, TotalWeight: g.sum}
+		},
 	}
 }
 
-// Push feeds one event and returns the violations present in the window after
-// the event's epoch is complete. To match Rstream-per-epoch semantics the
-// violations are computed when the epoch advances, so pushes within the same
-// epoch return results for the previous epoch.
-func (q *FireCodeQuery) Push(ev stream.Event) []Violation {
-	var out []Violation
+// windowed is the grouped range-window operator both windowed queries are
+// made of. Each pushed event advances the range window; the Rstream of the
+// grouped relation is emitted per epoch. The grouping is maintained
+// incrementally beside the window (latestGroups), so an epoch's evaluation
+// costs its changed groups plus its output rows. The queries differ only in
+// which groups qualify (groups) and how a group becomes a row (row).
+type windowed[R any] struct {
+	// section names the query's checkpoint section.
+	section  string
+	window   *TimeWindow
+	groups   *latestGroups
+	row      func(now int, g *areaGroup) R
+	lastTime int
+	started  bool
+}
+
+// Push feeds one event and returns the rows of the epoch before it. To match
+// Rstream-per-epoch semantics an epoch's rows are computed when the epoch
+// advances, so pushes within the same epoch return nothing.
+func (q *windowed[R]) Push(ev stream.Event) []R {
+	var out []R
 	if q.started && ev.Time != q.lastTime {
 		out = q.evaluate(q.lastTime)
 	}
-	q.areas.push(q.window, ev)
+	q.groups.push(q.window, ev)
 	q.lastTime = ev.Time
 	q.started = true
 	return out
 }
 
-// Flush evaluates the final epoch after the stream ends.
-func (q *FireCodeQuery) Flush() []Violation {
+// Flush evaluates the open epoch, after the stream ends or at a windows
+// flush. The epoch is then closed: a later epoch's first event does not
+// report it again.
+func (q *windowed[R]) Flush() []R {
 	if !q.started {
 		return nil
 	}
+	q.started = false
 	return q.evaluate(q.lastTime)
 }
 
-// evaluate returns the violations of epoch now, in area order. Only the
-// latest event per tag inside the window contributes — an object is in one
-// place at a time — and an area's total weight is summed over its objects in
-// tag order.
-func (q *FireCodeQuery) evaluate(now int) []Violation {
-	q.areas.advance(q.window, now)
-	var out []Violation
-	for _, g := range q.areas.settle() {
-		out = append(out, Violation{Time: now, Area: g.area, TotalWeight: g.sum})
-	}
-	return out
-}
-
-// Run evaluates the query over a complete event stream, returning all
-// violations in time order.
-func (q *FireCodeQuery) Run(events []stream.Event) []Violation {
+// Run evaluates the query over a complete event stream, returning all rows
+// in time order.
+func (q *windowed[R]) Run(events []stream.Event) []R {
 	sorted := make([]stream.Event, len(events))
 	copy(sorted, events)
 	stream.ByTimeThenTag(sorted)
-	var out []Violation
+	var out []R
 	for _, ev := range sorted {
 		out = append(out, q.Push(ev)...)
 	}
-	out = append(out, q.Flush()...)
+	return append(out, q.Flush()...)
+}
+
+// PushEvent implements Continuous.
+func (q *windowed[R]) PushEvent(ev stream.Event) []any { return wrapRows(q.Push(ev)) }
+
+// FlushFinal implements Continuous.
+func (q *windowed[R]) FlushFinal() []any { return wrapRows(q.Flush()) }
+
+// evaluate returns one row per qualifying group of epoch now, in area order.
+// Only the latest event per tag inside the window contributes — an object is
+// in one place at a time — and a group's weight is summed over its objects
+// in tag order.
+func (q *windowed[R]) evaluate(now int) []R {
+	q.groups.advance(q.window, now)
+	groups := q.groups.settle()
+	out := make([]R, len(groups))
+	for i, g := range groups {
+		out[i] = q.row(now, g)
+	}
 	return out
 }

@@ -11,32 +11,6 @@ func ev(t int, tag string, x, y float64) stream.Event {
 	return stream.Event{Time: t, Tag: stream.TagID(tag), Loc: geom.V(x, y, 0)}
 }
 
-func TestRowWindowKeepsLastNPerTag(t *testing.T) {
-	w := NewRowWindow(1)
-	if _, evicted := w.Push(ev(1, "a", 0, 0)); evicted {
-		t.Error("first push should not evict")
-	}
-	old, evicted := w.Push(ev(2, "a", 1, 1))
-	if !evicted || old.Time != 1 {
-		t.Error("second push should evict the first event")
-	}
-	if latest, ok := w.Latest("a"); !ok || latest.Time != 2 {
-		t.Error("Latest wrong")
-	}
-	if _, ok := w.Previous("a"); ok {
-		t.Error("row-1 window has no previous")
-	}
-	two := NewRowWindow(2)
-	two.Push(ev(1, "b", 0, 0))
-	two.Push(ev(2, "b", 1, 0))
-	if prev, ok := two.Previous("b"); !ok || prev.Time != 1 {
-		t.Error("Previous wrong for rows=2")
-	}
-	if tags := two.Tags(); len(tags) != 1 || tags[0] != "b" {
-		t.Errorf("Tags = %v", tags)
-	}
-}
-
 func TestTimeWindowEviction(t *testing.T) {
 	w := NewTimeWindow(5)
 	w.Push(ev(0, "a", 0, 0))
@@ -170,14 +144,15 @@ func TestFireCodeQueryWindowExpires(t *testing.T) {
 }
 
 func TestFireCodeDefaults(t *testing.T) {
-	q := NewFireCodeQuery(FireCodeConfig{})
-	if q.cfg.WindowEpochs != 5 || q.cfg.ThresholdPounds != 200 {
-		t.Errorf("defaults not applied: %+v", q.cfg)
+	var cfg FireCodeConfig
+	cfg.applyDefaults()
+	if cfg.WindowEpochs != 5 || cfg.ThresholdPounds != 200 {
+		t.Errorf("defaults not applied: %+v", cfg)
 	}
-	if q.cfg.Weight("x") != 1 {
+	if cfg.Weight("x") != 1 {
 		t.Error("default weight should be 1")
 	}
-	if got := q.Flush(); got != nil {
+	if got := NewFireCodeQuery(FireCodeConfig{}).Flush(); got != nil {
 		t.Error("flush before any events should be nil")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/stream"
 )
 
@@ -92,16 +93,20 @@ func (s Spec) Validate() error {
 func (s Spec) IsHistory() bool { return s.Mode == ModeHistory }
 
 // Continuous is the streaming interface the registry drives: one event in,
-// zero or more result rows out, plus a flush for the final partial epoch.
-// The concrete row type depends on the query kind (LocationUpdate, Violation
-// or AggregateRow).
+// zero or more result rows out, a flush for the open epoch, and the
+// checkpoint of the query's state. The concrete row type depends on the query
+// kind (LocationUpdate, Violation or AggregateRow); *LocationUpdateQuery,
+// *FireCodeQuery and *WindowedAggregateQuery implement it.
 type Continuous interface {
 	// PushEvent feeds one clean event (events must arrive in time order).
 	PushEvent(ev stream.Event) []any
 	// FlushFinal evaluates whatever the query was holding back for the
 	// still-open epoch (windowed queries emit an epoch's rows only once a
-	// later epoch begins).
+	// later epoch begins) and closes that epoch.
 	FlushFinal() []any
+
+	saveState(e *checkpoint.Encoder)
+	restoreState(d *checkpoint.Decoder) error
 }
 
 // NewContinuous instantiates the streaming query a spec describes.
@@ -116,56 +121,23 @@ func NewContinuous(s Spec) (Continuous, error) {
 	}
 	switch s.Kind {
 	case KindLocationUpdates:
-		return locationAdapter{NewLocationUpdateQuery(s.MinChange)}, nil
+		return NewLocationUpdateQuery(s.MinChange), nil
 	case KindFireCode:
-		return fireCodeAdapter{NewFireCodeQuery(FireCodeConfig{
+		return NewFireCodeQuery(FireCodeConfig{
 			WindowEpochs:    s.WindowEpochs,
 			ThresholdPounds: s.ThresholdPounds,
 			Weight:          weight,
-		})}, nil
+		}), nil
 	case KindWindowedAggregate:
-		return aggregateAdapter{NewWindowedAggregateQuery(AggregateConfig{
+		return NewWindowedAggregateQuery(AggregateConfig{
 			WindowEpochs: s.WindowEpochs,
 			Op:           s.Op,
 			GroupBy:      s.GroupBy,
 			Weight:       weight,
-		})}, nil
+		}), nil
 	}
 	return nil, fmt.Errorf("query: unknown kind %q", s.Kind)
 }
-
-// locationAdapter lifts LocationUpdateQuery to the Continuous interface.
-type locationAdapter struct{ q *LocationUpdateQuery }
-
-// PushEvent implements Continuous.
-func (a locationAdapter) PushEvent(ev stream.Event) []any {
-	if u, ok := a.q.Push(ev); ok {
-		return []any{u}
-	}
-	return nil
-}
-
-// FlushFinal implements Continuous; location updates are emitted eagerly so
-// there is nothing to flush.
-func (a locationAdapter) FlushFinal() []any { return nil }
-
-// fireCodeAdapter lifts FireCodeQuery to the Continuous interface.
-type fireCodeAdapter struct{ q *FireCodeQuery }
-
-// PushEvent implements Continuous.
-func (a fireCodeAdapter) PushEvent(ev stream.Event) []any { return wrapRows(a.q.Push(ev)) }
-
-// FlushFinal implements Continuous.
-func (a fireCodeAdapter) FlushFinal() []any { return wrapRows(a.q.Flush()) }
-
-// aggregateAdapter lifts WindowedAggregateQuery to the Continuous interface.
-type aggregateAdapter struct{ q *WindowedAggregateQuery }
-
-// PushEvent implements Continuous.
-func (a aggregateAdapter) PushEvent(ev stream.Event) []any { return wrapRows(a.q.Push(ev)) }
-
-// FlushFinal implements Continuous.
-func (a aggregateAdapter) FlushFinal() []any { return wrapRows(a.q.Flush()) }
 
 // wrapRows boxes a concrete row slice into []any.
 func wrapRows[T any](rows []T) []any {
@@ -398,8 +370,8 @@ func (r *Registry) Feed(events []stream.Event) int {
 }
 
 // FlushAll tells every query the stream ended, buffering the rows held back
-// for the final epoch. The registry remains usable afterwards, but windowed
-// queries may double-report the flushed epoch if feeding resumes.
+// for the open epoch. The registry remains usable afterwards: feeding resumes
+// with the next epoch, and each epoch's rows are emitted once.
 func (r *Registry) FlushAll() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

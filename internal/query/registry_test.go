@@ -206,3 +206,39 @@ func TestWindowedAggregateWindowExpiry(t *testing.T) {
 		t.Errorf("final row %+v, want count 1 at t=5", last)
 	}
 }
+
+// TestFlushThenFeedReportsEachEpochOnce pins that a windows flush closes the
+// open epoch: when feeding resumes, the next epoch's first event must not
+// report the flushed epoch again.
+func TestFlushThenFeedReportsEachEpochOnce(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: KindFireCode, WindowEpochs: 5, ThresholdPounds: 1.5},
+		{Kind: KindWindowedAggregate, WindowEpochs: 5, GroupBy: GroupByArea},
+	} {
+		reg := NewRegistry(0)
+		info, err := reg.Register(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for epoch := 0; epoch < 3; epoch++ {
+			reg.Feed([]stream.Event{ev(epoch, "a", 0.2, 0.2), ev(epoch, "b", 0.6, 0.7)})
+			reg.FlushAll()
+		}
+		results, _, err := reg.Results(info.ID, -1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var times []int
+		for _, res := range results {
+			switch row := res.Row.(type) {
+			case Violation:
+				times = append(times, row.Time)
+			case AggregateRow:
+				times = append(times, row.Time)
+			}
+		}
+		if len(times) != 3 || times[0] != 0 || times[1] != 1 || times[2] != 2 {
+			t.Errorf("%s: row epochs %v, want [0 1 2]", spec.Kind, times)
+		}
+	}
+}

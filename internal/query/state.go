@@ -18,13 +18,6 @@ import (
 
 const registrySection = "query.Registry"
 
-// stateful is implemented by the continuous-query adapters whose operators
-// carry cross-event window state.
-type stateful interface {
-	saveState(e *checkpoint.Encoder)
-	restoreState(d *checkpoint.Decoder) error
-}
-
 // SaveState appends the registry's full state to the encoder.
 func (r *Registry) SaveState(e *checkpoint.Encoder) {
 	r.mu.Lock()
@@ -56,7 +49,7 @@ func (r *Registry) SaveState(e *checkpoint.Encoder) {
 			e.String(string(row))
 		}
 		if !reg.info.Finished {
-			reg.q.(stateful).saveState(e)
+			reg.q.saveState(e)
 		}
 	}
 }
@@ -98,7 +91,7 @@ func (r *Registry) RestoreState(d *checkpoint.Decoder) error {
 		}
 		reg.info.Buffered = len(reg.results)
 		if !reg.info.Finished {
-			if err := reg.q.(stateful).restoreState(d); err != nil {
+			if err := reg.q.restoreState(d); err != nil {
 				return err
 			}
 		}
@@ -162,61 +155,31 @@ func restoreEvents(d *checkpoint.Decoder) []stream.Event {
 	return out
 }
 
-// saveState / restoreState on TimeWindow serialize the retained events (the
-// range length is configuration, reconstructed from the spec).
-func (w *TimeWindow) saveState(e *checkpoint.Encoder) { saveEvents(e, w.live()) }
+// --- query state ---
 
-func (w *TimeWindow) restoreState(d *checkpoint.Decoder) error {
-	w.events, w.head = restoreEvents(d), 0
-	return d.Err()
-}
-
-// saveState / restoreState on RowWindow serialize the per-tag rows in sorted
-// tag order.
-func (w *RowWindow) saveState(e *checkpoint.Encoder) {
-	tags := w.Tags()
-	e.Uvarint(uint64(len(tags)))
-	for _, tag := range tags {
-		e.String(string(tag))
-		saveEvents(e, w.byID[tag])
-	}
-}
-
-func (w *RowWindow) restoreState(d *checkpoint.Decoder) error {
-	n := d.SliceLen(2)
-	byID := make(map[stream.TagID][]stream.Event, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		tag := stream.TagID(d.String())
-		byID[tag] = restoreEvents(d)
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	w.byID = byID
-	return nil
-}
-
-// --- adapter state ---
-
-func (a locationAdapter) saveState(e *checkpoint.Encoder) {
+// The q.location section opens with the slot of a per-tag row window the
+// query no longer keeps. It is written empty, so older binaries still read
+// the section, and a window in an older checkpoint is read and dropped.
+func (q *LocationUpdateQuery) saveState(e *checkpoint.Encoder) {
 	e.Section("q.location")
-	a.q.window.saveState(e)
-	tags := make([]stream.TagID, 0, len(a.q.last))
-	for tag := range a.q.last {
+	e.Uvarint(0)
+	tags := make([]stream.TagID, 0, len(q.last))
+	for tag := range q.last {
 		tags = append(tags, tag)
 	}
 	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
 	e.Uvarint(uint64(len(tags)))
 	for _, tag := range tags {
 		e.String(string(tag))
-		e.Vec3(a.q.last[tag])
+		e.Vec3(q.last[tag])
 	}
 }
 
-func (a locationAdapter) restoreState(d *checkpoint.Decoder) error {
+func (q *LocationUpdateQuery) restoreState(d *checkpoint.Decoder) error {
 	d.Section("q.location")
-	if err := a.q.window.restoreState(d); err != nil {
-		return err
+	for i, n := 0, d.SliceLen(2); i < n && d.Err() == nil; i++ {
+		d.StringBytes()
+		restoreEvents(d)
 	}
 	n := d.SliceLen(8 * 3)
 	last := make(map[stream.TagID]geom.Vec3, n)
@@ -227,42 +190,24 @@ func (a locationAdapter) restoreState(d *checkpoint.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	a.q.last = last
+	q.last = last
 	return nil
 }
 
-func (a fireCodeAdapter) saveState(e *checkpoint.Encoder) {
-	e.Section("q.firecode")
-	a.q.window.saveState(e)
-	e.Int(a.q.lastTime)
-	e.Bool(a.q.started)
+// A windowed query's state is its window's events (the range length is
+// configuration, reconstructed from the spec) and its epoch position; the
+// groups are derived from the events.
+func (q *windowed[R]) saveState(e *checkpoint.Encoder) {
+	e.Section(q.section)
+	saveEvents(e, q.window.live())
+	e.Int(q.lastTime)
+	e.Bool(q.started)
 }
 
-func (a fireCodeAdapter) restoreState(d *checkpoint.Decoder) error {
-	d.Section("q.firecode")
-	if err := a.q.window.restoreState(d); err != nil {
-		return err
-	}
-	a.q.areas.rebuild(a.q.window)
-	a.q.lastTime = d.Int()
-	a.q.started = d.Bool()
-	return d.Err()
-}
-
-func (a aggregateAdapter) saveState(e *checkpoint.Encoder) {
-	e.Section("q.aggregate")
-	a.q.window.saveState(e)
-	e.Int(a.q.lastTime)
-	e.Bool(a.q.started)
-}
-
-func (a aggregateAdapter) restoreState(d *checkpoint.Decoder) error {
-	d.Section("q.aggregate")
-	if err := a.q.window.restoreState(d); err != nil {
-		return err
-	}
-	a.q.groups.rebuild(a.q.window)
-	a.q.lastTime = d.Int()
-	a.q.started = d.Bool()
+func (q *windowed[R]) restoreState(d *checkpoint.Decoder) error {
+	d.Section(q.section)
+	q.window.events, q.window.head = restoreEvents(d), 0
+	q.lastTime, q.started = d.Int(), d.Bool()
+	q.groups.rebuild(q.window)
 	return d.Err()
 }

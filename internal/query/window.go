@@ -6,73 +6,7 @@
 // emit zero or more results immediately.
 package query
 
-import (
-	"sort"
-
-	"repro/internal/stream"
-)
-
-// RowWindow implements a CQL partitioned row window:
-// "EventStream [Partition By tag_id Rows N]" keeps the last N events of each
-// tag.
-type RowWindow struct {
-	rows int
-	byID map[stream.TagID][]stream.Event
-}
-
-// NewRowWindow returns a partition-by row window keeping the last rows events
-// per tag (rows < 1 is treated as 1).
-func NewRowWindow(rows int) *RowWindow {
-	if rows < 1 {
-		rows = 1
-	}
-	return &RowWindow{rows: rows, byID: make(map[stream.TagID][]stream.Event)}
-}
-
-// Push inserts an event and returns the event it displaced for that tag, if
-// any.
-func (w *RowWindow) Push(ev stream.Event) (stream.Event, bool) {
-	list := w.byID[ev.Tag]
-	list = append(list, ev)
-	var evicted stream.Event
-	hadEvicted := false
-	if len(list) > w.rows {
-		evicted = list[0]
-		hadEvicted = true
-		list = list[1:]
-	}
-	w.byID[ev.Tag] = list
-	return evicted, hadEvicted
-}
-
-// Latest returns the most recent event for a tag.
-func (w *RowWindow) Latest(tag stream.TagID) (stream.Event, bool) {
-	list := w.byID[tag]
-	if len(list) == 0 {
-		return stream.Event{}, false
-	}
-	return list[len(list)-1], true
-}
-
-// Previous returns the event before the most recent one for a tag (only
-// meaningful for windows with rows >= 2).
-func (w *RowWindow) Previous(tag stream.TagID) (stream.Event, bool) {
-	list := w.byID[tag]
-	if len(list) < 2 {
-		return stream.Event{}, false
-	}
-	return list[len(list)-2], true
-}
-
-// Tags returns the tags currently present in the window, sorted.
-func (w *RowWindow) Tags() []stream.TagID {
-	out := make([]stream.TagID, 0, len(w.byID))
-	for id := range w.byID {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+import "repro/internal/stream"
 
 // TimeWindow implements a CQL range window: "[Range N seconds]" retains the
 // events whose time lies within the last N epochs of the current time. It is

@@ -72,10 +72,7 @@ type residency struct {
 	evictedG    *metrics.Gauge
 	evictions   *metrics.Counter
 	hydrations  *metrics.Counter
-	hydrateSecs *metrics.FloatCounter
 	hydrateHist *metrics.Histogram
-	hydrateLast *metrics.Gauge
-	hydrateMax  *metrics.Gauge
 }
 
 func newResidency(max int, set *metrics.Set) *residency {
@@ -87,10 +84,7 @@ func newResidency(max int, set *metrics.Set) *residency {
 		evictedG:    set.Gauge("rfidserve_evicted_sessions", "sessions spilled to disk by eviction, awaiting first touch"),
 		evictions:   set.Counter("rfidserve_evictions_total", "sessions evicted to disk by the resident-set LRU"),
 		hydrations:  set.Counter("rfidserve_hydrations_total", "evicted sessions restored on first touch"),
-		hydrateSecs: set.FloatCounter("rfidserve_hydration_seconds_total", "cumulative seconds spent hydrating evicted sessions"),
 		hydrateHist: set.Histogram("rfidserve_hydration_seconds", "hydration latency (engine build + eviction spill restore + WAL segment resume, or + checkpoint restore + WAL replay when the spill is unusable)"),
-		hydrateLast: set.Gauge("rfidserve_hydration_last_seconds", "duration of the most recent hydration"),
-		hydrateMax:  set.Gauge("rfidserve_hydration_max_seconds", "slowest hydration observed"),
 	}
 }
 
@@ -181,10 +175,7 @@ func (rs *residency) noteHydrated(s *session, d time.Duration) {
 		rs.elems[s] = rs.order.PushFront(s)
 	}
 	rs.hydrations.Inc()
-	rs.hydrateSecs.Add(d.Seconds())
 	rs.hydrateHist.ObserveDuration(d)
-	rs.hydrateLast.Set(d.Seconds())
-	rs.hydrateMax.SetMax(d.Seconds())
 	rs.gaugesLocked()
 	rs.mu.Unlock()
 }

@@ -226,7 +226,6 @@ type session struct {
 	tracked     *metrics.Gauge
 	particles   *metrics.Gauge
 	buffered    *metrics.Gauge
-	epochsRate  *metrics.Gauge
 	lastEpochsN int64 // pinned-worker-local: epochs seen at last delta
 
 	// latency histograms (lock-free; observed from handlers and the pinned
@@ -383,7 +382,6 @@ func buildSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSe
 	s.tracked = s.gauge("rfidserve_tracked_objects", "distinct objects the engine has seen")
 	s.particles = s.gauge("rfidserve_particles", "particles currently alive in the engine")
 	s.buffered = s.gauge("rfidserve_buffered_epochs", "ingested epochs not yet processed")
-	s.epochsRate = s.gauge("rfidserve_epochs_per_second", "average epoch processing rate since start")
 	s.ingestHist = s.histogram("rfidserve_ingest_seconds", "ingest request latency from arrival to 202 ack")
 	s.longpollHist = s.histogram("rfidserve_longpoll_seconds", "long-poll results delivery latency (wait included)")
 	s.walFsyncHist = s.histogram("rfidserve_wal_fsync_seconds", "write-ahead-log fsync latency")
@@ -703,9 +701,6 @@ func (s *session) scrapeGauges() {
 	s.tracked.Set(float64(st.TrackedObjects))
 	s.particles.Set(float64(st.Particles))
 	s.buffered.Set(float64(st.BufferedEpochs))
-	if el := time.Since(s.start).Seconds(); el > 0 {
-		s.epochsRate.Set(float64(st.Epochs) / el)
-	}
 	s.ckptEpoch.Set(float64(s.lastCkptEpoch.Load()))
 	if nanos := s.lastCkptNanos.Load(); nanos > 0 {
 		s.ckptAge.Set(time.Since(time.Unix(0, nanos)).Seconds())
