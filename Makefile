@@ -62,7 +62,11 @@ alloc-gate:
 # Prometheus conventions the dashboards rely on — snake_case names, counters
 # suffixed _total, duration histograms _seconds (size histograms _bytes),
 # cumulative duration counters _seconds_total, and never _ms (all exported
-# durations are seconds).
+# durations are seconds). The docs may name only series the code registers:
+# every rfidserve_* name in them (histogram _bucket/_sum/_count suffixes
+# stripped) must be a literal registration or the Sprintf-built stage series.
+METRIC_DOCS = README.md API.md ARCHITECTURE.md .claude/skills/verify/SKILL.md
+
 metrics-lint:
 	@grep -rhoE '\.(Counter|FloatCounter|Gauge|Histogram|counter|gauge|histogram)\("[^"]+"' \
 		--include='*.go' --exclude='*_test.go' cmd internal rfid \
@@ -76,6 +80,12 @@ metrics-lint:
 		if (kind == "histogram" && base !~ /(_seconds|_bytes)$$/) { print "metrics-lint: Histogram " $$2 " must end in _seconds or _bytes"; bad = 1 } \
 	} END { exit bad }' \
 	&& echo "metrics-lint: all metric names conform"
+	@registered="$$(grep -rhoE '(\.(Counter|FloatCounter|Gauge|Histogram|counter|gauge|histogram)\("|Sprintf\(`)rfidserve_[a-z0-9_]+' \
+		--include='*.go' --exclude='*_test.go' cmd internal rfid | grep -oE 'rfidserve_[a-z0-9_]+' | sort -u)"; \
+	bad=0; for name in $$(grep -ohE 'rfidserve_[a-z0-9_]+' $(METRIC_DOCS) | sed -E 's/_(bucket|sum|count)$$//' | sort -u); do \
+		echo "$$registered" | grep -qx "$$name" || { echo "metrics-lint: the docs name $$name, which no code registers"; bad=1; }; \
+	done; \
+	[ $$bad -eq 0 ] && echo "metrics-lint: every series the docs name is registered"
 
 # Coverage ratchet: fails when total statement coverage drops below the
 # recorded threshold. Raise the threshold when coverage improves; never lower

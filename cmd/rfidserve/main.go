@@ -227,23 +227,18 @@ func main() {
 		ingestWait  = flag.Duration("ingest-wait", 2*time.Second, "how long POST .../ingest blocks when the queue is full before failing with 503")
 
 		maxSessions  = flag.Int("max-sessions", 32, "maximum concurrently live sessions")
-		maxWait      = flag.Duration("max-poll-wait", 60*time.Second, "cap on the results endpoint's ?wait= long-poll duration")
 		maxResident  = flag.Int("max-resident", 0, "maximum durable sessions kept resident in memory; idle sessions past the LRU threshold are spilled to disk and restored on first touch; durable state (checkpoints + WAL) does not depend on residency (0 = unlimited, requires -data-dir)")
 		schedWorkers = flag.Int("sched-workers", 0, "worker pool size shared by every session's op queue (0 = GOMAXPROCS)")
 
 		replicaOf   = flag.String("replica-of", "", "follow the primary at this host:port as a read replica (requires -data-dir); writes are refused until promotion")
 		replicaName = flag.String("replica-name", "", "follower name reported to the primary (default: hostname)")
 
-		dataDir    = flag.String("data-dir", "", "durability directory (WAL segments + checkpoints); empty disables durability")
-		ckptEvery  = flag.Int("checkpoint-every", 64, "epochs between checkpoints (with -data-dir)")
-		keepCkpts  = flag.Int("keep-checkpoints", 3, "checkpoint files to retain (with -data-dir)")
-		fsyncMode  = flag.String("fsync", "always", "WAL fsync policy: always (durable acks), interval, or never")
-		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync period for -fsync=interval")
-		history    = flag.Int("history", 0, "epochs of MAP-snapshot history the -trace session retains for time-travel reads (0 disables)")
+		dataDir   = flag.String("data-dir", "", "durability directory (WAL segments + checkpoints); empty disables durability")
+		ckptEvery = flag.Int("checkpoint-every", 64, "epochs between checkpoints (with -data-dir)")
+		fsyncMode = flag.String("fsync", "always", "WAL fsync policy: always (durable acks), interval (every 100ms), or never")
+		history   = flag.Int("history", 0, "epochs of MAP-snapshot history the -trace session retains for time-travel reads (0 disables)")
 
 		traceEpochs = flag.Int("trace-epochs", 64, "sealed epochs of per-stage timing retained per session for GET .../trace (0 disables tracing)")
-		slowEpoch   = flag.Duration("slow-epoch", 0, "log a warning when a sealed epoch's wall time exceeds this (0 disables; needs -trace-epochs > 0)")
-		slowHydrate = flag.Duration("slow-hydration", 2*time.Second, "log a warning when restoring an evicted session takes longer than this (0 disables)")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		debugAddr   = flag.String("debug-addr", "", "listen address for the private net/http/pprof debug server (empty disables; never expose publicly)")
@@ -286,16 +281,11 @@ func main() {
 		IngestWait:      *ingestWait,
 		DataDir:         *dataDir,
 		CheckpointEvery: *ckptEvery,
-		KeepCheckpoints: *keepCkpts,
 		Fsync:           syncPolicy,
-		FsyncInterval:   *fsyncEvery,
 		MaxSessions:     *maxSessions,
-		MaxLongPollWait: *maxWait,
 		MaxResident:     *maxResident,
 		SchedWorkers:    *schedWorkers,
 		TraceEpochs:     *traceEpochs,
-		SlowEpoch:       *slowEpoch,
-		SlowHydration:   *slowHydrate,
 		Logger:          logger,
 	})
 	if err != nil {
@@ -339,7 +329,7 @@ func main() {
 	// Slow-loris hardening: a client that dribbles its headers or body can
 	// otherwise pin a connection (and, behind a small pool, the listener)
 	// indefinitely. No WriteTimeout — long-polled result reads legitimately
-	// hold their response for up to -max-poll-wait; per-request read deadlines
+	// hold their response for up to 60s; per-request read deadlines
 	// bound the request side instead.
 	httpSrv := &http.Server{
 		Addr:              *addr,

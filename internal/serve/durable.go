@@ -74,9 +74,7 @@ func (s *session) openDurable(replica bool) error {
 // walOptions are the options the session opens its log with, in either role.
 func (s *session) walOptions() wal.Options {
 	return wal.Options{
-		SegmentBytes: s.cfg.WALSegmentBytes,
 		Sync:         s.cfg.Fsync,
-		SyncEvery:    s.cfg.FsyncInterval,
 		SyncObserver: s.walFsyncHist.ObserveDuration,
 	}
 }
@@ -323,7 +321,7 @@ func (s *session) persistCheckpoint(t0 time.Time, epoch int, seg uint64) error {
 	s.lastCkptEpoch.Store(int64(epoch))
 	s.lastCkptNanos.Store(time.Now().UnixNano())
 	s.checkpoints.Inc()
-	if err := checkpoint.Prune(s.cfg.DataDir, s.cfg.KeepCheckpoints); err != nil {
+	if err := checkpoint.Prune(s.cfg.DataDir, keepCheckpoints); err != nil {
 		s.log.Warn("pruning old checkpoints failed", "err", err)
 	}
 	return nil

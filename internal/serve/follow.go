@@ -184,7 +184,7 @@ func (f *follower) link() error {
 	}
 	pend := make(map[string]*pending)
 
-	fr := wire.NewFrameReader(br, int(f.sv.cfg.MaxBodyBytes)+(4<<10))
+	fr := wire.NewFrameReader(br, maxBodyBytes+(4<<10))
 	for {
 		// The primary heartbeats after ~1s idle; a silent link this long is
 		// dead.

@@ -299,7 +299,7 @@ func (s *session) hydrate() error {
 	s.transition(recovering, recovering.in(phaseServing), nil)
 	d := time.Since(start)
 	s.res.noteHydrated(s, d)
-	if slow := s.cfg.SlowHydration; slow > 0 && d >= slow {
+	if d >= slowHydration {
 		s.log.Warn("slow hydration", "took", d,
 			"replayed_records", s.replayedRecords.Value())
 	}

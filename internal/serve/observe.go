@@ -9,7 +9,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/trace"
@@ -45,14 +44,10 @@ func tracesToAPI(traces []trace.EpochTrace) []api.TraceEpoch {
 // handleTrace answers GET .../trace?epochs=N with the last N sealed epochs'
 // stage timings, oldest first (all retained epochs without ?epochs=).
 func (sv *Server) handleTrace(w http.ResponseWriter, r *http.Request, sess *session) {
-	n := 0
-	if v := r.URL.Query().Get("epochs"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 {
-			writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad epochs %q (want a non-negative integer)", v)
-			return
-		}
-		n = parsed
+	n, err := intParam(r, "epochs", 0, 0)
+	if err != nil {
+		writeAPIError(w, err)
+		return
 	}
 	resp := api.TraceResponse{
 		Enabled:  sess.cfg.TraceEpochs > 0,

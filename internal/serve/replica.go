@@ -113,7 +113,7 @@ func (s *session) handleReplApply(ro *replOp) opResult {
 	s.replSeg.Store(seg)
 	s.replOff.Store(off)
 	s.appliedEpoch.Store(lastSealedEpoch(r))
-	s.repl.noteApplied(len(ro.payload), ro.shipNanos)
+	s.repl.noteApplied(ro.shipNanos)
 	s.syncWALMetrics()
 	return opResult{}
 }

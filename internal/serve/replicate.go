@@ -62,9 +62,7 @@ type replTracker struct {
 	followers      *metrics.Gauge
 	reconnects     *metrics.Counter
 	shippedRecords *metrics.Counter
-	shippedBytes   *metrics.Counter
 	appliedRecords *metrics.Counter
-	appliedBytes   *metrics.Counter
 }
 
 func newReplTracker(set *metrics.Set) *replTracker {
@@ -74,9 +72,7 @@ func newReplTracker(set *metrics.Set) *replTracker {
 		followers:      set.Gauge("rfidserve_replication_followers", "replica connections this primary is currently shipping to"),
 		reconnects:     set.Counter("rfidserve_replication_reconnects_total", "follower connections accepted (every reconnect increments)"),
 		shippedRecords: set.Counter("rfidserve_replication_shipped_records_total", "WAL records shipped to followers"),
-		shippedBytes:   set.Counter("rfidserve_replication_shipped_bytes_total", "WAL record payload bytes shipped to followers"),
 		appliedRecords: set.Counter("rfidserve_replication_applied_records_total", "shipped WAL records mirrored and applied on this replica"),
-		appliedBytes:   set.Counter("rfidserve_replication_applied_bytes_total", "shipped WAL record payload bytes mirrored and applied on this replica"),
 	}
 }
 
@@ -146,9 +142,8 @@ func (t *replTracker) minAckedSegment(sid string) (uint64, bool) {
 }
 
 // noteApplied records one applied record on a replica: counters + lag.
-func (t *replTracker) noteApplied(payloadBytes int, shipNanos int64) {
+func (t *replTracker) noteApplied(shipNanos int64) {
 	t.appliedRecords.Inc()
-	t.appliedBytes.Add(payloadBytes)
 	t.noteLag(shipNanos)
 }
 
@@ -204,7 +199,7 @@ func (sv *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The follower speaks first: its hello carries the resume cursors.
-	maxFrame := int(sv.cfg.MaxBodyBytes) + (4 << 10) // record payload + framing/envelope slack
+	maxFrame := maxBodyBytes + (4 << 10) // record payload + framing/envelope slack
 	fr := wire.NewFrameReader(bufrw.Reader, maxFrame)
 	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	payload, err := fr.Next()
@@ -450,7 +445,6 @@ func (sv *Server) shipRecords(enc *wire.Encoder, writeFrame func() error, st *sh
 			return n, err
 		}
 		sv.repl.shippedRecords.Inc()
-		sv.repl.shippedBytes.Add(len(payload))
 		n++
 	}
 	return n, nil

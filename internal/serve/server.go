@@ -13,7 +13,7 @@
 //	GET    /v1/sessions                    list sessions
 //	GET    /v1/sessions/{sid}              describe one session
 //	DELETE /v1/sessions/{sid}              close a session and delete its state
-//	POST   /v1/sessions/{sid}/ingest       enqueue a batch of raw records
+//	POST   /v1/sessions/{sid}/ingest       apply a batch of raw records
 //	POST   /v1/sessions/{sid}/stream       upgrade to the binary streaming
 //	                                       ingest protocol (persistent frames,
 //	                                       windowed acks; see stream.go)
@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -77,15 +78,9 @@ type Config struct {
 	// QueueSize bounds each session's ingest queue, in batches (default 64).
 	// A full queue is the backpressure signal.
 	QueueSize int
-	// IngestWait is how long POST .../ingest blocks for queue space before
-	// giving up with 503 (default 2s).
+	// IngestWait is how long a request blocks for queue space before giving
+	// up with 503 (default 2s).
 	IngestWait time.Duration
-	// MaxBufferedResults caps each registered query's undelivered result
-	// buffer (default query.DefaultMaxBufferedResults).
-	MaxBufferedResults int
-	// MaxBodyBytes caps request bodies (default 8 MiB); the batch-count
-	// queue bound only limits memory if each batch is bounded too.
-	MaxBodyBytes int64
 
 	// DataDir, when non-empty, enables the durability subsystem for every
 	// session: each ingested batch is written to a segmented WAL before the
@@ -97,21 +92,12 @@ type Config struct {
 	// CheckpointEvery is the number of processed epochs between checkpoints
 	// (default 64).
 	CheckpointEvery int
-	// KeepCheckpoints is how many checkpoint files to retain (default 3; the
-	// newest is always kept).
-	KeepCheckpoints int
-	// Fsync selects the WAL fsync policy (default wal.SyncAlways);
-	// FsyncInterval is the wal.SyncInterval period (default 100ms).
-	Fsync         wal.SyncPolicy
-	FsyncInterval time.Duration
-	// WALSegmentBytes is the WAL segment rotation threshold (default 64 MiB).
-	WALSegmentBytes int64
+	// Fsync selects the WAL fsync policy (default wal.SyncAlways; the
+	// wal.SyncInterval period is wal's default 100ms).
+	Fsync wal.SyncPolicy
 
 	// MaxSessions caps the number of concurrently live sessions (default 32).
 	MaxSessions int
-	// MaxLongPollWait caps the ?wait= long-poll duration on the results
-	// endpoint (default 60s).
-	MaxLongPollWait time.Duration
 
 	// SchedWorkers sizes the shared worker pool that drains every session's op
 	// queue (default GOMAXPROCS). The pool size affects only throughput, never
@@ -125,12 +111,6 @@ type Config struct {
 	// breakdown is exposed on /v1/metrics. Zero disables tracing entirely — the
 	// kill switch; tracing never changes results.
 	TraceEpochs int
-	// SlowEpoch, when > 0, logs a warning whenever a sealed epoch's wall time
-	// exceeds it (requires TraceEpochs > 0).
-	SlowEpoch time.Duration
-	// SlowHydration, when > 0, logs a warning whenever restoring an evicted
-	// session takes longer than it.
-	SlowHydration time.Duration
 	// Logger receives the server's structured operational log records; nil
 	// uses slog.Default(). Every session-scoped record carries a "session"
 	// attribute.
@@ -154,6 +134,17 @@ type Config struct {
 	ReplicaName string
 }
 
+// Fixed serving limits: the request-body cap (the batch-count queue bound
+// only limits memory if each batch is bounded too), the checkpoint files a
+// session keeps, the cap on a results long-poll's ?wait= and the restore
+// time past which a hydration is logged as slow.
+const (
+	maxBodyBytes    = 8 << 20
+	keepCheckpoints = 3
+	maxLongPollWait = 60 * time.Second
+	slowHydration   = 2 * time.Second
+)
+
 func (c *Config) applyDefaults() {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 64
@@ -161,20 +152,11 @@ func (c *Config) applyDefaults() {
 	if c.IngestWait <= 0 {
 		c.IngestWait = 2 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
 	}
-	if c.KeepCheckpoints <= 0 {
-		c.KeepCheckpoints = 3
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 32
-	}
-	if c.MaxLongPollWait <= 0 {
-		c.MaxLongPollWait = 60 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -206,9 +188,7 @@ type Server struct {
 	repl     *replTracker
 	follower *follower
 
-	sessionsLive    *metrics.Gauge
-	sessionsCreated *metrics.Counter
-	sessionsDeleted *metrics.Counter
+	sessionsLive *metrics.Gauge
 }
 
 // node is the server-wide state every session's admission reads.
@@ -279,8 +259,6 @@ func New(cfg Config) (*Server, error) {
 		sv.role.Store(roleReplica)
 	}
 	sv.sessionsLive = sv.set.Gauge("rfidserve_sessions", "live sessions")
-	sv.sessionsCreated = sv.set.Counter("rfidserve_sessions_created_total", "sessions created over the server's lifetime (boot-recovered sessions included)")
-	sv.sessionsDeleted = sv.set.Counter("rfidserve_sessions_deleted_total", "sessions deleted")
 	sv.sched = newScheduler(cfg.SchedWorkers)
 	sv.res = newResidency(cfg.MaxResident, sv.set)
 	sv.repl = newReplTracker(sv.set)
@@ -494,7 +472,6 @@ func (sv *Server) addSession(req api.CreateSessionRequest, restoring bool) (*ses
 		}
 	}
 	sv.sessions[id] = sess
-	sv.sessionsCreated.Inc()
 	sv.sessionsLive.Set(float64(len(sv.sessions)))
 	if !lazy {
 		sv.res.touch(sess)
@@ -535,7 +512,6 @@ func (sv *Server) removeSession(id string) error {
 			sv.deleting = make(map[string]struct{})
 		}
 		sv.deleting[id] = struct{}{}
-		sv.sessionsDeleted.Inc()
 		sv.sessionsLive.Set(float64(len(sv.sessions)))
 	}
 	sv.mu.Unlock()
@@ -714,7 +690,7 @@ func (sv *Server) routes() {
 	sv.mux.HandleFunc("POST /v1/sessions", sv.handleCreateSession)
 	sv.mux.HandleFunc("GET /v1/sessions", sv.handleListSessions)
 	// A replica serves history-mode queries itself, so registration and
-	// removal admit their writes in runOp.
+	// removal admit their writes in the handler, on the primary branch.
 	sv.mux.HandleFunc("GET /v1/sessions/{sid}", sv.withSession(admitRead, sv.handleGetSession))
 	sv.mux.HandleFunc("DELETE /v1/sessions/{sid}", sv.withSession(admitWrite, sv.handleDeleteSession))
 	sv.mux.HandleFunc("POST /v1/sessions/{sid}/ingest", sv.withSession(admitWrite, sv.handleIngest))
@@ -835,7 +811,7 @@ func (sv *Server) CreateSession(ctx context.Context, req api.CreateSessionReques
 // handleCreateSession answers POST /v1/sessions.
 func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateSessionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad session body: %v", err)
 		return
 	}
@@ -858,21 +834,11 @@ const maxPageLimit = 1000
 // unpaginated requests.
 func pageParams(r *http.Request) (limit int, token string, paged bool, err error) {
 	q := r.URL.Query()
-	_, hasLimit := q["limit"]
-	_, hasToken := q["page_token"]
-	paged = hasLimit || hasToken
-	token = q.Get("page_token")
-	limit = maxPageLimit
-	if v := q.Get("limit"); v != "" {
-		n, perr := strconv.Atoi(v)
-		if perr != nil || n <= 0 {
-			return 0, "", false, &api.Error{Code: api.ErrBadRequest, Message: fmt.Sprintf("bad limit %q (want a positive integer)", v), HTTPStatus: http.StatusBadRequest}
-		}
-		if n < limit {
-			limit = n
-		}
+	paged = q.Has("limit") || q.Has("page_token")
+	if limit, err = intParam(r, "limit", maxPageLimit, 1); err != nil {
+		return 0, "", false, err
 	}
-	return limit, token, paged, nil
+	return min(limit, maxPageLimit), q.Get("page_token"), paged, nil
 }
 
 // handleListSessions answers GET /v1/sessions, optionally paginated with
@@ -940,55 +906,40 @@ func (sv *Server) sessionToAPI(s *session) api.Session {
 
 // --- data-plane handlers ---
 
-// handleIngest enqueues a batch on the session's bounded queue, blocking up
-// to IngestWait for space; 503 signals backpressure and the client should
-// retry.
+// handleIngest applies a batch through the session's bounded queue and
+// answers 202 once it is applied — on a durable session after it reached the
+// write-ahead log, so the 202 is a durability receipt under the "always"
+// fsync policy. 503 signals backpressure and the client should retry.
 func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *session) {
 	t0 := time.Now()
 	var req api.IngestRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad ingest body: %v", err)
 		return
 	}
-	o := op{rec: wal.Record{
+	rec := wal.Record{
 		Type:      wal.RecBatch,
 		Readings:  readingsFromAPI(req.Readings),
 		Locations: locationsFromAPI(req.Locations),
-	}}
-	// With durability enabled the batch is acknowledged only after it reached
-	// the write-ahead log, so a 202 is a durability receipt (under the
-	// "always" fsync policy) rather than a queueing receipt.
-	var res opResult
-	var err error
-	if sess.durable() {
-		res, err = sess.call(o, r.Context().Done())
-	} else {
-		err = sess.enqueue(o, r.Context().Done())
 	}
-	switch {
-	case err == errSessionClosed:
-		writeUnavailable(w, 1000, "session closed during ingest")
-		return
-	case err != nil:
-		sess.rejected.Inc()
-		// The queue stayed full for the whole IngestWait: tell the client how
-		// long to back off before retrying (mirrored into Retry-After).
-		writeUnavailable(w, retryAfterMS(sv.cfg.IngestWait), "ingest: %v", err)
-		return
-	case res.err != nil:
-		sess.rejected.Inc()
+	res, ok := sv.await(w, r, sess, op{rec: rec}, "ingest")
+	if ok && res.err != nil {
 		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "ingest not applied: %v", res.err)
+		ok = false
+	}
+	if !ok {
+		sess.rejected.Inc()
 		return
 	}
 	sess.batches.Inc()
-	// Arrival-to-ack latency; under durability the ack waited for the WAL, so
-	// this histogram is the end-to-end durability cost the client observes.
+	// Arrival-to-ack latency: the ack waited for the apply (and the WAL), so
+	// this histogram is the end-to-end cost the client observes.
 	sess.ingestHist.ObserveDuration(time.Since(t0))
 	writeJSON(w, http.StatusAccepted, api.IngestResponse{
 		Queued:     true,
 		Durable:    sess.durable(),
-		Readings:   len(o.rec.Readings),
-		Locations:  len(o.rec.Locations),
+		Readings:   len(rec.Readings),
+		Locations:  len(rec.Locations),
 		QueueDepth: len(sess.ops),
 	})
 }
@@ -1001,7 +952,7 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *ses
 func (sv *Server) handleFlush(w http.ResponseWriter, r *http.Request, sess *session) {
 	// The pinned worker fills in the horizon: the watermark when the op runs.
 	rec := wal.Record{Type: wal.RecSeal, FlushWindows: r.URL.Query().Get("windows") == "true"}
-	res, ok := sv.runOp(w, r, sess, rec)
+	res, ok := sv.await(w, r, sess, op{rec: rec}, "flush")
 	if !ok {
 		return
 	}
@@ -1020,7 +971,7 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *s
 	tag := r.PathValue("tag")
 	runner, err := resident(sess, &sess.eng, r.Context().Done())
 	if err != nil {
-		writeUnavailable(w, 1000, "snapshot: %v", err)
+		writeOpError(w, sess, "snapshot", err)
 		return
 	}
 	sv.replicaHeaders(w, sess)
@@ -1041,14 +992,14 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *s
 func (sv *Server) handleSnapshotAll(w http.ResponseWriter, r *http.Request, sess *session) {
 	runner, err := resident(sess, &sess.eng, r.Context().Done())
 	if err != nil {
-		writeUnavailable(w, 1000, "snapshot: %v", err)
+		writeOpError(w, sess, "snapshot", err)
 		return
 	}
 	sv.replicaHeaders(w, sess)
-	if v := r.URL.Query().Get("epoch"); v != "" {
-		epoch, err := strconv.Atoi(v)
+	if r.URL.Query().Get("epoch") != "" {
+		epoch, err := intParam(r, "epoch", 0, math.MinInt)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad epoch: %v", err)
+			writeAPIError(w, err)
 			return
 		}
 		sv.handleSnapshotAt(w, runner, epoch)
@@ -1092,7 +1043,7 @@ func (sv *Server) handleSnapshotAt(w http.ResponseWriter, runner *rfid.Runner, e
 // registration runs under the session pin (write-ahead logged, ordered
 // against epoch processing), so a crash after the 201 cannot lose it.
 func (sv *Server) handleRegister(w http.ResponseWriter, r *http.Request, sess *session) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad query spec: %v", err)
 		return
@@ -1118,12 +1069,16 @@ func (sv *Server) handleRegister(w http.ResponseWriter, r *http.Request, sess *s
 		// A read of the local registry, so it waits out a recovery first.
 		hr, rerr := resident(sess, &sess.histReg, r.Context().Done())
 		if rerr != nil {
-			writeUnavailable(w, 1000, "queries: %v", rerr)
+			writeOpError(w, sess, "queries", rerr)
 			return
 		}
 		info, err = hr.Register(spec)
 	} else {
-		res, ok := sv.runOp(w, r, sess, wal.Record{Type: wal.RecRegister, SpecJSON: string(body)})
+		if err := sess.admit(admitWrite); err != nil {
+			writeAPIError(w, err)
+			return
+		}
+		res, ok := sv.await(w, r, sess, op{rec: wal.Record{Type: wal.RecRegister, SpecJSON: string(body)}}, "register")
 		if !ok {
 			return
 		}
@@ -1150,7 +1105,7 @@ func (sv *Server) handleList(w http.ResponseWriter, r *http.Request, sess *sessi
 	}
 	reg, err := resident(sess, &sess.reg, r.Context().Done())
 	if err != nil {
-		writeUnavailable(w, 1000, "queries: %v", err)
+		writeOpError(w, sess, "queries", err)
 		return
 	}
 	sv.replicaHeaders(w, sess)
@@ -1189,34 +1144,24 @@ func (sv *Server) handleList(w http.ResponseWriter, r *http.Request, sess *sessi
 // Seq > after arrives, the wait elapses, or the query finishes/disappears —
 // so clients stream results instead of hot-polling.
 func (sv *Server) handleResults(w http.ResponseWriter, r *http.Request, sess *session) {
-	q := r.URL.Query()
-	after := -1
-	if v := q.Get("after"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad after: %v", err)
-			return
-		}
-		after = n
-	}
+	after, err := intParam(r, "after", -1, math.MinInt)
 	limit := 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad limit: %v", err)
-			return
-		}
-		limit = n
+	if err == nil {
+		limit, err = intParam(r, "limit", 0, math.MinInt)
+	}
+	if err != nil {
+		writeAPIError(w, err)
+		return
 	}
 	var wait time.Duration
-	if v := q.Get("wait"); v != "" {
+	if v := r.URL.Query().Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d < 0 {
 			writeError(w, http.StatusBadRequest, api.ErrBadRequest, "bad wait %q (want a duration like 30s)", v)
 			return
 		}
-		if d > sv.cfg.MaxLongPollWait {
-			d = sv.cfg.MaxLongPollWait
+		if d > maxLongPollWait {
+			d = maxLongPollWait
 		}
 		wait = d
 	}
@@ -1245,7 +1190,7 @@ func (sv *Server) handleResults(w http.ResponseWriter, r *http.Request, sess *se
 			var rerr error
 			reg, rerr = resident(sess, &sess.reg, r.Context().Done())
 			if rerr != nil {
-				writeUnavailable(w, 1000, "results: %v", rerr)
+				writeOpError(w, sess, "results", rerr)
 				return
 			}
 		}
@@ -1303,7 +1248,11 @@ func (sv *Server) handleUnregister(w http.ResponseWriter, r *http.Request, sess 
 		writeError(w, http.StatusConflict, api.ErrReadOnly, "node is a %s: query unregistration must go to the primary", sv.roleName())
 		return
 	}
-	res, ok := sv.runOp(w, r, sess, wal.Record{Type: wal.RecUnregister, QueryID: r.PathValue("id")})
+	if err := sess.admit(admitWrite); err != nil {
+		writeAPIError(w, err)
+		return
+	}
+	res, ok := sv.await(w, r, sess, op{rec: wal.Record{Type: wal.RecUnregister, QueryID: r.PathValue("id")}}, "unregister")
 	if !ok {
 		return
 	}
@@ -1318,20 +1267,47 @@ func (sv *Server) handleUnregister(w http.ResponseWriter, r *http.Request, sess 
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// runOp admits a mutation as a write, enqueues it synchronously and waits for
-// its result; on a refusal, queue timeout or shutdown it writes the error
-// response itself and returns ok == false.
-func (sv *Server) runOp(w http.ResponseWriter, r *http.Request, sess *session, rec wal.Record) (opResult, bool) {
-	if err := sess.admit(admitWrite); err != nil {
-		writeAPIError(w, err)
-		return opResult{}, false
-	}
-	res, err := sess.call(op{rec: rec}, r.Context().Done())
+// await runs o on the session's pinned worker and returns its result. When
+// the op never ran — the queue stayed full for IngestWait, the client went
+// away or the session stopped — it answers the request itself through
+// writeOpError and returns ok == false. An op that ran but was refused comes
+// back in res.err for the handler to answer.
+func (sv *Server) await(w http.ResponseWriter, r *http.Request, sess *session, o op, what string) (opResult, bool) {
+	res, err := sess.call(o, r.Context().Done())
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "%v", err)
+		writeOpError(w, sess, what, err)
 		return opResult{}, false
 	}
 	return res, true
+}
+
+// writeOpError answers a request whose op never ran, or whose read fence the
+// session refused, with a 503 and a retry hint: a quarter of IngestWait after
+// a full queue, a second otherwise.
+func writeOpError(w http.ResponseWriter, sess *session, what string, err error) {
+	retryMS := 1000
+	if err == errBackpressure {
+		retryMS = retryAfterMS(sess.cfg.IngestWait)
+	}
+	writeUnavailable(w, retryMS, "%s: %v", what, err)
+}
+
+// intParam parses the integer query parameter name: def when it is absent,
+// a 400 *api.Error when it is not an integer of at least min.
+func intParam(r *http.Request, name string, def, min int) (int, error) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < min {
+		want := "an integer"
+		if min > math.MinInt {
+			want = fmt.Sprintf("an integer >= %d", min)
+		}
+		return 0, &api.Error{Code: api.ErrBadRequest, Message: fmt.Sprintf("bad %s %q (want %s)", name, v, want), HTTPStatus: http.StatusBadRequest}
+	}
+	return n, nil
 }
 
 // handleMetrics answers GET /v1/metrics in the Prometheus text format, or as

@@ -448,3 +448,120 @@ func TestServerCloseRejectsIngest(t *testing.T) {
 	}
 	srv.Close() // idempotent
 }
+
+// TestFullQueueRefusalsCarryRetryHint pins that an op refused because the
+// queue stayed full answers 503 with the retry hint on every endpoint — flush,
+// register and unregister as well as ingest — in the envelope and in
+// Retry-After.
+func TestFullQueueRefusalsCarryRetryHint(t *testing.T) {
+	srv, _, _, _ := newTestServerWith(t, Config{QueueSize: 1, IngestWait: 50 * time.Millisecond}, testEngine)
+	sess, _ := srv.session("default")
+	// Hold the pin, so no worker drains the queue, and fill the one slot.
+	sess.pinMu.Lock()
+	fenced := make(chan error, 1)
+	go func() {
+		_, err := sess.call(op{kind: opFence}, nil)
+		fenced <- err
+	}()
+	defer func() {
+		sess.pinMu.Unlock()
+		<-fenced
+	}()
+	for len(sess.ops) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for _, tc := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, sessPath + "/ingest", api.IngestRequest{Readings: []api.Reading{{Time: 0, Tag: "t"}}}},
+		{http.MethodPost, sessPath + "/flush", struct{}{}},
+		{http.MethodPost, sessPath + "/queries", api.QuerySpec{Kind: api.QueryLocationUpdates}},
+		{http.MethodDelete, sessPath + "/queries/q1", nil},
+	} {
+		rec := serve(srv, tc.method, tc.path, tc.body)
+		var env api.ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil {
+			t.Fatalf("%s %s: %d %s", tc.method, tc.path, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusServiceUnavailable || env.Error.RetryAfterMS != retryAfterMS(50*time.Millisecond) || rec.Header().Get("Retry-After") != "1" {
+			t.Fatalf("%s %s with a full queue: %d, retry_after_ms %d, Retry-After %q; want 503 with the backpressure hint",
+				tc.method, tc.path, rec.Code, env.Error.RetryAfterMS, rec.Header().Get("Retry-After"))
+		}
+	}
+}
+
+// TestIngestAcksAfterApply pins that a 202 from POST .../ingest on a session
+// without durability, too, means the batch was applied: while the worker is
+// held no answer comes, and once it runs the 202 arrives with the batch's
+// watermark already visible.
+func TestIngestAcksAfterApply(t *testing.T) {
+	srv, ts, _, _ := newTestServer(t, 8)
+	sess, _ := srv.session("default")
+	if sess.durable() {
+		t.Fatal("the test session must not be durable")
+	}
+	body, _ := json.Marshal(api.IngestRequest{
+		Readings:  []api.Reading{{Time: 3, Tag: "late-ack"}},
+		Locations: []api.LocationReport{{Time: 3, X: 1, Y: 1}},
+	})
+	sess.pinMu.Lock()
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+sessPath+"/ingest", "application/json", bytes.NewReader(body))
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	select {
+	case code := <-status:
+		sess.pinMu.Unlock()
+		t.Fatalf("ingest answered %d while the worker was held", code)
+	case <-time.After(200 * time.Millisecond):
+	}
+	sess.pinMu.Unlock()
+	if code := <-status; code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d, want 202", code)
+	}
+	var st api.SessionDebugStats
+	if code := getJSON(t, ts.URL+sessPath+"/stats", &st); code != http.StatusOK || st.Stats.Watermark != 3 {
+		t.Fatalf("stats after the 202: status %d, watermark %d; want the batch's watermark 3", code, st.Stats.Watermark)
+	}
+}
+
+// TestIntParams pins the integer query parameters' accepted values and their
+// 400 on everything else.
+func TestIntParams(t *testing.T) {
+	srv, _, _, _ := newTestServer(t, 8)
+	if rec := serve(srv, http.MethodPost, sessPath+"/queries", api.QuerySpec{Kind: api.QueryLocationUpdates}); rec.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body)
+	}
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/sessions?limit=1", http.StatusOK},
+		{"/v1/sessions?limit=5000", http.StatusOK},
+		{"/v1/sessions?limit=", http.StatusOK},
+		{"/v1/sessions?limit=0", http.StatusBadRequest},
+		{"/v1/sessions?limit=-1", http.StatusBadRequest},
+		{sessPath + "/queries?limit=2", http.StatusOK},
+		{sessPath + "/queries?limit=x", http.StatusBadRequest},
+		{sessPath + "/queries/q1/results?after=-5&limit=-1", http.StatusOK},
+		{sessPath + "/queries/q1/results?after=0&limit=3", http.StatusOK},
+		{sessPath + "/queries/q1/results?after=1.5", http.StatusBadRequest},
+		{sessPath + "/queries/q1/results?limit=many", http.StatusBadRequest},
+		{sessPath + "/snapshot?epoch=", http.StatusOK},
+		{sessPath + "/snapshot?epoch=-1", http.StatusNotFound},
+		{sessPath + "/snapshot?epoch=e1", http.StatusBadRequest},
+		{sessPath + "/trace?epochs=0", http.StatusOK},
+		{sessPath + "/trace?epochs=-1", http.StatusBadRequest},
+	} {
+		if rec := serve(srv, http.MethodGet, tc.path, nil); rec.Code != tc.want {
+			t.Errorf("GET %s: %d, want %d: %s", tc.path, rec.Code, tc.want, rec.Body)
+		}
+	}
+}

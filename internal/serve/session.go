@@ -24,9 +24,9 @@ type op struct {
 	// that decoded the request filled it, and the pinned worker appends it and
 	// applies it (see mutate). Everything that changes replicated state rides
 	// the op queue as its own log record, so the order of mutations relative to
-	// epoch processing is exactly the order the WAL records. With durability
-	// enabled ingest ops are synchronous (done != nil), so a 202 means the
-	// batch reached the WAL.
+	// epoch processing is exactly the order the WAL records. HTTP ops are
+	// synchronous (done != nil), so a 202 means the batch was applied — after
+	// it reached the WAL on a durable session.
 	rec wal.Record
 	// sb, when non-nil, marks an ingest batch that arrived over a stream
 	// connection: rec's readings and locations alias the batch's scratch
@@ -204,10 +204,8 @@ type session struct {
 	streamConns *metrics.Counter
 	rejected    *metrics.Counter
 	readings    *metrics.Counter
-	locations   *metrics.Counter
 	lateDropped *metrics.Counter
 	epochs      *metrics.Counter
-	events      *metrics.Counter
 	results     *metrics.Counter
 
 	// durability counters/gauges
@@ -223,9 +221,7 @@ type session struct {
 
 	// scrape-time gauges
 	queueDepth  *metrics.Gauge
-	tracked     *metrics.Gauge
 	particles   *metrics.Gauge
-	buffered    *metrics.Gauge
 	lastEpochsN int64 // pinned-worker-local: epochs seen at last delta
 
 	// latency histograms (lock-free; observed from handlers and the pinned
@@ -314,7 +310,7 @@ func (s *session) install(runner *rfid.Runner) {
 // newRegistry returns an empty query registry whose history-mode queries
 // evaluate over runner's time-travel ring ("no history" without one).
 func (s *session) newRegistry(runner *rfid.Runner) *query.Registry {
-	reg := query.NewRegistry(s.cfg.MaxBufferedResults)
+	reg := query.NewRegistry(0)
 	reg.SetHistorySource(runner)
 	return reg
 }
@@ -364,10 +360,8 @@ func buildSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSe
 	s.streamConns = s.counter("rfidserve_stream_connections_total", "streaming ingest connections established")
 	s.rejected = s.counter("rfidserve_batches_rejected_total", "ingest batches rejected by backpressure")
 	s.readings = s.counter("rfidserve_readings_total", "raw tag readings accepted")
-	s.locations = s.counter("rfidserve_locations_total", "raw location reports accepted")
 	s.lateDropped = s.counter("rfidserve_late_dropped_total", "records dropped for already-processed epochs")
 	s.epochs = s.counter("rfidserve_epochs_total", "epochs processed by the inference engine")
-	s.events = s.counter("rfidserve_events_total", "clean location events emitted")
 	s.results = s.counter("rfidserve_query_results_total", "continuous-query result rows produced")
 	s.walRecords = s.counter("rfidserve_wal_records_total", "records appended to the write-ahead log")
 	s.walBytes = s.counter("rfidserve_wal_appended_bytes_total", "bytes appended to the write-ahead log (including framing)")
@@ -379,9 +373,7 @@ func buildSession(id string, cfg Config, deps sessionDeps, manifest api.CreateSe
 	s.ckptEpoch = s.gauge("rfidserve_checkpoint_last_epoch", "last epoch covered by a durable checkpoint (-1 before the first)")
 	s.ckptAge = s.gauge("rfidserve_checkpoint_age_seconds", "seconds since the last durable checkpoint")
 	s.queueDepth = s.gauge("rfidserve_queue_depth", "ingest batches waiting in the bounded queue")
-	s.tracked = s.gauge("rfidserve_tracked_objects", "distinct objects the engine has seen")
 	s.particles = s.gauge("rfidserve_particles", "particles currently alive in the engine")
-	s.buffered = s.gauge("rfidserve_buffered_epochs", "ingested epochs not yet processed")
 	s.ingestHist = s.histogram("rfidserve_ingest_seconds", "ingest request latency from arrival to 202 ack")
 	s.longpollHist = s.histogram("rfidserve_longpoll_seconds", "long-poll results delivery latency (wait included)")
 	s.walFsyncHist = s.histogram("rfidserve_wal_fsync_seconds", "write-ahead-log fsync latency")
@@ -415,24 +407,15 @@ func (s *session) stageSeries(stage string) string {
 
 // observeRunner wires a freshly resident runner's trace recorder into the
 // session's metric surface: every committed epoch lands in the epoch-latency
-// histogram and epochs slower than cfg.SlowEpoch are logged. The hook runs
-// under the runner's mutex on the pinned worker, so it must stay cheap and
-// must not call back into the runner.
+// histogram. The hook runs under the runner's mutex on the pinned worker, so
+// it must stay cheap and must not call back into the runner.
 func (s *session) observeRunner(r *rfid.Runner) {
 	rec := r.TraceRecorder()
 	if rec == nil {
 		return
 	}
-	slow := s.cfg.SlowEpoch
 	rec.SetOnCommit(func(et trace.EpochTrace) {
 		s.epochHist.ObserveNanos(int64(et.Wall))
-		if slow > 0 && et.Wall >= slow {
-			s.log.Warn("slow epoch",
-				"epoch", et.Epoch,
-				"wall", et.Wall,
-				"step", et.Stages[trace.StageStep],
-				"estimate", et.Stages[trace.StageEstimate])
-		}
 	})
 }
 
@@ -646,9 +629,7 @@ func (s *session) mutate(r *rfid.Runner, reg *query.Registry, rec wal.Record) (r
 // only.
 func (s *session) account(r *rfid.Runner, res opResult) {
 	s.readings.Add(res.report.Readings)
-	s.locations.Add(res.report.Locations)
 	s.lateDropped.Add(res.report.LateDropped)
-	s.events.Add(res.events)
 	s.results.Add(res.results)
 	if res.results > 0 || res.wake {
 		s.notifyResults()
@@ -659,30 +640,22 @@ func (s *session) account(r *rfid.Runner, res opResult) {
 	}
 }
 
-// enqueue places an op on the bounded queue, waiting up to the session's
-// IngestWait for space, and wakes the scheduler. It returns a non-nil error
-// when the op could not be queued (backpressure, client cancel).
-func (s *session) enqueue(o op, cancel <-chan struct{}) error {
+// call places o on the bounded queue, waiting up to the session's IngestWait
+// for space, wakes the scheduler and waits for the pinned worker's result.
+// The error is why the op never ran: the queue stayed full
+// (errBackpressure), the caller canceled (errCanceled) or the session
+// stopped (errSessionClosed).
+func (s *session) call(o op, cancel <-chan struct{}) (opResult, error) {
+	o.done = make(chan opResult, 1)
 	timer := time.NewTimer(s.cfg.IngestWait)
 	defer timer.Stop()
 	select {
 	case s.ops <- o:
 		s.sched.wake(s)
-		return nil
 	case <-cancel:
-		return errCanceled
+		return opResult{}, errCanceled
 	case <-timer.C:
-		return errBackpressure
-	}
-}
-
-// call enqueues o and waits for the pinned worker's result. The error is why
-// the result never came: the op could not be queued, the caller canceled, or
-// the session stopped (errSessionClosed).
-func (s *session) call(o op, cancel <-chan struct{}) (opResult, error) {
-	o.done = make(chan opResult, 1)
-	if err := s.enqueue(o, cancel); err != nil {
-		return opResult{}, err
+		return opResult{}, errBackpressure
 	}
 	select {
 	case res := <-o.done:
@@ -698,9 +671,7 @@ func (s *session) call(o op, cancel <-chan struct{}) (opResult, error) {
 func (s *session) scrapeGauges() {
 	st := s.runnerStats()
 	s.queueDepth.Set(float64(len(s.ops)))
-	s.tracked.Set(float64(st.TrackedObjects))
 	s.particles.Set(float64(st.Particles))
-	s.buffered.Set(float64(st.BufferedEpochs))
 	s.ckptEpoch.Set(float64(s.lastCkptEpoch.Load()))
 	if nanos := s.lastCkptNanos.Load(); nanos > 0 {
 		s.ckptAge.Set(time.Since(time.Unix(0, nanos)).Seconds())

@@ -334,21 +334,17 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *ses
 	// the true high-water mark and the client can never double-apply. The
 	// fence queues behind the session's startup or recovery too, and reports
 	// its failure.
-	res, err := sess.call(op{kind: opFence}, r.Context().Done())
-	switch {
-	case err == errSessionClosed:
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "%v", err)
-		return
-	case err != nil:
+	res, ok := sv.await(w, r, sess, op{kind: opFence}, "stream")
+	if !ok {
 		sess.rejected.Inc()
-		writeUnavailable(w, retryAfterMS(sess.cfg.IngestWait), "stream: %v", err)
 		return
-	case res.err != nil:
-		writeError(w, http.StatusServiceUnavailable, api.ErrUnavailable, "stream: %v", res.err)
+	}
+	if res.err != nil {
+		writeOpError(w, sess, "stream", res.err)
 		return
 	}
 	resumeAfter := sess.lastStreamSeq.Load()
-	maxFrame := int(sess.cfg.MaxBodyBytes)
+	maxFrame := maxBodyBytes
 
 	// 101 + hello are written synchronously here, before the writer goroutine
 	// exists, so the connection always has exactly one writer.

@@ -24,9 +24,10 @@ type IngestRequest struct {
 	Locations []LocationReport `json:"locations,omitempty"`
 }
 
-// IngestResponse acknowledges an accepted batch. On a durable session a 202
-// is a durability receipt: the batch reached the write-ahead log (under the
-// "always" fsync policy) before the response was sent.
+// IngestResponse acknowledges an applied batch. On every session the 202
+// follows the apply; on a durable session the batch reached the write-ahead
+// log first, so under the "always" fsync policy the 202 is a durability
+// receipt.
 type IngestResponse struct {
 	Queued     bool `json:"queued"`
 	Durable    bool `json:"durable"`

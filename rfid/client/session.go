@@ -32,9 +32,9 @@ func (s *Session) Delete(ctx context.Context) error {
 	return s.c.DeleteSession(ctx, s.id)
 }
 
-// Ingest enqueues one batch of raw records. On a durable session the returned
-// acknowledgement is a durability receipt: the batch reached the write-ahead
-// log before the call returned.
+// Ingest applies one batch of raw records: the call returns after the batch
+// was applied. On a durable session the acknowledgement is a durability
+// receipt: the batch reached the write-ahead log first.
 func (s *Session) Ingest(ctx context.Context, batch api.IngestRequest) (api.IngestResponse, error) {
 	var out api.IngestResponse
 	err := s.c.do(ctx, http.MethodPost, s.prefix+"/ingest", batch, &out)

@@ -134,26 +134,6 @@ func (b APIBatch) LocationAt(i int) (int, float64, float64, float64, float64, bo
 	return l.Time, l.X, l.Y, l.Z, l.Phi, l.HasPhi
 }
 
-// apiSink collects decoded records back into DTO slices (the inverse of
-// APIBatch), used by tests and anywhere a decoded copy is wanted.
-type apiSink struct{ b *APIBatch }
-
-func (s apiSink) Reading(t int, tag []byte) {
-	s.b.Readings = append(s.b.Readings, api.Reading{Time: t, Tag: string(tag)})
-}
-
-func (s apiSink) Location(t int, x, y, z, phi float64, hasPhi bool) {
-	s.b.Locations = append(s.b.Locations, api.LocationReport{Time: t, X: x, Y: y, Z: z, Phi: phi, HasPhi: hasPhi})
-}
-
-// DecodeAPIBatch decodes a batch body into fresh DTO slices. The convenience
-// form of DecodeBatch — allocating, so not for the server's hot path.
-func DecodeAPIBatch(d *Decoder) (APIBatch, error) {
-	var b APIBatch
-	err := DecodeBatch(d, apiSink{&b})
-	return b, err
-}
-
 // AppendBatchFrame encodes a complete stream batch frame payload (kind,
 // sequence number, batch body) onto e.
 func AppendBatchFrame(e *Encoder, seq uint64, src BatchSource) {

@@ -69,7 +69,7 @@ func FuzzWireBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d Decoder
 		d.Reset(data)
-		b, err := DecodeAPIBatch(&d)
+		b, err := decodeAPIBatch(&d)
 		if err != nil || d.Remaining() != 0 {
 			return
 		}
@@ -81,7 +81,7 @@ func FuzzWireBatch(f *testing.F) {
 		AppendBatch(&re, b)
 		var d2 Decoder
 		d2.Reset(re.Bytes())
-		b2, err := DecodeAPIBatch(&d2)
+		b2, err := decodeAPIBatch(&d2)
 		if err != nil || d2.Remaining() != 0 {
 			t.Fatalf("canonical encoding of an accepted batch fails to decode: %v", err)
 		}

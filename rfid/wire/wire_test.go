@@ -11,6 +11,25 @@ import (
 	"repro/rfid/api"
 )
 
+// apiSink collects decoded records back into DTO slices (the inverse of
+// APIBatch).
+type apiSink struct{ b *APIBatch }
+
+func (s apiSink) Reading(t int, tag []byte) {
+	s.b.Readings = append(s.b.Readings, api.Reading{Time: t, Tag: string(tag)})
+}
+
+func (s apiSink) Location(t int, x, y, z, phi float64, hasPhi bool) {
+	s.b.Locations = append(s.b.Locations, api.LocationReport{Time: t, X: x, Y: y, Z: z, Phi: phi, HasPhi: hasPhi})
+}
+
+// decodeAPIBatch decodes a batch body into fresh DTO slices.
+func decodeAPIBatch(d *Decoder) (APIBatch, error) {
+	var b APIBatch
+	err := DecodeBatch(d, apiSink{&b})
+	return b, err
+}
+
 func TestPrimitiveRoundTrip(t *testing.T) {
 	var e Encoder
 	e.Uvarint(0)
@@ -197,7 +216,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	AppendBatch(&e, in)
 	var d Decoder
 	d.Reset(e.Bytes())
-	out, err := DecodeAPIBatch(&d)
+	out, err := decodeAPIBatch(&d)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -212,7 +231,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	e.Reset()
 	AppendBatch(&e, APIBatch{})
 	d.Reset(e.Bytes())
-	out, err = DecodeAPIBatch(&d)
+	out, err = decodeAPIBatch(&d)
 	if err != nil || len(out.Readings) != 0 || len(out.Locations) != 0 {
 		t.Fatalf("empty batch: %+v %v", out, err)
 	}
@@ -230,7 +249,7 @@ func TestBatchFrame(t *testing.T) {
 	if seq := d.Uvarint(); seq != 42 {
 		t.Fatalf("seq: got %d", seq)
 	}
-	out, err := DecodeAPIBatch(&d)
+	out, err := decodeAPIBatch(&d)
 	if err != nil || !reflect.DeepEqual(in, out) {
 		t.Fatalf("body: %+v %v", out, err)
 	}
