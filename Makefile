@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile benchmark-test
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile benchmark-test kernel-check
 
 all: build vet fmt-check doc-check test
 
@@ -30,6 +30,14 @@ test:
 # internal/factored, so a refactor there can break it unseen.
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Sensor-kernel check: the scalar body, which CPUs without AVX2 and FMA and
+# every other GOARCH run, passes the sensor tests on its own (-tags purego
+# leaves the amd64 assembly out), and the packages that call it vet on a
+# GOARCH without the assembly. `make vet`'s asmdecl pass covers the .s file.
+kernel-check:
+	$(GO) test -tags purego ./internal/sensor/
+	GOARCH=arm64 $(GO) vet ./internal/sensor/ ./internal/factored/
 
 # Race gate over the packages with concurrent code paths (the engine's
 # per-shard fan-out and the filter phases it drives, the continuous runner,
@@ -102,7 +110,8 @@ cover:
 # Native fuzz smoke: each target runs briefly so CI catches panics and
 # round-trip regressions on the untrusted-input surfaces (CSV trace codecs,
 # JSON query specs, registry checkpoints, WAL segments and checkpoint files, wire frames, the SDK's
-# snapshot-body decoder) without the cost of a long campaign.
+# snapshot-body decoder) without the cost of a long campaign, and any lane
+# where the SIMD sensor kernel and its scalar reference disagree.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeReading$$' -fuzztime=15s -run '^$$' ./internal/stream
 	$(GO) test -fuzz='^FuzzDecodeLocation$$' -fuzztime=10s -run '^$$' ./internal/stream
@@ -115,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzWireFrame$$' -fuzztime=15s -run '^$$' ./rfid/wire
 	$(GO) test -fuzz='^FuzzWireBatch$$' -fuzztime=10s -run '^$$' ./rfid/wire
 	$(GO) test -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s -run '^$$' ./rfid/api
+	$(GO) test -fuzz='^FuzzAccumLogObs$$' -fuzztime=10s -run '^$$' ./internal/sensor
 
 # Godoc gate: every package (and command) must carry a package doc comment —
 # a comment block immediately above its package clause in at least one

@@ -77,10 +77,11 @@ type Engine struct {
 	// full epoch's shard indices plus one termination sentinel per worker) and
 	// the per-epoch fan-out state lives in fields, so dispatching an epoch
 	// allocates nothing: no fresh channel, no closures capturing epoch
-	// variables, and workerFns[w] is worker w's goroutine body built once so
-	// that starting it allocates no per-epoch closure either. Workers are
-	// spawned per epoch and exit on the -1 sentinel, so the engine needs no
-	// Close lifecycle and never leaks goroutines.
+	// variables, and workerFns[w] is worker w's body built once so that
+	// starting it allocates no per-epoch closure either; the dispatching
+	// caller runs worker 0's itself. Workers are spawned per epoch and exit on
+	// the -1 sentinel, so the engine needs no Close lifecycle and never leaks
+	// goroutines.
 	work      chan int
 	wg        sync.WaitGroup
 	workerFns []func()

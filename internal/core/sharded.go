@@ -119,13 +119,14 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 }
 
 // forEachShard runs shardTask(worker, shard) for every shard on up to
-// e.cfg.Workers goroutines; the worker index selects the goroutine-private
-// arena. With a single worker it runs inline, adding no synchronization
-// overhead. The persistent buffered work channel holds the whole epoch
-// (shard indices plus one -1 sentinel per worker), so the dispatcher
-// enqueues everything up front without blocking and each worker drains
-// shards until it takes a sentinel and exits — per epoch this allocates
-// nothing.
+// e.cfg.Workers workers; the worker index selects the worker-private arena.
+// The caller is worker 0 and starts the others as goroutines, so it works
+// instead of parking until they finish; with a single worker nothing else
+// starts and there is no synchronization. The persistent buffered work
+// channel holds the whole epoch (shard indices plus one -1 sentinel per
+// worker), so the dispatcher enqueues everything up front without blocking
+// and each worker drains shards until it takes a sentinel and exits — per
+// epoch this allocates nothing.
 func (e *Engine) forEachShard() {
 	n := e.cfg.ShardCount
 	w := e.cfg.Workers
@@ -145,9 +146,10 @@ func (e *Engine) forEachShard() {
 		e.work <- -1
 	}
 	e.wg.Add(w)
-	for i := 0; i < w; i++ {
+	for i := 1; i < w; i++ {
 		go e.workerFns[i]()
 	}
+	e.workerFns[0]()
 	e.wg.Wait()
 }
 

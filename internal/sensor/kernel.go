@@ -17,12 +17,19 @@ import (
 //     per reader particle per epoch instead of once per (particle, tag) pair;
 //   - tags beyond MaxRange short-circuit before touching exp/log (for an
 //     unobserved tag the exact contribution is log(1) == 0);
-//   - the loops are 4-wide unrolled over the columns.
+//   - on amd64 CPUs with AVX2 and FMA, AccumLogObs and AccumLogObsFixed weigh
+//     four particles per step (kernel_amd64.s). That body is a verified copy
+//     of LogObsFrame for this Model, math calls included, and hands any block
+//     it cannot reproduce back to LogObsFrame. The scalar loops below are the
+//     reference, take the tails of fewer than four particles, and are the
+//     only body on other CPUs, other GOARCHes and under -tags purego.
 //
 // Every arithmetic expression repeats the scalar path — DistanceAngleTo,
 // ReadProb, LogObservationProb — operation for operation, so results are
 // bit-identical and the golden/property suites hold unchanged. LogObsFrame
-// is the one per-element sensor kernel every weighting loop goes through.
+// is the one per-element sensor kernel every weighting loop goes through;
+// another sensor Profile, or a change to this model's formula, goes there and
+// leaves the SIMD body to be rewritten or dropped.
 
 // logObsFloor mirrors the probability floor of LogObservationProb.
 const logObsFloor = 1e-9
@@ -111,11 +118,8 @@ func (m Model) AccumLogObs(logW []float64, observed bool, frames []Frame, reader
 		}
 	}
 	i := 0
-	for ; i+4 <= n; i += 4 {
-		logW[i] += m.LogObsFrame(frames[reader[i]], locs[i], observed)
-		logW[i+1] += m.LogObsFrame(frames[reader[i+1]], locs[i+1], observed)
-		logW[i+2] += m.LogObsFrame(frames[reader[i+2]], locs[i+2], observed)
-		logW[i+3] += m.LogObsFrame(frames[reader[i+3]], locs[i+3], observed)
+	if useSIMD {
+		i = m.accumLogObsSIMD(logW[:n], observed, frames, reader[:n], locs)
 	}
 	for ; i < n; i++ {
 		logW[i] += m.LogObsFrame(frames[reader[i]], locs[i], observed)
@@ -128,16 +132,10 @@ func (m Model) AccumLogObs(logW []float64, observed bool, frames []Frame, reader
 // reader-particle weighting step against a shelf tag with a known location.
 // The trailing bool is ignored, as for AccumLogObs.
 func (m Model) AccumLogObsFixed(logW []float64, observed bool, frames []Frame, loc geom.Vec3, _ bool) {
-	n := len(frames)
-	if len(logW) < n {
-		n = len(logW)
-	}
+	n := min(len(frames), len(logW))
 	i := 0
-	for ; i+4 <= n; i += 4 {
-		logW[i] += m.LogObsFrame(frames[i], loc, observed)
-		logW[i+1] += m.LogObsFrame(frames[i+1], loc, observed)
-		logW[i+2] += m.LogObsFrame(frames[i+2], loc, observed)
-		logW[i+3] += m.LogObsFrame(frames[i+3], loc, observed)
+	if useSIMD {
+		i = m.accumLogObsFixedSIMD(logW[:n], observed, frames[:n], loc)
 	}
 	for ; i < n; i++ {
 		logW[i] += m.LogObsFrame(frames[i], loc, observed)

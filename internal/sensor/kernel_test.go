@@ -1,7 +1,9 @@
 package sensor
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -71,6 +73,9 @@ func TestAccumLogObsMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+	t.Run("random lanes", testSIMDRandomLanes)
+	t.Run("edge lanes", testSIMDEdgeLanes)
+	t.Run("lengths 0-7", testKernelLengths)
 }
 
 func TestAccumLogObsRejectsBadReaderIndex(t *testing.T) {
@@ -148,6 +153,59 @@ func BenchmarkAccumLogObsFixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.AccumLogObsFixed(logW, false, frames, locs[3], false)
+	}
+	sinkKernel = logW[0]
+}
+
+// warehouseColumns is the batch-warehouse geometry: reader particles 1.5 ft
+// off a shelf, facing it, and object particles on the shelf, all in range.
+func warehouseColumns(n, readers int) ([]Frame, []int32, []geom.Vec3) {
+	src := rand.New(rand.NewSource(42))
+	frames := make([]Frame, readers)
+	for j := range frames {
+		frames[j] = FrameFor(geom.Pose{Pos: geom.Vec3{X: -1.5 + 0.02*src.NormFloat64(), Y: 4 + 0.02*src.NormFloat64()}, Phi: 0.005 * src.NormFloat64()})
+	}
+	reader := make([]int32, n)
+	locs := make([]geom.Vec3, n)
+	for i := range locs {
+		reader[i] = int32(src.Intn(readers))
+		locs[i] = geom.Vec3{X: src.Float64(), Y: 3 + 2*src.Float64()}
+	}
+	return frames, reader, locs
+}
+
+// BenchmarkAccumLogObsWarehouse times AccumLogObs on in-range particles, the
+// case the filter meets nearly always, in ns per particle.
+func BenchmarkAccumLogObsWarehouse(b *testing.B) {
+	m := DefaultModel()
+	frames, reader, locs := warehouseColumns(1024, 100)
+	logW := make([]float64, len(locs))
+	for _, observed := range []bool{true, false} {
+		b.Run(fmt.Sprintf("observed=%v", observed), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.AccumLogObs(logW, observed, frames, reader, locs, false)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(locs)), "ns/particle")
+		})
+	}
+	sinkKernel = logW[0]
+}
+
+// BenchmarkAccumLogObsFixedWarehouse times AccumLogObsFixed for a shelf tag
+// in range of every reader particle, in ns per particle.
+func BenchmarkAccumLogObsFixedWarehouse(b *testing.B) {
+	m := DefaultModel()
+	frames, _, _ := warehouseColumns(0, 256)
+	logW := make([]float64, len(frames))
+	for _, observed := range []bool{true, false} {
+		b.Run(fmt.Sprintf("observed=%v", observed), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.AccumLogObsFixed(logW, observed, frames, geom.Vec3{Y: 4}, false)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames)), "ns/particle")
+		})
 	}
 	sinkKernel = logW[0]
 }
