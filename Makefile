@@ -202,11 +202,12 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Profile the hot path: a CPU and heap profile of the worker-scaling and
-# tracked-population-scaling benchmarks (the engine alone, and a runner
-# keeping 64 epochs of history), ready for `go tool pprof cpu.prof`.
+# Profile the hot path: a CPU and heap profile of the worker-scaling
+# benchmarks (compression off, and the batch-warehouse shape with it on) and
+# the tracked-population-scaling ones (the engine alone, and a runner keeping
+# 64 epochs of history), ready for `go tool pprof cpu.prof`.
 profile:
-	$(GO) test -run='^$$' -bench='^(BenchmarkEngineWorkers|BenchmarkEngineTrackedScaling|BenchmarkRunnerHistoryScaling)$$' -benchtime=1x -cpuprofile cpu.prof -memprofile mem.prof -o repro.test .
+	$(GO) test -run='^$$' -bench='^(BenchmarkEngineWorkers|BenchmarkEngineWorkersWarehouse|BenchmarkEngineTrackedScaling|BenchmarkRunnerHistoryScaling)$$' -benchtime=1x -cpuprofile cpu.prof -memprofile mem.prof -o repro.test .
 	@echo "wrote cpu.prof and mem.prof; inspect with: go tool pprof repro.test cpu.prof"
 
 # Non-test Go lines per top-level package (benchmark/ excluded) and their

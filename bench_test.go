@@ -107,7 +107,12 @@ func benchTrace(b *testing.B, objects int) *sim.Trace {
 }
 
 func benchEngineVariant(b *testing.B, objects int, factored, index, compression bool, particles, workers int) {
-	trace := benchTrace(b, objects)
+	benchEngineOn(b, benchTrace(b, objects), factored, index, compression, particles, workers)
+}
+
+// benchEngineOn runs whole-trace engine passes over trace at 50 reader
+// particles and reports ns/reading.
+func benchEngineOn(b *testing.B, trace *sim.Trace, factored, index, compression bool, particles, workers int) {
 	readings := trace.NumReadings()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -236,6 +241,34 @@ func BenchmarkEngineWorkers(b *testing.B) {
 		seen[w] = true
 		b.Run(benchName("workers", w), func(b *testing.B) {
 			benchEngineVariant(b, 300, true, true, false, 150, w)
+		})
+	}
+}
+
+// BenchmarkEngineWorkersWarehouse runs the shape of the batch-warehouse
+// workload at 1 and 2 workers: a row four objects deep at 0.5 ft spacing,
+// scanned twice, one object moved 2 ft every 50 epochs, about 30 objects in
+// range per epoch, full system (spatial index and compression on), 150
+// object and 50 reader particles. Unlike BenchmarkEngineWorkers, whose
+// beliefs all stay in particle form, most beliefs here are compressed once
+// out of range, so the serial barrier is the share it is on that workload.
+func BenchmarkEngineWorkersWarehouse(b *testing.B) {
+	cfg := sim.DefaultWarehouseConfig()
+	cfg.NumObjects = 400
+	cfg.Rounds = 2
+	cfg.RowsDeep = 4
+	cfg.ObjectSpacing = 0.5
+	cfg.RowSpacing = 0.25
+	cfg.NumShelfTags = 4
+	cfg.MoveInterval, cfg.MoveDistance, cfg.MoveCount = 50, 2, 1
+	cfg.Seed = 42
+	trace, err := sim.GenerateWarehouse(cfg)
+	if err != nil {
+		b.Fatalf("GenerateWarehouse: %v", err)
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(benchName("workers", w), func(b *testing.B) {
+			benchEngineOn(b, trace, true, true, true, 150, w)
 		})
 	}
 }

@@ -43,9 +43,9 @@ func steadyEngines(t *testing.T, workers, shards int) (inline, fanned *Engine, e
 // TestEpochAllocsIndependentOfWorkers is the regression gate for the
 // fan-out's allocation behaviour: dispatching an epoch across workers must
 // not allocate more than running the same shards inline on one. This pins
-// the persistent work channel and the field-published fan-out state — a
-// closure-based dispatcher allocates a fresh channel plus one closure per
-// worker every epoch.
+// the field-published fan-out state and the helpers' bodies built once in
+// New — a closure-based dispatcher allocates one closure per worker every
+// epoch.
 func TestEpochAllocsIndependentOfWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")

@@ -75,12 +75,19 @@ type Config struct {
 	// reading counts as a new scan visit (default 30).
 	ScopeGapEpochs int
 
-	// Workers is the number of worker goroutines the per-object phase of each
-	// epoch is fanned out to: zero selects one per CPU
-	// (runtime.GOMAXPROCS(0)), one runs the phase inline on the calling
-	// goroutine. The basic filter has no per-object phase and ignores it.
-	// Output is independent of the worker count: a Workers=8 run is
-	// byte-identical to a Workers=1 run.
+	// Workers is the number of workers the per-object phase of each epoch is
+	// fanned out to: zero selects one per CPU (runtime.GOMAXPROCS(0)), one
+	// runs the phase inline on the calling goroutine. With more than one,
+	// the calling goroutine is worker 0 and the others are helper
+	// goroutines. When epochs come back to back (each within 500 µs of the
+	// last) and there is more than one CPU, one helper keeps polling for the
+	// next epoch for up to 500 µs after finishing one, instead of being
+	// started afresh each epoch; that wait costs an engine at most 500 µs of
+	// CPU per epoch, whatever the worker and CPU counts, and an engine that
+	// receives no epochs has no goroutine left after it. The basic filter
+	// has no per-object phase and ignores Workers. Output is independent of
+	// the worker count: a Workers=8 run is byte-identical to a Workers=1
+	// run.
 	Workers int
 	// ShardCount is the number of object shards; objects are assigned to
 	// shards by a stable hash of their tag id, so an object stays on the same

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/belief"
@@ -73,18 +74,23 @@ type Engine struct {
 	posBuf   [][]int
 	assocBuf []stream.TagID
 
-	// Fan-out plumbing. The work channel is created once (buffered to hold a
-	// full epoch's shard indices plus one termination sentinel per worker) and
-	// the per-epoch fan-out state lives in fields, so dispatching an epoch
-	// allocates nothing: no fresh channel, no closures capturing epoch
-	// variables, and workerFns[w] is worker w's body built once so that
-	// starting it allocates no per-epoch closure either; the dispatching
-	// caller runs worker 0's itself. Workers are spawned per epoch and exit on
-	// the -1 sentinel, so the engine needs no Close lifecycle and never leaks
+	// Fan-out plumbing (forEachShard). Workers claim shard indices from
+	// nextShard; working counts the helpers still working on the epoch.
+	// waiter is the state of helper 1, the one helper that may wait for the
+	// next epoch, and mayWait whether it may (more than one CPU); helpers 2
+	// and up run one epoch per goroutine. linger tells helper 1 whether to
+	// wait after this epoch; lastFanOut is when the previous fan-out ended.
+	// workerFns[i] is helper i's body, built once so that starting it
+	// allocates no per-epoch closure. Helper 1 exits within helperLinger of
+	// its last epoch, so the engine needs no Close lifecycle and never leaks
 	// goroutines.
-	work      chan int
-	wg        sync.WaitGroup
-	workerFns []func()
+	nextShard  atomic.Int64
+	working    atomic.Int32
+	waiter     atomic.Int32
+	mayWait    bool
+	linger     bool
+	lastFanOut time.Time
+	workerFns  []func()
 
 	// Per-epoch fan-out state, written by the prologue before workers start
 	// and read-only (or disjointly indexed) during the fan-out.
@@ -142,11 +148,14 @@ func New(cfg Config) (*Engine, error) {
 		e.workerFns = make([]func(), cfg.Workers)
 		for w := range e.arenas {
 			e.arenas[w] = factored.NewArena()
-			e.workerFns[w] = func() { e.shardWorker(w) }
+			if w > 1 {
+				e.workerFns[w] = func() { e.helper(w) }
+			}
 		}
-		// Sized so a full epoch (every shard index plus one sentinel per
-		// worker) enqueues without blocking — the dispatcher never parks.
-		e.work = make(chan int, cfg.ShardCount+cfg.Workers)
+		if cfg.Workers > 1 {
+			e.workerFns[1] = e.waitingHelper
+		}
+		e.mayWait = runtime.GOMAXPROCS(0) > 1
 	} else {
 		e.basic = pf.New(pf.Config{
 			NumParticles:      cfg.NumBasicParticles,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"time"
 
 	"repro/internal/geom"
@@ -12,9 +13,10 @@ import (
 // stepSharded runs one epoch of the factored pipeline:
 //
 //	prologue (sequential): reader particle step, Case-1/Case-2 selection,
-//	    fresh-belief creation, shard partition
-//	fan-out (parallel):    per-shard object steps, per-shard sensing-region
-//	    membership tests, shard-local compression watchlist marking
+//	    fresh-belief registration, shard partition
+//	fan-out (parallel):    per-shard object steps and fresh-belief particle
+//	    draws, per-shard sensing-region membership tests, shard-local
+//	    compression watchlist marking
 //	barrier (sequential):  reader resampling, spatial-index maintenance,
 //	    belief compression
 //
@@ -39,8 +41,9 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 		active, box = e.selectActive(ep, observed)
 	}
 
-	// Prologue: reader step and fresh-belief creation, then partition the
-	// step set across shards (into the reusable per-shard batches).
+	// Prologue: reader step and fresh-belief registration, then partition
+	// the step set, fresh beliefs included, across shards (into the reusable
+	// per-shard batches).
 	var stepIDs []stream.TagID
 	if useIndex {
 		stepIDs = e.fact.BeginEpoch(ep, active)
@@ -120,52 +123,122 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 
 // forEachShard runs shardTask(worker, shard) for every shard on up to
 // e.cfg.Workers workers; the worker index selects the worker-private arena.
-// The caller is worker 0 and starts the others as goroutines, so it works
-// instead of parking until they finish; with a single worker nothing else
-// starts and there is no synchronization. The persistent buffered work
-// channel holds the whole epoch (shard indices plus one -1 sentinel per
-// worker), so the dispatcher enqueues everything up front without blocking
-// and each worker drains shards until it takes a sentinel and exits — per
-// epoch this allocates nothing.
+// With a single worker the caller runs every shard inline and nothing is
+// synchronized. Otherwise the caller is worker 0 and helpers 1..w-1 join it:
+// each worker claims shard indices from one atomic counter until they run
+// out, so per epoch this allocates nothing. Helper 1, if still waiting from
+// the last epoch (see helperLinger), is handed the epoch with one atomic
+// state change; otherwise, and for every other helper, a goroutine is
+// started.
+//
+// Worker 0 then polls until no helper is left working, yielding between
+// polls, instead of parking: a parked caller was woken on the last helper's
+// CPU and ran the rest of its epoch there against a cold cache (330 against
+// 280 µs per epoch, medians of 5 whole-trace runs each, on a 2-vCPU VM), and
+// a started helper that no CPU has picked up yet runs on worker 0's own CPU
+// when it yields. The poll lasts no longer than the helpers' last shards.
 func (e *Engine) forEachShard() {
 	n := e.cfg.ShardCount
-	w := e.cfg.Workers
-	if w > n {
-		w = n
-	}
+	w := min(e.cfg.Workers, n)
 	if w <= 1 {
 		for s := 0; s < n; s++ {
 			e.shardTask(0, s)
 		}
 		return
 	}
-	for s := 0; s < n; s++ {
-		e.work <- s
+	e.linger = e.mayWait && time.Since(e.lastFanOut) <= helperLinger
+	e.nextShard.Store(0)
+	e.working.Store(int32(w - 1))
+	if !e.waiter.CompareAndSwap(helperWaiting, helperAssigned) {
+		go e.workerFns[1]()
 	}
-	for i := 0; i < w; i++ {
-		e.work <- -1
-	}
-	e.wg.Add(w)
-	for i := 1; i < w; i++ {
+	for i := 2; i < w; i++ {
 		go e.workerFns[i]()
 	}
-	e.workerFns[0]()
-	e.wg.Wait()
+	e.drainShards(0)
+	for e.working.Load() > 0 {
+		runtime.Gosched()
+	}
+	e.lastFanOut = time.Now()
 }
 
-// shardWorker drains shard indices from the work channel until it consumes a
-// termination sentinel. Exactly w sentinels are enqueued per epoch and each
-// worker exits on the first one it takes, so every goroutine terminates by
-// the time wg.Wait returns and none survives the epoch.
-func (e *Engine) shardWorker(worker int) {
-	defer e.wg.Done()
+// drainShards runs shardTask for the shards the worker claims until none is
+// left.
+func (e *Engine) drainShards(worker int) {
 	for {
-		s := <-e.work
-		if s < 0 {
+		s := int(e.nextShard.Add(1)) - 1
+		if s >= e.cfg.ShardCount {
 			return
 		}
 		e.shardTask(worker, s)
 	}
+}
+
+// helperLinger is how long fan-out helper 1, having drained its shards,
+// keeps waiting for the next epoch before its goroutine exits, and how close
+// to the end of the previous fan-out an epoch must begin for it to wait at
+// all. Starting a goroutine per epoch wakes an idle CPU, which took 80 µs on
+// average on a 2-vCPU VM, about half of a 170 µs fan-out; a helper that is
+// still waiting takes the next epoch within a microsecond. Between the
+// back-to-back epochs of a batch run the gap was 85 µs at the median and
+// 270 µs at the 99th percentile, so 500 µs covers nearly all of them. A
+// served session whose epochs arrive farther apart (1.1 ms on average for
+// stream ingest at saturation, with other sessions and the clients wanting
+// the CPUs) never waits, and starts its helpers afresh each epoch. Only one
+// helper waits, whatever the worker and CPU counts, so waiting costs an
+// engine at most helperLinger of CPU per epoch, and an engine that stops
+// receiving epochs keeps no goroutine beyond it.
+const helperLinger = 500 * time.Microsecond
+
+// States of helper 1 (Engine.waiter).
+const (
+	helperExited   int32 = iota // no goroutine: the next fan-out starts one
+	helperWaiting               // polling for the next epoch
+	helperAssigned              // handed an epoch by the fan-out
+)
+
+// helper is the body of fan-out helper i > 1: it drains the epoch's shards
+// and exits.
+func (e *Engine) helper(i int) {
+	e.drainShards(i)
+	e.working.Add(-1)
+}
+
+// waitingHelper is the body of fan-out helper 1. It drains the epoch's
+// shards, then waits for the next epoch if this one came back to back
+// (e.linger), and exits otherwise or when its wait expires unassigned. It
+// sets its state before leaving the epoch's working count, so once worker 0
+// sees no helper working, helper 1 is either waiting to be handed the next
+// epoch or marked exited.
+func (e *Engine) waitingHelper() {
+	for {
+		e.drainShards(1)
+		wait := e.linger
+		if wait {
+			e.waiter.Store(helperWaiting)
+		} else {
+			e.waiter.Store(helperExited)
+		}
+		e.working.Add(-1)
+		if !wait || !e.awaitEpoch() {
+			return
+		}
+	}
+}
+
+// awaitEpoch polls helper 1's state for up to helperLinger and reports
+// whether it was handed another epoch; if not, it marks the helper exited.
+// Between polls it yields, so GC workers and other goroutines on its P still
+// run.
+func (e *Engine) awaitEpoch() bool {
+	deadline := time.Now().Add(helperLinger)
+	for e.waiter.Load() != helperAssigned {
+		if time.Now().After(deadline) && e.waiter.CompareAndSwap(helperWaiting, helperExited) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
 }
 
 // shardTask is the per-shard body of the epoch fan-out, reading the epoch's

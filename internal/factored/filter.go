@@ -304,13 +304,15 @@ func (f *Filter) Step(ep *stream.Epoch, active []stream.TagID) {
 }
 
 // BeginEpoch runs the sequential epoch prologue: it advances the shared
-// reader particles, creates fresh beliefs for newly observed objects (in
-// sorted tag order, for determinism) and returns the ids of the existing
-// objects that must be stepped this epoch, in first-seen order. The returned
-// ids may be partitioned arbitrarily and passed to concurrent StepObjects
-// calls, as long as no id is stepped twice and EndEpoch runs after all of
-// them (the epoch barrier). The returned slice is backed by filter-owned
-// scratch and is valid until the next BeginEpoch call.
+// reader particles, registers fresh beliefs for newly observed objects (in
+// sorted tag order, for determinism) and returns, in first-seen order, the
+// ids StepObjects must process this epoch: the existing objects to step,
+// then the fresh ones, whose particles StepObjects draws instead of stepping
+// them. The returned ids may be partitioned arbitrarily and passed to
+// concurrent StepObjects calls, as long as no id is processed twice and
+// EndEpoch runs after all of them (the epoch barrier); a fresh belief has no
+// particles until its StepObjects call. The returned slice is backed by
+// filter-owned scratch and is valid until the next BeginEpoch call.
 func (f *Filter) BeginEpoch(ep *stream.Epoch, active []stream.TagID) []stream.TagID {
 	f.ensureStarted(ep)
 	f.epoch = ep.Time
@@ -322,10 +324,8 @@ func (f *Filter) BeginEpoch(ep *stream.Epoch, active []stream.TagID) []stream.Ta
 	f.stepReaderPos = f.currentReaderPos(ep)
 
 	// Observed objects are always processed (Case 1); an unknown observed
-	// object gets a fresh belief and needs no further stepping this epoch,
-	// since weighting a belief against the very reading that created it adds
-	// nothing. Unknown ids in active carry no information and are dropped.
-	// newIDs inherits ObservedList's sorted order.
+	// object gets a fresh belief. Unknown ids in active carry no information
+	// and are dropped. newIDs inherits ObservedList's sorted order.
 	seqs := f.seqBuf[:0]
 	newIDs := f.newIDsBuf[:0]
 	for _, id := range ep.ObservedList() {
@@ -361,12 +361,15 @@ func (f *Filter) BeginEpoch(ep *stream.Epoch, active []stream.TagID) []stream.Ta
 			}
 		}
 	}
+	// Fresh beliefs come last in first-seen order. They stay off stepped:
+	// they are on the uncompressed list from the start.
+	for _, id := range newIDs {
+		f.createBelief(id, ep.Time, f.stepReaderPos)
+		ids = append(ids, id)
+	}
 	f.seqBuf = seqs
 	f.idsBuf = ids
 	f.stepped = stepped
-	for _, id := range newIDs {
-		f.createBelief(id, ep.Time, f.stepReaderPos)
-	}
 	return ids
 }
 
@@ -377,12 +380,12 @@ func (f *Filter) StepObjects(ep *stream.Epoch, ids []stream.TagID) {
 	f.StepObjectsWith(f.arena, ep, ids)
 }
 
-// StepObjectsWith steps the listed objects for the epoch begun by BeginEpoch,
-// drawing all scratch memory from the caller's arena. Distinct calls may run
-// concurrently on disjoint id sets as long as each goroutine passes its own
-// arena: each call mutates only the listed objects' beliefs and its arena,
-// and reads shared filter state (reader particles, configuration, world) that
-// no concurrent phase writes.
+// StepObjectsWith steps the listed objects for the epoch begun by BeginEpoch
+// (drawing the particles of the fresh ones), taking all scratch memory from
+// the caller's arena. Distinct calls may run concurrently on disjoint id sets
+// as long as each goroutine passes its own arena: each call mutates only the
+// listed objects' beliefs and its arena, and reads shared filter state
+// (reader particles, configuration, world) that no concurrent phase writes.
 func (f *Filter) StepObjectsWith(a *Arena, ep *stream.Epoch, ids []stream.TagID) {
 	if a == nil {
 		a = f.arena

@@ -318,6 +318,7 @@ func TestDefaultsApplied(t *testing.T) {
 // the straightforward way: mark everything to process in a set, keep the
 // tracked ids that are marked (first-seen order), and give every remaining
 // marked id that was actually read a fresh belief, in sorted tag order.
+// BeginEpoch returns ids followed by fresh.
 func refBeginEpoch(order []stream.TagID, ep *stream.Epoch, active []stream.TagID, w *model.World) (ids, fresh []stream.TagID) {
 	process := map[stream.TagID]bool{}
 	if active == nil {
@@ -387,6 +388,7 @@ func TestBeginEpochMatchesReference(t *testing.T) {
 			before := f.TrackedObjects()
 			wantIDs, wantFresh := refBeginEpoch(before, ep, active, f.cfg.World)
 			ids := append([]stream.TagID(nil), f.BeginEpoch(ep, active)...)
+			wantIDs = append(wantIDs, wantFresh...)
 			if !slices.Equal(ids, wantIDs) {
 				t.Fatalf("seed %d epoch %d (active %v): step list %v, want %v", seed, epoch, active, ids, wantIDs)
 			}

@@ -27,17 +27,25 @@ func (f *Filter) objectSrc(b *ObjectBelief) *rng.Source {
 // stepObject performs the per-object part of the factored update: movement
 // handling, decompression, proposal sampling, factored weighting and
 // per-object resampling. The belief must already exist (beliefs for newly
-// observed objects are created in BeginEpoch); it only touches the belief
-// itself, the arena's scratch buffers and read-only filter state, so distinct
-// objects may be stepped concurrently as long as each goroutine has its own
-// arena. In steady state (no fresh belief, no decompression, no far-move
-// rebuild) the whole update performs zero heap allocations.
+// observed objects are registered in BeginEpoch); a fresh one only gets its
+// particles drawn. It touches only the belief itself, the arena's scratch
+// buffers and read-only filter state, so distinct objects may be stepped
+// concurrently as long as each goroutine has its own arena. In steady state
+// (no fresh belief, no decompression, no far-move rebuild) the whole update
+// performs zero heap allocations.
 func (f *Filter) stepObject(ep *stream.Epoch, id stream.TagID, readerPos geom.Vec3, a *Arena) {
-	observed := ep.Contains(id)
 	b, exists := f.objects[id]
 	if !exists {
 		return
 	}
+	if b.NumParticles() == 0 && !b.IsCompressed() {
+		// Registered by this epoch's BeginEpoch. Weighting a belief against
+		// the very reading that created it adds nothing, so drawing its
+		// particles is all there is to do.
+		f.initParticles(b, f.cfg.NumObjectParticles, 0)
+		return
+	}
+	observed := ep.Contains(id)
 	src := f.objectSrc(b)
 
 	if observed && b.IsCompressed() {
@@ -110,36 +118,24 @@ func (f *Filter) readerPoseFor(idx int) geom.Pose {
 	return f.estPose
 }
 
-// createBelief registers a belief for an object seen for the first time. A
-// fresh belief is initialized around the current reader location; weighting it
-// against the very reading that created it adds nothing, so the object is not
-// stepped further this epoch.
-func (f *Filter) createBelief(id stream.TagID, epoch int, readerPos geom.Vec3) *ObjectBelief {
-	b := f.newBelief(id, epoch, readerPos)
-	b.seq = len(f.beliefs)
-	f.objects[id] = b
-	f.beliefs = append(f.beliefs, b)
-	b.listed = true
-	f.uncompressed = append(f.uncompressed, b)
-	b.LastSeen = epoch
-	b.LastSeenReaderPos = readerPos
-	b.ScopeEntered = epoch
-	return b
-}
-
-// newBelief creates a belief for an object seen for the first time, drawing
-// particles from the sensor-model-based initialization cone rooted at reader
-// particles (sampled according to their weights) and clamped to the shelves.
-func (f *Filter) newBelief(id stream.TagID, epoch int, readerPos geom.Vec3) *ObjectBelief {
+// createBelief registers a belief for an object seen for the first time.
+// Its particles are drawn from the sensor-model-based initialization cone
+// when StepObjects reaches it (stepObject), which may run in the concurrent
+// fan-out: the draw reads only the object's private stream and the reader
+// particles, which nothing writes before EndEpoch.
+func (f *Filter) createBelief(id stream.TagID, epoch int, readerPos geom.Vec3) {
 	b := &ObjectBelief{
 		ID:                id,
+		seq:               len(f.beliefs),
+		listed:            true,
 		FirstSeen:         epoch,
 		LastSeen:          epoch,
 		ScopeEntered:      epoch,
 		LastSeenReaderPos: readerPos,
 	}
-	f.initParticles(b, f.cfg.NumObjectParticles, 0)
-	return b
+	f.objects[id] = b
+	f.beliefs = append(f.beliefs, b)
+	f.uncompressed = append(f.uncompressed, b)
 }
 
 // initParticles (re)draws n particles for the belief from the initialization

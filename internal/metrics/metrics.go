@@ -60,12 +60,18 @@ func ScoreEstimates(estimates []LocationEstimate, truth TruthLookup, t int) Erro
 // event's location against the ground truth at the event's own time. When an
 // object appears in several events only the last one is scored, matching the
 // location-update query semantics of considering the most recent report.
+// Objects are accumulated in the order of their first event, so the report
+// is the same, bit for bit, on every call with the same events.
 func ScoreEvents(events []stream.Event, truth TruthLookup) ErrorReport {
-	latest := make(map[stream.TagID]stream.Event)
+	at := make(map[stream.TagID]int)
+	var latest []stream.Event
 	for _, ev := range events {
-		cur, ok := latest[ev.Tag]
-		if !ok || ev.Time >= cur.Time {
-			latest[ev.Tag] = ev
+		i, ok := at[ev.Tag]
+		if !ok {
+			at[ev.Tag] = len(latest)
+			latest = append(latest, ev)
+		} else if ev.Time >= latest[i].Time {
+			latest[i] = ev
 		}
 	}
 	var rep ErrorReport

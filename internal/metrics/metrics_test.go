@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -93,5 +94,34 @@ func TestThroughput(t *testing.T) {
 	empty := Throughput{}
 	if empty.TimePerReading() != 0 || empty.ReadingsPerSecond() != 0 {
 		t.Error("zero throughput should not divide by zero")
+	}
+}
+
+// TestScoreEventsDeterministic scores one event list many times: the sums
+// run over the objects in a fixed order, so every report is bit-equal. Errors
+// span several orders of magnitude so that any change in the order of the
+// floating-point additions shows in the last bits.
+func TestScoreEventsDeterministic(t *testing.T) {
+	const tags = 1500
+	truthLocs := make(map[stream.TagID]geom.Vec3, tags)
+	var events []stream.Event
+	for i := 0; i < tags; i++ {
+		id := stream.TagID(fmt.Sprintf("obj-%04d", i))
+		truthLocs[id] = geom.V(float64(i%37), float64(i%11), 0)
+		scale := math.Pow(10, float64(i%7)-3)
+		off := geom.V(scale*math.Sin(float64(i)), scale*math.Cos(float64(3*i)), 0.1*scale)
+		events = append(events,
+			stream.Event{Time: i % 5, Tag: id, Loc: truthLocs[id].Add(off.Scale(3))},
+			stream.Event{Time: 10 + i%5, Tag: id, Loc: truthLocs[id].Add(off)})
+	}
+	truth := fixedTruth(truthLocs)
+	first := ScoreEvents(events, truth)
+	if first.Count != tags {
+		t.Fatalf("count = %d, want %d", first.Count, tags)
+	}
+	for run := 1; run < 50; run++ {
+		if rep := ScoreEvents(events, truth); rep != first {
+			t.Fatalf("run %d: report %+v differs from the first %+v", run, rep, first)
+		}
 	}
 }
