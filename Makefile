@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile benchmark-test kernel-check
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke loc doc-check serve-smoke cover alloc-gate fuzz-smoke recover-smoke api-smoke stream-smoke density-smoke replica-smoke metrics-lint profile benchmark-test kernel-check bench-ab
 
 all: build vet fmt-check doc-check test
 
@@ -201,6 +201,17 @@ bench:
 # CI smoke: every benchmark must still compile and complete one iteration.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# Alternating A/B pairs of the repository benchmark, PARENT against the
+# checkout: `make bench-ab PARENT=HEAD~1 WORKLOAD=batch-warehouse PAIRS=10`
+# prints, per end-to-end metric, both medians, the parent's IQR and the pairs
+# the change won (scripts/bench-ab.sh; each run takes RUN_SECONDS plus setup).
+PAIRS ?= 10
+RUN_SECONDS ?= 20
+
+bench-ab:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [RUN_SECONDS=20]"; exit 2; }
+	bash scripts/bench-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 
 # Profile the hot path: a CPU and heap profile of the worker-scaling
 # benchmarks (compression off, and the batch-warehouse shape with it on) and

@@ -12,14 +12,13 @@
 //
 // Beyond the paper, the engine scales out: because the factored distribution
 // makes per-object inference independent given the reader particles, the
-// engine (internal/core.Engine) partitions objects into shards by a stable
-// hash of their tag id and fans each epoch's per-object
-// predict/update/resample work out to rfid.Config.Workers goroutines (0 = one
-// per CPU, 1 = inline on the calling goroutine), with a barrier before report
-// emission. Per-object random streams derived from (seed, tag id) make the
-// output byte-identical for any worker or shard count. See ARCHITECTURE.md
-// for the shard/worker model, the epoch barrier and the reproducibility
-// argument.
+// engine (internal/core.Engine) splits each epoch's list of objects to step
+// into contiguous chunks and fans their predict/update/resample work out to
+// rfid.Config.Workers goroutines (0 = one per CPU, 1 = inline on the calling
+// goroutine), with a barrier before report emission. Per-object random
+// streams derived from (seed, tag id) make the output byte-identical for any
+// worker or chunk count. See ARCHITECTURE.md for the chunk/worker model, the
+// epoch barrier and the reproducibility argument.
 //
 // The engine also runs online: rfid.Runner drives the pipeline continuously
 // from incrementally ingested raw streams (epochs sealed by the ingest

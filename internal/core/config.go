@@ -89,10 +89,10 @@ type Config struct {
 	// the worker count: a Workers=8 run is byte-identical to a Workers=1
 	// run.
 	Workers int
-	// ShardCount is the number of object shards; objects are assigned to
-	// shards by a stable hash of their tag id, so an object stays on the same
-	// shard for the lifetime of a run. Zero selects max(8, 4*Workers). Output
-	// is independent of the shard count.
+	// ShardCount is the number of contiguous chunks each epoch's step list
+	// is split into; workers claim chunks one at a time, so more chunks than
+	// workers evens out their load. Zero selects max(8, 4*Workers). Output is
+	// independent of the chunk count.
 	ShardCount int
 
 	// Seed seeds all random choices of the engine.

@@ -22,10 +22,10 @@ import (
 // the belief-compression policy.
 //
 // The factored filter makes objects conditionally independent given the
-// reader particles, so each epoch partitions objects across Config.ShardCount
-// shards by a stable hash of their tag id and fans the per-object work out to
-// Config.Workers goroutines (stepSharded); one worker runs the shards inline.
-// Output is byte-identical for any Workers and ShardCount.
+// reader particles, so each epoch splits its step list into Config.ShardCount
+// contiguous chunks and fans the per-object work out to Config.Workers
+// goroutines (stepSharded); one worker runs the chunks inline. Output is
+// byte-identical for any Workers and ShardCount.
 type Engine struct {
 	cfg     Config
 	profile sensor.Profile
@@ -45,19 +45,18 @@ type Engine struct {
 	inScope  map[stream.TagID]bool
 
 	// Compression watchlist: objects recently in scope whose beliefs may
-	// become compression candidates, one watchlist shard per object shard so
-	// workers can mark entries without locks.
-	watch *belief.Watchlist
+	// become compression candidates. Only the epoch barrier touches it.
+	watch map[stream.TagID]bool
 
 	// Reusable per-epoch scratch, only ever touched from the sequential
 	// phases of an epoch (prologue and barrier): the observed-object list,
 	// the Case-1/Case-2 active set with its de-dup map, the spatial-index
-	// probe buffer, and the compression candidate list.
+	// probe buffer, and the compression candidate list. activePos maps each
+	// active object to its position in activeBuf; the fan-out reads it.
 	observedBuf []stream.TagID
 	activeBuf   []stream.TagID
-	activeSeen  map[stream.TagID]bool
+	activePos   map[stream.TagID]int
 	case2Buf    []stream.TagID
-	mergedBuf   []stream.TagID
 	candBuf     []belief.Candidate
 
 	// arenas[w] is worker w's private scratch arena: all scratch memory of
@@ -66,15 +65,13 @@ type Engine struct {
 	// and workers never contend on shared scratch.
 	arenas []*factored.Arena
 
-	// Reusable per-epoch fan-out scratch (written in the prologue, read-only
-	// or disjointly indexed during the fan-out, reset at the next prologue).
-	stepsBuf [][]stream.TagID
-	watchBuf [][]stream.TagID
+	// Reusable per-epoch fan-out scratch: hasBuf[i] records whether active
+	// object i has a particle in the sensing region (reset in the prologue,
+	// disjointly indexed during the fan-out), assocBuf the ones that do.
 	hasBuf   []bool
-	posBuf   [][]int
 	assocBuf []stream.TagID
 
-	// Fan-out plumbing (forEachShard). Workers claim shard indices from
+	// Fan-out plumbing (forEachShard). Workers claim chunk indices from
 	// nextShard; working counts the helpers still working on the epoch.
 	// waiter is the state of helper 1, the one helper that may wait for the
 	// next epoch, and mayWait whether it may (more than one CPU); helpers 2
@@ -94,10 +91,10 @@ type Engine struct {
 
 	// Per-epoch fan-out state, written by the prologue before workers start
 	// and read-only (or disjointly indexed) during the fan-out.
-	curEp     *stream.Epoch
-	curActive []stream.TagID
-	curBox    geom.BBox
-	curAssoc  bool
+	curEp    *stream.Epoch
+	curSteps []stream.TagID
+	curBox   geom.BBox
+	curAssoc bool
 
 	stats     Stats
 	lastEpoch int
@@ -116,14 +113,14 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:        cfg,
-		profile:    cfg.observationProfile(),
-		fp:         cfg.Fingerprint(),
-		lastSeen:   make(map[stream.TagID]int),
-		pending:    make(map[stream.TagID]int),
-		inScope:    make(map[stream.TagID]bool),
-		watch:      belief.NewWatchlist(cfg.ShardCount),
-		activeSeen: make(map[stream.TagID]bool),
+		cfg:       cfg,
+		profile:   cfg.observationProfile(),
+		fp:        cfg.Fingerprint(),
+		lastSeen:  make(map[stream.TagID]int),
+		pending:   make(map[stream.TagID]int),
+		inScope:   make(map[stream.TagID]bool),
+		watch:     make(map[stream.TagID]bool),
+		activePos: make(map[stream.TagID]int),
 	}
 	if cfg.Factored {
 		e.fact = factored.New(factored.Config{
@@ -269,12 +266,12 @@ func (e *Engine) selectActive(ep *stream.Epoch, observed []stream.TagID) ([]stre
 	box := e.sensingBox(ep)
 	e.case2Buf = e.index.QueryInto(box, e.case2Buf[:0])
 	case2 := e.case2Buf
-	seen := e.activeSeen
-	clear(seen)
+	pos := e.activePos
+	clear(pos)
 	active := e.activeBuf[:0]
 	for _, id := range observed {
-		if !seen[id] {
-			seen[id] = true
+		if _, ok := pos[id]; !ok {
+			pos[id] = len(active)
 			active = append(active, id)
 		}
 	}
@@ -282,8 +279,8 @@ func (e *Engine) selectActive(ep *stream.Epoch, observed []stream.TagID) ([]stre
 		if b := e.fact.Belief(id); b != nil && b.IsCompressed() {
 			continue
 		}
-		if !seen[id] {
-			seen[id] = true
+		if _, ok := pos[id]; !ok {
+			pos[id] = len(active)
 			active = append(active, id)
 		}
 	}
@@ -312,18 +309,14 @@ func (e *Engine) sensingBox(ep *stream.Epoch) geom.BBox {
 
 // runCompression asks the policy which watched objects to compress and
 // applies the filter's compression operator to them. It runs at the epoch
-// barrier, reading the merged view of all watchlist shards.
+// barrier. The watchlist is visited in map order; Manager.Select orders the
+// candidates itself.
 func (e *Engine) runCompression(epoch int) {
-	if e.watch.Len() == 0 {
-		return
-	}
-	e.mergedBuf = e.watch.AppendMerged(e.mergedBuf[:0])
-	watched := e.mergedBuf
 	candidates := e.candBuf[:0]
-	for _, id := range watched {
+	for id := range e.watch {
 		b := e.fact.Belief(id)
 		if b == nil || b.IsCompressed() {
-			e.watch.Drop(id)
+			delete(e.watch, id)
 			continue
 		}
 		candidates = append(candidates, belief.Candidate{ID: id, LastSeen: b.LastSeen})
@@ -336,7 +329,7 @@ func (e *Engine) runCompression(epoch int) {
 		if e.fact.CompressObject(c.ID, c.KL) {
 			e.stats.Compressions++
 		}
-		e.watch.Drop(c.ID)
+		delete(e.watch, c.ID)
 	}
 }
 

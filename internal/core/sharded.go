@@ -13,12 +13,12 @@ import (
 // stepSharded runs one epoch of the factored pipeline:
 //
 //	prologue (sequential): reader particle step, Case-1/Case-2 selection,
-//	    fresh-belief registration, shard partition
-//	fan-out (parallel):    per-shard object steps and fresh-belief particle
-//	    draws, per-shard sensing-region membership tests, shard-local
-//	    compression watchlist marking
+//	    fresh-belief registration
+//	fan-out (parallel):    object steps and fresh-belief particle draws over
+//	    ShardCount contiguous chunks of the step list, each object's
+//	    sensing-region membership tested right after its step
 //	barrier (sequential):  reader resampling, spatial-index maintenance,
-//	    belief compression
+//	    compression watchlist marking, belief compression
 //
 // Because every per-object stochastic operation draws from a private random
 // stream derived from (seed, tag id), the output is byte-identical for any
@@ -41,42 +41,25 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 		active, box = e.selectActive(ep, observed)
 	}
 
-	// Prologue: reader step and fresh-belief registration, then partition
-	// the step set, fresh beliefs included, across shards (into the reusable
-	// per-shard batches).
-	var stepIDs []stream.TagID
+	// Prologue: reader step and fresh-belief registration. The step list,
+	// fresh beliefs included, is what the fan-out splits into chunks.
+	var steps []stream.TagID
 	if useIndex {
-		stepIDs = e.fact.BeginEpoch(ep, active)
+		steps = e.fact.BeginEpoch(ep, active)
 	} else {
-		stepIDs = e.fact.BeginEpoch(ep, nil)
+		steps = e.fact.BeginEpoch(ep, nil)
 		active = observed
 	}
-	e.stepsBuf = stream.PartitionTagsInto(e.stepsBuf, stepIDs, e.cfg.ShardCount)
 
-	// Sensing-region membership is tested per shard during the fan-out so
-	// the O(active x particles) scans are amortized across workers; results
-	// land in a position-indexed slice and are merged in active order at the
-	// barrier, keeping index contents independent of the shard layout.
+	// Sensing-region membership is tested during the fan-out, right after
+	// each object's step, so the O(active x particles) scans are amortized
+	// across workers; results land at the object's position in active
+	// (activePos) and are collected in active order at the barrier, keeping
+	// index contents independent of the chunking.
 	assocNeeded := useIndex && !box.IsEmpty()
 	if assocNeeded {
 		e.hasBuf = scratch.Grow(e.hasBuf, len(active))
-		for i := range e.hasBuf {
-			e.hasBuf[i] = false
-		}
-		e.posBuf = scratch.Grow(e.posBuf, e.cfg.ShardCount)
-		for s := range e.posBuf {
-			e.posBuf[s] = e.posBuf[s][:0]
-		}
-		for i, id := range active {
-			s := id.Shard(e.cfg.ShardCount)
-			e.posBuf[s] = append(e.posBuf[s], i)
-		}
-	}
-
-	// Watch marking is shard-local: each worker touches only its own
-	// watchlist shard, merged at the barrier by runCompression.
-	if e.beliefMgr != nil {
-		e.watchBuf = stream.PartitionTagsInto(e.watchBuf, active, e.cfg.ShardCount)
+		clear(e.hasBuf)
 	}
 	if rec != nil {
 		// Prologue ends where the parallel fan-out begins; everything from
@@ -85,14 +68,14 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 		t = time.Now()
 	}
 
-	// Fan-out: per-shard object steps (shardTask). Workers mutate only
-	// beliefs of their own shard and their private arena, and read shared
+	// Fan-out: chunked object steps (shardTask). Workers mutate only the
+	// beliefs of their own chunks and their private arena, and read shared
 	// filter state that no one writes during this phase. The epoch's fan-out
 	// inputs are published as fields (not closure captures) so dispatching an
 	// epoch performs no heap allocations.
-	e.curEp, e.curActive, e.curBox, e.curAssoc = ep, active, box, assocNeeded
+	e.curEp, e.curSteps, e.curBox, e.curAssoc = ep, steps, box, assocNeeded
 	e.forEachShard()
-	e.curEp, e.curActive = nil, nil
+	e.curEp, e.curSteps = nil, nil
 
 	// Barrier: reader resampling and all shared-state maintenance.
 	e.fact.EndEpoch()
@@ -114,6 +97,9 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 	}
 
 	if e.beliefMgr != nil {
+		for _, id := range active {
+			e.watch[id] = true
+		}
 		e.runCompression(ep.Time)
 	}
 	if rec != nil {
@@ -121,11 +107,11 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 	}
 }
 
-// forEachShard runs shardTask(worker, shard) for every shard on up to
+// forEachShard runs shardTask(worker, s) for every chunk s on up to
 // e.cfg.Workers workers; the worker index selects the worker-private arena.
-// With a single worker the caller runs every shard inline and nothing is
+// With a single worker the caller runs every chunk inline and nothing is
 // synchronized. Otherwise the caller is worker 0 and helpers 1..w-1 join it:
-// each worker claims shard indices from one atomic counter until they run
+// each worker claims chunk indices from one atomic counter until they run
 // out, so per epoch this allocates nothing. Helper 1, if still waiting from
 // the last epoch (see helperLinger), is handed the epoch with one atomic
 // state change; otherwise, and for every other helper, a goroutine is
@@ -136,7 +122,7 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 // CPU and ran the rest of its epoch there against a cold cache (330 against
 // 280 µs per epoch, medians of 5 whole-trace runs each, on a 2-vCPU VM), and
 // a started helper that no CPU has picked up yet runs on worker 0's own CPU
-// when it yields. The poll lasts no longer than the helpers' last shards.
+// when it yields. The poll lasts no longer than the helpers' last chunks.
 func (e *Engine) forEachShard() {
 	n := e.cfg.ShardCount
 	w := min(e.cfg.Workers, n)
@@ -162,7 +148,7 @@ func (e *Engine) forEachShard() {
 	e.lastFanOut = time.Now()
 }
 
-// drainShards runs shardTask for the shards the worker claims until none is
+// drainShards runs shardTask for the chunks the worker claims until none is
 // left.
 func (e *Engine) drainShards(worker int) {
 	for {
@@ -174,7 +160,7 @@ func (e *Engine) drainShards(worker int) {
 	}
 }
 
-// helperLinger is how long fan-out helper 1, having drained its shards,
+// helperLinger is how long fan-out helper 1, having drained its chunks,
 // keeps waiting for the next epoch before its goroutine exits, and how close
 // to the end of the previous fan-out an epoch must begin for it to wait at
 // all. Starting a goroutine per epoch wakes an idle CPU, which took 80 µs on
@@ -197,7 +183,7 @@ const (
 	helperAssigned              // handed an epoch by the fan-out
 )
 
-// helper is the body of fan-out helper i > 1: it drains the epoch's shards
+// helper is the body of fan-out helper i > 1: it drains the epoch's chunks
 // and exits.
 func (e *Engine) helper(i int) {
 	e.drainShards(i)
@@ -205,7 +191,7 @@ func (e *Engine) helper(i int) {
 }
 
 // waitingHelper is the body of fan-out helper 1. It drains the epoch's
-// shards, then waits for the next epoch if this one came back to back
+// chunks, then waits for the next epoch if this one came back to back
 // (e.linger), and exits otherwise or when its wait expires unassigned. It
 // sets its state before leaving the epoch's working count, so once worker 0
 // sees no helper working, helper 1 is either waiting to be handed the next
@@ -241,22 +227,32 @@ func (e *Engine) awaitEpoch() bool {
 	return true
 }
 
-// shardTask is the per-shard body of the epoch fan-out, reading the epoch's
-// inputs from the fields published by stepSharded.
+// chunk returns the bounds [lo, hi) of chunk s when a list of n items is
+// split into k contiguous chunks of sizes differing by at most one.
+func chunk(n, k, s int) (lo, hi int) {
+	return s * n / k, (s + 1) * n / k
+}
+
+// shardTask is the body of the epoch fan-out for the s-th chunk claimed,
+// reading the epoch's inputs from the fields published by stepSharded.
+// Chunks are claimed last first. The step list ends with the fresh beliefs,
+// and a fresh belief's first step, which draws its particles, is the costly
+// one: on the stream-dense shelf (about 175 objects stepped per epoch, 1.6 of
+// them fresh, 25 particles each) it took 27 µs against 2.3 µs for any other
+// object, so the last of 8 chunks cost 1.7 times the others. Claimed last, it
+// kept worker 0 waiting for the helper 46-63 µs per epoch; claimed first,
+// 26-30 µs (2 workers, 2 vCPUs).
 func (e *Engine) shardTask(worker, s int) {
-	if len(e.stepsBuf) > s {
-		e.fact.StepObjectsWith(e.arenas[worker], e.curEp, e.stepsBuf[s])
-	}
-	if e.curAssoc {
-		for _, i := range e.posBuf[s] {
-			if b := e.fact.Belief(e.curActive[i]); b != nil && b.HasParticleIn(e.curBox) {
-				e.hasBuf[i] = true
-			}
+	k := e.cfg.ShardCount
+	lo, hi := chunk(len(e.curSteps), k, k-1-s)
+	for j := lo; j < hi; j++ {
+		e.fact.StepObjectsWith(e.arenas[worker], e.curEp, e.curSteps[j:j+1])
+		if !e.curAssoc {
+			continue
 		}
-	}
-	if e.beliefMgr != nil && len(e.watchBuf) > s {
-		for _, id := range e.watchBuf[s] {
-			e.watch.Mark(id)
+		id := e.curSteps[j]
+		if i, ok := e.activePos[id]; ok && e.fact.Belief(id).HasParticleIn(e.curBox) {
+			e.hasBuf[i] = true
 		}
 	}
 }

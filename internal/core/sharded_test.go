@@ -171,3 +171,29 @@ func TestEngineParallelismDefaults(t *testing.T) {
 		t.Error("basic filter output depends on Workers")
 	}
 }
+
+// TestChunksCoverStepList checks that the chunk bounds split a step list of
+// any length into k contiguous pieces that cover every position exactly once,
+// in order, with sizes differing by at most one — empty chunks included when
+// the list is shorter than k.
+func TestChunksCoverStepList(t *testing.T) {
+	for _, k := range []int{1, 3, 8, 64} {
+		for n := 0; n <= 40; n++ {
+			next, small, large := 0, n, 0
+			for s := 0; s < k; s++ {
+				lo, hi := chunk(n, k, s)
+				if lo != next || hi < lo {
+					t.Fatalf("n=%d k=%d: chunk %d is [%d,%d), want it to start at %d", n, k, s, lo, hi, next)
+				}
+				next = hi
+				small, large = min(small, hi-lo), max(large, hi-lo)
+			}
+			if next != n {
+				t.Errorf("n=%d k=%d: chunks end at %d", n, k, next)
+			}
+			if large-small > 1 {
+				t.Errorf("n=%d k=%d: chunk sizes range from %d to %d", n, k, small, large)
+			}
+		}
+	}
+}

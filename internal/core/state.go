@@ -12,8 +12,8 @@ import (
 // The engine's checkpoint codec. SaveState serializes the engine's own
 // bookkeeping (work counters, report scheduling maps, the compression
 // watchlist and the sensing-region index) and delegates the filter state to
-// the factored or basic filter's codec. All sharding structures are either
-// configuration (worker and shard counts) or per-epoch scratch, so a
+// the factored or basic filter's codec. All fan-out structures are either
+// configuration (worker and chunk counts) or per-epoch scratch, so a
 // checkpoint restores into an engine with any Workers/ShardCount.
 
 const engineSection = "core.Engine"
@@ -64,16 +64,7 @@ func (e *Engine) SaveState(enc *checkpoint.Encoder) {
 	saveTagIntMap(enc, e.lastSeen)
 	saveTagIntMap(enc, e.pending)
 	saveTagSet(enc, e.inScope)
-
-	// Watchlist: the merged view, sorted so identical logical state encodes
-	// identically; restore re-marks through the hash router, so the shard
-	// layout of the restoring engine is irrelevant.
-	watched := e.watch.Merged()
-	sort.Slice(watched, func(i, j int) bool { return watched[i] < watched[j] })
-	enc.Uvarint(uint64(len(watched)))
-	for _, id := range watched {
-		enc.String(string(id))
-	}
+	saveTagSet(enc, e.watch)
 
 	enc.Bool(e.index != nil)
 	if e.index != nil {
@@ -115,11 +106,9 @@ func (e *Engine) RestoreState(dec *checkpoint.Decoder) error {
 	if err != nil {
 		return err
 	}
-
-	nw := dec.SliceLen(1)
-	watched := make([]stream.TagID, 0, nw)
-	for i := 0; i < nw && dec.Err() == nil; i++ {
-		watched = append(watched, stream.TagID(dec.String()))
+	watch, err := restoreTagSet(dec)
+	if err != nil {
+		return err
 	}
 
 	hasIndex := dec.Bool()
@@ -159,9 +148,7 @@ func (e *Engine) RestoreState(dec *checkpoint.Decoder) error {
 	e.lastSeen = lastSeen
 	e.pending = pending
 	e.inScope = inScope
-	for _, id := range watched {
-		e.watch.Mark(id)
-	}
+	e.watch = watch
 	return nil
 }
 

@@ -34,9 +34,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns the quick-run options used by tests.
-func DefaultOptions() Options { return Options{Scale: 0.25, Seed: 1} }
-
 func (o *Options) applyDefaults() {
 	if o.Scale <= 0 {
 		o.Scale = 0.25

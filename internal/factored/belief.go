@@ -115,11 +115,6 @@ func (b *ObjectBelief) Particle(i int) ObjectParticle {
 	}
 }
 
-// Locs returns the particle location column. It is the belief's live backing
-// array — callers (the spatial index's membership tests, the stats fits) read
-// it in place instead of copying particles out.
-func (b *ObjectBelief) Locs() []geom.Vec3 { return b.locs }
-
 // setLen resizes all particle columns to n, preserving the common prefix and
 // reusing capacity. Elements beyond the previous length are stale; callers
 // must overwrite them.
@@ -151,7 +146,7 @@ func (b *ObjectBelief) setParticles(ps []ObjectParticle) {
 // weightsInto fills buf (grown as needed) with each particle's combined
 // factored weight: its own normalized weight times the weight of its
 // associated reader particle — exactly the semantics of factored weights
-// (Eq. 5). The locations never need extracting: b.Locs() is already the
+// (Eq. 5). The locations never need extracting: b.locs is already the
 // matching column.
 func (b *ObjectBelief) weightsInto(readerNorm []float64, buf []float64) []float64 {
 	buf = scratch.Grow(buf, len(b.normW))

@@ -513,7 +513,7 @@ func (f *Filter) stepReaders(ep *stream.Epoch) {
 				lw += f.sensingHoist.LogProb(r.Pose, ep.ReportedPose.Pos)
 			}
 			for k := range shelfIDs {
-				lw += logObs(f.cfg.Sensor, f.shelfObsBuf[k], r.Pose, f.shelfLocsBuf[k])
+				lw += sensor.LogObs(f.cfg.Sensor, f.shelfObsBuf[k], r.Pose, f.shelfLocsBuf[k])
 			}
 			r.logW += lw
 		}
@@ -626,20 +626,4 @@ func (f *Filter) Estimate(id stream.TagID) (geom.Vec3, geom.Vec3, bool) {
 	mean, variance, buf := b.meanWith(f.readerNorm, f.wBuf)
 	f.wBuf = buf
 	return mean, variance, true
-}
-
-func logObs(s sensor.Profile, observed bool, pose geom.Pose, loc geom.Vec3) float64 {
-	pr := s.DetectProb(pose, loc)
-	const floor = 1e-9
-	if observed {
-		if pr < floor {
-			pr = floor
-		}
-		return math.Log(pr)
-	}
-	q := 1 - pr
-	if q < floor {
-		q = floor
-	}
-	return math.Log(q)
 }

@@ -3,6 +3,7 @@ package factored
 import (
 	"repro/internal/geom"
 	"repro/internal/rng"
+	"repro/internal/sensor"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -12,7 +13,7 @@ import (
 // by compression). Every stochastic per-object operation draws from this
 // stream (never from the filter-level stream), so an object's belief evolves
 // identically no matter how many sibling objects exist, in which order they
-// are processed, or on which shard they run.
+// are processed, or on which worker they run.
 func (f *Filter) objectSrc(b *ObjectBelief) *rng.Source {
 	if b.src == nil {
 		if !b.srcSeeded {
@@ -83,7 +84,7 @@ func (f *Filter) stepObject(ep *stream.Epoch, id stream.TagID, readerPos geom.Ve
 	if !kernelDone {
 		for i := range b.locs {
 			pose := f.readerPoseFor(int(b.reader[i]))
-			b.logW[i] += logObs(f.cfg.Sensor, observed, pose, b.locs[i])
+			b.logW[i] += sensor.LogObs(f.cfg.Sensor, observed, pose, b.locs[i])
 		}
 	}
 

@@ -260,10 +260,10 @@ func (f *Filter) Step(ep *stream.Epoch) {
 			}
 		} else {
 			for k := range shelfIDs {
-				lw += logObs(f.cfg.Sensor, f.shelfObsBuf[k], f.readers[j], f.shelfLocsBuf[k])
+				lw += sensor.LogObs(f.cfg.Sensor, f.shelfObsBuf[k], f.readers[j], f.shelfLocsBuf[k])
 			}
 			for k := range row {
-				lw += logObs(f.cfg.Sensor, f.objObsBuf[k], f.readers[j], row[k])
+				lw += sensor.LogObs(f.cfg.Sensor, f.objObsBuf[k], f.readers[j], row[k])
 			}
 		}
 		f.logW[j] += lw
@@ -378,20 +378,4 @@ func (f *Filter) ReaderEstimate() geom.Pose {
 		Pos: stats.WeightedMeanVec(locs, f.normW),
 		Phi: math.Atan2(phiSin, phiCos),
 	}
-}
-
-func logObs(s sensor.Profile, observed bool, pose geom.Pose, loc geom.Vec3) float64 {
-	pr := s.DetectProb(pose, loc)
-	const floor = 1e-9
-	if observed {
-		if pr < floor {
-			pr = floor
-		}
-		return math.Log(pr)
-	}
-	q := 1 - pr
-	if q < floor {
-		q = floor
-	}
-	return math.Log(q)
 }

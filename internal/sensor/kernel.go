@@ -31,7 +31,7 @@ import (
 // another sensor Profile, or a change to this model's formula, goes there and
 // leaves the SIMD body to be rewritten or dropped.
 
-// logObsFloor mirrors the probability floor of LogObservationProb.
+// logObsFloor is the probability floor of LogObs.
 const logObsFloor = 1e-9
 
 // logOfFloor is math.Log(logObsFloor), hoisted; bit-identical to computing it

@@ -88,23 +88,28 @@ func (m Model) DetectProb(p geom.Pose, loc geom.Vec3) float64 {
 }
 
 // LogObservationProb returns log p(observed | reader pose, tag location) for
-// a binary observation. It is the per-tag factor of the particle weight.
-// Probabilities are floored to keep weights finite: a particle that is merely
-// improbable must not be annihilated by a single noisy reading (the paper's
-// Case 4 rounding works in the opposite direction and is handled by the
-// spatial index, not here).
+// a binary observation under the model: LogObs of ModelProfile{m}.
 func (m Model) LogObservationProb(observed bool, p geom.Pose, loc geom.Vec3) float64 {
-	pr := m.DetectProb(p, loc)
-	const floor = 1e-9
+	return LogObs(ModelProfile{Model: m}, observed, p, loc)
+}
+
+// LogObs returns log p(observed | reader pose, tag location) for a binary
+// observation under profile s. It is the per-tag factor of the particle
+// weight. Probabilities are floored at logObsFloor to keep weights finite: a
+// particle that is merely improbable must not be annihilated by a single
+// noisy reading (the paper's Case 4 rounding works in the opposite direction
+// and is handled by the spatial index, not here).
+func LogObs(s Profile, observed bool, p geom.Pose, loc geom.Vec3) float64 {
+	pr := s.DetectProb(p, loc)
 	if observed {
-		if pr < floor {
-			pr = floor
+		if pr < logObsFloor {
+			pr = logObsFloor
 		}
 		return math.Log(pr)
 	}
 	q := 1 - pr
-	if q < floor {
-		q = floor
+	if q < logObsFloor {
+		q = logObsFloor
 	}
 	return math.Log(q)
 }

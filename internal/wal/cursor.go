@@ -13,15 +13,18 @@ package wal
 // treats any unreadable frame (short header, short payload, CRC mismatch, or
 // absurd length prefix — all possible glimpses of a write in flight) in the
 // NEWEST segment as "not yet": it stays put and returns io.EOF so the caller
-// retries later. The same signature in a finished (non-newest) segment is the
-// torn tail of a crashed previous life — the writer never appends past a tear,
-// so skipping to the next segment skips only garbage. "Finished" has to be
-// established before the read it explains: the writer can complete the frame
-// and rotate between a stalled read and the directory scan, so once the scan
-// reports a newer segment the (now immutable) frame is read again and only a
-// second stall crosses. A missing segment, or a gap in the sequence, means
-// garbage collection outran this cursor and the follower must re-bootstrap
-// from a checkpoint: ErrSegmentGone.
+// retries later. A finished (non-newest) segment ends on a frame boundary:
+// Open cuts a torn tail left by a crashed previous life back to whole frames
+// before it starts the next segment. So in a finished segment the cursor
+// crosses to the next one only from the file's end; an unreadable frame
+// anywhere else is corruption, and Next reports it instead of skipping the
+// rest of the segment. "Finished" has to be established before the read it
+// explains: the writer can complete the frame and rotate between a stalled
+// read and the directory scan, so once the scan reports a newer segment the
+// (now immutable) frame is read again and only a second stall counts. A
+// missing segment, or a gap in the sequence, means garbage collection outran
+// this cursor and the follower must re-bootstrap from a checkpoint:
+// ErrSegmentGone.
 
 import (
 	"encoding/binary"
@@ -187,8 +190,15 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 		if err != errStall {
 			return nil, err
 		}
-		// Still no whole frame in a finished segment: the previous life's torn
-		// tail. The next segment continues the log — unless GC opened a gap.
+		// Still no whole frame in a finished segment. Only at its end does the
+		// next segment continue the log — unless GC opened a gap.
+		fi, err := c.f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		if c.off != fi.Size() {
+			return nil, fmt.Errorf("wal: cursor: segment %d: bad frame at offset %d of %d bytes", c.seg, c.off, fi.Size())
+		}
 		if next != c.seg+1 {
 			return nil, ErrSegmentGone
 		}

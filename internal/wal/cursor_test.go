@@ -3,10 +3,12 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -199,6 +201,69 @@ func TestCursorSkipsTornTailOfFinishedSegment(t *testing.T) {
 	want := append(append([]Record{}, first...), second...)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+// TestCursorRefusesCorruptFinishedSegment damages a frame in the middle of a
+// finished segment: the cursor must report it, naming the segment and offset,
+// and never ship the next segment's records past the gap — Replay refuses the
+// same log.
+func TestCursorRefusesCorruptFinishedSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, []Record{sealRecord(1), sealRecord(2), sealRecord(3)})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := Segments(dir)
+	first := segs[0]
+	l2, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l2, []Record{sealRecord(4), sealRecord(5)})
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip the last byte of frame 2, inside its payload.
+	path := filepath.Join(dir, segName(first))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := int(HeaderLen)
+	frame := (len(data) - hdr) / 3
+	data[hdr+2*frame-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(dir, 0, func(Record) error { return nil }); err == nil {
+		t.Fatal("Replay accepted the damaged log")
+	}
+
+	c, err := OpenCursor(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec, _, err := c.Next()
+	if err != nil || !reflect.DeepEqual(rec, sealRecord(1)) {
+		t.Fatalf("first record: %+v, %v", rec, err)
+	}
+	rec, _, err = c.Next()
+	if err == nil || err == io.EOF || errors.Is(err, ErrSegmentGone) {
+		t.Fatalf("next after the damaged frame: %+v, %v; want a corruption error", rec, err)
+	}
+	want := fmt.Sprintf("segment %d: bad frame at offset %d", first, hdr+frame)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %q", err, want)
+	}
+	if seg, off := c.Pos(); seg != first || off != int64(hdr+frame) {
+		t.Errorf("cursor moved to (%d, %d) past the damaged frame", seg, off)
 	}
 }
 
