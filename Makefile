@@ -204,14 +204,13 @@ bench-smoke:
 
 # Alternating A/B pairs of the repository benchmark, PARENT against the
 # checkout: `make bench-ab PARENT=HEAD~1 WORKLOAD=batch-warehouse PAIRS=10`
-# prints, per end-to-end metric, both medians, the parent's IQR and the pairs
-# the change won (scripts/bench-ab.sh; each run takes RUN_SECONDS plus setup).
+# prints the `benchmark -compare` table of the two sides and, per end-to-end
+# metric, the pairs the change won (scripts/bench-ab.sh; needs jq).
 PAIRS ?= 10
-RUN_SECONDS ?= 20
 
 bench-ab:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [RUN_SECONDS=20]"; exit 2; }
-	bash scripts/bench-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	bash scripts/bench-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Profile the hot path: a CPU and heap profile of the worker-scaling
 # benchmarks (compression off, and the batch-warehouse shape with it on) and

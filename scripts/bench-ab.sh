@@ -1,23 +1,26 @@
 #!/usr/bin/env bash
 # Alternating A/B pairs of the repository benchmark: a parent revision
-# against the checkout as it stands (uncommitted edits included).
+# against the checkout as it stands (uncommitted edits included). Needs jq.
 #
-#   scripts/bench-ab.sh PARENT WORKLOAD PAIRS [SECONDS]
+#   scripts/bench-ab.sh PARENT WORKLOAD PAIRS
 #   make bench-ab PARENT=HEAD~1 WORKLOAD=batch-warehouse PAIRS=10
 #
 # PARENT is exported with `git archive` to .bench_build/ab-<rev>/ (kept for
 # later calls). Pair i runs `benchmark/run.sh --workload WORKLOAD --seed i` on
-# both sides, the parent first in odd pairs and the change first in even ones,
-# so drift over the session hits both sides alike. Each run's result line (the
-# last line of stdout) is kept under .bench_build/ab-<rev>-<workload>/. For
-# every end-to-end metric BENCHMARK.json names, the summary prints both
-# medians, the parent's interquartile range and the pairs the change won.
+# both sides, at the benchmark's own run length, the parent first in odd pairs
+# and the change first in even ones, so drift over the session hits both sides
+# alike. Each side's runs are gathered into a result set under
+# .bench_build/ab-<rev>-<workload>/ and handed to `benchmark -compare`, which
+# prints medians, quartiles and verdicts and flags runs that are not correct
+# or whose load generator started late. The script then prints, per
+# end-to-end metric, how many pairs the change won. The exit code is
+# `-compare`'s.
 set -euo pipefail
 
-parent=${1:?usage: bench-ab.sh PARENT WORKLOAD PAIRS [SECONDS]}
-workload=${2:?usage: bench-ab.sh PARENT WORKLOAD PAIRS [SECONDS]}
-pairs=${3:-10}
-seconds=${4:-20}
+usage="usage: bench-ab.sh PARENT WORKLOAD PAIRS"
+parent=${1:?$usage}
+workload=${2:?$usage}
+pairs=${3:?$usage}
 
 root="$(git rev-parse --show-toplevel)"
 rev="$(git -C "$root" rev-parse --short "$parent^{commit}")"
@@ -30,13 +33,26 @@ fi
 out="$root/.bench_build/ab-$rev-$workload"
 rm -rf "$out"
 mkdir -p "$out"
+: >"$out/parent.runs"
+: >"$out/change.runs"
 
-run() { # run SIDE DIR PAIR
-	local f="$out/$1-$3.json"
-	if ! bash "$2/benchmark/run.sh" --workload "$workload" --seed "$3" --seconds "$seconds" \
-		2>"$out/$1-$3.log" | tail -n 1 >"$f"; then
-		echo "pair $3: the $1 run failed (see $out/$1-$3.log)" >&2
+# run SIDE DIR PAIR appends the run to SIDE.runs as a result-set run. The
+# result line carries the end-to-end metrics and the operation counts; the
+# generator's lateness is only in the report on stderr, so it is taken from
+# there.
+run() {
+	local log="$out/$1-$3.log" line late
+	line=$(bash "$2/benchmark/run.sh" --workload "$workload" --seed "$3" 2>"$log" | tail -n 1) || true
+	if [ "${line:0:1}" != "{" ]; then
+		echo "pair $3: the $1 run printed no result (see $log)" >&2
+		return
 	fi
+	late=$(awk '$1 == "loadgen.late_p95_ms" { print $2 }' "$log")
+	jq -c --arg w "$workload" --argjson seed "$3" --argjson late "${late:-0}" \
+		'{workload: $w, seed: $seed, correct, attempted, failed,
+		  metrics: ((.metrics | map_values(.value)) + {"loadgen.late_p95_ms": $late,
+		    failed_ops_ratio: (if .attempted > 0 then .failed / .attempted else 0 end)})}' \
+		<<<"$line" >>"$out/$1.runs"
 }
 
 for i in $(seq 1 "$pairs"); do
@@ -50,48 +66,26 @@ for i in $(seq 1 "$pairs"); do
 	echo "pair $i of $pairs done" >&2
 done
 
-# One "side pair metric value" line per metric of every run, then the
-# summary: medians, the parent's IQR (linear-interpolated quartiles) and the
-# pairs in which the change was strictly better.
 for side in parent change; do
-	for i in $(seq 1 "$pairs"); do
-		f="$out/$side-$i.json"
-		grep -o '"failed":[0-9]*' "$f" | sed "s/\"failed\":/$side $i failed_ops /" || true
-		grep -o '"[a-z0-9_.]*":{"value":[^,}]*' "$f" |
-			sed -E "s/\"([^\"]*)\":\\{\"value\":(.*)/$side $i \\1 \\2/" || true
-	done
-done | awk -v spec="$root/BENCHMARK.json" -v workload="$workload" -v rev="$rev" '
-function q(a, n, p,   x, k) { x = (n - 1) * p; k = int(x); return (k + 1 < n) ? a[k] + (x - k) * (a[k + 1] - a[k]) : a[k] }
-function sorted(side, m, dst,   i, j, n, t) {
-	n = 0
-	for (i = 1; i <= np; i++) if ((side, i, m) in v) dst[n++] = v[side, i, m] + 0
-	for (i = 1; i < n; i++) for (j = i; j > 0 && dst[j - 1] > dst[j]; j--) { t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t }
-	return n
-}
-BEGIN {
-	while ((getline line < spec) > 0) {
-		if (line ~ /"end_to_end"/) in_e2e = 1
-		else if (in_e2e && line ~ /^[ \t]*\],?[ \t]*$/) in_e2e = 0
-		if (!in_e2e) continue
-		if (match(line, /"name": *"[^"]*"/)) { name = substr(line, RSTART, RLENGTH); sub(/.*: *"/, "", name); sub(/"$/, "", name); names[++nm] = name }
-		if (match(line, /"better": *"[^"]*"/)) { b = substr(line, RSTART, RLENGTH); sub(/.*: *"/, "", b); sub(/"$/, "", b); better[name] = b }
-	}
-	names[++nm] = "failed_ops"; better["failed_ops"] = "lower"
-}
-{ v[$1, $2, $3] = $4; if ($2 > np) np = $2 }
-END {
-	printf "%s, %d pairs, parent %s against the checkout\n", workload, np, rev
-	printf "%-16s %14s %14s %12s %8s\n", "metric", "parent_median", "change_median", "parent_iqr", "won"
-	for (k = 1; k <= nm; k++) {
-		m = names[k]; won = 0; n = 0
-		for (i = 1; i <= np; i++) {
-			if (!(("parent", i, m) in v) || !(("change", i, m) in v)) continue
-			n++
-			a = v["parent", i, m]; c = v["change", i, m]
-			if ((better[m] == "lower" && c < a) || (better[m] == "higher" && c > a)) won++
-		}
-		if (n == 0) { printf "%-16s %14s\n", m, "no data"; continue }
-		na = sorted("parent", m, pa); nc = sorted("change", m, ca)
-		printf "%-16s %14.6g %14.6g %12.6g %5d/%d\n", m, q(pa, na, 0.5), q(ca, nc, 0.5), q(pa, na, 0.75) - q(pa, na, 0.25), won, n
-	}
-}'
+	jq -s --argjson nproc "$(nproc)" --arg cpu "$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo)" \
+		'{context: {nproc: $nproc, cpu_model: $cpu}, runs: .}' \
+		"$out/$side.runs" >"$out/$side.json"
+done
+echo "$workload: parent $rev (A) against the checkout (B)"
+# Rows of other workloads, and metrics no run here reports, are left out.
+code=0
+bash "$root/benchmark/run.sh" -compare "$out/parent.json" "$out/change.json" |
+	grep -v 'needs at least 2 runs in each set (have 0, 0)' || code=$?
+
+# Pairs won: seeds with a run on both sides where the change's value is
+# strictly better in the direction BENCHMARK.json gives.
+jq -rn --slurpfile spec "$root/BENCHMARK.json" \
+	--slurpfile a "$out/parent.json" --slurpfile b "$out/change.json" '
+	($a[0].runs | INDEX(.seed | tostring)) as $pa
+	| ($b[0].runs | INDEX(.seed | tostring)) as $pb
+	| $spec[0].end_to_end[] as $m
+	| [$pa | keys[] | select($pb[.]) | [$pa[.].metrics[$m.name], $pb[.].metrics[$m.name]]
+	   | select(all(. != null))]
+	| (map(select(if $m.better == "lower" then .[1] < .[0] else .[1] > .[0] end)) | length) as $won
+	| "\($m.name): the change won \($won) of \(length) pairs"'
+exit "$code"
