@@ -149,7 +149,7 @@ serve-smoke:
 
 # Crash-recovery smoke: a real subprocess kill -9 (start server, ingest,
 # SIGKILL, restart, verify byte-identical state) plus the randomized
-# crash-recovery equivalence property over the Workers x ShardCount matrix,
+# crash-recovery equivalence property across crashed x recovered Workers,
 # both under the race detector.
 recover-smoke:
 	$(GO) test -race -run 'TestRecoverSmoke$$|TestCrashRecoveryEquivalence' -v ./internal/serve
@@ -176,7 +176,7 @@ stream-smoke:
 # constantly), SIGKILLs the child mid-churn, restarts it on the same data
 # directory and verifies every sampled session's state is byte-identical to an
 # uncapped, uninterrupted run; plus the scheduler/eviction determinism
-# property over the Workers x ShardCount matrix and the eviction contract:
+# property over a range of engine Workers and the eviction contract:
 # durable files byte-identical with and without evictions, kill -9 while
 # evicted, stale or damaged spills refused, read-only residencies writing no
 # spill, and the world build linear at the create-request caps.

@@ -226,7 +226,7 @@ func benchName(prefix string, v int) string {
 }
 
 // ---------------------------------------------------------------------------
-// Worker scaling of the per-object fan-out. Workers=1 runs the shards inline;
+// Worker scaling of the per-object fan-out. Workers=1 runs the chunks inline;
 // the Workers=GOMAXPROCS run shows the speedup (a no-op on single-CPU
 // machines).
 

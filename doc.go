@@ -42,7 +42,7 @@
 // state — particle columns, reader poses, per-object random-stream
 // positions, query-registry sequence state — and recovery (checkpoint + WAL
 // tail replay) reproduces the interrupted run byte-exactly, even across a
-// kill -9 and across different worker/shard counts. The same machinery backs
+// kill -9 and across different worker counts. The same machinery backs
 // time-travel reads: a bounded per-epoch history of sealed location
 // estimates serves GET /snapshot?epoch=N and history-mode queries. See the
 // "Durability & recovery" section of ARCHITECTURE.md.

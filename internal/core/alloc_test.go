@@ -11,7 +11,7 @@ import (
 // fixed-seed trace prefix (so every belief exists and every scratch buffer
 // has reached capacity) and returns them together with a representative
 // steady-state epoch to replay.
-func steadyEngines(t *testing.T, workers, shards int) (inline, fanned *Engine, ep *stream.Epoch) {
+func steadyEngines(t *testing.T, workers int) (inline, fanned *Engine, ep *stream.Epoch) {
 	t.Helper()
 	trace, err := generateWarehouse(smallTraceConfig(16, 11))
 	if err != nil {
@@ -23,8 +23,8 @@ func steadyEngines(t *testing.T, workers, shards int) (inline, fanned *Engine, e
 	cfg.NumReaderParticles = 25
 	cfg.Seed = 17
 
-	inline = newEngine(t, cfg, 1, shards)
-	fanned = newEngine(t, cfg, workers, shards)
+	inline = newEngine(t, cfg, 1)
+	fanned = newEngine(t, cfg, workers)
 	warm := len(trace.Epochs) - 1
 	if warm < 40 {
 		t.Fatalf("trace too short: %d epochs", len(trace.Epochs))
@@ -42,7 +42,7 @@ func steadyEngines(t *testing.T, workers, shards int) (inline, fanned *Engine, e
 
 // TestEpochAllocsIndependentOfWorkers is the regression gate for the
 // fan-out's allocation behaviour: dispatching an epoch across workers must
-// not allocate more than running the same shards inline on one. This pins
+// not allocate more than running the same chunks inline on one. This pins
 // the field-published fan-out state and the helpers' bodies built once in
 // New — a closure-based dispatcher allocates one closure per worker every
 // epoch.
@@ -50,7 +50,7 @@ func TestEpochAllocsIndependentOfWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
 	}
-	inline, fanned, ep := steadyEngines(t, 4, 16)
+	inline, fanned, ep := steadyEngines(t, 4)
 
 	// One unmeasured pass each so lazily grown buffers reach capacity.
 	if _, err := inline.ProcessEpoch(ep); err != nil {
@@ -76,7 +76,7 @@ func TestEpochAllocsIndependentOfWorkers(t *testing.T) {
 	}
 	// Absolute backstop: the steady-state epoch allocates at most the
 	// prologue's small constant (observed-list and index temporaries), never
-	// per-worker or per-shard churn.
+	// per-worker or per-chunk churn.
 	const maxEpochAllocs = 16
 	if fannedAllocs > maxEpochAllocs {
 		t.Errorf("Workers=4 epoch allocates %.2f times; want <= %d", fannedAllocs, maxEpochAllocs)

@@ -85,15 +85,12 @@ type Config struct {
 	// started afresh each epoch; that wait costs an engine at most 500 µs of
 	// CPU per epoch, whatever the worker and CPU counts, and an engine that
 	// receives no epochs has no goroutine left after it. The basic filter
-	// has no per-object phase and ignores Workers. Output is independent of
-	// the worker count: a Workers=8 run is byte-identical to a Workers=1
-	// run.
+	// has no per-object phase and ignores Workers. Each epoch's step list is
+	// split into max(8, 4*Workers) contiguous chunks, which the workers claim
+	// one at a time, so more chunks than workers evens out their load.
+	// Output is independent of the worker count: a Workers=8 run is
+	// byte-identical to a Workers=1 run.
 	Workers int
-	// ShardCount is the number of contiguous chunks each epoch's step list
-	// is split into; workers claim chunks one at a time, so more chunks than
-	// workers evens out their load. Zero selects max(8, 4*Workers). Output is
-	// independent of the chunk count.
-	ShardCount int
 
 	// Seed seeds all random choices of the engine.
 	Seed int64
@@ -137,9 +134,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ShardCount <= 0 {
-		c.ShardCount = max(8, 4*c.Workers)
 	}
 }
 

@@ -22,10 +22,10 @@ import (
 // the belief-compression policy.
 //
 // The factored filter makes objects conditionally independent given the
-// reader particles, so each epoch splits its step list into Config.ShardCount
-// contiguous chunks and fans the per-object work out to Config.Workers
-// goroutines (stepSharded); one worker runs the chunks inline. Output is
-// byte-identical for any Workers and ShardCount.
+// reader particles, so each epoch splits its step list into contiguous chunks
+// and fans the per-object work out to Config.Workers goroutines
+// (stepSharded); one worker runs the chunks inline. Output is byte-identical
+// for any Workers.
 type Engine struct {
 	cfg     Config
 	profile sensor.Profile
@@ -71,8 +71,9 @@ type Engine struct {
 	hasBuf   []bool
 	assocBuf []stream.TagID
 
-	// Fan-out plumbing (forEachShard). Workers claim chunk indices from
-	// nextShard; working counts the helpers still working on the epoch.
+	// Fan-out plumbing (forEachShard). Workers claim the indices of an
+	// epoch's chunks (see Config.Workers) from nextShard; working counts the
+	// helpers still working on the epoch.
 	// waiter is the state of helper 1, the one helper that may wait for the
 	// next epoch, and mayWait whether it may (more than one CPU); helpers 2
 	// and up run one epoch per goroutine. linger tells helper 1 whether to
@@ -81,6 +82,7 @@ type Engine struct {
 	// allocates no per-epoch closure. Helper 1 exits within helperLinger of
 	// its last epoch, so the engine needs no Close lifecycle and never leaks
 	// goroutines.
+	chunks     int
 	nextShard  atomic.Int64
 	working    atomic.Int32
 	waiter     atomic.Int32
@@ -141,6 +143,7 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Compression {
 			e.beliefMgr = belief.NewManager(cfg.CompressionPolicy)
 		}
+		e.chunks = max(8, 4*cfg.Workers)
 		e.arenas = make([]*factored.Arena, cfg.Workers)
 		e.workerFns = make([]func(), cfg.Workers)
 		for w := range e.arenas {

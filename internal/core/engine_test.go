@@ -177,7 +177,7 @@ func TestCompressionRecordsOnlyMeasuredKL(t *testing.T) {
 	cfg.NumReaderParticles = 30
 	cfg.CompressionPolicy.Mode = belief.KLRanked
 	cfg.Seed = 9
-	ranked := newEngine(t, cfg, 1, 1)
+	ranked := newEngine(t, cfg, 1)
 	// Stop while every belief is younger than OutOfScopeEpochs, so the
 	// policy has ranked nothing yet, then run it far in the future.
 	horizon := cfg.CompressionPolicy.OutOfScopeEpochs - 1

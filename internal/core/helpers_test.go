@@ -53,7 +53,7 @@ func TestFanOutHelperPaths(t *testing.T) {
 	cfg.NumObjectParticles, cfg.NumReaderParticles = 40, 10
 	run := func(t *testing.T, workers int, between func(e *Engine, k int)) (*Engine, [][]stream.Event) {
 		t.Helper()
-		eng := newEngine(t, cfg, workers, 8)
+		eng := newEngine(t, cfg, workers)
 		out := make([][]stream.Event, len(epochs))
 		for k, ep := range epochs {
 			events, err := eng.ProcessEpoch(ep)
@@ -122,7 +122,7 @@ func TestFanOutHelpersExitAfterLastEpoch(t *testing.T) {
 	time.Sleep(5 * helperLinger)
 	baseline := runtime.NumGoroutine()
 
-	eng := newEngine(t, cfg, 4, 8)
+	eng := newEngine(t, cfg, 4)
 	var events []stream.Event
 	for _, ep := range epochs {
 		got, err := eng.ProcessEpoch(ep)

@@ -10,10 +10,10 @@ import (
 
 // TestPropertyOutputIndependentOfParallelism is the randomized determinism
 // property suite: for a seeded matrix of traces and engine configurations,
-// the engine's event stream must be byte-identical to its inline
-// single-shard run (Workers=1, ShardCount=1) for every combination of
-// Workers in {1,2,4,8} and ShardCount in {1,3,8,32,64}; at 64 most epochs
-// step fewer objects than there are chunks, so empty chunks are covered. Each
+// the engine's event stream must be byte-identical to its inline run
+// (Workers=1) for Workers in {2,3,4,8,16}, which split each epoch into 8,
+// 12, 16, 32 and 64 chunks; at 64 most epochs step fewer objects than there
+// are chunks, so empty chunks are covered. Each
 // seed draws a different trace and a different pipeline
 // variant (spatial index on/off, compression on/off, report policy) from its
 // own deterministic stream, so the property is exercised well beyond the one
@@ -24,8 +24,7 @@ func TestPropertyOutputIndependentOfParallelism(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	workersList := []int{1, 2, 4, 8}
-	shardList := []int{1, 3, 8, 32, 64}
+	workersList := []int{2, 3, 4, 8, 16}
 
 	for _, seed := range seeds {
 		seed := seed
@@ -45,7 +44,7 @@ func TestPropertyOutputIndependentOfParallelism(t *testing.T) {
 			cfg.Compression = pick.Bernoulli(0.5)
 			cfg.Seed = seed*7 + 1
 
-			inline := newEngine(t, cfg, 1, 1)
+			inline := newEngine(t, cfg, 1)
 			want, err := inline.Run(trace.Epochs)
 			if err != nil {
 				t.Fatalf("inline Run: %v", err)
@@ -54,20 +53,18 @@ func TestPropertyOutputIndependentOfParallelism(t *testing.T) {
 			wantStats := inline.Stats()
 
 			for _, workers := range workersList {
-				for _, shards := range shardList {
-					eng := newEngine(t, cfg, workers, shards)
-					got, err := eng.Run(trace.Epochs)
-					if err != nil {
-						t.Fatalf("Run(workers=%d,shards=%d): %v", workers, shards, err)
-					}
-					if !bytes.Equal(encodeEvents(t, got), wantBytes) {
-						t.Errorf("seed=%d workers=%d shards=%d (index=%v compression=%v): events differ from the inline run",
-							seed, workers, shards, cfg.SpatialIndex, cfg.Compression)
-					}
-					if eng.Stats() != wantStats {
-						t.Errorf("seed=%d workers=%d shards=%d: stats %+v != inline %+v",
-							seed, workers, shards, eng.Stats(), wantStats)
-					}
+				eng := newEngine(t, cfg, workers)
+				got, err := eng.Run(trace.Epochs)
+				if err != nil {
+					t.Fatalf("Run(workers=%d): %v", workers, err)
+				}
+				if !bytes.Equal(encodeEvents(t, got), wantBytes) {
+					t.Errorf("seed=%d workers=%d (index=%v compression=%v): events differ from the inline run",
+						seed, workers, cfg.SpatialIndex, cfg.Compression)
+				}
+				if eng.Stats() != wantStats {
+					t.Errorf("seed=%d workers=%d: stats %+v != inline %+v",
+						seed, workers, eng.Stats(), wantStats)
 				}
 			}
 		})
@@ -89,8 +86,8 @@ func TestPropertyStreamingIndependentOfParallelism(t *testing.T) {
 	cfg.NumReaderParticles = 20
 	cfg.Seed = seed
 
-	inline := newEngine(t, cfg, 1, 1)
-	fanned := newEngine(t, cfg, 4, 32)
+	inline := newEngine(t, cfg, 1)
+	fanned := newEngine(t, cfg, 8)
 	for _, ep := range trace.Epochs {
 		want, err := inline.ProcessEpoch(ep)
 		if err != nil {

@@ -15,14 +15,14 @@ import (
 //	prologue (sequential): reader particle step, Case-1/Case-2 selection,
 //	    fresh-belief registration
 //	fan-out (parallel):    object steps and fresh-belief particle draws over
-//	    ShardCount contiguous chunks of the step list, each object's
+//	    contiguous chunks of the step list, each object's
 //	    sensing-region membership tested right after its step
 //	barrier (sequential):  reader resampling, spatial-index maintenance,
 //	    compression watchlist marking, belief compression
 //
 // Because every per-object stochastic operation draws from a private random
 // stream derived from (seed, tag id), the output is byte-identical for any
-// Workers and ShardCount — parallelism changes only wall-clock time, never
+// Workers and chunk count — parallelism changes only wall-clock time, never
 // results.
 func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 	rec := e.rec
@@ -124,7 +124,7 @@ func (e *Engine) stepSharded(ep *stream.Epoch, observed []stream.TagID) {
 // a started helper that no CPU has picked up yet runs on worker 0's own CPU
 // when it yields. The poll lasts no longer than the helpers' last chunks.
 func (e *Engine) forEachShard() {
-	n := e.cfg.ShardCount
+	n := e.chunks
 	w := min(e.cfg.Workers, n)
 	if w <= 1 {
 		for s := 0; s < n; s++ {
@@ -153,7 +153,7 @@ func (e *Engine) forEachShard() {
 func (e *Engine) drainShards(worker int) {
 	for {
 		s := int(e.nextShard.Add(1)) - 1
-		if s >= e.cfg.ShardCount {
+		if s >= e.chunks {
 			return
 		}
 		e.shardTask(worker, s)
@@ -243,7 +243,7 @@ func chunk(n, k, s int) (lo, hi int) {
 // kept worker 0 waiting for the helper 46-63 µs per epoch; claimed first,
 // 26-30 µs (2 workers, 2 vCPUs).
 func (e *Engine) shardTask(worker, s int) {
-	k := e.cfg.ShardCount
+	k := e.chunks
 	lo, hi := chunk(len(e.curSteps), k, k-1-s)
 	for j := lo; j < hi; j++ {
 		e.fact.StepObjectsWith(e.arenas[worker], e.curEp, e.curSteps[j:j+1])

@@ -35,13 +35,13 @@ func encodeEvents(t *testing.T, events []stream.Event) []byte {
 	return buf
 }
 
-// newEngine builds an engine from cfg with the given parallelism.
-func newEngine(t *testing.T, cfg Config, workers, shards int) *Engine {
+// newEngine builds an engine from cfg with the given worker count.
+func newEngine(t *testing.T, cfg Config, workers int) *Engine {
 	t.Helper()
-	cfg.Workers, cfg.ShardCount = workers, shards
+	cfg.Workers = workers
 	eng, err := New(cfg)
 	if err != nil {
-		t.Fatalf("New(workers=%d,shards=%d): %v", workers, shards, err)
+		t.Fatalf("New(workers=%d): %v", workers, err)
 	}
 	return eng
 }
@@ -51,7 +51,7 @@ func newEngine(t *testing.T, cfg Config, workers, shards int) *Engine {
 // core.New(cfg).Run over goldenTrace, captured at commit 6b21af3 (the last
 // one carrying the serial body) on GOARCH=amd64. Other architectures may
 // fuse multiply-adds and round differently, so the digests are asserted on
-// amd64 only; the workers x shards identity below holds everywhere.
+// amd64 only; the identity across worker counts below holds everywhere.
 var serialGoldens = []struct {
 	name    string
 	objects int
@@ -80,7 +80,7 @@ var serialGoldens = []struct {
 // fixed-seed trace and each non-default pipeline variant (no spatial index,
 // no compression, no motion model) the engine must reproduce the recorded
 // serial reference byte for byte, with identical work counters, for every
-// worker and shard count.
+// worker count (and so chunk count: 8 up to 2 workers, 64 at 16).
 func TestEngineMatchesSerialGolden(t *testing.T) {
 	for _, g := range serialGoldens {
 		t.Run(g.name, func(t *testing.T) {
@@ -88,30 +88,28 @@ func TestEngineMatchesSerialGolden(t *testing.T) {
 			g.mutate(&cfg)
 			var want []byte
 			var wantStats Stats
-			for _, workers := range []int{1, 2, 3, 4} {
-				for _, shards := range []int{1, 5, 16} {
-					eng := newEngine(t, cfg, workers, shards)
-					events, err := eng.Run(epochs)
-					if err != nil {
-						t.Fatalf("Run(workers=%d,shards=%d): %v", workers, shards, err)
+			for _, workers := range []int{1, 2, 3, 4, 16} {
+				eng := newEngine(t, cfg, workers)
+				events, err := eng.Run(epochs)
+				if err != nil {
+					t.Fatalf("Run(workers=%d): %v", workers, err)
+				}
+				got := encodeEvents(t, events)
+				if want == nil {
+					// The inline run is pinned to the golden; every other
+					// worker count must equal it.
+					want, wantStats = got, eng.Stats()
+					sum := fmt.Sprintf("%x", sha256.Sum256(got))
+					if runtime.GOARCH == "amd64" && (sum != g.sha256 || wantStats != g.stats) {
+						t.Fatalf("sha256 %s, stats %+v; serial golden %s, %+v", sum, wantStats, g.sha256, g.stats)
 					}
-					got := encodeEvents(t, events)
-					if want == nil {
-						// The inline single-shard cell is pinned to the golden;
-						// every other cell must equal it.
-						want, wantStats = got, eng.Stats()
-						sum := fmt.Sprintf("%x", sha256.Sum256(got))
-						if runtime.GOARCH == "amd64" && (sum != g.sha256 || wantStats != g.stats) {
-							t.Fatalf("sha256 %s, stats %+v; serial golden %s, %+v", sum, wantStats, g.sha256, g.stats)
-						}
-						continue
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("workers=%d shards=%d: events differ from the workers=1 shards=1 run", workers, shards)
-					}
-					if eng.Stats() != wantStats {
-						t.Errorf("workers=%d shards=%d: stats %+v != %+v", workers, shards, eng.Stats(), wantStats)
-					}
+					continue
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("workers=%d: events differ from the workers=1 run", workers)
+				}
+				if eng.Stats() != wantStats {
+					t.Errorf("workers=%d: stats %+v != %+v", workers, eng.Stats(), wantStats)
 				}
 			}
 		})
@@ -119,12 +117,12 @@ func TestEngineMatchesSerialGolden(t *testing.T) {
 }
 
 // TestEngineStreamingMatchesAcrossParallelism checks the streaming entry
-// point: every epoch's emissions must match between an inline single-shard
-// run and a fanned-out one, not only the aggregate.
+// point: every epoch's emissions must match between an inline run and a
+// fanned-out one, not only the aggregate.
 func TestEngineStreamingMatchesAcrossParallelism(t *testing.T) {
 	epochs, cfg := goldenTrace(t, 12)
-	inline := newEngine(t, cfg, 1, 1)
-	fanned := newEngine(t, cfg, 4, 7)
+	inline := newEngine(t, cfg, 1)
+	fanned := newEngine(t, cfg, 3)
 	for _, ep := range epochs {
 		want, err := inline.ProcessEpoch(ep)
 		if err != nil {
@@ -143,27 +141,27 @@ func TestEngineStreamingMatchesAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestEngineParallelismDefaults checks worker/shard resolution, and that the
+// TestEngineParallelismDefaults checks worker/chunk resolution, and that the
 // basic filter — which has no per-object phase — accepts and ignores Workers.
 func TestEngineParallelismDefaults(t *testing.T) {
 	epochs, cfg := goldenTrace(t, 2)
 
-	eng := newEngine(t, cfg, 0, 0)
+	eng := newEngine(t, cfg, 0)
 	got := eng.Config()
 	if got.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("Config().Workers = %d, want GOMAXPROCS = %d", got.Workers, runtime.GOMAXPROCS(0))
 	}
-	if got.ShardCount < 8 || got.ShardCount < 4*got.Workers {
-		t.Errorf("Config().ShardCount = %d too small for %d workers", got.ShardCount, got.Workers)
+	if eng.chunks < 8 || eng.chunks < 4*got.Workers {
+		t.Errorf("%d chunks too few for %d workers", eng.chunks, got.Workers)
 	}
 
 	cfg.Factored, cfg.SpatialIndex, cfg.Compression = false, false, false
 	cfg.NumBasicParticles = 300
-	want, err := newEngine(t, cfg, 1, 0).Run(epochs)
+	want, err := newEngine(t, cfg, 1).Run(epochs)
 	if err != nil {
 		t.Fatalf("basic Run(workers=1): %v", err)
 	}
-	events, err := newEngine(t, cfg, 4, 0).Run(epochs)
+	events, err := newEngine(t, cfg, 4).Run(epochs)
 	if err != nil {
 		t.Fatalf("basic Run(workers=4): %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // watchlist and the sensing-region index) and delegates the filter state to
 // the factored or basic filter's codec. All fan-out structures are either
 // configuration (worker and chunk counts) or per-epoch scratch, so a
-// checkpoint restores into an engine with any Workers/ShardCount.
+// checkpoint restores into an engine with any Workers.
 
 const engineSection = "core.Engine"
 
@@ -22,8 +22,8 @@ const engineSection = "core.Engine"
 // the engine's state evolution. A checkpoint records the fingerprint of the
 // config that produced it and restore refuses a mismatch: loading particle
 // state into a differently parameterized engine would not fail loudly on its
-// own — it would silently diverge. Workers and ShardCount are deliberately
-// excluded: output is independent of them, so checkpoints are portable across
+// own — it would silently diverge. Workers is deliberately excluded: output
+// is independent of it, so checkpoints are portable across
 // parallelism settings (a property the recovery tests exploit).
 func (c Config) Fingerprint() uint64 {
 	cfg := c

@@ -45,15 +45,15 @@ func eventsEqual(a, b []stream.Event) bool {
 
 // TestCheckpointRestoreEquivalence is the core durability property: an engine
 // checkpointed mid-stream and restored into a FRESH engine — possibly with a
-// different Workers/ShardCount — continues the run byte-identically to one
+// different Workers — continues the run byte-identically to one
 // that never stopped. It exercises the full state surface: particle columns,
 // reader particles, random-stream positions, the sensing-region index, the
 // compression watchlist and the report bookkeeping.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	cfg, epochs := durableTestConfig(t, 12)
 
-	// Reference: one uninterrupted inline single-shard run.
-	ref := newEngine(t, cfg, 1, 1)
+	// Reference: one uninterrupted inline run.
+	ref := newEngine(t, cfg, 1)
 	var refEvents []stream.Event
 	for _, ep := range epochs {
 		evs, err := ref.ProcessEpoch(ep)
@@ -65,19 +65,18 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	refEvents = append(refEvents, ref.Finish()...)
 
 	type variant struct {
-		name                          string
-		saveWorkers, saveShards       int
-		restoreWorkers, restoreShards int
+		name                        string
+		saveWorkers, restoreWorkers int
 	}
 	variants := []variant{
-		{"inline-to-inline", 1, 1, 1, 1},
-		{"inline-to-fanned", 1, 1, 4, 8},
-		{"fanned-to-inline", 4, 8, 1, 1},
-		{"default-shards-to-fanned-reshard", 1, 0, 4, 16},
+		{"inline-to-inline", 1, 1},
+		{"inline-to-fanned", 1, 4},
+		{"fanned-to-inline", 4, 1},
+		{"default-workers-to-fanned-rechunk", 0, 3},
 	}
 	for _, v := range variants {
 		for _, split := range []int{1, len(epochs) / 3, 2 * len(epochs) / 3} {
-			a := newEngine(t, cfg, v.saveWorkers, v.saveShards)
+			a := newEngine(t, cfg, v.saveWorkers)
 			var got []stream.Event
 			for _, ep := range epochs[:split] {
 				evs, err := a.ProcessEpoch(ep)
@@ -90,7 +89,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			enc := checkpoint.NewEncoder()
 			a.SaveState(enc)
 
-			b := newEngine(t, cfg, v.restoreWorkers, v.restoreShards)
+			b := newEngine(t, cfg, v.restoreWorkers)
 			dec := checkpoint.NewDecoder(enc.Bytes())
 			if err := b.RestoreState(dec); err != nil {
 				t.Fatalf("%s split %d: restore: %v", v.name, split, err)
@@ -134,7 +133,7 @@ func TestCheckpointRestoreBasicFilter(t *testing.T) {
 	cfg.NumBasicParticles = 200
 	epochs = epochs[:40]
 
-	ref := newEngine(t, cfg, 1, 1)
+	ref := newEngine(t, cfg, 1)
 	var refEvents []stream.Event
 	for _, ep := range epochs {
 		evs, err := ref.ProcessEpoch(ep)
@@ -146,7 +145,7 @@ func TestCheckpointRestoreBasicFilter(t *testing.T) {
 	refEvents = append(refEvents, ref.Finish()...)
 
 	split := len(epochs) / 2
-	a := newEngine(t, cfg, 1, 1)
+	a := newEngine(t, cfg, 1)
 	var got []stream.Event
 	for _, ep := range epochs[:split] {
 		evs, err := a.ProcessEpoch(ep)
@@ -157,7 +156,7 @@ func TestCheckpointRestoreBasicFilter(t *testing.T) {
 	}
 	enc := checkpoint.NewEncoder()
 	a.SaveState(enc)
-	b := newEngine(t, cfg, 1, 1)
+	b := newEngine(t, cfg, 1)
 	if err := b.RestoreState(checkpoint.NewDecoder(enc.Bytes())); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -178,7 +177,7 @@ func TestCheckpointRestoreBasicFilter(t *testing.T) {
 // engine level: truncated and bit-flipped payloads error, never panic.
 func TestRestoreRejectsCorruptPayload(t *testing.T) {
 	cfg, epochs := durableTestConfig(t, 5)
-	a := newEngine(t, cfg, 1, 1)
+	a := newEngine(t, cfg, 1)
 	for _, ep := range epochs[:30] {
 		if _, err := a.ProcessEpoch(ep); err != nil {
 			t.Fatal(err)
@@ -189,7 +188,7 @@ func TestRestoreRejectsCorruptPayload(t *testing.T) {
 	payload := enc.Bytes()
 
 	for _, cut := range []int{0, 1, len(payload) / 4, len(payload) / 2, len(payload) - 1} {
-		b := newEngine(t, cfg, 1, 1)
+		b := newEngine(t, cfg, 1)
 		if err := b.RestoreState(checkpoint.NewDecoder(payload[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
@@ -198,7 +197,7 @@ func TestRestoreRejectsCorruptPayload(t *testing.T) {
 	// index-carrying payload.
 	cfgNoIndex := cfg
 	cfgNoIndex.SpatialIndex = false
-	b := newEngine(t, cfgNoIndex, 1, 1)
+	b := newEngine(t, cfgNoIndex, 1)
 	if err := b.RestoreState(checkpoint.NewDecoder(payload)); err == nil {
 		t.Fatal("index-shape mismatch accepted")
 	}
@@ -229,9 +228,8 @@ func TestConfigFingerprint(t *testing.T) {
 
 	same := cfg
 	same.Workers = 8
-	same.ShardCount = 32
 	if same.Fingerprint() != base {
-		t.Fatal("Workers/ShardCount must not change the fingerprint (checkpoints are parallelism-portable)")
+		t.Fatal("Workers must not change the fingerprint (checkpoints are parallelism-portable)")
 	}
 
 	for name, mutate := range map[string]func(*Config){
@@ -291,14 +289,14 @@ func reverseIndexMembers(t *testing.T, section []byte) []byte {
 // requires the resumed run to emit the events of a run that never stopped.
 func TestRestoreCheckpointFromBeforeDeltaIndex(t *testing.T) {
 	cfg, epochs := durableTestConfig(t, 12)
-	ref := newEngine(t, cfg, 1, 1)
+	ref := newEngine(t, cfg, 1)
 	refEvents, err := ref.Run(epochs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	split := 2 * len(epochs) / 3
-	a := newEngine(t, cfg, 1, 1)
+	a := newEngine(t, cfg, 1)
 	var got []stream.Event
 	for _, ep := range epochs[:split] {
 		evs, err := a.ProcessEpoch(ep)
@@ -327,7 +325,7 @@ func TestRestoreCheckpointFromBeforeDeltaIndex(t *testing.T) {
 	}
 	payload = slices.Concat(payload[:at], reverseIndexMembers(t, section), payload[at+len(section):])
 
-	b := newEngine(t, cfg, 1, 1)
+	b := newEngine(t, cfg, 1)
 	if err := b.RestoreState(checkpoint.NewDecoder(payload)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}

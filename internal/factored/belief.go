@@ -85,7 +85,7 @@ type ObjectBelief struct {
 	// per-object operation (particle initialization, proposal sampling,
 	// resampling, decompression) on this stream makes the belief's evolution
 	// independent of the processing order of other objects — the property
-	// that lets shards run concurrently yet produce output byte-identical to
+	// that lets chunks run concurrently yet produce output byte-identical to
 	// a serial run.
 	//
 	// Compression releases src (its ~5KB generator state would otherwise

@@ -80,8 +80,8 @@ func (s *Source) Fork() *Source {
 // from an existing stream, so the resulting seed depends only on (seed, key):
 // components keyed by a stable identifier (e.g. a tag id) receive the same
 // stream no matter how many siblings exist or in which order they are
-// created. This is what makes sharded inference results independent of the
-// shard count and worker schedule.
+// created. This is what makes parallel inference results independent of the
+// chunking and worker schedule.
 func SeedFor(seed int64, key string) int64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -119,7 +119,6 @@ const (
 	maxObjectParticles = 200_000
 	maxReaderParticles = 20_000
 	maxWorkers         = 256
-	maxShardCount      = 4096
 	maxHistoryEpochs   = 1 << 20
 	maxHoldEpochs      = 1 << 20
 	maxQueueSize       = 1 << 16
@@ -269,8 +268,6 @@ func runnerFor(req api.CreateSessionRequest, world *rfid.World, traceEpochs int)
 			return nil, badRequest("reader_particles %d out of range [0, %d]", eng.ReaderParticles, maxReaderParticles)
 		case eng.Workers < 0 || eng.Workers > maxWorkers:
 			return nil, badRequest("workers %d out of range [0, %d]", eng.Workers, maxWorkers)
-		case eng.ShardCount < 0 || eng.ShardCount > maxShardCount:
-			return nil, badRequest("shard_count %d out of range [0, %d]", eng.ShardCount, maxShardCount)
 		case eng.HistoryEpochs < 0 || eng.HistoryEpochs > maxHistoryEpochs:
 			return nil, badRequest("history_epochs %d out of range [0, %d]", eng.HistoryEpochs, maxHistoryEpochs)
 		case eng.HoldEpochs < 0 || eng.HoldEpochs > maxHoldEpochs:
@@ -285,7 +282,6 @@ func runnerFor(req api.CreateSessionRequest, world *rfid.World, traceEpochs int)
 			cfg.NumReaderParticles = eng.ReaderParticles
 		}
 		cfg.Workers = eng.Workers
-		cfg.ShardCount = eng.ShardCount
 		cfg.Seed = eng.Seed
 		rc.HoldEpochs = eng.HoldEpochs
 		rc.HistoryEpochs = eng.HistoryEpochs

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -86,7 +87,8 @@ func (s *session) recoverLocked() error {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		return fmt.Errorf("create data dir: %w", err)
 	}
-	var fromSeg uint64
+	// With no checkpoint the log must start at its first segment.
+	fromSeg := uint64(1)
 	path, snap, ok, err := checkpoint.Latest(s.cfg.DataDir)
 	if err != nil {
 		return fmt.Errorf("scan checkpoints: %w", err)
@@ -100,35 +102,6 @@ func (s *session) recoverLocked() error {
 		s.lastCkptNanos.Store(time.Now().UnixNano())
 	}
 
-	// The checkpoint GC deletes every WAL segment older than the newest
-	// checkpoint's replay start. If that checkpoint file is later corrupted,
-	// Latest falls back to an older one whose segments may be gone — replay
-	// would then silently skip the gap and recover wrong state. Fail loudly
-	// instead: a missing-segment gap means the log cannot reproduce the run.
-	// The same holds with no readable checkpoint at all (every one corrupt,
-	// or written in a payload version newer than this binary's) once the log
-	// no longer starts at its first segment.
-	if segs, err := wal.Segments(s.cfg.DataDir); err != nil {
-		return fmt.Errorf("scan wal segments: %w", err)
-	} else if len(segs) > 0 {
-		tail := segs
-		if ok {
-			for len(tail) > 0 && tail[0] < fromSeg {
-				tail = tail[1:]
-			}
-			if len(tail) == 0 || tail[0] != fromSeg {
-				return fmt.Errorf("wal segment %d (the checkpoint's replay start) is missing — the segments were garbage-collected by a newer checkpoint that is no longer readable; restore from backup", fromSeg)
-			}
-		} else if segs[0] != 1 {
-			return fmt.Errorf("no readable checkpoint, and wal segments 1..%d are missing — they were garbage-collected behind a checkpoint this binary cannot read (corrupt, or of a later payload version); restore from backup", segs[0]-1)
-		}
-		for i := 1; i < len(tail); i++ {
-			if tail[i] != tail[i-1]+1 {
-				return fmt.Errorf("wal segments %d..%d are missing; the log cannot reproduce the run", tail[i-1]+1, tail[i]-1)
-			}
-		}
-	}
-
 	// Replay the tail through applyWALRecord, the function that applied these
 	// records when they were live, so the rebuilt state is byte-identical to
 	// the pre-crash run — and a log that was serveable live never becomes
@@ -138,7 +111,18 @@ func (s *session) recoverLocked() error {
 		return aerr
 	})
 	s.replayedRecords.Add(st.Records)
-	if err != nil {
+	// The checkpoint GC deletes every WAL segment older than the newest
+	// checkpoint's replay start. If that checkpoint file is later corrupted,
+	// Latest falls back to an older one whose segments may be gone; with no
+	// readable checkpoint at all (every one corrupt, or of a payload version
+	// newer than this binary's) the log may no longer start at segment 1.
+	// Either way the log cannot reproduce the run: fail loudly.
+	switch {
+	case errors.Is(err, wal.ErrSegmentGone) && ok:
+		return fmt.Errorf("replay wal from segment %d (the checkpoint's replay start): %w — garbage-collected by a newer checkpoint that is no longer readable; restore from backup", fromSeg, err)
+	case errors.Is(err, wal.ErrSegmentGone):
+		return fmt.Errorf("no readable checkpoint, and the wal is incomplete (%w) — garbage-collected behind a checkpoint this binary cannot read (corrupt, or of a later payload version); restore from backup", err)
+	case err != nil:
 		return fmt.Errorf("replay wal: %w", err)
 	}
 	s.lastEpochsN = int64(r.Position().Epochs)

@@ -429,7 +429,7 @@ func copyDir(t *testing.T, src, dst string) {
 // computes for the same spec — never rows from a half-replayed history.
 func TestReplicaHistoryRegistrationWaitsForRecovery(t *testing.T) {
 	pDir, rDir := t.TempDir(), t.TempDir()
-	req, readings, locations := replRequest(t, 1, 1)
+	req, readings, locations := replRequest(t, 1)
 	// No checkpoint: the replica replays the whole log.
 	psv, err := New(Config{DataDir: pDir, CheckpointEvery: 1 << 20, Fsync: wal.SyncNever})
 	if err != nil {

@@ -156,7 +156,7 @@ func TestMultiSessionCrashRecovery(t *testing.T) {
 	trace, rByT, lByT, maxT := recoveryTrace(t)
 
 	// Reference: one uninterrupted, non-durable run.
-	_, refTS := startRecoveryServer(t, trace, 1, 1, "")
+	_, refTS := startRecoveryServer(t, trace, 1, "")
 	defer refTS.Close()
 	createTwoSessions(t, refTS.URL, trace)
 	ingestTwoSessions(t, refTS.URL, rByT, lByT, 0, maxT+1)
@@ -183,7 +183,7 @@ func TestMultiSessionCrashRecovery(t *testing.T) {
 		name := fmt.Sprintf("kill%d", kill)
 		dataDir := filepath.Join(t.TempDir(), name)
 
-		srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+		srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
 		createTwoSessions(t, tsA.URL, trace)
 		ingestTwoSessions(t, tsA.URL, rByT, lByT, 0, kill)
 		// Crash: no final seal, no final checkpoint, for ANY session.
@@ -200,7 +200,7 @@ func TestMultiSessionCrashRecovery(t *testing.T) {
 
 		// Recover: the new server rebuilds both sessions from their
 		// manifests before replaying their WALs.
-		srvB, tsB := startRecoveryServer(t, trace, 1, 1, dataDir)
+		srvB, tsB := startRecoveryServer(t, trace, 1, dataDir)
 		var list api.SessionList
 		if code := getJSON(t, tsB.URL+"/v1/sessions", &list); code != http.StatusOK || len(list.Sessions) != 3 {
 			t.Fatalf("%s: %d sessions after recovery, want 3 (default, wh, floor)", name, len(list.Sessions))
@@ -226,7 +226,7 @@ func TestSessionDeleteRemovesDurableState(t *testing.T) {
 	trace, rByT, lByT, _ := recoveryTrace(t)
 	dataDir := t.TempDir()
 
-	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
 	createTwoSessions(t, tsA.URL, trace)
 	ingestTwoSessions(t, tsA.URL, rByT, lByT, 0, 4)
 
@@ -245,7 +245,7 @@ func TestSessionDeleteRemovesDurableState(t *testing.T) {
 	tsA.Close()
 	srvA.Close()
 
-	srvB, tsB := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srvB, tsB := startRecoveryServer(t, trace, 1, dataDir)
 	defer func() { tsB.Close(); srvB.Close() }()
 	var list api.SessionList
 	getJSON(t, tsB.URL+"/v1/sessions", &list)
@@ -268,7 +268,7 @@ func TestRestoreIgnoresSessionLimit(t *testing.T) {
 	trace, _, _, _ := recoveryTrace(t)
 	dataDir := t.TempDir()
 
-	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
 	createTwoSessions(t, tsA.URL, trace) // wh + floor persisted
 	tsA.Close()
 	srvA.Close()

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -53,21 +54,20 @@ func recoveryTrace(t *testing.T) (*rfid.Trace, map[int][]rfid.Reading, map[int][
 }
 
 // recoveryRequest is the session the recovery tests share.
-func recoveryRequest(trace *rfid.Trace, workers, shards int) api.CreateSessionRequest {
+func recoveryRequest(trace *rfid.Trace, workers int) api.CreateSessionRequest {
 	return sessionRequest(trace.World, api.EngineConfig{
 		ObjectParticles: 120, ReaderParticles: 30, Seed: 21, HistoryEpochs: 256,
-		Workers: workers, ShardCount: shards,
+		Workers: workers,
 	})
 }
 
 // startRecoveryServer builds a server (durable when dataDir is non-empty)
 // hosting the recovery session and waits for it to be ready. On a restart the
 // session's manifest is first rewritten to the requested parallelism, so the
-// recovered engine is free to differ from the crashed one in Workers and
-// ShardCount.
-func startRecoveryServer(t *testing.T, trace *rfid.Trace, workers, shards int, dataDir string) (*Server, *httptest.Server) {
+// recovered engine is free to differ from the crashed one in Workers.
+func startRecoveryServer(t *testing.T, trace *rfid.Trace, workers int, dataDir string) (*Server, *httptest.Server) {
 	t.Helper()
-	req := recoveryRequest(trace, workers, shards)
+	req := recoveryRequest(trace, workers)
 	if sessionPersisted(dataDir, req.ID) {
 		putManifest(t, dataDir, req)
 	}
@@ -252,15 +252,15 @@ func getRaw(t *testing.T, url string) string {
 // subsystem: a server killed mid-ingest at a random epoch and recovered from
 // disk (newest checkpoint + WAL tail) finishes the stream with snapshots,
 // query results and time-travel reads byte-identical to a server that never
-// crashed — across the Workers x ShardCount matrix, with the recovered
-// process free to use a different parallelism than the crashed one.
+// crashed — across crashed x recovered Workers, the recovered process free to
+// use a different parallelism than the crashed one.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	trace, rByT, lByT, maxT := recoveryTrace(t)
 
 	// Reference: an uninterrupted non-durable serial run, with the record
 	// outcome mix where the crashing run has it (just before the kill).
 	reference := func(mixAt int) map[string]string {
-		srv, refTS := startRecoveryServer(t, trace, 1, 1, "")
+		srv, refTS := startRecoveryServer(t, trace, 1, "")
 		defer func() { refTS.Close(); srv.Close() }()
 		registerRecoveryQueries(t, refTS.URL)
 		ingestEpochs(t, refTS.URL, rByT, lByT, 0, mixAt)
@@ -273,15 +273,15 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(77))
-	for _, par := range []struct{ workers, shards int }{{1, 1}, {1, 8}, {4, 1}, {4, 8}} {
+	for _, par := range []struct{ workers, recovered int }{{1, 1}, {1, 4}, {4, 1}, {4, 2}} {
 		// One kill before the first checkpoint can exist (pure WAL replay)
 		// and one random later kill (checkpoint + tail replay).
 		kills := []int{1 + rng.Intn(5), 8 + rng.Intn(maxT-8)}
 		for _, kill := range kills {
-			name := fmt.Sprintf("w%d.s%d.kill%d", par.workers, par.shards, kill)
+			name := fmt.Sprintf("w%d.r%d.kill%d", par.workers, par.recovered, kill)
 			dataDir := filepath.Join(t.TempDir(), name)
 
-			srvA, tsA := startRecoveryServer(t, trace, par.workers, par.shards, dataDir)
+			srvA, tsA := startRecoveryServer(t, trace, par.workers, dataDir)
 			registerRecoveryQueries(t, tsA.URL)
 			ingestEpochs(t, tsA.URL, rByT, lByT, 0, kill)
 			recordOutcomeMix(t, tsA.URL, true)
@@ -289,9 +289,9 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			tsA.Close()
 			srvA.CloseNow()
 
-			// Recover with the matrix-transposed parallelism: checkpoints
-			// are portable across Workers/ShardCount.
-			srvB, tsB := startRecoveryServer(t, trace, par.shards, par.workers, dataDir)
+			// Recover with another parallelism: checkpoints are portable
+			// across Workers.
+			srvB, tsB := startRecoveryServer(t, trace, par.recovered, dataDir)
 			ingestEpochs(t, tsB.URL, rByT, lByT, kill, maxT+1)
 			if code := postJSON(t, tsB.URL+sessPath+"/flush", map[string]any{}, nil); code != http.StatusOK {
 				t.Fatalf("%s: flush: status %d", name, code)
@@ -340,13 +340,13 @@ func TestRecoveryRejectsForeignCheckpoint(t *testing.T) {
 	for name, makeForeign := range map[string]func(t *testing.T, dataDir string){
 		// A session rebuilt under a different seed has a different fingerprint.
 		"seed": func(t *testing.T, dataDir string) {
-			foreign := recoveryRequest(trace, 1, 1)
+			foreign := recoveryRequest(trace, 1)
 			foreign.Engine.Seed++
 			putManifest(t, dataDir, foreign)
 		},
 		// The approximate mode is gone, so its checkpoints must be refused.
 		"fastmath": func(t *testing.T, dataDir string) {
-			dir := filepath.Join(dataDir, "sessions", recoveryRequest(trace, 1, 1).ID)
+			dir := filepath.Join(dataDir, "sessions", recoveryRequest(trace, 1).ID)
 			_, snap, ok, err := checkpoint.Latest(dir)
 			if err != nil || !ok {
 				t.Fatalf("no checkpoint after graceful close (err %v)", err)
@@ -362,7 +362,7 @@ func TestRecoveryRejectsForeignCheckpoint(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dataDir := t.TempDir()
-			srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+			srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
 			ingestEpochs(t, tsA.URL, rByT, lByT, 0, 10)
 			tsA.Close()
 			srvA.Close() // graceful: writes a checkpoint
@@ -398,7 +398,7 @@ func TestRecoveryRejectsForeignCheckpoint(t *testing.T) {
 // GET /snapshot?epoch=N and history-mode query registration.
 func TestHistoryEndpointsAndQueries(t *testing.T) {
 	trace, rByT, lByT, maxT := recoveryTrace(t)
-	_, ts := startRecoveryServer(t, trace, 1, 1, "")
+	_, ts := startRecoveryServer(t, trace, 1, "")
 	defer ts.Close()
 	ingestEpochs(t, ts.URL, rByT, lByT, 0, maxT+1)
 	postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil)
@@ -453,7 +453,7 @@ func TestHistoryEndpointsAndQueries(t *testing.T) {
 func TestDurableMetricsExposed(t *testing.T) {
 	trace, rByT, lByT, _ := recoveryTrace(t)
 	dataDir := t.TempDir()
-	srv, ts := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srv, ts := startRecoveryServer(t, trace, 1, dataDir)
 	defer func() { ts.Close(); srv.Close() }()
 	ingestEpochs(t, ts.URL, rByT, lByT, 0, 10)
 	postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil)
@@ -505,19 +505,19 @@ func TestFlushWindowsReplay(t *testing.T) {
 	}
 
 	// Reference: uninterrupted run of the same sequence.
-	_, refTS := startRecoveryServer(t, trace, 1, 1, "")
+	_, refTS := startRecoveryServer(t, trace, 1, "")
 	defer refTS.Close()
 	sequence(refTS.URL)
 	want := getRaw(t, refTS.URL+sessPath+"/queries/q2/results?after=-1")
 
 	// Durable run: crash immediately after the windows flush, then recover.
 	dataDir := t.TempDir()
-	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
 	sequence(tsA.URL)
 	tsA.Close()
 	srvA.CloseNow()
 
-	srvB, tsB := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srvB, tsB := startRecoveryServer(t, trace, 1, dataDir)
 	defer func() { tsB.Close(); srvB.Close() }()
 	got := getRaw(t, tsB.URL+sessPath+"/queries/q2/results?after=-1")
 	if got != want {
@@ -618,7 +618,7 @@ func TestRecoveryDetectsWALGap(t *testing.T) {
 	trace, rByT, lByT, maxT := recoveryTrace(t)
 	dataDir := t.TempDir()
 
-	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
 	ingestEpochs(t, tsA.URL, rByT, lByT, 0, maxT+1) // several checkpoints at CheckpointEvery=7
 	tsA.Close()
 	srvA.CloseNow()
@@ -671,7 +671,7 @@ func TestRecoveryRefusesUnreadableCheckpoints(t *testing.T) {
 	trace, rByT, lByT, maxT := recoveryTrace(t)
 	dataDir := t.TempDir()
 
-	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
 	ingestEpochs(t, tsA.URL, rByT, lByT, 0, maxT+1)
 	tsA.Close()
 	srvA.CloseNow()
@@ -704,6 +704,54 @@ func TestRecoveryRefusesUnreadableCheckpoints(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no readable checkpoint") {
 		t.Fatalf("error does not say why: %v", err)
+	}
+}
+
+// TestManifestWithShardCountRestores pins that a session persisted while the
+// engine block still had a shard_count knob (the engine now derives its chunk
+// count from Workers) restores: encoding/json ignores the unknown field, and
+// the recovered session reads exactly as before the restart.
+func TestManifestWithShardCountRestores(t *testing.T) {
+	trace, rByT, lByT, _ := recoveryTrace(t)
+	dataDir := t.TempDir()
+	srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
+	registerRecoveryQueries(t, tsA.URL)
+	ingestEpochs(t, tsA.URL, rByT, lByT, 0, 10)
+	want := observedOutputs(t, tsA.URL)
+	tsA.Close()
+	srvA.Close()
+
+	path := filepath.Join(dataDir, "sessions", recoveryRequest(trace, 1).ID, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest map[string]any
+	if err := json.Unmarshal(data, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	manifest["engine"].(map[string]any)["shard_count"] = 8
+	if data, err = json.Marshal(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, err := New(Config{DataDir: dataDir, CheckpointEvery: 7, Fsync: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("New over a manifest with shard_count: %v", err)
+	}
+	defer srvB.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srvB.WaitReady(ctx); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	tsB := httptest.NewServer(srvB.Handler())
+	defer tsB.Close()
+	if got := observedOutputs(t, tsB.URL); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored session reads differently:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -762,7 +810,7 @@ func TestReadsWaitForRecovery(t *testing.T) {
 	dataDir := t.TempDir()
 
 	// Kill at epoch 12: a checkpoint at CheckpointEvery=7 plus a WAL tail.
-	srvA, tsA := startRecoveryServer(t, trace, 1, 1, dataDir)
+	srvA, tsA := startRecoveryServer(t, trace, 1, dataDir)
 	ingestEpochs(t, tsA.URL, rByT, lByT, 0, 12)
 	want := getRaw(t, tsA.URL+sessPath+"/snapshot")
 	var over api.SnapshotOverview

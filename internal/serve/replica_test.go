@@ -20,10 +20,10 @@ import (
 )
 
 // replRequest describes the fixed session every node in the replication tests
-// runs — only the parallelism knobs (Workers, ShardCount) vary, which the
-// state fingerprint and checkpoint encoding are deliberately independent of —
+// runs — only the parallelism knob (Workers) varies, which the state
+// fingerprint and checkpoint encoding are deliberately independent of —
 // and returns it with the raw streams the primary ingests.
-func replRequest(t *testing.T, workers, shards int) (api.CreateSessionRequest, []rfid.Reading, []rfid.LocationReport) {
+func replRequest(t *testing.T, workers int) (api.CreateSessionRequest, []rfid.Reading, []rfid.LocationReport) {
 	t.Helper()
 	simCfg := rfid.DefaultWarehouseConfig()
 	simCfg.NumObjects = 6
@@ -35,14 +35,14 @@ func replRequest(t *testing.T, workers, shards int) (api.CreateSessionRequest, [
 	}
 	req := sessionRequest(trace.World, api.EngineConfig{
 		ObjectParticles: 150, ReaderParticles: 40, Seed: 9, HoldEpochs: 1, HistoryEpochs: 64,
-		Workers: workers, ShardCount: shards,
+		Workers: workers,
 	})
 	readings, locations := rfid.RawStreams(trace)
 	return req, readings, locations
 }
 
 // TestReplicaConvergesAcrossTransposition is the tentpole property: a fresh
-// replica joining mid-run — with TRANSPOSED Workers/ShardCount — bootstraps
+// replica joining mid-run — with a different Workers — bootstraps
 // from the primary's newest checkpoint, tails the shipped WAL and converges to
 // byte-identical externally visible state, byte-identical checkpoint files and
 // byte-identical WAL segments; then a promotion turns it into a serving
@@ -50,7 +50,7 @@ func replRequest(t *testing.T, workers, shards int) (api.CreateSessionRequest, [
 func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	pDir, rDir := t.TempDir(), t.TempDir()
 
-	pReq, readings, locations := replRequest(t, 1, 2)
+	pReq, readings, locations := replRequest(t, 1)
 	psv, err := New(Config{
 		DataDir: pDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
 		IngestWait: 5 * time.Second,
@@ -83,7 +83,7 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 	// holds the session's manifest under its own knobs, so the primary's
 	// announcement re-bootstraps the existing session instead of creating it
 	// from the shipped manifest.
-	rReq, _, _ := replRequest(t, 4, 8)
+	rReq, _, _ := replRequest(t, 4)
 	putManifest(t, rDir, rReq)
 	rsv, err := New(Config{
 		DataDir: rDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
@@ -207,7 +207,7 @@ func TestReplicaConvergesAcrossTransposition(t *testing.T) {
 // there — a replica accounts an applied record as the primary does, waking
 // readers included — instead of sleeping out its wait.
 func TestReplicaLongPollWakesOnRemoval(t *testing.T) {
-	pReq, _, _ := replRequest(t, 1, 1)
+	pReq, _, _ := replRequest(t, 1)
 	psv, err := New(Config{DataDir: t.TempDir(), Fsync: wal.SyncAlways})
 	if err != nil {
 		t.Fatalf("primary New: %v", err)
@@ -271,7 +271,7 @@ func TestReplicaResumeAfterRestart(t *testing.T) {
 	}{{"restart", true}, {"link-cut", false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			pDir, rDir := t.TempDir(), t.TempDir()
-			pReq, readings, locations := replRequest(t, 2, 4)
+			pReq, readings, locations := replRequest(t, 2)
 			psv, err := New(Config{
 				DataDir: pDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
 				IngestWait: 5 * time.Second,
@@ -288,7 +288,7 @@ func TestReplicaResumeAfterRestart(t *testing.T) {
 			primaryAddr := pts.Listener.Addr().String()
 
 			newReplica := func() (*Server, *httptest.Server) {
-				rReq, _, _ := replRequest(t, 1, 2)
+				rReq, _, _ := replRequest(t, 1)
 				putManifest(t, rDir, rReq)
 				rsv, err := New(Config{
 					DataDir: rDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
@@ -461,7 +461,7 @@ func TestCloseNowReleasesReplicaFiles(t *testing.T) {
 		t.Skip("no /proc/self/fd to list open files in")
 	}
 	pDir, rDir := t.TempDir(), t.TempDir()
-	pReq, readings, locations := replRequest(t, 1, 1)
+	pReq, readings, locations := replRequest(t, 1)
 	psv, err := New(Config{
 		DataDir: pDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,
 		IngestWait: 5 * time.Second,
@@ -482,7 +482,7 @@ func TestCloseNowReleasesReplicaFiles(t *testing.T) {
 		t.Fatalf("flush: status %d", code)
 	}
 
-	rReq, _, _ := replRequest(t, 1, 1)
+	rReq, _, _ := replRequest(t, 1)
 	putManifest(t, rDir, rReq)
 	rsv, err := New(Config{
 		DataDir: rDir, CheckpointEvery: 4, Fsync: wal.SyncAlways,

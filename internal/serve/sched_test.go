@@ -21,21 +21,21 @@ import (
 // session's work runs, never WHAT it computes — snapshots, query results and
 // history reads stay byte-identical to a single-worker, never-evicted run,
 // for any worker-pool size and any eviction points, across the engine's
-// Workers × ShardCount parallelism matrix.
+// Workers parallelism range.
 
 // matrixSessions is the session matrix the determinism tests create: one
-// durable synthetic-floor session per engine (Workers, ShardCount) cell, plus
+// durable synthetic-floor session per engine Workers value, plus
 // one whose id is "default" — evicted and hydrated like the rest, where older
 // servers kept a built-in session of that name resident forever.
 var matrixSessions = []struct {
-	id              string
-	workers, shards int
+	id      string
+	workers int
 }{
-	{"m-w1-s1", 1, 1},
-	{"m-w1-s8", 1, 8},
-	{"m-w4-s1", 4, 1},
-	{"m-w4-s8", 4, 8},
-	{"default", 2, 4},
+	{"m-w1", 1},
+	{"m-w2", 2},
+	{"m-w4", 4},
+	{"m-w8", 8},
+	{"default", 3},
 }
 
 // startDensityServer boots a durable server with the given scheduler pool
@@ -62,7 +62,7 @@ func startDensityServer(t *testing.T, dataDir string, schedWorkers, maxResident 
 	return srv, httptest.NewServer(srv.Handler())
 }
 
-// createMatrixSessions creates the Workers × ShardCount session matrix and
+// createMatrixSessions creates the Workers session matrix and
 // registers the standard query pair on each.
 func createMatrixSessions(t *testing.T, url string) {
 	t.Helper()
@@ -73,7 +73,7 @@ func createMatrixSessions(t *testing.T, url string) {
 			Synthetic: &api.SyntheticWorld{FloorX: 20, FloorY: 20, FloorZ: 6},
 			Engine: &api.EngineConfig{
 				ObjectParticles: 40, ReaderParticles: 12,
-				Seed: int64(101 + i), Workers: m.workers, ShardCount: m.shards,
+				Seed: int64(101 + i), Workers: m.workers,
 				HistoryEpochs: 16,
 			},
 		}
@@ -193,7 +193,7 @@ func matrixReference(t *testing.T, epochs int) map[string]string {
 // TestSchedulerEvictionDeterminism is the tentpole property: N sessions ×
 // random worker-pool sizes × random eviction points produce outputs
 // byte-identical to the single-worker never-evicted reference, across the
-// engine Workers {1,4} × ShardCount {1,8} matrix. Every trial forces
+// engine Workers range {1,2,3,4,8}. Every trial forces
 // evictions mid-stream, so each continuation runs evict → hydrate → ingest
 // repeatedly before the final comparison.
 func TestSchedulerEvictionDeterminism(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // exactly json.Unmarshal's value.
 func TestSnapshotBodiesMatchEncodingJSON(t *testing.T) {
 	trace, rByT, lByT, maxT := recoveryTrace(t)
-	srv, ts := startRecoveryServer(t, trace, 1, 1, "")
+	srv, ts := startRecoveryServer(t, trace, 1, "")
 	defer func() { ts.Close(); srv.Close() }()
 	ingestEpochs(t, ts.URL, rByT, lByT, 0, maxT+1)
 	postJSON(t, ts.URL+sessPath+"/flush", map[string]any{}, nil)

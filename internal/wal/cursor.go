@@ -1,12 +1,13 @@
 package wal
 
-// Cursor is the read side of WAL shipping: a tailing reader over a live log
-// directory that a primary uses to stream records to followers. Unlike Replay
-// (a one-shot pass over a quiescent log at recovery), a cursor coexists with a
-// concurrent appender: it reads with positional reads on its own descriptors,
-// reports "nothing more right now" as io.EOF, and resumes from an exact
-// (segment, offset) position — the same coordinates the replication protocol
-// carries in hellos and acks.
+// Cursor is the one reader of segment bytes. WAL shipping uses it as a tailing
+// reader over a live log directory, streaming records to followers; Replay
+// runs one to the end of a quiescent log at recovery; and Open's torn-tail
+// trim cuts the newest segment back to where one stops. A cursor coexists
+// with a concurrent appender: it reads with positional reads on its own
+// descriptors, reports "nothing more right now" as io.EOF, and resumes from
+// an exact (segment, offset) position — the same coordinates the replication
+// protocol carries in hellos and acks.
 //
 // Concurrency model: the appender writes each frame with a single write call
 // and only ever appends to the highest-numbered segment. The cursor therefore
@@ -38,10 +39,11 @@ import (
 )
 
 // ErrSegmentGone reports that the cursor's position (or a segment between it
-// and the newest) was garbage-collected by the checkpointing path. The log no
-// longer contains every record after the cursor, so a follower cannot catch up
-// by tailing — it must re-bootstrap from a newer checkpoint.
-var ErrSegmentGone = errors.New("wal: cursor segment garbage-collected")
+// and the newest) was garbage-collected by the checkpointing path; errors
+// wrapping it name the missing segments. The log no longer contains every
+// record after the cursor, so a follower cannot catch up by tailing — it must
+// re-bootstrap from a newer checkpoint — and recovery cannot replay the run.
+var ErrSegmentGone = errors.New("wal: segment gone")
 
 // errStall is the internal "cannot read a whole valid frame here" signal —
 // clean end of data, short frame, CRC mismatch and garbage length prefix all
@@ -52,12 +54,6 @@ var errStall = errors.New("wal: frame stall")
 // payload. WAL frames are far smaller (the ingest surface caps bodies at
 // 8 MiB); a prefix beyond this is mid-write garbage, not a frame.
 const maxCursorFrame = 64 << 20
-
-// DecodeRecord parses a record payload (frame contents, without framing). It
-// is the exported form of the codec Replay uses, for callers that receive
-// payload bytes out of band — the replication apply path. It never panics on
-// arbitrary bytes.
-func DecodeRecord(payload []byte) (Record, error) { return decodeRecord(payload) }
 
 // Cursor is a tailing reader positioned in a log directory. Not safe for
 // concurrent use by multiple goroutines, but safe to run against a directory
@@ -121,7 +117,7 @@ func (c *Cursor) Next() (Record, []byte, error) {
 	if err != nil {
 		return Record{}, nil, err
 	}
-	rec, err := decodeRecord(payload)
+	rec, err := DecodeRecord(payload)
 	if err != nil {
 		// The CRC matched, so these bytes were written whole: this is
 		// corruption or a format bug, never a write in flight.
@@ -157,7 +153,7 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 					return nil, serr
 				}
 				if hasNewer {
-					return nil, ErrSegmentGone
+					return nil, fmt.Errorf("%w: segment %d is missing", ErrSegmentGone, c.seg)
 				}
 				return nil, io.EOF
 			}
@@ -200,7 +196,7 @@ func (c *Cursor) nextFrame() ([]byte, error) {
 			return nil, fmt.Errorf("wal: cursor: segment %d: bad frame at offset %d of %d bytes", c.seg, c.off, fi.Size())
 		}
 		if next != c.seg+1 {
-			return nil, ErrSegmentGone
+			return nil, fmt.Errorf("%w: segments %d..%d are missing", ErrSegmentGone, c.seg+1, next-1)
 		}
 		c.f.Close()
 		c.f = nil

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/geom"
@@ -22,10 +25,14 @@ func frame(payload []byte) []byte {
 	return append(hdr[:], payload...)
 }
 
-// FuzzWALDecode hardens the replay surface: an arbitrary segment image must
-// never panic the scanner — whatever a crash, bit rot or an attacker leaves
-// in the data directory surfaces as a torn tail or an error. Valid prefixes
-// additionally satisfy the round-trip property via the seeded corpus.
+// FuzzWALDecode hardens the one segment reader: an arbitrary segment image
+// must never panic it — whatever a crash, bit rot or an attacker leaves in
+// the data directory surfaces as a clean stop or an error. The image is read
+// twice. As the newest segment, a cursor delivers exactly the whole frames it
+// starts with and stops cleanly at a torn tail; it may fail only on a wrong
+// magic or on a CRC-valid frame that is not a record. As a finished segment
+// (an empty segment follows it), Replay must fail on any byte after the last
+// whole frame, never end silently there.
 func FuzzWALDecode(f *testing.F) {
 	// Seed with a valid segment image, a truncation and raw noise.
 	valid := []byte(segMagic)
@@ -45,15 +52,49 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, tail := range []bool{true, false} {
-			n, torn, err := replaySegment(data, tail, func(Record) error { return nil })
-			if n < 0 {
-				t.Fatal("negative record count")
+		newest, finished := t.TempDir(), t.TempDir()
+		for _, w := range []struct {
+			dir  string
+			seg  uint64
+			data []byte
+		}{{newest, 1, data}, {finished, 1, data}, {finished, 2, []byte(segMagic)}} {
+			if err := os.WriteFile(filepath.Join(w.dir, segName(w.seg)), w.data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if !tail && torn {
-				t.Fatal("non-tail segment reported torn")
+		}
+
+		c, _ := OpenCursor(newest, 1, 0)
+		defer c.Close()
+		var whole []byte
+		records := 0
+		var err error
+		for err == nil {
+			var payload []byte
+			if _, payload, err = c.Next(); err == nil {
+				whole = append(whole, frame(payload)...)
+				records++
 			}
-			_ = err
+		}
+		badMagic := len(data) >= len(segMagic) && string(data[:len(segMagic)]) != segMagic
+		_, end := c.Pos()
+		if err != io.EOF && !badMagic {
+			// The only other failure is a whole frame that is not a record.
+			_, start := c.RecordPos()
+			payload := data[start+8 : end]
+			if _, derr := DecodeRecord(payload); derr == nil || !bytes.Equal(frame(payload), data[start:end]) {
+				t.Fatalf("newest segment: %v, not at a whole undecodable frame", err)
+			}
+		}
+		if err == io.EOF && len(data) >= len(segMagic) && !bytes.Equal(whole, data[HeaderLen:end]) {
+			t.Fatalf("newest segment: delivered frames are not the image's first %d bytes", end)
+		}
+
+		st, rerr := Replay(finished, 0, func(Record) error { return nil })
+		if clean := err == io.EOF && int(end) == len(data); clean != (rerr == nil) {
+			t.Fatalf("finished segment of %d bytes, whole frames to %d (newest: %v): replay error %v", len(data), end, err, rerr)
+		}
+		if rerr == nil && st.Records != records {
+			t.Fatalf("finished segment replayed %d records, newest %d", st.Records, records)
 		}
 	})
 }
@@ -72,12 +113,12 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{9})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		rec, err := decodeRecord(payload)
+		rec, err := DecodeRecord(payload)
 		if err != nil {
 			return
 		}
 		enc := rec.encode()
-		again, err := decodeRecord(enc)
+		again, err := DecodeRecord(enc)
 		if err != nil {
 			t.Fatalf("re-encoding an accepted record fails to decode: %v", err)
 		}

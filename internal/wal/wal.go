@@ -12,27 +12,30 @@
 // encoded identically whether it arrived over HTTP, over a stream, or is
 // being logged. Only the highest-numbered segment is ever open for writing,
 // so a crash can tear at most the tail of the newest segment; replay treats a
-// torn tail as a clean end of log and reports it, while corruption anywhere
-// else is surfaced as an error. The fsync policy is configurable: every
-// append (strongest), periodic (bounded loss window) or never (leave flushing
-// to the OS).
+// torn tail as a clean end of log, while corruption anywhere else, and a
+// segment missing from the sequence, is surfaced as an error. The fsync
+// policy is configurable: every append (strongest), periodic (bounded loss
+// window) or never (leave flushing to the OS).
 //
 // One segment writer, Log, serves both ends of WAL shipping: a primary's log
 // appends its own records (Open, Append), a follower's mirror writes the
 // primary's shipped records at the positions they hold there (OpenMirror,
-// AppendAt), and both share rotation, fsync, Close and GC. Every reader —
-// Replay, the tailing Cursor, the torn-tail trim — checks frames with
-// wire.NextFrame.
+// AppendAt), and both share rotation, fsync, Close and GC. One reader, Cursor,
+// reads segment bytes: shipping tails the live log with it, Replay is a cursor
+// run to the end of a quiescent log, and the torn-tail trim at Open and
+// OpenMirror cuts the newest segment back to where a cursor stops in it.
 package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/geom"
 	"repro/internal/stream"
 	"repro/rfid/wire"
@@ -156,9 +159,11 @@ func (r Record) encode() []byte {
 	return e.Bytes()
 }
 
-// decodeRecord parses a record payload. It never panics on arbitrary bytes
-// (pinned by FuzzWALDecode).
-func decodeRecord(payload []byte) (Record, error) {
+// DecodeRecord parses a record payload (frame contents, without framing):
+// the codec Cursor.Next applies to each frame, exported for the replication
+// apply path, which receives payload bytes out of band. It never panics on
+// arbitrary bytes (pinned by FuzzRecordDecode).
+func DecodeRecord(payload []byte) (Record, error) {
 	var d wire.Decoder
 	d.Reset(payload)
 	var r Record
@@ -392,21 +397,24 @@ func OpenMirror(dir string, opts Options) (*Log, error) {
 }
 
 // trimTornTail cuts segment seg of the log in dir back to its whole-frame
-// prefix, discarding any tail torn by a crash, and returns the file open for
-// writing at its new end. A segment shorter than its header (a crash inside
-// segment creation) gets the header rebuilt, so the file is a well-formed
-// empty segment again. A segment that changed is fsynced before the return.
+// prefix — where a cursor reading it as the newest segment stops — discarding
+// any tail torn by a crash, and returns the file open for writing at its new
+// end. A segment shorter than its header (a crash inside segment creation)
+// gets the header rebuilt, so the file is a well-formed empty segment again;
+// a wrong magic is an error. A segment that changed is fsynced before the
+// return.
 func trimTornTail(dir string, seg uint64) (*os.File, int64, error) {
-	path := filepath.Join(dir, segName(seg))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: read segment %d: %w", seg, err)
+	c, _ := OpenCursor(dir, seg, HeaderLen)
+	var err error
+	for err == nil {
+		_, err = c.nextFrame()
 	}
-	valid, err := validFrameLength(data)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: segment %d: %w", seg, err)
+	c.Close()
+	if err != io.EOF {
+		return nil, 0, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	_, valid := c.Pos()
+	f, err := os.OpenFile(filepath.Join(dir, segName(seg)), os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: open segment %d: %w", seg, err)
 	}
@@ -414,48 +422,31 @@ func trimTornTail(dir string, seg uint64) (*os.File, int64, error) {
 		f.Close()
 		return nil, 0, fmt.Errorf("wal: %s segment %d: %w", op, seg, err)
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fail("stat", err)
+	}
+	if fi.Size() < HeaderLen {
+		valid = 0
+	}
 	if err := f.Truncate(valid); err != nil {
 		return fail("truncate", err)
 	}
 	if _, err := f.Seek(valid, 0); err != nil {
 		return fail("seek", err)
 	}
-	changed := valid != int64(len(data))
-	if valid < HeaderLen {
+	if valid == 0 {
 		if _, err := f.Write([]byte(segMagic)); err != nil {
 			return fail("rewrite header of", err)
 		}
-		valid, changed = HeaderLen, true
+		valid = HeaderLen
 	}
-	if changed {
+	if valid != fi.Size() {
 		if err := f.Sync(); err != nil {
 			return fail("fsync", err)
 		}
 	}
 	return f, valid, nil
-}
-
-// validFrameLength scans a segment image and returns the byte length of its
-// whole-frame prefix (header included). A torn or short tail is simply where
-// the valid prefix ends; only a wrong magic — bytes that were written whole
-// but are not a segment — is an error. A file shorter than the magic (a crash
-// inside segment creation) reports 0, and trimTornTail rebuilds the header.
-func validFrameLength(data []byte) (int64, error) {
-	if len(data) < len(segMagic) {
-		return 0, nil
-	}
-	if string(data[:len(segMagic)]) != segMagic {
-		return 0, fmt.Errorf("bad segment magic")
-	}
-	rest := data[len(segMagic):]
-	for len(rest) > 0 {
-		_, next, err := wire.NextFrame(rest)
-		if err != nil {
-			break
-		}
-		rest = next
-	}
-	return int64(len(data) - len(rest)), nil
 }
 
 // Resume reopens segment seq of the log in dir for appends at byte size: the
@@ -523,7 +514,7 @@ func (l *Log) openSegment(seq uint64, mode int) error {
 	l.seq = seq
 	l.size = HeaderLen
 	l.stats.Segment = seq
-	syncDir(l.dir)
+	checkpoint.SyncDir(l.dir)
 	return nil
 }
 
@@ -691,96 +682,43 @@ func (l *Log) Close() error {
 	return closeErr
 }
 
-// syncDir fsyncs the log directory so segment creation survives power loss;
-// best-effort.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
-
 // ReplayStats summarizes one replay pass.
 type ReplayStats struct {
 	// Records is the number of records delivered to the callback.
 	Records int
-	// Segments is the number of segment files visited.
-	Segments int
-	// Torn reports that the final segment ended in a partial or
-	// CRC-mismatched frame — the expected signature of a crash mid-append —
-	// and replay stopped cleanly there.
-	Torn bool
 }
 
-// Replay reads every segment with sequence >= fromSeg in order and invokes fn
-// for each decoded record. A torn tail in the final segment ends the replay
-// cleanly (see ReplayStats.Torn); malformed bytes anywhere else are an error,
-// as is a callback error (returned immediately).
+// Replay reads the log in dir from the start of segment fromSeg (0: the
+// oldest segment present) to its end with a Cursor and invokes fn for each
+// record. The log must be quiescent, so where the cursor would wait — a torn
+// tail in the newest segment — the replay ends cleanly. Malformed bytes
+// anywhere else are an error, as is a callback error (returned immediately).
+// A segment missing from the sequence is ErrSegmentGone, including fromSeg
+// itself when only older segments remain, which a tailing cursor takes for a
+// segment not yet created.
 func Replay(dir string, fromSeg uint64, fn func(Record) error) (ReplayStats, error) {
 	var st ReplayStats
-	segs, err := Segments(dir)
-	if err != nil {
-		return st, err
-	}
-	for i, seq := range segs {
-		if seq < fromSeg {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
-		if err != nil {
-			return st, fmt.Errorf("wal: read segment %d: %w", seq, err)
-		}
-		st.Segments++
-		tail := i == len(segs)-1
-		n, torn, err := replaySegment(data, tail, fn)
-		st.Records += n
-		if err != nil {
-			return st, fmt.Errorf("wal: segment %d: %w", seq, err)
-		}
-		if torn {
-			st.Torn = true
+	c, _ := OpenCursor(dir, fromSeg, HeaderLen)
+	defer c.Close()
+	for {
+		rec, _, err := c.Next()
+		if err == io.EOF {
 			break
 		}
-	}
-	return st, nil
-}
-
-// replaySegment decodes one segment image. When tail is true, a partial or
-// corrupt frame ends the scan cleanly (torn == true); otherwise it is an
-// error. It never panics on arbitrary bytes (pinned by FuzzWALDecode).
-func replaySegment(data []byte, tail bool, fn func(Record) error) (records int, torn bool, err error) {
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		if tail && len(data) < len(segMagic) {
-			// A crash immediately after segment creation can leave a short
-			// header; treat it as an empty torn tail rather than corruption.
-			return 0, true, nil
-		}
-		return 0, false, fmt.Errorf("bad segment magic")
-	}
-	rest := data[len(segMagic):]
-	for len(rest) > 0 {
-		off := len(data) - len(rest)
-		payload, next, err := wire.NextFrame(rest)
 		if err != nil {
-			// Both framing failures (a cut-short frame and a CRC mismatch)
-			// are the expected signatures of a crash mid-append in the tail
-			// segment; anywhere else they are corruption.
-			if tail {
-				return records, true, nil
-			}
-			return records, false, fmt.Errorf("bad frame at offset %d: %w", off, err)
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			// The CRC matched, so these bytes were written whole: this is
-			// corruption or a format bug, not a torn tail.
-			return records, false, err
+			return st, err
 		}
 		if err := fn(rec); err != nil {
-			return records, false, err
+			return st, err
 		}
-		records++
-		rest = next
+		st.Records++
 	}
-	return records, false, nil
+	if c.f != nil || fromSeg == 0 {
+		return st, nil // the cursor found its start segment
+	}
+	segs, err := Segments(dir)
+	if err != nil || len(segs) == 0 {
+		return st, err
+	}
+	return st, fmt.Errorf("%w: segment %d is missing, the log ends at segment %d", ErrSegmentGone, fromSeg, segs[len(segs)-1])
 }

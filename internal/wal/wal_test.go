@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,7 +59,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, recs)
 	}
-	if st.Torn || st.Records != len(recs) || st.Segments != 1 {
+	if st.Records != len(recs) {
 		t.Fatalf("unexpected replay stats %+v", st)
 	}
 
@@ -163,10 +164,7 @@ func TestTornTailStopsCleanly(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, st := replayAll(t, dir, 0)
-	if !st.Torn {
-		t.Fatal("torn tail not reported")
-	}
+	got, _ := replayAll(t, dir, 0)
 	if !reflect.DeepEqual(got, recs[:len(recs)-1]) {
 		t.Fatalf("torn replay delivered %+v", got)
 	}
@@ -216,10 +214,7 @@ func TestOpenTrimsTornTail(t *testing.T) {
 			if err := os.WriteFile(path, tear(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			survived, st := replayAll(t, dir, 0)
-			if !st.Torn {
-				t.Fatal("first recovery did not see the torn tail")
-			}
+			survived, _ := replayAll(t, dir, 0)
 
 			l2, err := Open(dir, Options{Sync: SyncNever})
 			if err != nil {
@@ -229,10 +224,10 @@ func TestOpenTrimsTornTail(t *testing.T) {
 			if err := l2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			got, st := replayAll(t, dir, 0)
+			got, _ := replayAll(t, dir, 0)
 			want := append(append([]Record(nil), survived...), recs[2:]...)
-			if st.Torn || !reflect.DeepEqual(got, want) {
-				t.Fatalf("second recovery replayed %+v (stats %+v), want %+v", got, st, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("second recovery replayed %+v, want %+v", got, want)
 			}
 		})
 	}
@@ -276,18 +271,18 @@ func TestResume(t *testing.T) {
 		if segs, _ := Segments(dir); !reflect.DeepEqual(segs, []uint64{seq}) {
 			t.Fatalf("segments after resume: %v, want [%d]", segs, seq)
 		}
-		got, st := replayAll(t, dir, 0)
-		if !reflect.DeepEqual(got, recs) || st.Torn {
-			t.Fatalf("replay after resume: %+v (stats %+v)", got, st)
+		got, _ := replayAll(t, dir, 0)
+		if !reflect.DeepEqual(got, recs) {
+			t.Fatalf("replay after resume: %+v", got)
 		}
 		// A resumed log tears like any other: cut the last frame short.
 		path := filepath.Join(dir, segName(seq))
 		if err := os.Truncate(path, end-2); err != nil {
 			t.Fatal(err)
 		}
-		got, st = replayAll(t, dir, 0)
-		if !st.Torn || !reflect.DeepEqual(got, recs[:len(recs)-1]) {
-			t.Fatalf("torn replay after resume: %+v (stats %+v)", got, st)
+		got, _ = replayAll(t, dir, 0)
+		if !reflect.DeepEqual(got, recs[:len(recs)-1]) {
+			t.Fatalf("torn replay after resume: %+v", got)
 		}
 	})
 
@@ -377,5 +372,58 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 	if _, err := l.Rotate(); err == nil {
 		t.Fatal("rotate on closed log succeeded")
+	}
+}
+
+// TestReplayRefusesMissingSegments pins that a replay never skips a segment
+// that is not on disk: a start segment garbage-collected under newer ones, a
+// gap inside the log, and a start segment absent while only older segments
+// remain all fail with ErrSegmentGone. A start segment in a directory with no
+// segment at all is an empty log.
+func TestReplayRefusesMissingSegments(t *testing.T) {
+	// logWith writes segments 1..4, one record each, and removes gone.
+	logWith := func(t *testing.T, gone ...uint64) string {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if i > 0 {
+				if _, err := l.Rotate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appendAll(t, l, []Record{{Type: RecSeal, UpTo: i}})
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range gone {
+			if err := os.Remove(filepath.Join(dir, segName(seg))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	for _, tc := range []struct {
+		name string
+		gone []uint64
+		from uint64
+	}{
+		{"start collected", []uint64{1, 2}, 1},
+		{"gap", []uint64{3}, 1},
+		{"only older remain", []uint64{4}, 4},
+		{"beyond the end", nil, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Replay(logWith(t, tc.gone...), tc.from, func(Record) error { return nil })
+			if !errors.Is(err, ErrSegmentGone) {
+				t.Fatalf("replay from %d with segments %v removed: %v, want ErrSegmentGone", tc.from, tc.gone, err)
+			}
+		})
+	}
+	if st, err := Replay(t.TempDir(), 3, func(Record) error { return nil }); err != nil || st.Records != 0 {
+		t.Fatalf("replay of an empty directory: %+v, %v", st, err)
 	}
 }

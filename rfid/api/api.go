@@ -162,11 +162,6 @@ type EngineConfig struct {
 	// per-object work out to (0 = one per CPU, 1 = inline). The output is
 	// byte-identical for any worker count.
 	Workers int `json:"workers,omitempty"`
-	// ShardCount is the number of contiguous chunks the engine splits each
-	// epoch's object steps into for its workers (0 = engine default,
-	// max(8, 4*Workers)). Like Workers, it changes only how the work is
-	// parallelized, never the output.
-	ShardCount int `json:"shard_count,omitempty"`
 	// Seed seeds all random choices of the session's engine.
 	Seed int64 `json:"seed,omitempty"`
 	// HoldEpochs is the lateness slack before an epoch is sealed.

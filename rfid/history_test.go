@@ -223,7 +223,7 @@ func TestHistoryMatchesSnapshotEverything(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := variants[name](base)
 			parallel := cfg
-			parallel.Workers, parallel.ShardCount = 4, 8
+			parallel.Workers = 4
 			full := RunnerConfig{HistoryEpochs: capacity}
 			newRunner := func(c Config, rc RunnerConfig) *Runner {
 				r, err := NewRunner(c, rc)

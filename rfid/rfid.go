@@ -201,7 +201,7 @@ func (p *Pipeline) Particles() int { return p.eng.ParticleCount() }
 // Fingerprint returns the stable hash of the pipeline's effective
 // configuration. Checkpoints record it so that restore can refuse state
 // produced under different model parameters (which would silently diverge
-// rather than fail). Worker and shard counts are excluded — checkpoints are
+// rather than fail). The worker count is excluded — checkpoints are
 // portable across parallelism settings.
 func (p *Pipeline) Fingerprint() uint64 { return p.eng.Fingerprint() }
 

@@ -79,7 +79,6 @@ func TestRunnerCheckpointRestoreEquivalence(t *testing.T) {
 
 	shardedCfg := cfg
 	shardedCfg.Workers = 4
-	shardedCfg.ShardCount = 8
 	b, err := rfid.NewRunner(shardedCfg, rfid.RunnerConfig{HistoryEpochs: 64})
 	if err != nil {
 		t.Fatal(err)
