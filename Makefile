@@ -31,12 +31,13 @@ test:
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Sensor-kernel check: the scalar body, which CPUs without AVX2 and FMA and
-# every other GOARCH run, passes the sensor tests on its own (-tags purego
-# leaves the amd64 assembly out), and the packages that call it vet on a
+# Sensor-kernel check: the scalar bodies, which CPUs without AVX2 and FMA and
+# every other GOARCH run, pass the sensor tests and the filter and random
+# source tests (the scalar weight normalisation) on their own (-tags purego
+# leaves the amd64 assembly out), and the packages that call them vet on a
 # GOARCH without the assembly. `make vet`'s asmdecl pass covers the .s file.
 kernel-check:
-	$(GO) test -tags purego ./internal/sensor/
+	$(GO) test -tags purego ./internal/sensor/ ./internal/factored/ ./internal/rng/
 	GOARCH=arm64 $(GO) vet ./internal/sensor/ ./internal/factored/
 
 # Race gate over the packages with concurrent code paths (the engine's
@@ -111,7 +112,8 @@ cover:
 # round-trip regressions on the untrusted-input surfaces (CSV trace codecs,
 # JSON query specs, registry checkpoints, WAL segments and checkpoint files, wire frames, the SDK's
 # snapshot-body decoder) without the cost of a long campaign, and any lane
-# where the SIMD sensor kernel and its scalar reference disagree.
+# where a SIMD sensor kernel body (the weighting, the shifted exp) and its
+# scalar reference disagree.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeReading$$' -fuzztime=15s -run '^$$' ./internal/stream
 	$(GO) test -fuzz='^FuzzDecodeLocation$$' -fuzztime=10s -run '^$$' ./internal/stream
@@ -125,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzWireBatch$$' -fuzztime=10s -run '^$$' ./rfid/wire
 	$(GO) test -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s -run '^$$' ./rfid/api
 	$(GO) test -fuzz='^FuzzAccumLogObs$$' -fuzztime=10s -run '^$$' ./internal/sensor
+	$(GO) test -fuzz='^FuzzExpShifted$$' -fuzztime=10s -run '^$$' ./internal/sensor
 
 # Godoc gate: every package (and command) must carry a package doc comment —
 # a comment block immediately above its package clause in at least one

@@ -134,6 +134,34 @@ func BenchmarkStepObject(b *testing.B) {
 	}
 }
 
+// BenchmarkFreshBeliefStep times a fresh belief's first step — its stream
+// derived and seeded, its columns allocated, its particles drawn from the
+// initialization cone — at the stream-dense workload's engine shape: 100
+// reader particles and 25 per object.
+func BenchmarkFreshBeliefStep(b *testing.B) {
+	f := New(Config{
+		NumReaderParticles: 100,
+		NumObjectParticles: 25,
+		Params:             testParams(),
+		World:              testWorld(),
+		UseMotionModel:     true,
+		Seed:               42,
+	})
+	ep := stream.NewEpoch(0)
+	ep.HasPose, ep.ReportedPose = true, geom.P(-1.5, 5, 0, 0)
+	ep.Observed["shelf-000"] = true
+	f.Step(ep, nil)
+	ids := make([]stream.TagID, 1024)
+	for i := range ids {
+		ids[i] = stream.TagID(fmt.Sprintf("fresh-%04d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.initParticles(&ObjectBelief{ID: ids[i%len(ids)]}, f.cfg.NumObjectParticles, 0)
+	}
+}
+
 // BenchmarkEpoch measures a full serial epoch (prologue, all object steps,
 // epilogue) over a steady-state population of 16 objects.
 func BenchmarkEpoch(b *testing.B) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/rng"
 	"repro/internal/scratch"
+	"repro/internal/sensor"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -196,7 +197,8 @@ func (b *ObjectBelief) HasParticleIn(box geom.BBox) bool {
 
 // normalizeParticles converts the particles' cumulative log weights into
 // normalized weights and returns the effective sample size. It works entirely
-// in the belief's own weight columns — no temporaries.
+// in the belief's own weight columns — no temporaries. Only the exps run in
+// SIMD lanes (bit-identical); the max, sum, ESS and divide stay in order.
 func (b *ObjectBelief) normalizeParticles() float64 {
 	n := len(b.logW)
 	if n == 0 {
@@ -218,10 +220,9 @@ func (b *ObjectBelief) normalizeParticles() float64 {
 	// normW temporarily holds the shifted linear weights; the ESS is taken
 	// from exactly those values (as before the SoA rewrite), then the column
 	// is normalized in place.
+	sensor.ExpShifted(b.normW, b.logW, maxLog)
 	sum := 0.0
-	for i, lw := range b.logW {
-		e := math.Exp(lw - maxLog)
-		b.normW[i] = e
+	for _, e := range b.normW {
 		sum += e
 	}
 	ess := stats.EffectiveSampleSize(b.normW)

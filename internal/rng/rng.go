@@ -2,49 +2,31 @@
 // RFID inference system. All stochastic components (simulation, particle
 // proposal, resampling, EM restarts) draw from an rng.Source seeded
 // explicitly so that experiments and tests are reproducible.
+// A Source is a concrete copy of math/rand's generator and rand.Rand methods:
+// it emits exactly the values of rand.New(rand.NewSource(seed)).
 package rng
 
 import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"math/rand"
 
 	"repro/internal/geom"
 )
-
-// countingSource wraps a rand.Source64 and counts the low-level draws it
-// serves. Every Source method ultimately pulls values through this single
-// choke point, so the pair (seed, draw count) fully determines a stream's
-// position: the durability layer checkpoints exactly those two numbers and
-// NewAt replays the count to restore the stream bit-exactly.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-// Int63 implements rand.Source.
-func (c *countingSource) Int63() int64 { c.n++; return c.src.Int63() }
-
-// Uint64 implements rand.Source64.
-func (c *countingSource) Uint64() uint64 { c.n++; return c.src.Uint64() }
-
-// Seed implements rand.Source.
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
 
 // Source is a seeded pseudo-random source with the sampling helpers the
 // inference engine needs. It is not safe for concurrent use; create one per
 // goroutine.
 type Source struct {
-	r    *rand.Rand
-	cs   *countingSource
+	gen  generator
 	seed int64
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	cs := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Source{r: rand.New(cs), cs: cs, seed: seed}
+	s := &Source{seed: seed}
+	s.gen.seed(seed)
+	return s
 }
 
 // NewAt returns a Source seeded with seed and fast-forwarded to the given
@@ -53,31 +35,23 @@ func New(seed int64) *Source {
 // multi-million-draw streams takes milliseconds; recovery pays this once.
 func NewAt(seed int64, pos uint64) *Source {
 	s := New(seed)
-	for i := uint64(0); i < pos; i++ {
-		s.cs.src.Uint64()
+	for s.gen.n < pos {
+		s.gen.next()
 	}
-	s.cs.n = pos
 	return s
 }
 
 // Seed returns the seed the source was created with.
 func (s *Source) Seed() int64 { return s.seed }
 
-// Pos returns the number of low-level draws consumed so far. Together with
+// Pos returns the number of generator steps consumed so far. Together with
 // Seed it pins the stream's exact position: NewAt(Seed(), Pos()) produces a
 // source whose future draws are identical to this one's.
-func (s *Source) Pos() uint64 { return s.cs.n }
-
-// Fork returns a new independent Source derived from the current stream.
-// Forked sources let sub-components (e.g. per-object particle sets) evolve
-// deterministically regardless of the processing order of their siblings.
-func (s *Source) Fork() *Source {
-	return New(s.r.Int63())
-}
+func (s *Source) Pos() uint64 { return s.gen.n }
 
 // SeedFor derives a child seed from a base seed and a string key by hashing
-// both with FNV-1a. Unlike Fork, the derivation does not consume any state
-// from an existing stream, so the resulting seed depends only on (seed, key):
+// both with FNV-1a. The derivation does not consume any state from an
+// existing stream, so the resulting seed depends only on (seed, key):
 // components keyed by a stable identifier (e.g. a tag id) receive the same
 // stream no matter how many siblings exist or in which order they are
 // created. This is what makes parallel inference results independent of the
@@ -91,23 +65,78 @@ func SeedFor(seed int64, key string) int64 {
 	return int64(h.Sum64() & math.MaxInt64)
 }
 
-// Derive returns a Source seeded with SeedFor(seed, key).
-func Derive(seed int64, key string) *Source {
-	return New(SeedFor(seed, key))
+// Int63 returns a non-negative pseudo-random 63-bit integer.
+func (s *Source) Int63() int64 { return int64(s.gen.next() & rngMask) }
+
+// Float64 returns a uniform draw in [0, 1), redrawing when rounding gives 1.
+func (s *Source) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
 }
 
-// Float64 returns a uniform draw in [0, 1).
-func (s *Source) Float64() float64 { return s.r.Float64() }
+// Intn returns a uniform draw in [0, n). It panics if n <= 0.
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("rng: invalid argument to Intn")
+	}
+	if n <= int32max {
+		return int(s.int31n(int32(n)))
+	}
+	return int(s.int63n(int64(n)))
+}
 
-// Intn returns a uniform draw in [0, n).
-func (s *Source) Intn(n int) int { return s.r.Intn(n) }
+// The helpers below are rand.Rand's methods of the same names.
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *Source) Int63() int64 { return s.r.Int63() }
+func (s *Source) uint32() uint32 { return uint32(s.Int63() >> 31) }
+
+func (s *Source) int31() int32 { return int32(s.Int63() >> 32) }
+
+func (s *Source) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return s.int31() & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := s.int31()
+	for v > max {
+		v = s.int31()
+	}
+	return v % n
+}
+
+func (s *Source) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return s.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := s.Int63()
+	for v > max {
+		v = s.Int63()
+	}
+	return v % n
+}
+
+// lemire31n is rand.Rand's unexported int31n (Lemire's), used by Shuffle.
+func (s *Source) lemire31n(n int32) int32 {
+	v := s.uint32()
+	prod := uint64(v) * uint64(n)
+	low := uint32(prod)
+	if low < uint32(n) {
+		thresh := uint32(-n) % uint32(n)
+		for low < thresh {
+			v = s.uint32()
+			prod = uint64(v) * uint64(n)
+			low = uint32(prod)
+		}
+	}
+	return int32(prod >> 32)
+}
 
 // Uniform returns a uniform draw in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.Float64()
 }
 
 // Bernoulli returns true with probability p.
@@ -118,12 +147,12 @@ func (s *Source) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.r.Float64() < p
+	return s.Float64() < p
 }
 
 // Normal returns a draw from N(mu, sigma^2).
 func (s *Source) Normal(mu, sigma float64) float64 {
-	return mu + sigma*s.r.NormFloat64()
+	return mu + sigma*s.normFloat64()
 }
 
 // NormalVec returns a 3-D vector whose components are independent draws from
@@ -153,7 +182,7 @@ func (s *Source) UniformInBox(b geom.BBox) geom.Vec3 {
 func (s *Source) UniformInCone(p geom.Pose, halfAngle, maxRange float64) geom.Vec3 {
 	// Sample radius with density proportional to r so that points are
 	// uniform by area rather than clustered near the apex.
-	r := maxRange * math.Sqrt(s.r.Float64())
+	r := maxRange * math.Sqrt(s.Float64())
 	a := p.Phi + s.Uniform(-halfAngle, halfAngle)
 	return geom.Vec3{
 		X: p.Pos.X + r*math.Cos(a),
@@ -173,9 +202,9 @@ func (s *Source) Categorical(weights []float64) int {
 		}
 	}
 	if total <= 0 {
-		return s.r.Intn(len(weights))
+		return s.Intn(len(weights))
 	}
-	u := s.r.Float64() * total
+	u := s.Float64() * total
 	acc := 0.0
 	for i, w := range weights {
 		if w > 0 {
@@ -188,18 +217,12 @@ func (s *Source) Categorical(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Systematic performs systematic (low-variance) resampling: it returns n
-// indices drawn from the categorical distribution defined by weights using a
-// single uniform offset. Systematic resampling is the standard choice for
-// particle filters because it minimizes resampling noise.
-func (s *Source) Systematic(weights []float64, n int) []int {
-	return s.SystematicInto(make([]int, 0, n), weights, n)
-}
-
-// SystematicInto is Systematic with a caller-provided destination buffer: the
-// n drawn indices are appended to dst and the extended slice returned, so hot
-// paths can reuse one buffer across calls and resample without allocating.
-// The draw sequence is identical to Systematic's for the same source state.
+// SystematicInto performs systematic (low-variance) resampling: it appends n
+// indices drawn from the categorical distribution defined by weights, using a
+// single uniform offset, to dst and returns the extended slice, so hot paths
+// can reuse one buffer across calls and resample without allocating.
+// Systematic resampling is the standard choice for particle filters because
+// it minimizes resampling noise.
 func (s *Source) SystematicInto(dst []int, weights []float64, n int) []int {
 	m := len(weights)
 	out := dst
@@ -214,12 +237,12 @@ func (s *Source) SystematicInto(dst []int, weights []float64, n int) []int {
 	}
 	if total <= 0 {
 		for i := 0; i < n; i++ {
-			out = append(out, s.r.Intn(m))
+			out = append(out, s.Intn(m))
 		}
 		return out
 	}
 	step := total / float64(n)
-	u := s.r.Float64() * step
+	u := s.Float64() * step
 	acc := 0.0
 	idx := 0
 	for i := 0; i < n; i++ {
@@ -240,15 +263,29 @@ func (s *Source) SystematicInto(dst []int, weights []float64, n int) []int {
 	return out
 }
 
-// Shuffle randomly permutes the integers [0, n) and returns them.
+// Shuffle returns a random permutation of [0, n), as rand.Rand.Perm does.
 func (s *Source) Shuffle(n int) []int {
-	return s.r.Perm(n)
+	m := make([]int, n)
+	for i := 0; i < n; i++ {
+		j := s.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
-// Perm permutes a copy of the provided slice of indices.
+// Perm returns a shuffled copy of idx, drawn as rand.Rand.Shuffle draws.
 func (s *Source) Perm(idx []int) []int {
 	out := make([]int, len(idx))
 	copy(out, idx)
-	s.r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	i := len(out) - 1
+	for ; i > int32max-1; i-- {
+		j := int(s.int63n(int64(i + 1)))
+		out[i], out[j] = out[j], out[i]
+	}
+	for ; i > 0; i-- {
+		j := int(s.lemire31n(int32(i + 1)))
+		out[i], out[j] = out[j], out[i]
+	}
 	return out
 }

@@ -14,13 +14,12 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal("two sources with the same seed diverged")
 		}
 	}
-	c := New(43)
+	c, d := New(43), New(42)
 	same := true
 	for i := 0; i < 10; i++ {
-		if New(42).Fork().Float64() == c.Float64() {
-			continue
+		if d.Float64() != c.Float64() {
+			same = false
 		}
-		same = false
 	}
 	if same {
 		t.Error("different seeds produced identical streams")
@@ -144,7 +143,7 @@ func TestCategoricalDegenerateWeights(t *testing.T) {
 func TestSystematicResampling(t *testing.T) {
 	s := New(17)
 	weights := []float64{0.1, 0.0, 0.6, 0.3}
-	idx := s.Systematic(weights, 1000)
+	idx := s.SystematicInto(nil, weights, 1000)
 	if len(idx) != 1000 {
 		t.Fatalf("wrong number of indices: %d", len(idx))
 	}
@@ -169,13 +168,13 @@ func TestSystematicResampling(t *testing.T) {
 
 func TestSystematicDegenerateInputs(t *testing.T) {
 	s := New(19)
-	if out := s.Systematic(nil, 5); len(out) != 0 {
+	if out := s.SystematicInto(nil, nil, 5); len(out) != 0 {
 		t.Errorf("expected empty result for empty weights, got %v", out)
 	}
-	if out := s.Systematic([]float64{1, 2}, 0); len(out) != 0 {
+	if out := s.SystematicInto(nil, []float64{1, 2}, 0); len(out) != 0 {
 		t.Errorf("expected empty result for n=0, got %v", out)
 	}
-	out := s.Systematic([]float64{0, 0}, 10)
+	out := s.SystematicInto(nil, []float64{0, 0}, 10)
 	if len(out) != 10 {
 		t.Errorf("zero-weight resampling returned %d indices", len(out))
 	}
@@ -220,14 +219,14 @@ func TestSeedForDerivation(t *testing.T) {
 }
 
 func TestDeriveIndependentOfSiblings(t *testing.T) {
-	// Unlike Fork, Derive consumes no stream state: deriving b after a (or
+	// SeedFor consumes no stream state: deriving b after a (or
 	// not deriving a at all) yields the same stream for b.
-	b1 := Derive(7, "b")
-	_ = Derive(7, "a")
-	b2 := Derive(7, "b")
+	b1 := New(SeedFor(7, "b"))
+	_ = New(SeedFor(7, "a"))
+	b2 := New(SeedFor(7, "b"))
 	for i := 0; i < 10; i++ {
 		if b1.Float64() != b2.Float64() {
-			t.Fatal("Derive stream depends on sibling derivations")
+			t.Fatal("a derived stream depends on sibling derivations")
 		}
 	}
 }

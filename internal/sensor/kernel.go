@@ -22,7 +22,9 @@ import (
 //     of LogObsFrame for this Model, math calls included, and hands any block
 //     it cannot reproduce back to LogObsFrame. The scalar loops below are the
 //     reference, take the tails of fewer than four particles, and are the
-//     only body on other CPUs, other GOARCHes and under -tags purego.
+//     only body on other CPUs, other GOARCHes and under -tags purego;
+//   - ExpShifted runs the same body's exp block alone, four weights per step,
+//     for the filters' weight normalisation.
 //
 // Every arithmetic expression repeats the scalar path — DistanceAngleTo,
 // ReadProb, LogObservationProb — operation for operation, so results are
@@ -139,5 +141,20 @@ func (m Model) AccumLogObsFixed(logW []float64, observed bool, frames []Frame, l
 	}
 	for ; i < n; i++ {
 		logW[i] += m.LogObsFrame(frames[i], loc, observed)
+	}
+}
+
+// ExpShifted sets dst[i] = math.Exp(src[i] - c), bit for bit, for every
+// entry of src (dst must be as long): the exp of the weight normalisation,
+// four entries per step where the SIMD body runs.
+func ExpShifted(dst, src []float64, c float64) {
+	dst = dst[:len(src)]
+	for i := 0; i < len(src); {
+		if n := len(src) - i; useSIMD && n >= 4 {
+			i += expShiftedAVX2(&dst[i], &src[i], n&^3, c)
+		}
+		for end := min(i+4, len(src)); i < end; i++ {
+			dst[i] = math.Exp(src[i] - c)
+		}
 	}
 }

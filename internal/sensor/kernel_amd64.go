@@ -16,6 +16,10 @@ import (
 // of four that leaves the range where that holds — an in-range lane whose
 // exp argument is below -700 (math.Exp's denormal and underflow paths start
 // near -708) or not finite — is handed back and weighed by LogObsFrame.
+//
+// A second body, behind ExpShifted, runs only the exp block, under the same
+// rule: a block with an argument below -700, above 700 or not finite goes to
+// math.Exp.
 
 // hasSIMD reports that the CPU and the OS support AVX2 and FMA.
 var hasSIMD = cpuHasAVX2FMA()
@@ -150,6 +154,12 @@ func accumLogObsAVX2(logW *float64, locs *geom.Vec3, reader *int32, frames *Fram
 //
 //go:noescape
 func accumLogObsFixedAVX2(logW *float64, frames *Frame, n int, loc *geom.Vec3, p *simdParams) int
+
+// expShiftedAVX2 writes exp(src[i] - c) for n entries (a multiple of four)
+// and returns n, or the start of the first block it hands back.
+//
+//go:noescape
+func expShiftedAVX2(dst, src *float64, n int, c float64) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)

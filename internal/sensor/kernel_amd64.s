@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// Four-lane AVX2+FMA body of AccumLogObs and AccumLogObsFixed. Each lane
-// repeats LogObsFrame operation for operation (see kernel_amd64.go); the
-// comment above each macro names the Go or math-assembly steps it copies.
+// Four-lane AVX2+FMA bodies of AccumLogObs and AccumLogObsFixed, and of
+// ExpShifted. Each lane repeats LogObsFrame (or math.Exp) operation for
+// operation (see kernel_amd64.go); the comment above each macro names the Go
+// or math-assembly steps it copies.
 // Go's operand order is the reverse of Intel's: "VSUBPD b, a, d" is d = a - b,
 // "VBLENDVPD m, t, f, d" is d = m ? t : f, "VCMPPD $p, b, a, d" is d = a p b.
 
@@ -398,6 +399,40 @@ fixedloop:
 fixeddone:
 	VZEROUPPER
 	MOVQ AX, ret+40(FP)
+	RET
+
+// func expShiftedAVX2(dst, src *float64, n int, c float64) int
+TEXT ·expShiftedAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD c+24(FP), Y7
+	XORQ         AX, AX
+
+exploop:
+	CMPQ AX, CX
+	JAE  expdone
+
+	// a = src - c; the block stays here only if every lane has
+	// -|a| >= -700, which no NaN has.
+	VMOVUPD   (SI), Y4
+	VSUBPD    Y7, Y4, Y4
+	VORPD     SIGN, Y4, Y5
+	VCMPPD    $0x0D, EXPMIN, Y5, Y5
+	VMOVMSKPD Y5, R13
+	CMPQ      R13, $15
+	JNE       expdone
+	EXP
+	VMOVUPD   Y4, (DI)
+
+	ADDQ $4, AX
+	ADDQ $32, SI
+	ADDQ $32, DI
+	JMP  exploop
+
+expdone:
+	VZEROUPPER
+	MOVQ AX, ret+32(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

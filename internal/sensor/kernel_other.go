@@ -12,3 +12,5 @@ const hasSIMD, useSIMD = false, false
 func (m Model) accumLogObsSIMD([]float64, bool, []Frame, []int32, []geom.Vec3) int { return 0 }
 
 func (m Model) accumLogObsFixedSIMD([]float64, bool, []Frame, geom.Vec3) int { return 0 }
+
+func expShiftedAVX2(*float64, *float64, int, float64) int { return 0 }

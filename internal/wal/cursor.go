@@ -249,6 +249,14 @@ func (c *Cursor) readFrameAt() ([]byte, error) {
 	}
 	flen := len(c.hdr) + plen
 	if cap(c.buf) < flen {
+		// Only for bytes that exist: a torn tail's garbage prefix may be huge.
+		fi, err := c.f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		if c.off+int64(flen) > fi.Size() {
+			return nil, errStall
+		}
 		c.buf = make([]byte, flen)
 	}
 	frame := c.buf[:flen]

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -230,6 +232,62 @@ func TestOpenTrimsTornTail(t *testing.T) {
 				t.Fatalf("second recovery replayed %+v, want %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestTornTailPrefixAllocatesNothing pins that a torn tail whose length
+// prefix promises a huge frame costs no buffer of that size: one Replay over
+// a newest segment ending in 8 garbage bytes that read as a frame of just
+// under maxCursorFrame allocates less than 1 MiB, and Open still trims them.
+func TestTornTailPrefixAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords()
+	appendAll(t, l, recs)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(1))
+	whole, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var garbage [8]byte
+	binary.LittleEndian.PutUint32(garbage[:4], maxCursorFrame-1)
+	if _, err := f.Write(garbage[:]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, _ := replayAll(t, dir, 0)
+	runtime.ReadMemStats(&after)
+	if len(got) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("replay over the torn prefix allocated %d bytes, want < 1 MiB", alloc)
+	}
+
+	l2, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	trimmed, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trimmed.Size() != whole.Size() {
+		t.Fatalf("Open left segment 1 at %d bytes, want the %d of its whole frames", trimmed.Size(), whole.Size())
 	}
 }
 
